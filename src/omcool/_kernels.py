@@ -1,41 +1,39 @@
-"""Hot numeric kernels for moment propagation.
+"""Numeric kernels of the Gaussian engine: drift assembly, expm and Magnus-4.
 
-The RK4 stepping loop over a stroke span is the runtime hot spot (protocols
-take 1e5..1e6 micro-steps of 2N x 2N matrix algebra).  Two interchangeable
-implementations are provided:
-
-* a numba ``@njit`` version (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Selection: set the environment variable ``OMCOOL_NUMBA=0`` before import to
-force the numpy path.  ``BACKEND`` reports which one is active.  Both
-implement the same contract and agree to float roundoff; the benchmark in
-``benchmarks/bench_kernels.py`` compares them.
-
-Kernel contract: ``rk4_span(mean, cov, A, dsub, h, dvec)`` advances the
-first/second moments in place through ``(len(dsub) - 1) // 2`` RK4 steps of
-size h.  ``A`` is a working drift matrix whose static entries are prefilled
-(see ``fill_drift``); only the cavity rotation entries A[0,1], A[1,0] depend
-on the detuning and are patched from ``dsub``, which holds the detuning at
-every RK4 substage time (t0, t0+h/2, t0+h, ...; stride 2 per step).
-``dvec`` is the diagonal of the diffusion matrix.
+``fill_drift`` writes the drift matrix of the moment equations.  ``expm1``
+is a numpy-only matrix exponential (Higham's Pade scaling and squaring,
+SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) that works on stacks of
+matrices and returns exp(X) - I: propagators of short substeps lie close to
+the identity, and keeping them as I + Y holds their small part to full
+precision through long products.  ``magnus4`` gives the fourth-order Magnus
+propagators (Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151 (2009)) of
+dZ/dt = (M0 + delta(t) E) Z over a batch of substeps, from delta at the two
+Gauss-Legendre nodes of each.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
+BACKEND = "magnus4"
 
-_env = os.environ.get("OMCOOL_NUMBA", "1").strip().lower()
-_want_numba = _env not in ("0", "false", "off", "no")
-NUMBA_AVAILABLE = numba is not None
-BACKEND = "numba" if (NUMBA_AVAILABLE and _want_numba) else "numpy"
+# Pade degree m is exact to double precision for ||X||_1 <= theta_m.
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA13 = 5.371920351148152e0
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
 
 
 def fill_drift(A, delta_now, omega0, omega_b, g, kappa, gamma_m, delta_t):
@@ -48,10 +46,7 @@ def fill_drift(A, delta_now, omega0, omega_b, g, kappa, gamma_m, delta_t):
     ``omega0[k]`` is the active exchange amplitude on target k (usually one
     nonzero entry at most).
     """
-    n = A.shape[0]
-    for i in range(n):
-        for j in range(n):
-            A[i, j] = 0.0
+    A[...] = 0.0
     A[0, 0] = -0.5 * kappa
     A[1, 1] = -0.5 * kappa
     A[0, 1] = -delta_now
@@ -77,156 +72,67 @@ def fill_drift(A, delta_now, omega0, omega_b, g, kappa, gamma_m, delta_t):
     return A
 
 
-def rk4_span_numpy(mean, cov, A, dsub, h, dvec):
-    """Pure-numpy implementation of the span kernel (in-place)."""
-    n = mean.shape[0]
-    idx = np.arange(n)
-    nsteps = (dsub.shape[0] - 1) // 2
-
-    def rhs(a, m, s):
-        km = a @ m
-        x = a @ s
-        kc = x + x.T
-        kc[idx, idx] += dvec
-        return km, kc
-
-    for step in range(nsteps):
-        d0 = dsub[2 * step]
-        dh = dsub[2 * step + 1]
-        d1 = dsub[2 * step + 2]
-        A[0, 1] = -d0
-        A[1, 0] = d0
-        k1m, k1c = rhs(A, mean, cov)
-        A[0, 1] = -dh
-        A[1, 0] = dh
-        k2m, k2c = rhs(A, mean + 0.5 * h * k1m, cov + 0.5 * h * k1c)
-        k3m, k3c = rhs(A, mean + 0.5 * h * k2m, cov + 0.5 * h * k2c)
-        A[0, 1] = -d1
-        A[1, 0] = d1
-        k4m, k4c = rhs(A, mean + h * k3m, cov + h * k3c)
-        mean += (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        cov += (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-    return mean, cov
+def _pade(X, m):
+    b = _PADE[m]
+    ident = np.eye(X.shape[-1])
+    X2 = X @ X
+    if m == 13:
+        X4 = X2 @ X2
+        X6 = X4 @ X2
+        U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+                 + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * ident)
+        V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+             + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident)
+    else:
+        power = ident
+        U = b[1] * ident
+        V = b[0] * ident
+        for k in range(1, (m + 1) // 2):
+            power = power @ X2
+            U = U + b[2 * k + 1] * power
+            V = V + b[2 * k] * power
+        U = X @ U
+    # r_m(X) = (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U
+    return 2.0 * np.linalg.solve(V - U, U)
 
 
-def _rk4_span_loops(mean, cov, A, dsub, h, dvec):
-    # loop-oriented twin of rk4_span_numpy, written for nopython compilation
-    n = mean.shape[0]
-    X = np.empty((n, n))
-    k1c = np.empty((n, n))
-    k2c = np.empty((n, n))
-    k3c = np.empty((n, n))
-    k4c = np.empty((n, n))
-    yc = np.empty((n, n))
-    k1m = np.empty(n)
-    k2m = np.empty(n)
-    k3m = np.empty(n)
-    k4m = np.empty(n)
-    ym = np.empty(n)
-    nsteps = (dsub.shape[0] - 1) // 2
+def expm1(X):
+    """exp(X) - I for X, or for each matrix in a stack X[..., n, n].
 
-    for step in range(nsteps):
-        d0 = dsub[2 * step]
-        dh = dsub[2 * step + 1]
-        d1 = dsub[2 * step + 2]
-
-        # stage 1 at t
-        A[0, 1] = -d0
-        A[1, 0] = d0
-        for i in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += A[i, k] * mean[k]
-            k1m[i] = acc
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for k in range(n):
-                    acc += A[i, k] * cov[k, j]
-                X[i, j] = acc
-        for i in range(n):
-            for j in range(n):
-                k1c[i, j] = X[i, j] + X[j, i]
-            k1c[i, i] += dvec[i]
-
-        # stage 2 at t + h/2
-        A[0, 1] = -dh
-        A[1, 0] = dh
-        for i in range(n):
-            ym[i] = mean[i] + 0.5 * h * k1m[i]
-            for j in range(n):
-                yc[i, j] = cov[i, j] + 0.5 * h * k1c[i, j]
-        for i in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += A[i, k] * ym[k]
-            k2m[i] = acc
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for k in range(n):
-                    acc += A[i, k] * yc[k, j]
-                X[i, j] = acc
-        for i in range(n):
-            for j in range(n):
-                k2c[i, j] = X[i, j] + X[j, i]
-            k2c[i, i] += dvec[i]
-
-        # stage 3 at t + h/2
-        for i in range(n):
-            ym[i] = mean[i] + 0.5 * h * k2m[i]
-            for j in range(n):
-                yc[i, j] = cov[i, j] + 0.5 * h * k2c[i, j]
-        for i in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += A[i, k] * ym[k]
-            k3m[i] = acc
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for k in range(n):
-                    acc += A[i, k] * yc[k, j]
-                X[i, j] = acc
-        for i in range(n):
-            for j in range(n):
-                k3c[i, j] = X[i, j] + X[j, i]
-            k3c[i, i] += dvec[i]
-
-        # stage 4 at t + h
-        A[0, 1] = -d1
-        A[1, 0] = d1
-        for i in range(n):
-            ym[i] = mean[i] + h * k3m[i]
-            for j in range(n):
-                yc[i, j] = cov[i, j] + h * k3c[i, j]
-        for i in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += A[i, k] * ym[k]
-            k4m[i] = acc
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for k in range(n):
-                    acc += A[i, k] * yc[k, j]
-                X[i, j] = acc
-        for i in range(n):
-            for j in range(n):
-                k4c[i, j] = X[i, j] + X[j, i]
-            k4c[i, i] += dvec[i]
-
-        h6 = h / 6.0
-        for i in range(n):
-            mean[i] += h6 * (k1m[i] + 2.0 * k2m[i] + 2.0 * k3m[i] + k4m[i])
-            for j in range(n):
-                cov[i, j] += h6 * (k1c[i, j] + 2.0 * k2c[i, j] + 2.0 * k3c[i, j] + k4c[i, j])
-    return mean, cov
+    One Pade degree and scaling serve the whole stack, chosen from its
+    largest 1-norm.  A non-finite input gives an all-NaN result.
+    """
+    X = np.asarray(X, dtype=float)
+    norm = float(np.abs(X).sum(axis=-2).max()) if X.size else 0.0
+    if not math.isfinite(norm):
+        return np.full(X.shape, np.nan)
+    for m, theta in _THETA:
+        if norm <= theta:
+            return _pade(X, m)
+    s = max(0, math.ceil(math.log2(norm / _THETA13)))
+    Y = _pade(X / 2.0**s, 13)
+    for _ in range(s):
+        Y = 2.0 * Y + Y @ Y  # (I + Y)^2 - I
+    return Y
 
 
-if NUMBA_AVAILABLE:
-    rk4_span_numba = numba.njit(cache=True)(_rk4_span_loops)
-else:
-    rk4_span_numba = None
+_GL_SHIFT = math.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at t + h (1/2 -+ sqrt(3)/6)
 
-rk4_span = rk4_span_numba if BACKEND == "numba" else rk4_span_numpy
+
+def magnus4(M0, E, C, t, h, delta):
+    """Fourth-order Magnus propagators of dZ/dt = (M0 + delta(t) E) Z.
+
+    Substep k runs from ``t[k]`` over ``h[k]``; ``delta`` is a vectorized
+    function of time and ``C = [M0, E]``.  With M_k = M0 + delta(t_k) E at
+    the lower and upper Gauss-Legendre nodes, the Magnus exponent
+    h/2 (M_lo + M_hi) + sqrt(3)/12 h^2 [M_hi, M_lo] reduces to a sum of three
+    fixed matrices, since [M_hi, M_lo] = (d_lo - d_hi) C.  Returns the stack
+    of propagators minus the identity.
+    """
+    h = np.asarray(h, dtype=float)
+    d_lo = delta(t + (0.5 - _GL_SHIFT) * h)[:, None, None]
+    d_hi = delta(t + (0.5 + _GL_SHIFT) * h)[:, None, None]
+    h = h[:, None, None]
+    omega = (h * M0 + (0.5 * h * (d_lo + d_hi)) * E
+             + (0.5 * _GL_SHIFT * h**2 * (d_lo - d_hi)) * C)
+    return expm1(omega)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -188,6 +189,14 @@ def _print_report(report) -> None:
     )
 
 
+def _resolve_tol(args, cfg) -> float:
+    if args.tol is None:
+        return cfg.tol
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
+    return args.tol
+
+
 def cmd_cycle(args) -> int:
     raw = load_config_file(args.config)
     cfg = parse_cycle_config(raw)
@@ -196,7 +205,7 @@ def cmd_cycle(args) -> int:
         raise ConfigError("engine 'fock' requires a 'fock' section with cutoffs")
     if engine == "fock" and cfg.initial.basis != "bare":
         raise ConfigError("the fock engine requires initial.basis = 'bare'")
-    tol = args.tol if args.tol is not None else cfg.tol
+    tol = _resolve_tol(args, cfg)
     traj = run_protocol(
         cfg.params, cfg.schedule, engine=engine, initial=cfg.initial, tol=tol,
         samples_per_stroke=cfg.samples_per_stroke, fock_options=cfg.fock,
@@ -226,7 +235,7 @@ def cmd_cycle(args) -> int:
 def cmd_validate(args) -> int:
     raw = load_config_file(args.config)
     cfg = parse_cycle_config(raw, for_validate=True)
-    tol = args.tol if args.tol is not None else cfg.tol
+    tol = _resolve_tol(args, cfg)
 
     def run(engine):
         return run_protocol(
@@ -299,13 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     cy.add_argument("--engine", choices=("gaussian", "fock"))
     cy.add_argument("--tol", type=float)
     cy.add_argument("--report", help="optional JSON cycle-report path")
-    cy.add_argument("--jobs", type=int, default=1)
     cy.set_defaults(func=cmd_cycle)
 
     li = sub.add_parser("limit", help="evaluate the analytic cooling limit")
     li.add_argument("--config", required=True)
     li.add_argument("--out", required=True)
-    li.add_argument("--jobs", type=int, default=1)
     li.set_defaults(func=cmd_limit)
 
     va = sub.add_parser("validate", help="cross-validate both engines")

@@ -11,6 +11,7 @@ to the physics exit code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -46,8 +47,8 @@ def _number(obj: dict, key: str, path: str, default=None):
     if key not in obj:
         return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, _NUMBER):
-        raise ConfigError(f"'{path}{key}' must be a number")
+    if isinstance(val, bool) or not isinstance(val, _NUMBER) or not math.isfinite(val):
+        raise ConfigError(f"'{path}{key}' must be a finite number")
     return float(val)
 
 
@@ -65,9 +66,9 @@ def _number_list(obj: dict, key: str, path: str, default=None):
         return default
     val = obj[key]
     if not isinstance(val, list) or any(
-        isinstance(x, bool) or not isinstance(x, _NUMBER) for x in val
+        isinstance(x, bool) or not isinstance(x, _NUMBER) or not math.isfinite(x) for x in val
     ):
-        raise ConfigError(f"'{path}{key}' must be a list of numbers")
+        raise ConfigError(f"'{path}{key}' must be a list of finite numbers")
     return [float(x) for x in val]
 
 

@@ -29,6 +29,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import IntegrationError, TruncationError
+from .gaussian import default_sample_times, span_fmax
 from .params import SystemParams
 from .schedule import CycleSchedule, StrokeKind
 
@@ -362,13 +363,6 @@ class _Generator:
         return drho
 
 
-def _span_fmax(span, params: SystemParams) -> float:
-    scales = [abs(span.delta0), abs(span.delta1), params.omega_b, params.kappa,
-              params.gamma, 2.0 * params.g, span.amplitude, 1.0]
-    scales.extend(params.delta_targets)
-    return max(scales)
-
-
 def propagate_fock(
     state: FockState,
     params: SystemParams,
@@ -402,8 +396,6 @@ def propagate_fock(
 
     spans = [s for s in schedule.spans() if s.t_end > t0 and s.t_start < t_end]
     if sample_times is None:
-        from .gaussian import default_sample_times
-
         grid = default_sample_times(schedule, t0, t_end, samples_per_stroke)
     else:
         grid = np.unique(np.asarray(sample_times, dtype=float))
@@ -438,7 +430,7 @@ def propagate_fock(
         if seg_end <= seg_start:
             continue
         h_off = gen.h_offdiag(span.target if span.target is not None else 0, span.amplitude)
-        dt_max = 1.0 / (50.0 * _span_fmax(span, params))
+        dt_max = 1.0 / (50.0 * span_fmax(span, params))
         dt_target = dt_max if dt is None else min(dt, dt_max)
         if dt is not None and dt > dt_max * (1.0 + 1e-9):
             raise ValueError(

@@ -11,11 +11,23 @@ convention x = (a + a^dag)/sqrt(2), p = -i(a - a^dag)/sqrt(2) and vacuum
 variance 1/2.  A carries the symplectic Hamiltonian flow plus -rate/2
 damping, D = diag(rate * (2 n_bath + 1) / 2) per quadrature.
 
-Integration is fixed-step RK4 with the step bounded by 1/(50 f_max) for the
-largest frequency scale f_max of each stroke; steps never cross stroke
-boundaries, the drift is rebuilt from delta(t) at every RK4 substage during
-ramps, and each stroke is accepted only after Richardson step-halving puts
-the estimated error below ``tol``.
+Being linear, each stretch of a stroke is an affine map on the moments,
+<z> -> Phi <z> and sigma -> Phi sigma Phi^T + Q.  Both come from the
+propagator Z of Van Loan's block generator M = [[A, D], [0, -A^T]]
+(C. Van Loan, IEEE TAC 23, 395 (1978)): Phi = Z_11 and Q = Z_12 Z_11^T,
+which holds for time-dependent A as well.  Exchange and hold strokes have a
+constant generator, so one exponential per sample segment is exact.  Ramps
+use fourth-order Magnus substeps, at most 1/f_max long for the largest
+frequency scale f_max of the stroke and cut at every knot of a tabulated
+ramp profile, whose kinks would otherwise cap the order.
+
+Error control: each stroke is run with m and 2m substeps per piece (m = 1,
+2, 4, ...); the stroke is accepted once the two agree within 15 tol at
+every sample, and the 2m result is kept.  Maps are built once per stroke
+position, sample offset and m inside one ``propagate`` call, so later
+cycles reuse the first cycle's maps while the check still runs on every
+application.  A non-finite drift, map, state or error estimate raises
+IntegrationError.
 """
 
 from __future__ import annotations
@@ -27,15 +39,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import IntegrationError
-from .params import SystemParams
+from .params import MODE_NAMES, SystemParams
 from .polariton import PolaritonBasis, check_stability, symplectic_form
-from .schedule import CycleSchedule, StrokeSpan
-
-_MODE_NAMES = "abcdefghijklmnopqrstuvwxyz"
+from .schedule import CycleSchedule, StrokeKind, StrokeSpan
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
 _MAX_REFINE = 14
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,7 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         if not self.mode_labels:
-            object.__setattr__(self, "mode_labels", tuple(_MODE_NAMES[: mean.size // 2]))
+            object.__setattr__(self, "mode_labels", tuple(MODE_NAMES[: mean.size // 2]))
 
     @property
     def n_modes(self) -> int:
@@ -224,7 +235,8 @@ class GaussianTrajectory:
         return self.state_at(len(self) - 1)
 
 
-def _span_fmax(span: StrokeSpan, params: SystemParams) -> float:
+def span_fmax(span: StrokeSpan, params: SystemParams) -> float:
+    """Largest frequency or rate of a stroke, the scale that bounds step sizes."""
     scales = [abs(span.delta0), abs(span.delta1), params.omega_b, params.kappa,
               params.gamma, 2.0 * params.g, span.amplitude, 1.0]
     scales.extend(params.delta_targets)
@@ -246,26 +258,93 @@ def default_sample_times(
     return np.unique(np.concatenate(pts))
 
 
+def _stroke_generator(params: SystemParams, span: StrokeSpan):
+    """(M0, E, [M0, E]) of the stroke's Van Loan generator M0 + delta E.
+
+    M(delta) = [[A(delta), D], [0, -A(delta)^T]]; only A[0, 1] = -delta and
+    A[1, 0] = delta depend on the detuning, so E is constant.
+    """
+    dd = build_drift_diffusion(params, span.delta0,
+                               _omega0_vector(params, span.target, span.amplitude))
+    A = dd.A
+    A[0, 1] = A[1, 0] = 0.0  # the detuning enters through E
+    n = A.shape[0]
+    M0 = np.zeros((2 * n, 2 * n))
+    M0[:n, :n] = A
+    M0[:n, n:] = dd.D
+    M0[n:, n:] = -A.T
+    E = np.zeros_like(M0)
+    E[0, 1] = E[n, n + 1] = -1.0
+    E[1, 0] = E[n + 1, n] = 1.0
+    return M0, E, M0 @ E - E @ M0
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """(I + later)(I + earlier) - I, for propagators held as I + Y."""
+    return later + earlier + later @ earlier
+
+
+def _chain(Y: np.ndarray) -> np.ndarray:
+    """Time-ordered product of the propagators I + Y[k], minus I, by pairwise reduction."""
+    while Y.shape[0] > 1:
+        half = Y.shape[0] // 2
+        Y = np.concatenate((_compose(Y[1:2 * half:2], Y[0:2 * half:2]), Y[2 * half:]))
+    return Y[0]
+
+
+def _segment_map(span: StrokeSpan, generator, a: float, b: float, level: int,
+                 fmax: float) -> tuple:
+    """(Phi, Q) of the stroke over local times [a, b].
+
+    The interval is cut at the ramp-table knots inside it and each piece
+    into ``level`` times ceil(width * fmax) Magnus-4 substeps (``level``
+    alone for fmax = 0), composed in chunks of ``_CHUNK`` so that no whole
+    stroke's propagators are held at once.
+    """
+    M0, E, C = generator
+    n = M0.shape[0] // 2
+    knots = np.empty(0)
+    if span.kind is StrokeKind.RAMP_DETUNING and span.shape == "adiabatic":
+        knots = span.duration * np.linspace(0.0, 1.0, len(span.profile))[1:-1]
+    edges = np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
+    widths = np.diff(edges)
+    counts = level * np.maximum(1, np.ceil(widths * fmax - 1e-9)).astype(np.int64)
+    h = np.repeat(widths / counts, counts)
+    k = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    t_lo = np.repeat(edges[:-1], counts) + k * h
+    Y = np.zeros_like(M0)
+    for i in range(0, h.size, _CHUNK):
+        part = slice(i, i + _CHUNK)
+        Y = _compose(_chain(_kernels.magnus4(M0, E, C, t_lo[part], h[part],
+                                             span.delta_values_local)), Y)
+    phi = np.eye(n) + Y[:n, :n]
+    q = Y[:n, n:] @ phi.T
+    return phi, 0.5 * (q + q.T)
+
+
+def _apply(phi: np.ndarray, q: np.ndarray, mean: np.ndarray, cov: np.ndarray):
+    c = phi @ cov @ phi.T + q
+    return phi @ mean, 0.5 * (c + c.T)
+
+
 def propagate(
     state: GaussianState,
     schedule: CycleSchedule,
     t_end: float,
     tol: float = 1e-8,
-    params: SystemParams | None = None,
+    *,
+    params: SystemParams,
     sample_times=None,
     samples_per_stroke: int = 32,
     validate: bool = True,
 ) -> GaussianTrajectory:
     """Propagate a Gaussian state through the schedule up to ``t_end``.
 
-    ``params`` supplies the frequencies, couplings and rates (it is required;
-    the keyword default only keeps the signature stable).  The returned
+    ``params`` supplies the frequencies, couplings and rates.  The returned
     trajectory is sampled at ``sample_times`` (stroke boundaries are always
     included) and every sample is checked against the state invariants
     unless ``validate=False``.
     """
-    if params is None:
-        raise ValueError("params is required")
     if state.n_modes != params.n_modes:
         raise ValueError(
             f"state has {state.n_modes} modes but params describe {params.n_modes}"
@@ -277,8 +356,8 @@ def propagate(
         raise ValueError(
             f"t_end={t_end} exceeds the schedule duration {schedule.total_duration}"
         )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
 
     spans = [s for s in schedule.spans() if s.t_end > t0 and s.t_start < t_end]
     for span in spans:
@@ -296,70 +375,80 @@ def propagate(
         ]
         grid = np.unique(np.concatenate([grid] + edges))
 
-    dvec = diffusion_vector(params)
-    delta_t_arr = np.asarray(params.delta_targets)
-    n = 2 * params.n_modes
-    mean = np.ascontiguousarray(state.mean, dtype=float).copy()
-    cov = np.ascontiguousarray(state.cov, dtype=float).copy()
-
+    mean, cov = state.mean, state.cov
     times_out = [t0]
-    means_out = [mean.copy()]
-    covs_out = [cov.copy()]
+    means_out = [mean]
+    covs_out = [cov]
 
-    kernel = _kernels.rk4_span
-    A = np.zeros((n, n))
+    # Maps depend only on the stroke's place in the cycle and the local
+    # sample offsets, so later cycles reuse the first cycle's maps.
+    maps = {}
 
     for span in spans:
         seg_start = max(span.t_start, t0)
         seg_end = min(span.t_end, t_end)
         if seg_end <= seg_start:
             continue
-        omega0 = _omega0_vector(params, span.target, span.amplitude)
-        _kernels.fill_drift(A, span.delta0, omega0, params.omega_b, params.g,
-                            params.kappa, params.gamma, delta_t_arr)
-        h_target = 1.0 / (50.0 * _span_fmax(span, params))
+        generator = _stroke_generator(params, span)
+        if not np.all(np.isfinite(generator[0])):
+            raise IntegrationError(f"non-finite drift in stroke {span.index}", time=seg_start)
 
-        targets_local = grid[(grid > seg_start) & (grid <= seg_end)]
-        if targets_local.size == 0 or targets_local[-1] < seg_end:
-            targets_local = np.append(targets_local, seg_end)
-        starts = np.concatenate(([seg_start], targets_local[:-1]))
-        lengths = targets_local - starts
-        base_counts = np.maximum(1, np.ceil(lengths / h_target - 1e-12).astype(np.int64))
+        ends = grid[(grid > seg_start) & (grid <= seg_end)]
+        if ends.size == 0 or ends[-1] < seg_end:
+            ends = np.append(ends, seg_end)
+        local = np.concatenate(([seg_start], ends)) - span.t_start
+        # constant strokes need no substeps, and their maps depend on length only
+        ramp = span.kind is StrokeKind.RAMP_DETUNING
+        fmax = span_fmax(span, params) if ramp else 0.0
 
-        def run_pass(m0, c0, counts, record):
-            m = m0.copy()
-            c = c0.copy()
-            rec_m, rec_c = [], []
-            for t_a, length, nst in zip(starts, lengths, counts):
-                h = length / nst
-                t_loc = (t_a - span.t_start) + 0.5 * h * np.arange(2 * nst + 1)
-                dsub = span.delta_values_local(t_loc)
-                kernel(m, c, A, dsub, h, dvec)
-                if record:
-                    rec_m.append(m.copy())
-                    rec_c.append(c.copy())
-            return m, c, rec_m, rec_c
+        def stroke_maps(level):
+            out = []
+            for a, b in zip(local[:-1], local[1:]):
+                key = (span.position, level, round(a / span.duration, 12) if ramp else None,
+                       round((b - a) / span.duration, 12))
+                if key not in maps:
+                    phi, q = _segment_map(span, generator, a, b, level, fmax)
+                    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(q))):
+                        raise IntegrationError(
+                            f"non-finite stroke map in stroke {span.index}", time=seg_start)
+                    maps[key] = phi, q
+                out.append(maps[key])
+            return out
 
-        counts = base_counts
+        level = 1
         for attempt in range(_MAX_REFINE + 1):
-            m_coarse, c_coarse, _, _ = run_pass(mean, cov, counts, record=False)
-            m_fine, c_fine, rec_m, rec_c = run_pass(mean, cov, 2 * counts, record=True)
-            err = max(
-                float(np.max(np.abs(m_fine - m_coarse))),
-                float(np.max(np.abs(c_fine - c_coarse))),
-            ) / 15.0
-            if err <= tol:
-                break
-            if attempt == _MAX_REFINE:
+            m_c, c_c, m_f, c_f = mean, cov, mean, cov
+            err = 0.0
+            rec_m, rec_c = [], []
+            for coarse, fine in zip(stroke_maps(level), stroke_maps(2 * level)):
+                m_c, c_c = _apply(*coarse, m_c, c_c)
+                m_f, c_f = _apply(*fine, m_f, c_f)
+                # np.max keeps a NaN, where the builtin max() may drop it
+                err = np.max([err, np.abs(m_f - m_c).max(), np.abs(c_f - c_c).max()])
+                rec_m.append(m_f)
+                rec_c.append(c_f)
+            err = float(err) / 15.0
+            if not math.isfinite(err):
                 raise IntegrationError(
-                    f"step refinement exhausted in stroke {span.index} "
-                    f"(error {err:.3e} > tol {tol:.3e})",
+                    f"non-finite state or error estimate in stroke {span.index}",
                     time=seg_start,
                 )
-            counts = 2 * counts
+            if err <= tol:
+                break
+            # a fourth-order estimate falls ~16x per doubling; one that does
+            # not halve has hit the roundoff floor, below which tol is out of reach
+            stalled = attempt > 0 and err > 0.5 * prev_err
+            if stalled or attempt == _MAX_REFINE:
+                raise IntegrationError(
+                    f"step refinement {'stalled' if stalled else 'exhausted'} in stroke "
+                    f"{span.index} (error {err:.3e} > tol {tol:.3e})",
+                    time=seg_start,
+                )
+            prev_err = err
+            level *= 2
 
-        mean, cov = m_fine, c_fine
-        times_out.extend(targets_local.tolist())
+        mean, cov = m_f, c_f
+        times_out.extend(ends.tolist())
         means_out.extend(rec_m)
         covs_out.extend(rec_c)
 

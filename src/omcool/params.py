@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .polariton import check_stability
 
-_MODE_NAMES = "abcdefghijklmnopqrstuvwxyz"
+MODE_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class SystemParams:
 
     @property
     def mode_labels(self) -> tuple[str, ...]:
-        return tuple(_MODE_NAMES[: self.n_modes])
+        return tuple(MODE_NAMES[: self.n_modes])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from omcool import _kernels
-from omcool.gaussian import propagate, thermal_state
 from omcool.params import SystemParams
-from omcool.schedule import CycleSchedule, Stroke
 
 _ACCEPTANCE_LINES = []
 
@@ -20,17 +17,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger kernel JIT compilation once so timed tests measure physics,
-    not compiler startup."""
-    p = SystemParams(omega_b=1.0, g=0.0, kappa=1.0, gamma=1.0, n_a=0.0, n_b=0.0,
-                     delta_i=-2.0, delta_f=-1.0, omega_0=0.0)
-    sched = CycleSchedule(strokes=(Stroke.hold(0.01),), cycle_count=1, delta_start=-2.0)
-    propagate(thermal_state([0.0, 0.0]), sched, 0.01, tol=1e-6, params=p)
-    return _kernels.BACKEND
 
 
 @pytest.fixture

@@ -1,9 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Stated runtime budgets assume the accelerated (numba) kernel
-backend, which is the default; with OMCOOL_NUMBA=0 the physics assertions
-still run but the two protocol-heavy runtime checks are reported only.
+lines.  Every stated runtime budget is asserted.
 """
 
 import math
@@ -12,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from omcool import _kernels
 from omcool.config import load_config_file, parse_cycle_config
 from omcool.fock import number_state, propagate_fock
 from omcool.gaussian import propagate, thermal_state
@@ -50,11 +47,7 @@ def _report(name, passed, detail=""):
 
 def _check_runtime(name, elapsed, limit):
     detail = f"runtime {elapsed:.2f}s (budget {limit:.0f}s)"
-    if _kernels.BACKEND == "numba":
-        assert elapsed < limit, f"{name}: {detail}"
-    elif elapsed >= limit:
-        print(f"\nACCEPTANCE {name}: runtime budget skipped on numpy fallback "
-              f"({detail})")
+    assert elapsed < limit, f"{name}: {detail}"
     return detail
 
 

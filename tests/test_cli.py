@@ -146,6 +146,29 @@ class TestConfigErrors:
         assert "params.kappa" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("params", "kappa", float("nan")),
+        ("params", "n_targets", [float("inf")]),
+        ("integrator", "tol", float("-inf")),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, section, key, value):
+        cfg = small_cycle_config()
+        cfg[section][key] = value
+        path = write_config(tmp_path, "bad.json", cfg)  # json writes NaN/Infinity
+        assert run_cli("cycle", "--config", path, "--out",
+                       str(tmp_path / "x.csv")) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cycle", "validate"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tol_flag_must_be_finite_and_positive(self, tmp_path, capsys, command, tol):
+        path = write_config(tmp_path, "cfg.json", small_cycle_config(
+            fock={"cutoffs": [4, 4, 4]}))
+        assert run_cli(command, "--config", path, "--out", str(tmp_path / "x.out"),
+                       "--tol", tol) == 2
+        assert "--tol" in capsys.readouterr().err
+
+
 class TestLimitCommand:
     def test_eta_sweep_reaches_fluid_floor(self, tmp_path):
         cfg = write_config(tmp_path, "lim.json", {

@@ -144,6 +144,33 @@ class TestPropagateContract:
             propagate(thermal_state([0.5, 2.0, 12.0]), sched, 0.01,
                       params=fig1_params)
 
+    def test_non_finite_tol_rejected(self, fig1_params):
+        with pytest.raises(ValueError, match="finite"):
+            propagate(thermal_state([0.5, 2.0, 12.0]), hold_schedule(0.01), 0.01,
+                      tol=float("nan"), params=fig1_params)
+
+    def test_non_finite_drift_raises_integration_error(self):
+        # SystemParams takes kappa = NaN (every comparison with NaN is False)
+        p = params(kappa=float("nan"))
+        with pytest.raises(IntegrationError, match="non-finite drift"):
+            propagate(thermal_state([0.5, 2.0, 12.0]), hold_schedule(0.01), 0.01,
+                      params=p)
+
+    def test_non_finite_state_raises_integration_error(self, fig1_params):
+        cov = np.diag([1.0, 1.0, 2.5, 2.5, 12.5, np.nan])
+        state = GaussianState(mean=np.zeros(6), cov=cov)
+        with pytest.raises(IntegrationError, match="non-finite state"):
+            propagate(state, hold_schedule(0.01), 0.01, params=fig1_params)
+
+    def test_tol_below_roundoff_fails_fast(self, fig1_params):
+        # the error estimate stops shrinking at the roundoff floor; refining
+        # further would only spin
+        sched = CycleSchedule(strokes=(Stroke.ramp(-6000.0, -600.0, 0.002),),
+                              cycle_count=1, delta_start=-6000.0)
+        with pytest.raises(IntegrationError, match="stalled"):
+            propagate(thermal_state([0.5, 2.0, 12.0]), sched, 0.002, tol=1e-20,
+                      params=fig1_params)
+
     def test_sample_grid_includes_boundaries(self, fig1_params):
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
         traj = propagate(thermal_state([0.5, 2.0, 12.0]), sched, 0.188,

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm as scipy_expm
 
-from omcool import _kernels
+from omcool import _kernels, gaussian
 from omcool.errors import StabilityError
-from omcool.gaussian import build_drift_diffusion, diffusion_vector
+from omcool.gaussian import (
+    GaussianState,
+    _stroke_generator,
+    build_drift_diffusion,
+    diffusion_vector,
+    propagate,
+    thermal_state,
+)
 from omcool.params import SystemParams
+from omcool.schedule import CycleSchedule, Stroke, build_default_cycle
 
 
 def fig1_like(**over):
@@ -54,47 +64,120 @@ class TestDriftDiffusion:
             build_drift_diffusion(fig1_like(), -50.0)
 
 
-def _run_span(kernel, nsteps):
+RAMP_T = 0.002
+
+
+def _ramp_schedule(p, duration, shape):
+    return CycleSchedule(strokes=(Stroke.ramp(p.delta_i, p.delta_f, duration, shape),),
+                         cycle_count=1, delta_start=p.delta_i)
+
+
+def _run_span(nsteps):
+    """Moments after a linear fig1-scale ramp, in nsteps uniform Magnus-4 steps."""
     p = fig1_like()
-    dd = build_drift_diffusion(p, -6000.0)
-    dvec = diffusion_vector(p)
+    span = _ramp_schedule(p, RAMP_T, "linear").spans()[0]
+    M0, E, C = _stroke_generator(p, span)
+    h = np.full(nsteps, RAMP_T / nsteps)
+    Z = np.eye(12)
+    for step in _kernels.magnus4(M0, E, C, h * np.arange(nsteps), h, span.delta_values_local):
+        Z = (np.eye(12) + step) @ Z
+    phi = Z[:6, :6]
     mean = np.array([0.3, -0.1, 0.2, 0.0, 0.05, -0.2])
-    cov = np.diag([1.0, 1.0, 2.5, 2.5, 12.5, 12.5]).astype(float)
-    h = 0.002 / nsteps
-    dsub = np.linspace(-6000.0, -600.0, 2 * nsteps + 1)
-    a_work = dd.A.copy()
-    kernel(mean, cov, a_work, dsub, h, dvec)
-    return mean, cov
+    cov = np.diag([1.0, 1.0, 2.5, 2.5, 12.5, 12.5])
+    return phi @ mean, phi @ cov @ phi.T + Z[:6, 6:] @ phi.T
+
+
+def _moment_rhs(p, span):
+    dvec = diffusion_vector(p)
+
+    def rhs(t, y):
+        A = build_drift_diffusion(p, float(span.delta_values_local(np.array(t)))).A
+        cov = y[6:].reshape(6, 6)
+        dc = A @ cov + cov @ A.T + np.diag(dvec)
+        return np.concatenate((A @ y[:6], dc.ravel()))
+
+    return rhs
 
 
 class TestBackends:
     def test_backend_selected(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
+        assert _kernels.BACKEND == "magnus4"
 
-    @pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not importable")
-    def test_numba_and_numpy_paths_agree(self):
-        m_np, c_np = _run_span(_kernels.rk4_span_numpy, 400)
-        m_nb, c_nb = _run_span(_kernels.rk4_span_numba, 400)
-        assert np.max(np.abs(m_np - m_nb)) < 1e-10
-        assert np.max(np.abs(c_np - c_nb)) < 1e-10
+    @pytest.mark.parametrize("norm", [0.01, 0.2, 0.9, 2.0, 5.0, 6.0, 50.0, 400.0])
+    def test_expm_matches_scipy_across_scaling_threshold(self, norm):
+        # theta_13 = 5.37: below it Pade alone, above it scaling and squaring
+        X = np.random.default_rng(7).standard_normal((12, 12))
+        X *= norm / np.abs(X).sum(axis=0).max()
+        ref = scipy_expm(X)
+        assert np.max(np.abs(np.eye(12) + _kernels.expm1(X) - ref)) < 1e-13 * np.abs(ref).max()
+
+    def test_expm1_of_stack_and_non_finite_input(self):
+        X = np.random.default_rng(8).standard_normal((3, 6, 6))
+        stacked = _kernels.expm1(X)
+        for k in range(3):
+            assert np.max(np.abs(np.eye(6) + stacked[k] - scipy_expm(X[k]))) < 1e-12
+        X[1, 2, 3] = np.nan
+        assert np.all(np.isnan(_kernels.expm1(X)))
+
+    def test_expm1_keeps_the_small_part_exact(self):
+        # exp(X) - I of a tiny X is X to first order, far below the roundoff of I
+        X = 1e-12 * np.random.default_rng(9).standard_normal((6, 6))
+        assert np.max(np.abs(_kernels.expm1(X) - (X + 0.5 * X @ X))) < 1e-26
 
     def test_numpy_path_deterministic(self):
-        m1, c1 = _run_span(_kernels.rk4_span_numpy, 200)
-        m2, c2 = _run_span(_kernels.rk4_span_numpy, 200)
+        m1, c1 = _run_span(50)
+        m2, c2 = _run_span(50)
         assert np.array_equal(m1, m2)
         assert np.array_equal(c1, c2)
 
-    def test_covariance_stays_bitwise_symmetric(self):
-        _, cov = _run_span(_kernels.rk4_span_numpy, 100)
-        assert np.array_equal(cov, cov.T)
+    def test_covariance_stays_bitwise_symmetric(self, fig1_params):
+        sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
+        traj = propagate(thermal_state([0.5, 2.0, 12.0]), sched, 0.1, tol=1e-7,
+                         params=fig1_params, samples_per_stroke=4)
+        for cov in traj.covs:
+            assert np.array_equal(cov, cov.T)
 
     def test_fourth_order_convergence(self):
-        m_ref, c_ref = _run_span(_kernels.rk4_span_numpy, 6400)
+        _, c_ref = _run_span(1600)
         errs = []
-        for nsteps in (200, 400, 800):
-            _, c = _run_span(_kernels.rk4_span_numpy, nsteps)
+        for nsteps in (25, 50, 100):
+            _, c = _run_span(nsteps)
             errs.append(np.max(np.abs(c - c_ref)))
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
         assert order1 > 3.8
         assert order2 > 3.8
+
+    def test_ramp_stroke_matches_dop853(self, small_params):
+        # a smooth ramp: the kinks of the adiabatic table cap DOP853's own accuracy
+        sched = _ramp_schedule(small_params, 0.3, "cosine")
+        state = GaussianState(mean=np.array([0.3, -0.1, 0.2, 0.0, 0.05, -0.2]),
+                              cov=np.diag([0.6, 0.6, 0.7, 0.7, 0.75, 0.75]))
+        traj = propagate(state, sched, 0.3, tol=1e-10, params=small_params,
+                         samples_per_stroke=4)
+        y0 = np.concatenate((state.mean, state.cov.ravel()))
+        ref = solve_ivp(_moment_rhs(small_params, sched.spans()[0]), (0.0, 0.3), y0,
+                        method="DOP853", rtol=1e-12, atol=1e-12, t_eval=traj.times)
+        assert np.max(np.abs(traj.means - ref.y[:6].T)) < 1e-10
+        assert np.max(np.abs(traj.covs.reshape(len(traj), 36) - ref.y[6:].T)) < 1e-10
+
+    def test_three_cycles_reuse_the_first_cycle_maps(self, fig1_params, monkeypatch):
+        built = []
+        segment_map = gaussian._segment_map
+        monkeypatch.setattr(gaussian, "_segment_map",
+                            lambda *args: built.append(args) or segment_map(*args))
+        sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0],
+                                    cycles=3, ramp_shape="adiabatic")
+        state = thermal_state([0.5, 2.0, 12.0])
+        full = propagate(state, sched, sched.total_duration, tol=1e-7,
+                         params=fig1_params, samples_per_stroke=8)
+        per_run = len(built)
+        for cycle in range(3):
+            part = propagate(state, sched, (cycle + 1) * sched.period, tol=1e-7,
+                             params=fig1_params, samples_per_stroke=8)
+            rows = np.isin(full.times, part.times)
+            assert np.max(np.abs(full.means[rows] - part.means)) < 1e-12
+            assert np.max(np.abs(full.covs[rows] - part.covs)) < 1e-12
+            state = part.final_state
+        # every call builds one cycle's maps; the full run reuses them twice
+        assert len(built) == 4 * per_run
