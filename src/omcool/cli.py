@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -106,16 +105,11 @@ def cmd_spectrum(args) -> int:
             )
     deltas = np.linspace(cfg.delta_start, cfg.delta_stop, cfg.samples)
 
-    def row(delta):
+    rows = []
+    for delta in deltas:
         om_a, om_b = polariton_spectrum(delta, cfg.omega_b, cfg.g)
         basis = bogoliubov_basis(delta, cfg.omega_b, cfg.g)
-        return (delta, om_a, om_b, basis.u)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(row, deltas))
-    else:
-        rows = [row(d) for d in deltas]
+        rows.append((delta, om_a, om_b, basis.u))
     _write_csv(args.out, _metadata("spectrum", raw),
                ["delta", "omega_A", "omega_B", "u"], rows)
     print(f"wrote {cfg.samples} spectrum rows to {args.out}")
@@ -248,13 +242,7 @@ def cmd_validate(args) -> int:
     max_dev = float("nan")
     max_leak = float("nan")
     try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                fut_g = pool.submit(run, "gaussian")
-                fut_f = pool.submit(run, "fock")
-                traj_g, traj_f = fut_g.result(), fut_f.result()
-        else:
-            traj_g, traj_f = run("gaussian"), run("fock")
+        traj_g, traj_f = run("gaussian"), run("fock")
         if traj_g.times.size != traj_f.times.size or not np.allclose(
             traj_g.times, traj_f.times, rtol=0, atol=1e-12
         ):
@@ -299,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="sweep polariton branches over detuning")
     sp.add_argument("--config", required=True, help="JSON config (path or bundled name)")
     sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_spectrum)
 
     cy = sub.add_parser("cycle", help="run a cooling protocol")
@@ -319,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--config", required=True)
     va.add_argument("--out", help="optional JSON report path")
     va.add_argument("--tol", type=float)
-    va.add_argument("--jobs", type=int, default=1)
     va.set_defaults(func=cmd_validate)
     return parser
 

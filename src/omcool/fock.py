@@ -14,7 +14,9 @@ and transparency over reach: fixed-step RK4 (reproducible baselines), dense
 complex density matrix, and matrix-free superoperator application -- the
 Hamiltonian acts through one dense matrix product, the jump terms through
 index shifts on the reshaped density tensor, so memory stays O(d^2) rather
-than the O(d^4) of a full Liouvillian.
+than the O(d^4) of a full Liouvillian.  As an independent oracle it shares
+only the schedule with the Gaussian engine (its stroke walk, sample grid and
+step-size scale), never the Gaussian engine's code.
 
 Truncation is monitored continuously: the population of the top retained
 Fock level of each mode is tracked at every step and a TruncationError is
@@ -29,9 +31,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import IntegrationError, TruncationError
-from .gaussian import default_sample_times, span_fmax
 from .params import SystemParams
-from .schedule import CycleSchedule, StrokeKind
+from .schedule import CycleSchedule, span_fmax, stroke_walk
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
@@ -84,7 +85,9 @@ class FockState:
 
     def validate(self, trace_tol: float = TRACE_TOL,
                  hermiticity_tol: float = HERMITICITY_TOL,
-                 positivity_tol: float = POSITIVITY_TOL) -> None:
+                 positivity_tol: float = POSITIVITY_TOL) -> float:
+        """Check trace, hermiticity and positivity; return the
+        ``min_eigenvalue`` the check computed."""
         terr = self.trace_error()
         if terr > trace_tol:
             raise IntegrationError(f"trace deviates by {terr:.3e} at t={self.time}", time=self.time)
@@ -99,6 +102,7 @@ class FockState:
                 f"negative eigenvalue {mineig:.3e} at t={self.time}; reduce the step size",
                 time=self.time,
             )
+        return mineig
 
 
 class ModeOperators:
@@ -369,42 +373,22 @@ def propagate_fock(
     schedule: CycleSchedule,
     t_end: float,
     dt: float | None = None,
-    sample_times=None,
     samples_per_stroke: int = 16,
     leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD,
-    validate: bool = True,
-    ops: ModeOperators | None = None,
 ) -> FockTrajectory:
     """Integrate the master equation through the schedule up to ``t_end``.
 
     ``dt`` caps the RK4 step; the default (and the validated upper bound) is
-    1/(50 f_max) for the largest frequency scale f_max of each stroke.  Top
+    1/(50 f_max) for the largest frequency scale f_max of each stroke.  The
+    trajectory is sampled on the ``schedule.stroke_walk`` grid.  Top
     Fock-level population is checked after every step against
     ``leakage_threshold``; trace, hermiticity and positivity are checked at
     every output sample.
     """
-    if ops is None:
-        ops = ModeOperators(state.cutoffs)
+    ops = ModeOperators(state.cutoffs)
     gen = _Generator(params, ops)
     t0 = state.time
-    if t_end < t0:
-        raise ValueError(f"t_end={t_end} precedes the state time {t0}")
-    if t_end > schedule.total_duration * (1.0 + 1e-12):
-        raise ValueError(
-            f"t_end={t_end} exceeds the schedule duration {schedule.total_duration}"
-        )
-
-    spans = [s for s in schedule.spans() if s.t_end > t0 and s.t_start < t_end]
-    if sample_times is None:
-        grid = default_sample_times(schedule, t0, t_end, samples_per_stroke)
-    else:
-        grid = np.unique(np.asarray(sample_times, dtype=float))
-        if grid.size and (grid[0] < t0 or grid[-1] > t_end):
-            raise ValueError("sample_times must lie within [state.time, t_end]")
-        edges = [np.array([t0, t_end])] + [
-            np.array([max(s.t_start, t0), min(s.t_end, t_end)]) for s in spans
-        ]
-        grid = np.unique(np.concatenate([grid] + edges))
+    walk = stroke_walk(schedule, t0, t_end, samples_per_stroke)
 
     rho = np.array(state.rho, dtype=complex)
     rho = 0.5 * (rho + rho.conj().T)
@@ -416,19 +400,12 @@ def propagate_fock(
         st = FockState(rho=r, cutoffs=state.cutoffs, time=t)
         occ = mode_occupations(st, ops)
         mean, cov = quadrature_moments(st, ops)
-        leak = st.leakage()
-        records.append((occ, mean, cov, leak, st.trace_error(),
-                        st.hermiticity_error(), st.min_eigenvalue()))
-        if validate:
-            st.validate()
+        records.append((occ, mean, cov, st.leakage(), st.trace_error(),
+                        st.hermiticity_error(), st.validate()))
 
     record(rho, t0)
 
-    for span in spans:
-        seg_start = max(span.t_start, t0)
-        seg_end = min(span.t_end, t_end)
-        if seg_end <= seg_start:
-            continue
+    for span, seg_start, targets_local in walk:
         h_off = gen.h_offdiag(span.target if span.target is not None else 0, span.amplitude)
         dt_max = 1.0 / (50.0 * span_fmax(span, params))
         dt_target = dt_max if dt is None else min(dt, dt_max)
@@ -436,10 +413,6 @@ def propagate_fock(
             raise ValueError(
                 f"dt={dt} too coarse for stroke {span.index}; need dt <= {dt_max:.3e}"
             )
-
-        targets_local = grid[(grid > seg_start) & (grid <= seg_end)]
-        if targets_local.size == 0 or targets_local[-1] < seg_end:
-            targets_local = np.append(targets_local, seg_end)
 
         t_now = seg_start
         for t_target in targets_local:

@@ -40,8 +40,8 @@ import numpy as np
 from . import _kernels
 from .errors import IntegrationError
 from .params import MODE_NAMES, SystemParams
-from .polariton import PolaritonBasis, check_stability, symplectic_form
-from .schedule import CycleSchedule, StrokeKind, StrokeSpan
+from .polariton import PolaritonBasis, check_stability, pair_occupations, symplectic_form
+from .schedule import CycleSchedule, StrokeKind, StrokeSpan, span_fmax, stroke_walk
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
@@ -80,7 +80,9 @@ class GaussianState:
         return float(np.linalg.eigvalsh(self.cov + 0.5j * J).min())
 
     def validate(self, symmetry_tol: float = SYMMETRY_TOL,
-                 uncertainty_tol: float = UNCERTAINTY_TOL) -> None:
+                 uncertainty_tol: float = UNCERTAINTY_TOL) -> float:
+        """Check symmetry, the uncertainty relation and the occupations;
+        return the ``uncertainty_min_eig`` the check computed."""
         scale = max(1.0, float(np.max(np.abs(self.cov))))
         asym = float(np.max(np.abs(self.cov - self.cov.T)))
         if asym > symmetry_tol * scale:
@@ -97,6 +99,7 @@ class GaussianState:
             raise IntegrationError(
                 f"negative mode occupation at t={self.time}", time=self.time
             )
+        return min_eig
 
 
 def thermal_state(occupations, time: float = 0.0, mode_labels=()) -> GaussianState:
@@ -139,23 +142,24 @@ def polariton_initial_state(
     return GaussianState(mean=np.zeros(2 * n), cov=cov, time=time)
 
 
-def mode_occupations(state: GaussianState) -> np.ndarray:
-    """Mean occupation per bare mode, N = (sigma_xx + sigma_pp - 1)/2 + |mean|^2/2."""
-    d = np.diag(state.cov)
-    therm = 0.5 * (d[0::2] + d[1::2] - 1.0)
-    coh = 0.5 * (state.mean[0::2] ** 2 + state.mean[1::2] ** 2)
+def _occupations(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """N = (sigma_xx + sigma_pp - 1)/2 + |mean|^2/2 per mode, over any leading axes."""
+    d = np.diagonal(covs, axis1=-2, axis2=-1)
+    therm = 0.5 * (d[..., 0::2] + d[..., 1::2] - 1.0)
+    coh = 0.5 * (means[..., 0::2] ** 2 + means[..., 1::2] ** 2)
     return therm + coh
+
+
+def mode_occupations(state: GaussianState) -> np.ndarray:
+    """Mean occupation per bare mode."""
+    return _occupations(state.mean, state.cov)
 
 
 def polariton_occupations(state: GaussianState, basis: PolaritonBasis) -> tuple[float, float]:
     """(N_A, N_B) computed by rotating the (a, b) marginal into the polariton basis."""
     if state.n_modes < 2:
         raise ValueError("state must contain the cavity and mechanical modes")
-    m = basis.S @ state.mean[:4]
-    c = basis.S @ state.cov[:4, :4] @ basis.S.T
-    n_a = 0.5 * (c[0, 0] + c[1, 1] - 1.0) + 0.5 * (m[0] ** 2 + m[1] ** 2)
-    n_b = 0.5 * (c[2, 2] + c[3, 3] - 1.0) + 0.5 * (m[2] ** 2 + m[3] ** 2)
-    return float(n_a), float(n_b)
+    return pair_occupations(state.mean[:4], state.cov[:4, :4], basis)
 
 
 @dataclass(frozen=True)
@@ -207,12 +211,16 @@ def build_drift_diffusion(
 
 @dataclass(frozen=True)
 class GaussianTrajectory:
-    """Sampled moment trajectory: times, means (S, 2N) and covariances (S, 2N, 2N)."""
+    """Sampled moment trajectory: times, means (S, 2N) and covariances (S, 2N, 2N).
+
+    ``min_eigenvalues`` holds each sample's ``uncertainty_min_eig``.
+    """
 
     times: np.ndarray
     means: np.ndarray
     covs: np.ndarray
     mode_labels: tuple[str, ...]
+    min_eigenvalues: np.ndarray
 
     def __len__(self) -> int:
         return self.times.size
@@ -225,37 +233,11 @@ class GaussianTrajectory:
 
     def occupations(self) -> np.ndarray:
         """(S, N) bare-mode occupations along the trajectory."""
-        d = np.einsum("sii->si", self.covs)
-        therm = 0.5 * (d[:, 0::2] + d[:, 1::2] - 1.0)
-        coh = 0.5 * (self.means[:, 0::2] ** 2 + self.means[:, 1::2] ** 2)
-        return therm + coh
+        return _occupations(self.means, self.covs)
 
     @property
     def final_state(self) -> GaussianState:
         return self.state_at(len(self) - 1)
-
-
-def span_fmax(span: StrokeSpan, params: SystemParams) -> float:
-    """Largest frequency or rate of a stroke, the scale that bounds step sizes."""
-    scales = [abs(span.delta0), abs(span.delta1), params.omega_b, params.kappa,
-              params.gamma, 2.0 * params.g, span.amplitude, 1.0]
-    scales.extend(params.delta_targets)
-    return max(scales)
-
-
-def default_sample_times(
-    schedule: CycleSchedule, t_start: float, t_end: float, samples_per_stroke: int = 32
-) -> np.ndarray:
-    """Output grid: all stroke boundaries plus uniform interior points."""
-    pts = [np.array([t_start, t_end])]
-    for span in schedule.spans():
-        lo, hi = max(span.t_start, t_start), min(span.t_end, t_end)
-        if hi <= lo:
-            continue
-        pts.append(np.array([lo, hi]))
-        if samples_per_stroke > 1:
-            pts.append(np.linspace(lo, hi, samples_per_stroke + 1)[1:-1])
-    return np.unique(np.concatenate(pts))
 
 
 def _stroke_generator(params: SystemParams, span: StrokeSpan):
@@ -334,46 +316,25 @@ def propagate(
     tol: float = 1e-8,
     *,
     params: SystemParams,
-    sample_times=None,
     samples_per_stroke: int = 32,
-    validate: bool = True,
 ) -> GaussianTrajectory:
     """Propagate a Gaussian state through the schedule up to ``t_end``.
 
     ``params`` supplies the frequencies, couplings and rates.  The returned
-    trajectory is sampled at ``sample_times`` (stroke boundaries are always
-    included) and every sample is checked against the state invariants
-    unless ``validate=False``.
+    trajectory is sampled on the ``schedule.stroke_walk`` grid, and every
+    sample is checked against the state invariants.
     """
     if state.n_modes != params.n_modes:
         raise ValueError(
             f"state has {state.n_modes} modes but params describe {params.n_modes}"
         )
     t0 = state.time
-    if t_end < t0:
-        raise ValueError(f"t_end={t_end} precedes the state time {t0}")
-    if t_end > schedule.total_duration * (1.0 + 1e-12):
-        raise ValueError(
-            f"t_end={t_end} exceeds the schedule duration {schedule.total_duration}"
-        )
+    walk = stroke_walk(schedule, t0, t_end, samples_per_stroke)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-
-    spans = [s for s in schedule.spans() if s.t_end > t0 and s.t_start < t_end]
-    for span in spans:
+    for span, _, _ in walk:
         check_stability(span.delta0, params.omega_b, params.g)
         check_stability(span.delta1, params.omega_b, params.g)
-
-    if sample_times is None:
-        grid = default_sample_times(schedule, t0, t_end, samples_per_stroke)
-    else:
-        grid = np.unique(np.asarray(sample_times, dtype=float))
-        if grid.size and (grid[0] < t0 or grid[-1] > t_end):
-            raise ValueError("sample_times must lie within [state.time, t_end]")
-        edges = [np.array([t0, t_end])] + [
-            np.array([max(s.t_start, t0), min(s.t_end, t_end)]) for s in spans
-        ]
-        grid = np.unique(np.concatenate([grid] + edges))
 
     mean, cov = state.mean, state.cov
     times_out = [t0]
@@ -384,18 +345,11 @@ def propagate(
     # sample offsets, so later cycles reuse the first cycle's maps.
     maps = {}
 
-    for span in spans:
-        seg_start = max(span.t_start, t0)
-        seg_end = min(span.t_end, t_end)
-        if seg_end <= seg_start:
-            continue
+    for span, seg_start, ends in walk:
         generator = _stroke_generator(params, span)
         if not np.all(np.isfinite(generator[0])):
             raise IntegrationError(f"non-finite drift in stroke {span.index}", time=seg_start)
 
-        ends = grid[(grid > seg_start) & (grid <= seg_end)]
-        if ends.size == 0 or ends[-1] < seg_end:
-            ends = np.append(ends, seg_end)
         local = np.concatenate(([seg_start], ends)) - span.t_start
         # constant strokes need no substeps, and their maps depend on length only
         ramp = span.kind is StrokeKind.RAMP_DETUNING
@@ -452,16 +406,14 @@ def propagate(
         means_out.extend(rec_m)
         covs_out.extend(rec_c)
 
-    traj = GaussianTrajectory(
-        times=np.asarray(times_out),
-        means=np.asarray(means_out),
-        covs=np.asarray(covs_out),
+    times, means, covs = np.asarray(times_out), np.asarray(means_out), np.asarray(covs_out)
+    min_eigs = [GaussianState(mean=m, cov=c, time=float(t)).validate()
+                for t, m, c in zip(times, means, covs)]
+    return GaussianTrajectory(
+        times=times, means=means, covs=covs,
         mode_labels=state.mode_labels or params.mode_labels,
+        min_eigenvalues=np.array(min_eigs),
     )
-    if validate:
-        for i in range(len(traj)):
-            traj.state_at(i).validate()
-    return traj
 
 
 def steady_state_residual(dd: DriftDiffusion, cov: np.ndarray) -> float:

@@ -12,7 +12,8 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .polariton import check_stability
@@ -48,6 +49,10 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "delta_targets", tuple(float(d) for d in self.delta_targets))
         object.__setattr__(self, "n_targets", tuple(float(n) for n in self.n_targets))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.omega_b <= 0:
             raise ValueError("omega_b must be positive")
         if self.g < 0:

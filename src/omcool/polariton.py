@@ -18,6 +18,7 @@ cooling map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +197,16 @@ def bogoliubov_basis(delta: float, omega_b: float, g: float) -> PolaritonBasis:
     )
 
 
+def pair_occupations(mean: np.ndarray, cov: np.ndarray,
+                     basis: PolaritonBasis) -> tuple[float, float]:
+    """(N_A, N_B) from the quadrature mean (4,) and covariance (4, 4) of (a, b)."""
+    m = basis.S @ mean
+    c = basis.S @ cov @ basis.S.T
+    n_a = 0.5 * (c[0, 0] + c[1, 1] - 1.0) + 0.5 * (m[0] ** 2 + m[1] ** 2)
+    n_b = 0.5 * (c[2, 2] + c[3, 3] - 1.0) + 0.5 * (m[2] ** 2 + m[3] ** 2)
+    return float(n_a), float(n_b)
+
+
 def rabi_populations(n_b0, n_c0, omega_b, delta, omega_0, t):
     """Mean occupations of two parametrically coupled modes after time t.
 
@@ -262,6 +273,8 @@ class CoolingMapParams:
     n_c: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.n_a) and math.isfinite(self.n_c)):
+            raise ValueError("bath occupations must be finite")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
         if not 0.0 < self.r <= 1.0:

@@ -18,6 +18,7 @@ from .polariton import (
     bogoliubov_basis,
     cooling_limit,
     exchange_efficiency,
+    pair_occupations,
 )
 from .schedule import CycleSchedule, StrokeKind, StrokeSpan
 
@@ -129,11 +130,8 @@ def _stroke_indices(times: np.ndarray, spans) -> np.ndarray:
 def _schedule_columns(times, schedule, spans):
     idx = _stroke_indices(times, spans)
     delta = np.array([schedule.delta_at(t) for t in times])
-    omega0 = np.zeros_like(delta)
-    for i, t in zip(range(times.size), times):
-        span = spans[idx[i]]
-        if span.kind is StrokeKind.EXCHANGE_PULSE:
-            omega0[i] = span.amplitude
+    # a span's amplitude is zero outside exchange strokes
+    omega0 = np.array([spans[i].amplitude for i in idx], dtype=float)
     return idx, delta, omega0
 
 
@@ -145,7 +143,6 @@ def run_protocol(
     tol: float = 1e-7,
     samples_per_stroke: int = 32,
     fock_options: FockOptions | None = None,
-    t_end: float | None = None,
 ) -> Trajectory:
     """Run a full cooling protocol and record stroke-aware observables.
 
@@ -161,7 +158,7 @@ def run_protocol(
         )
     if len(initial.targets) != len(params.delta_targets):
         raise ValueError("initial occupations must cover every target mode")
-    t_end = schedule.total_duration if t_end is None else t_end
+    t_end = schedule.total_duration
     spans = tuple(schedule.spans())
 
     def annotate(exc):
@@ -181,21 +178,15 @@ def run_protocol(
         else:
             state0 = gauss_mod.thermal_state(list(initial.pair) + list(initial.targets))
         try:
-            gtraj = gauss_mod.propagate(
+            traj = gauss_mod.propagate(
                 state0, schedule, t_end, tol=tol, params=params,
                 samples_per_stroke=samples_per_stroke,
             )
         except IntegrationError as exc:
             raise annotate(exc)
-        times = gtraj.times
-        occ = gtraj.occupations()
-        n_pol = np.empty((times.size, 2))
-        for i in range(times.size):
-            basis = bogoliubov_basis(schedule.delta_at(times[i]), params.omega_b, params.g)
-            n_pol[i] = gauss_mod.polariton_occupations(gtraj.state_at(i), basis)
-        phys = np.array([gtraj.state_at(i).uncertainty_min_eig() for i in range(times.size)])
+        occ = traj.occupations()
+        ab_means, ab_covs = traj.means[:, :4], traj.covs[:, :4, :4]
         leak = None
-        labels = gtraj.mode_labels
     else:
         if fock_options is None:
             raise ValueError("fock engine requires fock_options with per-mode cutoffs")
@@ -205,29 +196,24 @@ def run_protocol(
         state0 = fock_mod.thermal_state(
             fock_options.cutoffs, occ0, leakage_threshold=fock_options.leakage_threshold
         )
-        ops = fock_mod.ModeOperators(fock_options.cutoffs)
         try:
-            ftraj = fock_mod.propagate_fock(
+            traj = fock_mod.propagate_fock(
                 state0, params, schedule, t_end, dt=fock_options.dt,
                 samples_per_stroke=samples_per_stroke,
-                leakage_threshold=fock_options.leakage_threshold, ops=ops,
+                leakage_threshold=fock_options.leakage_threshold,
             )
         except (IntegrationError, TruncationError) as exc:
             raise annotate(exc)
-        times = ftraj.times
-        occ = ftraj.occupations
-        n_pol = np.empty((times.size, 2))
-        for i in range(times.size):
-            basis = bogoliubov_basis(schedule.delta_at(times[i]), params.omega_b, params.g)
-            m = basis.S @ ftraj.ab_means[i]
-            c = basis.S @ ftraj.ab_covs[i] @ basis.S.T
-            n_pol[i, 0] = 0.5 * (c[0, 0] + c[1, 1] - 1.0) + 0.5 * (m[0] ** 2 + m[1] ** 2)
-            n_pol[i, 1] = 0.5 * (c[2, 2] + c[3, 3] - 1.0) + 0.5 * (m[2] ** 2 + m[3] ** 2)
-        phys = ftraj.min_eigenvalues
-        leak = ftraj.leakage
-        labels = params.mode_labels
+        occ = traj.occupations
+        ab_means, ab_covs = traj.ab_means, traj.ab_covs
+        leak = traj.leakage
 
+    times = traj.times
     idx, delta, omega0 = _schedule_columns(times, schedule, spans)
+    n_pol = np.array([
+        pair_occupations(m, c, bogoliubov_basis(d, params.omega_b, params.g))
+        for d, m, c in zip(delta, ab_means, ab_covs)
+    ])
     return Trajectory(
         times=times,
         occupations=occ,
@@ -239,8 +225,8 @@ def run_protocol(
         spans=spans,
         engine=engine,
         fingerprint=_run_fingerprint(params, schedule, engine, initial),
-        mode_labels=labels,
-        physicality=phys,
+        mode_labels=params.mode_labels,
+        physicality=traj.min_eigenvalues,
         leakage=leak,
     )
 

@@ -94,6 +94,10 @@ class Stroke:
     profile: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("duration", "delta_start", "delta_end", "amplitude"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"stroke {name} must be finite, got {value}")
         if self.duration <= 0:
             raise ValueError(f"stroke duration must be positive, got {self.duration}")
         if self.kind is StrokeKind.RAMP_DETUNING:
@@ -298,6 +302,52 @@ class CycleSchedule:
         """All stroke boundary times, including t = 0 and the final instant."""
         spans = self.spans()
         return np.array([s.t_start for s in spans] + [spans[-1].t_end])
+
+
+def span_fmax(span: StrokeSpan, params: "SystemParams") -> float:
+    """Largest frequency or rate of a stroke, the scale that bounds step sizes."""
+    scales = [abs(span.delta0), abs(span.delta1), params.omega_b, params.kappa,
+              params.gamma, 2.0 * params.g, span.amplitude, 1.0]
+    scales.extend(params.delta_targets)
+    return max(scales)
+
+
+def stroke_walk(
+    schedule: CycleSchedule, t_start: float, t_end: float, samples_per_stroke: int
+) -> list[tuple[StrokeSpan, float, np.ndarray]]:
+    """The strokes a run from ``t_start`` to ``t_end`` crosses, with its samples.
+
+    Returns one ``(span, seg_start, ends)`` per stroke the window overlaps:
+    the run enters the stroke at ``seg_start`` and records a sample at each
+    of ``ends``, the last of which is where it leaves the stroke.  The
+    samples are every stroke boundary plus ``samples_per_stroke - 1``
+    uniform interior points per stroke.
+    """
+    if t_end < t_start:
+        raise ValueError(f"t_end={t_end} precedes the state time {t_start}")
+    if t_end > schedule.total_duration * (1.0 + 1e-12):
+        raise ValueError(
+            f"t_end={t_end} exceeds the schedule duration {schedule.total_duration}"
+        )
+    segments = []
+    for span in schedule.spans():
+        lo, hi = max(span.t_start, t_start), min(span.t_end, t_end)
+        if lo < hi:
+            segments.append((span, lo, hi))
+    pts = [np.array([t_start, t_end])]
+    for _, lo, hi in segments:
+        pts.append(np.array([lo, hi]))
+        if samples_per_stroke > 1:
+            pts.append(np.linspace(lo, hi, samples_per_stroke + 1)[1:-1])
+    grid = np.unique(np.concatenate(pts))
+
+    walk = []
+    for span, lo, hi in segments:
+        ends = grid[(grid > lo) & (grid <= hi)]
+        if ends.size == 0 or ends[-1] < hi:
+            ends = np.append(ends, hi)
+        walk.append((span, lo, ends))
+    return walk
 
 
 def build_default_cycle(

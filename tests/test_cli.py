@@ -77,14 +77,6 @@ class TestSpectrumCommand:
         assert run_cli("spectrum", "--config", cfg, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        cfg = self.config(tmp_path, g=200.0)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli("spectrum", "--config", cfg, "--out", str(out1)) == 0
-        assert run_cli("spectrum", "--config", cfg, "--out", str(out2),
-                       "--jobs", "2") == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_unstable_range_reports_stable_subinterval(self, tmp_path, capsys):
         cfg = self.config(tmp_path, g=200.0, delta_stop=-50.0)
         assert run_cli("spectrum", "--config", cfg, "--out",

@@ -193,7 +193,7 @@ class TestEngineAgreement:
         ftraj = propagate_fock(thermal_state((2, 6, 6), occ0), p, sched, t_end,
                                samples_per_stroke=8)
         gtraj = propagate_gauss(gauss_thermal(occ0), sched, t_end, tol=1e-10,
-                                params=p, sample_times=ftraj.times)
+                                params=p, samples_per_stroke=8)
         gocc = gtraj.occupations()
         assert np.array_equal(gtraj.times, ftraj.times)
         assert np.max(np.abs(gocc - ftraj.occupations)) < 5e-4

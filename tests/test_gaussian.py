@@ -150,8 +150,9 @@ class TestPropagateContract:
                       tol=float("nan"), params=fig1_params)
 
     def test_non_finite_drift_raises_integration_error(self):
-        # SystemParams takes kappa = NaN (every comparison with NaN is False)
-        p = params(kappa=float("nan"))
+        # SystemParams rejects kappa = NaN, so plant it on a valid instance
+        p = params()
+        object.__setattr__(p, "kappa", float("nan"))
         with pytest.raises(IntegrationError, match="non-finite drift"):
             propagate(thermal_state([0.5, 2.0, 12.0]), hold_schedule(0.01), 0.01,
                       params=p)

@@ -77,6 +77,14 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="equal length"):
             self.good(delta_targets=(2000.0, 3000.0))
 
+    @pytest.mark.parametrize("field", ["omega_b", "g", "kappa", "gamma", "n_a", "n_b",
+                                       "omega_0", "delta_targets", "n_targets"])
+    def test_non_finite_rejected(self, field):
+        for bad in (float("nan"), float("inf")):
+            value = (bad,) if field in ("delta_targets", "n_targets") else bad
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                self.good(**{field: value})
+
     def test_immutable(self):
         p = self.good()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -212,6 +212,13 @@ class TestCoolingLimit:
         with pytest.raises(ValueError):
             CoolingMapParams(eta=0.5, r=0.0, n_a=0.0, n_c=1.0)
 
+    def test_non_finite_baths_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                CoolingMapParams(eta=0.5, r=0.5, n_a=bad, n_c=1.0)
+            with pytest.raises(ValueError, match="finite"):
+                CoolingMapParams(eta=0.5, r=0.5, n_a=0.0, n_c=bad)
+
 
 class TestLimitComposition:
     def test_reference_cycle_reaches_the_fluid_bath(self):

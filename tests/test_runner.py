@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from omcool import gaussian
 from omcool.errors import TruncationError
 from omcool.params import SystemParams
 from omcool.polariton import (
@@ -9,6 +10,7 @@ from omcool.polariton import (
     cooling_limit,
     exchange_efficiency,
     iterate_cooling_map,
+    pair_occupations,
 )
 from omcool.runner import (
     FockOptions,
@@ -64,6 +66,32 @@ class TestRunProtocol:
         assert np.all(traj.stroke_index[during_pulse] == 1)
         outside = traj.times > 0.048
         assert np.all(traj.omega0_active[outside] == 0.0)
+
+    def _gaussian_pair(self, p):
+        sched = build_default_cycle(p, 0.04, 0.008, 0.04, 0.1, targets=[0])
+        init = InitialOccupations(basis="bare", pair=(0.5, 2.0), targets=(12.0,))
+        traj = run_protocol(p, sched, "gaussian", init, tol=1e-8, samples_per_stroke=6)
+        gtraj = gaussian.propagate(gaussian.thermal_state([0.5, 2.0, 12.0]), sched,
+                                   sched.total_duration, tol=1e-8, params=p,
+                                   samples_per_stroke=6)
+        return traj, gtraj
+
+    def test_physicality_is_each_samples_uncertainty_eigenvalue(self, fig1_params):
+        traj, gtraj = self._gaussian_pair(fig1_params)
+        expected = [gtraj.state_at(i).uncertainty_min_eig() for i in range(len(gtraj))]
+        assert np.array_equal(traj.physicality, expected)
+
+    def test_one_polariton_formula_for_both_engine_branches(self, fig1_params):
+        # the Gaussian branch hands the formula views into the full moments,
+        # the Fock branch contiguous (a, b) blocks; both give the same numbers
+        traj, gtraj = self._gaussian_pair(fig1_params)
+        ab_means = np.array([m[:4] for m in gtraj.means])
+        ab_covs = np.array([c[:4, :4] for c in gtraj.covs])
+        for i in range(len(gtraj)):
+            basis = bogoliubov_basis(traj.delta[i], 2000.0, 200.0)
+            via_state = gaussian.polariton_occupations(gtraj.state_at(i), basis)
+            via_blocks = pair_occupations(ab_means[i], ab_covs[i], basis)
+            assert via_state == via_blocks == tuple(traj.n_polariton[i])
 
     def test_fock_engine_requires_options_and_bare_basis(self, small_params):
         sched = build_default_cycle(small_params, 0.3, 0.32, 0.3, 0.5, targets=[0])

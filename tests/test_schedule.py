@@ -9,6 +9,7 @@ from omcool.schedule import (
     StrokeKind,
     adiabatic_ramp_profile,
     build_default_cycle,
+    stroke_walk,
 )
 
 
@@ -40,6 +41,17 @@ class TestStroke:
     def test_exchange_needs_target(self):
         with pytest.raises(ValueError, match="target"):
             Stroke(StrokeKind.EXCHANGE_PULSE, 0.01)
+
+    def test_non_finite_fields_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="duration must be finite"):
+            Stroke.hold(nan)
+        with pytest.raises(ValueError, match="delta_start must be finite"):
+            Stroke.ramp(nan, -600.0, 0.04)
+        with pytest.raises(ValueError, match="delta_end must be finite"):
+            Stroke.ramp(-6000.0, float("-inf"), 0.04)
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            Stroke.exchange(0, nan, 0.01)
 
 
 class TestDefaultCycle:
@@ -178,3 +190,39 @@ class TestAdiabaticProfile:
     def test_needs_positive_coupling(self):
         with pytest.raises(ValueError, match="g > 0"):
             adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 0.0)
+
+
+class TestStrokeWalk:
+    def make(self):
+        return build_default_cycle(fig1_like(), 0.04, 0.008, 0.04, 0.1,
+                                   targets=[0], cycles=2)
+
+    def test_window_checks(self):
+        sched = self.make()
+        with pytest.raises(ValueError, match="precedes"):
+            stroke_walk(sched, 0.05, 0.01, 4)
+        with pytest.raises(ValueError, match="exceeds"):
+            stroke_walk(sched, 0.0, 2 * sched.total_duration, 4)
+
+    def test_segments_tile_the_window(self):
+        sched = self.make()
+        walk = stroke_walk(sched, 0.02, 0.3, 4)
+        assert walk[0][1] == 0.02
+        assert walk[-1][2][-1] == 0.3
+        for (_, _, ends), (span, seg_start, _) in zip(walk[:-1], walk[1:]):
+            assert ends[-1] == seg_start == span.t_start
+        for span, seg_start, ends in walk:
+            assert seg_start < ends[0] and np.all(np.diff(ends) > 0)
+            assert ends[-1] == min(span.t_end, 0.3)
+
+    def test_full_strokes_get_uniform_samples(self):
+        sched = self.make()
+        walk = stroke_walk(sched, 0.0, sched.total_duration, 4)
+        assert len(walk) == 8
+        for span, seg_start, ends in walk:
+            assert seg_start == span.t_start
+            assert np.allclose(ends, span.t_start + span.duration * np.arange(1, 5) / 4,
+                               rtol=0, atol=1e-15)
+
+    def test_empty_window_has_no_segments(self):
+        assert stroke_walk(self.make(), 0.05, 0.05, 4) == []
