@@ -12,11 +12,14 @@ so that a lone mode relaxes as d<N>/dt = -rate (<N> - n).  It exists to
 cross-validate the Gaussian engine at small scale, so it favors exactness
 and transparency over reach: fixed-step RK4 (reproducible baselines), dense
 complex density matrix, and matrix-free superoperator application -- the
-Hamiltonian acts through one dense matrix product, the jump terms through
-index shifts on the reshaped density tensor, so memory stays O(d^2) rather
-than the O(d^4) of a full Liouvillian.  As an independent oracle it shares
-only the schedule with the Gaussian engine (its stroke walk, sample grid and
-step-size scale), never the Gaussian engine's code.
+Hamiltonian acts through weighted row shifts of the density matrix, the jump
+terms through weighted shifts of its flattened entries, so memory stays
+O(d^2) rather than the O(d^4) of a full Liouvillian and no d x d operator
+product (nor a multi-threaded BLAS call) runs in the step loop.  The
+quadrature moments are traces along diagonals of rho, again with no d x d
+operator.  As an independent oracle it shares only the schedule with the
+Gaussian engine (its stroke walk, sample grid and step-size scale), never
+the Gaussian engine's code.
 
 Truncation is monitored continuously: the population of the top retained
 Fock level of each mode is tracked at every step and a TruncationError is
@@ -85,9 +88,9 @@ class FockState:
 
     def validate(self, trace_tol: float = TRACE_TOL,
                  hermiticity_tol: float = HERMITICITY_TOL,
-                 positivity_tol: float = POSITIVITY_TOL) -> float:
+                 positivity_tol: float = POSITIVITY_TOL) -> tuple[float, float, float]:
         """Check trace, hermiticity and positivity; return the
-        ``min_eigenvalue`` the check computed."""
+        ``(trace_error, hermiticity_error, min_eigenvalue)`` the checks computed."""
         terr = self.trace_error()
         if terr > trace_tol:
             raise IntegrationError(f"trace deviates by {terr:.3e} at t={self.time}", time=self.time)
@@ -102,7 +105,7 @@ class FockState:
                 f"negative eigenvalue {mineig:.3e} at t={self.time}; reduce the step size",
                 time=self.time,
             )
-        return mineig
+        return terr, herr, mineig
 
 
 class ModeOperators:
@@ -129,7 +132,13 @@ class ModeOperators:
             low = np.arange(1.0, c + 1)
             low[-1] = 0.0
             self.lower_diag.append(self._embed_diag(low, m))
-        self._quad_cache = None
+        # ladder operators as (offset, weight) shifts of the flat index: for the
+        # stride s of mode m, (a rho)[i] = sqrt(n_i + 1) rho[i + s] and
+        # (a^dag rho)[i] = sqrt(n_i) rho[i - s], the weights vanishing wherever
+        # the shift would leave the truncated space
+        strides = [int(np.prod(self.cutoffs[m + 1:])) for m in range(len(self.cutoffs))]
+        self.lowering = [(s, np.sqrt(w)) for s, w in zip(strides, self.lower_diag)]
+        self.raising = [(-s, np.sqrt(n)) for s, n in zip(strides, self.number_diag)]
 
     def _embed_diag(self, vec, mode):
         shape = [1] * len(self.cutoffs)
@@ -139,25 +148,23 @@ class ModeOperators:
     def number(self, mode: int) -> np.ndarray:
         return np.diag(self.number_diag[mode])
 
-    def quad_operators(self, modes=(0, 1)):
-        """First-moment quadrature operators and their symmetrized pair
-        products for ``modes``, cached (transposed for fast traces)."""
-        if self._quad_cache is not None and self._quad_cache[0] == tuple(modes):
-            return self._quad_cache[1], self._quad_cache[2]
-        quads = []
-        for m in modes:
-            a = self.annihilation[m]
-            quads.append((a + a.conj().T) / np.sqrt(2.0))
-            quads.append(-1j * (a - a.conj().T) / np.sqrt(2.0))
-        firsts = [np.ascontiguousarray(q.T) for q in quads]
-        k = len(quads)
-        seconds = {}
-        for i in range(k):
-            for j in range(i, k):
-                sym = 0.5 * (quads[i] @ quads[j] + quads[j] @ quads[i])
-                seconds[(i, j)] = np.ascontiguousarray(sym.T)
-        self._quad_cache = (tuple(modes), firsts, seconds)
-        return firsts, seconds
+
+def _compose(x, y):
+    """The shift of the product x y of two shifts (offset, weight):
+    (x y rho)[i] = w_x[i] w_y[i + o_x] rho[i + o_x + o_y]."""
+    (ox, wx), (oy, wy) = x, y
+    wy_at = np.zeros_like(wy)
+    if ox >= 0:
+        wy_at[: wy.size - ox] = wy[ox:]
+    else:
+        wy_at[-ox:] = wy[: wy.size + ox]
+    return ox + oy, wx * wy_at
+
+
+def _expect(rho: np.ndarray, op) -> complex:
+    """tr(O rho) of a shift O = (offset, weight): sum_i w[i] rho[i + o, i]."""
+    o, w = op
+    return complex(np.dot(w[max(0, -o): w.size - max(0, o)], np.diagonal(rho, -o)))
 
 
 def build_operators(cutoffs) -> ModeOperators:
@@ -231,34 +238,29 @@ def quadrature_moments(state: FockState, ops: ModeOperators, modes=(0, 1)):
     Uses x = (a + a^dag)/sqrt(2), p = -i (a - a^dag)/sqrt(2) and the
     symmetrized second moment, matching the Gaussian-engine convention, so
     polariton observables can be computed identically for both engines.
+    Every moment is built from traces tr(O rho) of ladder products O, each a
+    weighted sum along one diagonal of rho, with <a_m> = (<x> + i <p>)/sqrt(2).
     """
     rho = state.rho
-    firsts, seconds = ops.quad_operators(modes)
-    # tr(Q rho) as an elementwise sum against the pre-transposed operator
-    mean = np.array([float(np.sum(qt * rho).real) for qt in firsts])
-    k = len(firsts)
-    cov = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            val = float(np.sum(seconds[(i, j)] * rho).real) - mean[i] * mean[j]
-            cov[i, j] = cov[j, i] = val
-    return mean, cov
-
-
-def _sandwich_slices(n_modes, mode, lowering):
-    """(dst, src) slice tuples for a rho a^dag (lowering) or a^dag rho a on the
-    density tensor reshaped to (cutoffs + cutoffs)."""
-    src = [slice(None)] * (2 * n_modes)
-    dst = [slice(None)] * (2 * n_modes)
-    hi, lo = slice(1, None), slice(0, -1)
-    row, col = mode, mode + n_modes
-    if lowering:
-        src[row] = src[col] = hi
-        dst[row] = dst[col] = lo
-    else:
-        src[row] = src[col] = lo
-        dst[row] = dst[col] = hi
-    return tuple(dst), tuple(src)
+    diag = np.real(np.einsum("ii->i", rho))
+    low = [ops.lowering[m] for m in modes]
+    firsts = [_expect(rho, x) for x in low]
+    mean = np.sqrt(2.0) * np.array([(z.real, z.imag) for z in firsts]).reshape(-1)
+    second = np.empty((2 * len(modes), 2 * len(modes)))
+    for i, m in enumerate(modes):
+        sq = _expect(rho, _compose(low[i], low[i]))
+        # a^dag a + a a^dag, diagonal; a a^dag lacks the top level when truncated
+        half = 0.5 * float(np.dot(ops.number_diag[m] + ops.lower_diag[m], diag))
+        second[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[half + sq.real, sq.imag],
+                                                    [sq.imag, half - sq.real]]
+        for j in range(i + 1, len(modes)):
+            aa = _expect(rho, _compose(low[i], low[j]))  # <a_i a_j>
+            da = _expect(rho, _compose(ops.raising[m], low[j]))  # <a_i^dag a_j>
+            block = np.array([[aa.real + da.real, aa.imag + da.imag],
+                              [aa.imag - da.imag, da.real - aa.real]])
+            second[2 * i:2 * i + 2, 2 * j:2 * j + 2] = block
+            second[2 * j:2 * j + 2, 2 * i:2 * i + 2] = block.T
+    return mean, second - np.outer(mean, mean)
 
 
 @dataclass(frozen=True)
@@ -285,6 +287,23 @@ class FockTrajectory:
         return self.times.size
 
 
+def _band(offset: int, weight: np.ndarray):
+    """``(dst, src, weight[dst])`` of the shift ``out[i] += weight[i] * x[i + offset]``,
+    cut to the rows where the weight is nonzero (there ``i + offset`` is a
+    valid index), or None when the weight vanishes everywhere."""
+    nz = np.flatnonzero(weight)
+    if nz.size == 0:
+        return None
+    lo, hi = int(nz[0]), int(nz[-1]) + 1
+    return slice(lo, hi), slice(lo + offset, hi + offset), weight[lo:hi].copy()
+
+
+def _bands(scale, pairs) -> list:
+    """The nonzero bands of ``scale`` times each product of two ladder shifts."""
+    bands = (_band(o, scale * w) for o, w in (_compose(x, y) for x, y in pairs))
+    return [b for b in bands if b is not None]
+
+
 class _Generator:
     """Pieces of the master-equation right-hand side, precomputed per system.
 
@@ -295,9 +314,14 @@ class _Generator:
 
     which folds the diagonal Hamiltonian commutator and every dissipator
     anticommutator into a single broadcast multiply (rho stays Hermitian
-    through all RK4 stages, so the mirror term is just Y^dag).  The jump
-    sandwiches a rho a^dag / a^dag rho a are index shifts on the reshaped
-    density tensor with rate-scaled sqrt factors, accumulated in place.
+    through all RK4 stages, so the mirror term is just Y^dag).  Nothing here
+    is a d x d operator: with the ladder operators as row shifts
+    (``ModeOperators.lowering``/``raising``), H_off = g (a + a^dag)(b + b^dag)
+    + omega_0 (b^dag c + c^dag b) is a few weighted row-shift bands, applied
+    by contiguous row-slice multiply-adds.  The jump sandwiches
+    a rho a^dag / a^dag rho a shift rows and columns together by the mode's
+    stride s, which is one offset s (d + 1) on the flattened density matrix,
+    weighted by the rate-scaled outer product of the ladder weights.
     """
 
     def __init__(self, params: SystemParams, ops: ModeOperators):
@@ -305,18 +329,15 @@ class _Generator:
             raise ValueError(
                 f"cutoffs describe {len(ops.cutoffs)} modes, params {params.n_modes}"
             )
-        self.params = params
-        self.ops = ops
-        self.dim = ops.dim
+        d = ops.dim
         n_modes = params.n_modes
-        a_op, b_op = ops.annihilation[0], ops.annihilation[1]
-        qa = a_op + a_op.conj().T
-        qb = b_op + b_op.conj().T
-        self.h_couple = (params.g * (qb @ qa)).astype(complex)
-        self.h_exchange = []
-        for k in range(2, n_modes):
-            c_op = ops.annihilation[k]
-            self.h_exchange.append((b_op.conj().T @ c_op + c_op.conj().T @ b_op).astype(complex))
+        lower, upper = ops.lowering, ops.raising
+
+        # -i g (a + a^dag)(b + b^dag), and -i (b^dag c + c^dag b) per target
+        self.couple = _bands(-1j * params.g, [(x, y) for x in (lower[0], upper[0])
+                                              for y in (lower[1], upper[1])])
+        self.exchange = [_bands(-1j, [(upper[1], lower[k]), (lower[1], upper[k])])
+                         for k in range(2, n_modes)]
         self.diag_static = params.omega_b * ops.number_diag[1].copy()
         for k, dt in enumerate(params.delta_targets):
             self.diag_static += dt * ops.number_diag[2 + k]
@@ -324,7 +345,7 @@ class _Generator:
 
         rates = [params.kappa, params.gamma] + [params.gamma] * len(params.delta_targets)
         nbars = [params.n_a, params.n_b, *params.n_targets]
-        self.damp_diag = np.zeros(self.dim)
+        self.damp_diag = np.zeros(d)
         self.jumps = []
         for m in range(n_modes):
             rate, nbar = rates[m], nbars[m]
@@ -333,38 +354,39 @@ class _Generator:
             self.damp_diag -= 0.5 * rate * (
                 (nbar + 1.0) * ops.number_diag[m] + nbar * ops.lower_diag[m]
             )
-            sq = np.sqrt(np.arange(1.0, ops.cutoffs[m]))
-            row = [1] * (2 * n_modes)
-            row[m] = sq.size
-            col = [1] * (2 * n_modes)
-            col[m + n_modes] = sq.size
-            factor = sq.reshape(row) * sq.reshape(col)
-            self.jumps.append(
-                (_sandwich_slices(n_modes, m, True), rate * (nbar + 1.0) * factor)
-            )
-            if nbar > 0.0:
-                self.jumps.append(
-                    (_sandwich_slices(n_modes, m, False), rate * nbar * factor)
-                )
-        self.tensor_shape = ops.cutoffs + ops.cutoffs
+            for (s, w), scale in ((lower[m], rate * (nbar + 1.0)), (upper[m], rate * nbar)):
+                jump = _band(s * (d + 1), scale * np.outer(w, w).reshape(-1))
+                if jump is not None:
+                    self.jumps.append(jump)
+        self._y = np.empty((d, d), dtype=complex)
+        self._tmp = np.empty((d, d), dtype=complex)
 
-    def h_offdiag(self, omega0_target: int, omega0_amp: float) -> np.ndarray:
-        h = self.h_couple
-        if omega0_amp != 0.0:
-            h = h + omega0_amp * self.h_exchange[omega0_target]
-        return h
+    def bands(self, target: int | None, amplitude: float) -> list:
+        """Row-shift bands of -i H_off for an exchange pulse of ``amplitude``
+        on ``target`` (no pulse when the amplitude is 0)."""
+        bands = list(self.couple)
+        if amplitude != 0.0:
+            bands += [(dst, src, amplitude * w) for dst, src, w in self.exchange[target]]
+        return [(dst, src, w[:, None]) for dst, src, w in bands]
 
-    def rhs(self, rho: np.ndarray, h_off: np.ndarray, delta_now: float) -> np.ndarray:
+    def rhs(self, rho: np.ndarray, bands: list, delta_now: float,
+            out: np.ndarray) -> np.ndarray:
+        """drho/dt at detuning ``delta_now``, written into ``out``."""
+        y, tmp = self._y, self._tmp
         lvec = self.damp_diag - 1j * (self.diag_static - delta_now * self.na_diag)
-        y = h_off @ rho
-        y *= -1j
-        y += lvec[:, None] * rho
-        drho = y + y.conj().T
-        drho6 = drho.reshape(self.tensor_shape)
-        rho6 = rho.reshape(self.tensor_shape)
-        for (dst, src), factor in self.jumps:
-            drho6[dst] += rho6[src] * factor
-        return drho
+        np.multiply(lvec[:, None], rho, out=y)
+        for dst, src, w in bands:
+            t = tmp[: dst.stop - dst.start]
+            np.multiply(w, rho[src], out=t)
+            y[dst] += t
+        np.conjugate(y.T, out=out)
+        out += y
+        flat, rho_flat, tmp_flat = out.reshape(-1), rho.reshape(-1), tmp.reshape(-1)
+        for dst, src, w in self.jumps:
+            t = tmp_flat[: dst.stop - dst.start]
+            np.multiply(w, rho_flat[src], out=t)
+            flat[dst] += t
+        return out
 
 
 def propagate_fock(
@@ -392,21 +414,25 @@ def propagate_fock(
 
     rho = np.array(state.rho, dtype=complex)
     rho = 0.5 * (rho + rho.conj().T)
+    # RK4 work buffers: the k1 + 2 k2 + 2 k3 + k4 sum, the current stage's
+    # slope and the next stage's argument
+    total, slope, stage = (np.empty_like(rho) for _ in range(3))
+    # flat indices of each mode's top retained level, for the leakage check
+    top_levels = [np.flatnonzero(ops.number_diag[m] == c - 1)
+                  for m, c in enumerate(state.cutoffs)]
 
     times = [t0]
     records = []
 
     def record(r, t):
         st = FockState(rho=r, cutoffs=state.cutoffs, time=t)
-        occ = mode_occupations(st, ops)
-        mean, cov = quadrature_moments(st, ops)
-        records.append((occ, mean, cov, st.leakage(), st.trace_error(),
-                        st.hermiticity_error(), st.validate()))
+        records.append((mode_occupations(st, ops), *quadrature_moments(st, ops),
+                        st.leakage(), *st.validate()))
 
     record(rho, t0)
 
     for span, seg_start, targets_local in walk:
-        h_off = gen.h_offdiag(span.target if span.target is not None else 0, span.amplitude)
+        bands = gen.bands(span.target, span.amplitude)
         dt_max = 1.0 / (50.0 * span_fmax(span, params))
         dt_target = dt_max if dt is None else min(dt, dt_max)
         if dt is not None and dt > dt_max * (1.0 + 1e-9):
@@ -419,20 +445,29 @@ def propagate_fock(
             length = t_target - t_now
             nsteps = max(1, int(np.ceil(length / dt_target - 1e-12)))
             h = length / nsteps
-            for k in range(nsteps):
-                t_loc = (t_now - span.t_start) + k * h
-                d0 = span.delta_at_local(t_loc)
-                dh = span.delta_at_local(t_loc + 0.5 * h)
-                d1 = span.delta_at_local(t_loc + h)
-                k1 = gen.rhs(rho, h_off, d0)
-                k2 = gen.rhs(rho + 0.5 * h * k1, h_off, dh)
-                k3 = gen.rhs(rho + 0.5 * h * k2, h_off, dh)
-                k4 = gen.rhs(rho + h * k3, h_off, d1)
-                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                rho = 0.5 * (rho + rho.conj().T)
-                diag = np.real(np.einsum("ii->i", rho)).reshape(state.cutoffs)
-                for m in range(len(state.cutoffs)):
-                    leak = float(np.sum(np.take(diag, state.cutoffs[m] - 1, axis=m)))
+            t_loc = (t_now - span.t_start) + np.arange(nsteps) * h
+            deltas = span.delta_values_local(np.stack([t_loc, t_loc + 0.5 * h, t_loc + h]))
+            for k, (d0, dh, d1) in enumerate(deltas.T):
+                gen.rhs(rho, bands, d0, total)  # k1
+                np.multiply(total, 0.5 * h, out=stage)
+                stage += rho
+                # k2 and k3, both at the midpoint, enter the sum twice
+                for coef in (0.5 * h, h):
+                    gen.rhs(stage, bands, dh, slope)
+                    np.multiply(slope, coef, out=stage)
+                    stage += rho
+                    slope *= 2.0
+                    total += slope
+                gen.rhs(stage, bands, d1, slope)  # k4
+                total += slope
+                total *= h / 6.0
+                total += rho
+                np.conjugate(total.T, out=rho)
+                rho += total
+                rho *= 0.5
+                diag = rho.reshape(-1)[:: ops.dim + 1].real
+                for m, top in enumerate(top_levels):
+                    leak = float(np.sum(diag[top]))
                     if leak > leakage_threshold:
                         raise TruncationError(
                             f"top-level population {leak:.3e} of mode {m} exceeds "

@@ -169,8 +169,17 @@ def run_protocol(
         exc.args = (f"{exc.args[0]} [stroke {k}, cycle {spans[k].cycle}]",) + exc.args[1:]
         return exc
 
+    # delta repeats every cycle and holds still through exchange and hold
+    # strokes, so each distinct value gets one basis
+    bases = {}
+
+    def basis_at(delta):
+        if delta not in bases:
+            bases[delta] = bogoliubov_basis(delta, params.omega_b, params.g)
+        return bases[delta]
+
     if engine == "gaussian":
-        basis0 = bogoliubov_basis(schedule.delta_start, params.omega_b, params.g)
+        basis0 = basis_at(schedule.delta_start)
         if initial.basis == "polariton":
             state0 = gauss_mod.polariton_initial_state(
                 basis0, initial.pair[0], initial.pair[1], initial.targets
@@ -211,8 +220,7 @@ def run_protocol(
     times = traj.times
     idx, delta, omega0 = _schedule_columns(times, schedule, spans)
     n_pol = np.array([
-        pair_occupations(m, c, bogoliubov_basis(d, params.omega_b, params.g))
-        for d, m, c in zip(delta, ab_means, ab_covs)
+        pair_occupations(m, c, basis_at(d)) for d, m, c in zip(delta, ab_means, ab_covs)
     ])
     return Trajectory(
         times=times,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -92,6 +92,8 @@ class Stroke:
     target: int | None = None
     amplitude: float = 0.0
     profile: tuple[float, ...] | None = None
+    knots: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("duration", "delta_start", "delta_end", "amplitude"):
@@ -112,7 +114,12 @@ class Stroke:
                     raise ValueError("adiabatic ramp needs a sampled detuning profile")
                 if self.profile[0] != self.delta_start or self.profile[-1] != self.delta_end:
                     raise ValueError("profile endpoints must match the ramp endpoints")
+                if not all(map(math.isfinite, self.profile)):
+                    raise ValueError("adiabatic ramp profile must be finite")
                 object.__setattr__(self, "profile", tuple(self.profile))
+                # the (progress, detuning) table ramp_value interpolates
+                table = np.asarray(self.profile)
+                object.__setattr__(self, "knots", (np.linspace(0.0, 1.0, table.size), table))
         elif self.kind is StrokeKind.EXCHANGE_PULSE:
             if self.target is None or self.target < 0:
                 raise ValueError("exchange stroke needs a target-mode index")
@@ -134,8 +141,9 @@ class Stroke:
         return cls(StrokeKind.HOLD, duration)
 
 
-def ramp_value(d0: float, d1: float, shape: str, u: float, profile=None) -> float:
-    """Ramp profile at fractional progress u, exact at the endpoints."""
+def ramp_value(d0: float, d1: float, shape: str, u: float, knots=None) -> float:
+    """Ramp profile at fractional progress u, exact at the endpoints;
+    ``knots`` is the (progress, detuning) table of an adiabatic ramp."""
     if u <= 0.0:
         return d0
     if u >= 1.0:
@@ -144,11 +152,10 @@ def ramp_value(d0: float, d1: float, shape: str, u: float, profile=None) -> floa
         return d0 + (d1 - d0) * u
     if shape == "cosine":
         return d0 + (d1 - d0) * 0.5 * (1.0 - math.cos(math.pi * u))
-    table = np.asarray(profile)
-    return float(np.interp(u, np.linspace(0.0, 1.0, table.size), table))
+    return float(np.interp(u, *knots))
 
 
-def ramp_values(d0: float, d1: float, shape: str, u: np.ndarray, profile=None) -> np.ndarray:
+def ramp_values(d0: float, d1: float, shape: str, u: np.ndarray, knots=None) -> np.ndarray:
     """Vectorized ramp profile with clamped progress."""
     u = np.clip(u, 0.0, 1.0)
     if shape == "linear":
@@ -156,8 +163,7 @@ def ramp_values(d0: float, d1: float, shape: str, u: np.ndarray, profile=None) -
     elif shape == "cosine":
         vals = d0 + (d1 - d0) * 0.5 * (1.0 - np.cos(np.pi * u))
     else:
-        table = np.asarray(profile)
-        vals = np.interp(u, np.linspace(0.0, 1.0, table.size), table)
+        vals = np.interp(u, *knots)
     vals = np.where(u <= 0.0, d0, vals)
     return np.where(u >= 1.0, d1, vals)
 
@@ -179,16 +185,18 @@ class StrokeSpan:
     target: int | None
     amplitude: float
     profile: tuple[float, ...] | None = None
+    knots: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def delta_at_local(self, t_local: float) -> float:
         return ramp_value(self.delta0, self.delta1, self.shape,
-                          t_local / self.duration, self.profile)
+                          t_local / self.duration, self.knots)
 
     def delta_values_local(self, t_local: np.ndarray) -> np.ndarray:
         if self.kind is not StrokeKind.RAMP_DETUNING:
             return np.full(np.shape(t_local), self.delta0)
         return ramp_values(self.delta0, self.delta1, self.shape,
-                           np.asarray(t_local) / self.duration, self.profile)
+                           np.asarray(t_local) / self.duration, self.knots)
 
 
 @dataclass(frozen=True)
@@ -262,7 +270,7 @@ class CycleSchedule:
         _, pos, t_loc = self._locate(t)
         stroke = self.strokes[pos]
         return ramp_value(self._d0s[pos], self._d1s[pos], stroke.shape,
-                          t_loc / stroke.duration, stroke.profile)
+                          t_loc / stroke.duration, stroke.knots)
 
     def omega0_at(self, t: float) -> tuple[int, float]:
         """(target index, amplitude) of the active exchange pulse, or (-1, 0.0)."""
@@ -294,6 +302,7 @@ class CycleSchedule:
                         target=stroke.target,
                         amplitude=stroke.amplitude if stroke.kind is StrokeKind.EXCHANGE_PULSE else 0.0,
                         profile=stroke.profile,
+                        knots=stroke.knots,
                     )
                 )
         return out

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,3 +337,33 @@ class TestBundledConfigs:
         cfg = load_config_file(name)
         parsed = parse_cycle_config(cfg, for_validate=(name == "smalltest.json"))
         assert parsed.schedule.total_duration > 0
+
+
+NO_SCIPY_RUN = """
+import sys
+import omcool.cli
+from omcool.fock import propagate_fock, thermal_state
+from omcool.params import SystemParams
+from omcool.schedule import CycleSchedule, Stroke
+
+p = SystemParams(omega_b=10.0, g=2.0, kappa=8.0, gamma=0.5, n_a=0.1, n_b=0.2,
+                 delta_i=-30.0, delta_f=-3.0, omega_0=5.0,
+                 delta_targets=(10.0,), n_targets=(0.25,))
+sched = CycleSchedule(strokes=(Stroke.exchange(0, 5.0, 0.01),), cycle_count=1,
+                      delta_start=-30.0)
+propagate_fock(thermal_state((4, 4, 4), (0.0, 0.0, 0.0)), p, sched, 0.01,
+               samples_per_stroke=2)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy would also add ~20 MB of
+    # peak memory to every run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

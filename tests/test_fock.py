@@ -7,6 +7,7 @@ from omcool.errors import IntegrationError, TruncationError
 from omcool.fock import (
     FockState,
     ModeOperators,
+    _Generator,
     build_operators,
     mode_occupations,
     number_state,
@@ -103,6 +104,90 @@ class TestStates:
         assert np.diag(cov) == pytest.approx(expected, rel=1e-12)
         occ = mode_occupations(st, ops)
         assert occ == pytest.approx([0.4, 0.6], abs=5e-3)
+
+
+def dense_rhs(p, ops, rho, target, amplitude, delta):
+    """-i[H, rho] plus the thermal dissipators, from dense ladder matrices."""
+    a = ops.annihilation
+    ad = [x.conj().T for x in a]
+    h = -delta * ad[0] @ a[0] + p.omega_b * ad[1] @ a[1]
+    h = h + p.g * (a[0] + ad[0]) @ (a[1] + ad[1])
+    for k, dk in enumerate(p.delta_targets):
+        h = h + dk * ad[2 + k] @ a[2 + k]
+    if amplitude != 0.0:
+        c, cd = a[2 + target], ad[2 + target]
+        h = h + amplitude * (ad[1] @ c + cd @ a[1])
+    out = -1j * (h @ rho - rho @ h)
+    rates = [p.kappa, p.gamma] + [p.gamma] * len(p.delta_targets)
+    nbars = [p.n_a, p.n_b, *p.n_targets]
+    for x, xd, rate, n in zip(a, ad, rates, nbars):
+        out = out + rate * (n + 1.0) * (x @ rho @ xd - 0.5 * (xd @ x @ rho + rho @ xd @ x))
+        out = out + rate * n * (xd @ rho @ x - 0.5 * (x @ xd @ rho + rho @ x @ xd))
+    return out
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("cutoffs, targets", [
+        ((2, 3), ()),
+        ((3, 3, 4), ((10.0, 0.25),)),
+        ((3, 3, 3, 2), ((10.0, 0.25), (7.0, 0.4))),
+    ])
+    def test_rhs_matches_dense_master_equation(self, cutoffs, targets):
+        p = params(delta_targets=tuple(t[0] for t in targets),
+                   n_targets=tuple(t[1] for t in targets))
+        ops = ModeOperators(cutoffs)
+        gen = _Generator(p, ops)
+        rng = np.random.default_rng(sum(cutoffs))
+        x = rng.normal(size=(ops.dim, ops.dim)) + 1j * rng.normal(size=(ops.dim, ops.dim))
+        rho = (x + x.conj().T) / ops.dim
+        pulses = [(0, 0.0)] + [(k, amp) for k in range(len(targets)) for amp in (5.0, 2.5)]
+        for target, amplitude in pulses:
+            bands = gen.bands(target, amplitude)
+            for delta in (-30.0, -7.5, -3.0):
+                got = gen.rhs(rho, bands, delta, np.empty_like(rho))
+                want = dense_rhs(p, ops, rho, target, amplitude, delta)
+                assert np.max(np.abs(got - want)) < 1e-12, (target, amplitude, delta)
+
+    def test_rhs_leaves_its_input_and_fills_out(self):
+        p = params()
+        ops = ModeOperators((3, 3, 4))
+        gen = _Generator(p, ops)
+        rho = thermal_state(ops.cutoffs, (0.05, 0.05, 0.1)).rho
+        before = rho.copy()
+        out = np.full_like(rho, np.nan)
+        got = gen.rhs(rho, gen.bands(0, 5.0), -3.0, out)
+        assert got is out and np.all(np.isfinite(out))
+        assert np.array_equal(rho, before)
+        again = gen.rhs(rho, gen.bands(0, 5.0), -3.0, np.empty_like(rho))
+        assert np.array_equal(out, again)
+
+    def test_holds_no_dense_operator(self):
+        ops = ModeOperators((6, 6, 8))
+        gen = _Generator(params(), ops)
+        square = [name for name, value in vars(gen).items()
+                  if isinstance(value, np.ndarray) and value.shape == (ops.dim, ops.dim)
+                  and not name.startswith("_")]
+        assert square == []
+
+
+@pytest.mark.parametrize("cutoffs, modes", [((3, 4, 2), (0, 1)), ((3, 4, 2), (2, 0)),
+                                             ((5,), (0,))])
+def test_quadrature_moments_match_dense_operators(cutoffs, modes):
+    ops = ModeOperators(cutoffs)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(ops.dim, ops.dim)) + 1j * rng.normal(size=(ops.dim, ops.dim))
+    rho = x @ x.conj().T
+    st = FockState(rho=rho / np.trace(rho).real, cutoffs=cutoffs)
+    quads = []
+    for m in modes:
+        a = ops.annihilation[m]
+        quads += [(a + a.conj().T) / np.sqrt(2.0), -1j * (a - a.conj().T) / np.sqrt(2.0)]
+    mean = np.array([np.trace(q @ st.rho).real for q in quads])
+    second = np.array([[0.5 * np.trace((qi @ qj + qj @ qi) @ st.rho).real for qj in quads]
+                       for qi in quads])
+    got_mean, got_cov = quadrature_moments(st, ops, modes)
+    assert np.max(np.abs(got_mean - mean)) < 1e-12
+    assert np.max(np.abs(got_cov - (second - np.outer(mean, mean)))) < 1e-12
 
 
 class TestPropagation:

@@ -38,6 +38,15 @@ class TestStroke:
         with pytest.raises(ValueError, match="profile"):
             Stroke.ramp(-6000.0, -600.0, 0.04, shape="adiabatic")
 
+    def test_non_finite_profile_rejected(self):
+        # a ramp through the exact crossing with g too small for a
+        # representable gap gives a NaN profile; it must not be accepted
+        with np.errstate(divide="ignore", invalid="ignore"):
+            profile = adiabatic_ramp_profile(-1.0, -2.0, 1.0, 1e-100, knots=65)
+        assert not np.all(np.isfinite(profile))
+        with pytest.raises(ValueError, match="finite"):
+            Stroke.ramp(-1.0, -2.0, 0.04, shape="adiabatic", profile=profile)
+
     def test_exchange_needs_target(self):
         with pytest.raises(ValueError, match="target"):
             Stroke(StrokeKind.EXCHANGE_PULSE, 0.01)
