@@ -193,12 +193,10 @@ def _resolve_tol(args, cfg) -> float:
 
 def cmd_cycle(args) -> int:
     raw = load_config_file(args.config)
-    cfg = parse_cycle_config(raw)
-    engine = args.engine or cfg.engine
-    if engine == "fock" and cfg.fock is None:
-        raise ConfigError("engine 'fock' requires a 'fock' section with cutoffs")
-    if engine == "fock" and cfg.initial.basis != "bare":
-        raise ConfigError("the fock engine requires initial.basis = 'bare'")
+    # --engine overrides the config before parsing, so one place checks the
+    # engine's preconditions; the metadata still fingerprints the file as read
+    cfg = parse_cycle_config({**raw, "engine": args.engine} if args.engine else raw)
+    engine = cfg.engine
     tol = _resolve_tol(args, cfg)
     traj = run_protocol(
         cfg.params, cfg.schedule, engine=engine, initial=cfg.initial, tol=tol,

@@ -86,21 +86,19 @@ class FockState:
             [np.sum(np.take(diag, self.cutoffs[m] - 1, axis=m)) for m in range(self.n_modes)]
         )
 
-    def validate(self, trace_tol: float = TRACE_TOL,
-                 hermiticity_tol: float = HERMITICITY_TOL,
-                 positivity_tol: float = POSITIVITY_TOL) -> tuple[float, float, float]:
+    def validate(self) -> tuple[float, float, float]:
         """Check trace, hermiticity and positivity; return the
         ``(trace_error, hermiticity_error, min_eigenvalue)`` the checks computed."""
         terr = self.trace_error()
-        if terr > trace_tol:
+        if terr > TRACE_TOL:
             raise IntegrationError(f"trace deviates by {terr:.3e} at t={self.time}", time=self.time)
         herr = self.hermiticity_error()
-        if herr > hermiticity_tol:
+        if herr > HERMITICITY_TOL:
             raise IntegrationError(
                 f"hermiticity deviates by {herr:.3e} at t={self.time}", time=self.time
             )
         mineig = self.min_eigenvalue()
-        if mineig < -positivity_tol:
+        if mineig < -POSITIVITY_TOL:
             raise IntegrationError(
                 f"negative eigenvalue {mineig:.3e} at t={self.time}; reduce the step size",
                 time=self.time,
@@ -116,13 +114,6 @@ class ModeOperators:
         if any(c < 2 for c in self.cutoffs):
             raise ValueError("every cutoff must be at least 2")
         self.dim = int(np.prod(self.cutoffs))
-        eyes = [np.eye(c) for c in self.cutoffs]
-        self.annihilation = []
-        for m, c in enumerate(self.cutoffs):
-            a = np.diag(np.sqrt(np.arange(1.0, c)), k=1)
-            factors = list(eyes)
-            factors[m] = a
-            self.annihilation.append(reduce(np.kron, factors))
         # number operators are diagonal; keep the diagonals
         self.number_diag = []
         self.lower_diag = []  # diag of a a^dag on the truncated space (top level -> 0)
@@ -147,6 +138,12 @@ class ModeOperators:
 
     def number(self, mode: int) -> np.ndarray:
         return np.diag(self.number_diag[mode])
+
+    def annihilation(self, mode: int) -> np.ndarray:
+        """Dense d x d annihilation operator of ``mode``, built on demand."""
+        factors = [np.eye(c) for c in self.cutoffs]
+        factors[mode] = np.diag(np.sqrt(np.arange(1.0, self.cutoffs[mode])), k=1)
+        return reduce(np.kron, factors)
 
 
 def _compose(x, y):
@@ -462,9 +459,8 @@ def propagate_fock(
                 total += slope
                 total *= h / 6.0
                 total += rho
-                np.conjugate(total.T, out=rho)
-                rho += total
-                rho *= 0.5
+                # the generator keeps a Hermitian rho exactly Hermitian
+                rho, total = total, rho
                 diag = rho.reshape(-1)[:: ops.dim + 1].real
                 for m, top in enumerate(top_levels):
                     leak = float(np.sum(diag[top]))

@@ -79,23 +79,22 @@ class GaussianState:
         J = symplectic_form(self.n_modes)
         return float(np.linalg.eigvalsh(self.cov + 0.5j * J).min())
 
-    def validate(self, symmetry_tol: float = SYMMETRY_TOL,
-                 uncertainty_tol: float = UNCERTAINTY_TOL) -> float:
+    def validate(self) -> float:
         """Check symmetry, the uncertainty relation and the occupations;
         return the ``uncertainty_min_eig`` the check computed."""
         scale = max(1.0, float(np.max(np.abs(self.cov))))
         asym = float(np.max(np.abs(self.cov - self.cov.T)))
-        if asym > symmetry_tol * scale:
+        if asym > SYMMETRY_TOL * scale:
             raise IntegrationError(
                 f"covariance asymmetry {asym:.3e} at t={self.time}", time=self.time
             )
         min_eig = self.uncertainty_min_eig()
-        if min_eig < -uncertainty_tol:
+        if min_eig < -UNCERTAINTY_TOL:
             raise IntegrationError(
                 f"uncertainty relation violated (min eig {min_eig:.3e}) at t={self.time}",
                 time=self.time,
             )
-        if np.min(mode_occupations(self)) < -uncertainty_tol:
+        if np.min(mode_occupations(self)) < -UNCERTAINTY_TOL:
             raise IntegrationError(
                 f"negative mode occupation at t={self.time}", time=self.time
             )
@@ -168,7 +167,6 @@ class DriftDiffusion:
 
     A: np.ndarray
     D: np.ndarray
-    valid_at: float
 
 
 def diffusion_vector(params: SystemParams) -> np.ndarray:
@@ -206,7 +204,7 @@ def build_drift_diffusion(
         A, delta_now, omega0_now, params.omega_b, params.g,
         params.kappa, params.gamma, np.asarray(params.delta_targets),
     )
-    return DriftDiffusion(A=A, D=np.diag(diffusion_vector(params)), valid_at=delta_now)
+    return DriftDiffusion(A=A, D=np.diag(diffusion_vector(params)))
 
 
 @dataclass(frozen=True)
@@ -287,7 +285,7 @@ def _segment_map(span: StrokeSpan, generator, a: float, b: float, level: int,
     n = M0.shape[0] // 2
     knots = np.empty(0)
     if span.kind is StrokeKind.RAMP_DETUNING and span.shape == "adiabatic":
-        knots = span.duration * np.linspace(0.0, 1.0, len(span.profile))[1:-1]
+        knots = span.duration * span.knots[0][1:-1]
     edges = np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
     widths = np.diff(edges)
     counts = level * np.maximum(1, np.ceil(widths * fmax - 1e-9)).astype(np.int64)

@@ -66,9 +66,9 @@ class FockOptions:
 class Trajectory:
     """Engine-agnostic protocol record.
 
-    ``stroke_index`` assigns each sample to the stroke whose half-open
-    interval [start, end) contains it (the final instant is clamped into the
-    last stroke); ``markers`` are the exact stroke boundary times.
+    ``stroke_index`` and ``delta`` are ``CycleSchedule.stroke_index`` and
+    ``CycleSchedule.delta_at`` of each sample time; ``markers`` are the exact
+    stroke boundary times.
     ``physicality`` holds the per-sample invariant metric of the engine that
     produced the run: min eig of (cov + iJ/2) for the Gaussian engine, min
     eigenvalue of rho for the Fock engine.
@@ -83,7 +83,6 @@ class Trajectory:
     markers: np.ndarray
     spans: tuple[StrokeSpan, ...]
     engine: str
-    fingerprint: str
     mode_labels: tuple[str, ...]
     physicality: np.ndarray = field(default=None)
     leakage: np.ndarray = field(default=None)
@@ -97,42 +96,6 @@ def config_fingerprint(payload: dict) -> str:
     """Stable hash of a run description (canonical JSON, sha256, 16 hex chars)."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _run_fingerprint(params, schedule, engine, initial) -> str:
-    payload = {
-        "params": {
-            "omega_b": params.omega_b, "g": params.g, "kappa": params.kappa,
-            "gamma": params.gamma, "n_a": params.n_a, "n_b": params.n_b,
-            "delta_i": params.delta_i, "delta_f": params.delta_f,
-            "omega_0": params.omega_0, "delta_targets": list(params.delta_targets),
-            "n_targets": list(params.n_targets),
-        },
-        "schedule": [
-            (s.kind.value, s.duration, s.delta_start, s.delta_end, s.shape,
-             s.target, s.amplitude)
-            for s in schedule.strokes
-        ],
-        "cycles": schedule.cycle_count,
-        "delta_start": schedule.delta_start,
-        "engine": engine,
-        "initial": (initial.basis, initial.pair, initial.targets),
-    }
-    return config_fingerprint(payload)
-
-
-def _stroke_indices(times: np.ndarray, spans) -> np.ndarray:
-    starts = np.array([s.t_start for s in spans])
-    idx = np.searchsorted(starts, times, side="right") - 1
-    return np.clip(idx, 0, len(spans) - 1)
-
-
-def _schedule_columns(times, schedule, spans):
-    idx = _stroke_indices(times, spans)
-    delta = np.array([schedule.delta_at(t) for t in times])
-    # a span's amplitude is zero outside exchange strokes
-    omega0 = np.array([spans[i].amplitude for i in idx], dtype=float)
-    return idx, delta, omega0
 
 
 def run_protocol(
@@ -165,7 +128,7 @@ def run_protocol(
         t = getattr(exc, "time", None)
         if t is None:
             return exc
-        k = int(_stroke_indices(np.array([t]), spans)[0])
+        k = schedule.stroke_index(t)
         exc.args = (f"{exc.args[0]} [stroke {k}, cycle {spans[k].cycle}]",) + exc.args[1:]
         return exc
 
@@ -218,7 +181,10 @@ def run_protocol(
         leak = traj.leakage
 
     times = traj.times
-    idx, delta, omega0 = _schedule_columns(times, schedule, spans)
+    idx = schedule.stroke_index(times)
+    delta = schedule.delta_at(times)
+    # a span's amplitude is zero outside exchange strokes
+    omega0 = np.array([spans[i].amplitude for i in idx], dtype=float)
     n_pol = np.array([
         pair_occupations(m, c, basis_at(d)) for d, m, c in zip(delta, ab_means, ab_covs)
     ])
@@ -232,7 +198,6 @@ def run_protocol(
         markers=schedule.boundaries(),
         spans=spans,
         engine=engine,
-        fingerprint=_run_fingerprint(params, schedule, engine, initial),
         mode_labels=params.mode_labels,
         physicality=traj.min_eigenvalues,
         leakage=leak,

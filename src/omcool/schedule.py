@@ -18,9 +18,13 @@ ramp spends too little time at the crossing even when the total duration
 comfortably satisfies tau >> 1/(2g).  The adiabatic profile depends on
 omega_b and g, so it is stored with the stroke as a sampled table.
 
-Evaluation conventions: a time that falls exactly on a stroke boundary is
-binned into the *starting* stroke (half-open [start, end) intervals, with
-the final instant of the schedule clamped into the last stroke).  Detuning
+Evaluation conventions: one ownership rule and one evaluator.
+``CycleSchedule.stroke_index`` bins a time that falls exactly on a stroke
+boundary into the *starting* stroke (half-open [start, end) intervals, with
+the final instant of the schedule clamped into the last stroke).  delta(t)
+is always ``StrokeSpan.delta_values_local`` of the owning span at the local
+time t - t_start, the same call the engines integrate with;
+``CycleSchedule.delta_at`` only routes each time to its span.  Detuning
 continuity across boundaries is enforced at construction, so either-side
 evaluation at a boundary gives exactly equal values.
 """
@@ -117,7 +121,7 @@ class Stroke:
                 if not all(map(math.isfinite, self.profile)):
                     raise ValueError("adiabatic ramp profile must be finite")
                 object.__setattr__(self, "profile", tuple(self.profile))
-                # the (progress, detuning) table ramp_value interpolates
+                # the (progress, detuning) table ramp_values interpolates
                 table = np.asarray(self.profile)
                 object.__setattr__(self, "knots", (np.linspace(0.0, 1.0, table.size), table))
         elif self.kind is StrokeKind.EXCHANGE_PULSE:
@@ -139,20 +143,6 @@ class Stroke:
     @classmethod
     def hold(cls, duration: float) -> "Stroke":
         return cls(StrokeKind.HOLD, duration)
-
-
-def ramp_value(d0: float, d1: float, shape: str, u: float, knots=None) -> float:
-    """Ramp profile at fractional progress u, exact at the endpoints;
-    ``knots`` is the (progress, detuning) table of an adiabatic ramp."""
-    if u <= 0.0:
-        return d0
-    if u >= 1.0:
-        return d1
-    if shape == "linear":
-        return d0 + (d1 - d0) * u
-    if shape == "cosine":
-        return d0 + (d1 - d0) * 0.5 * (1.0 - math.cos(math.pi * u))
-    return float(np.interp(u, *knots))
 
 
 def ramp_values(d0: float, d1: float, shape: str, u: np.ndarray, knots=None) -> np.ndarray:
@@ -184,13 +174,8 @@ class StrokeSpan:
     shape: str
     target: int | None
     amplitude: float
-    profile: tuple[float, ...] | None = None
     knots: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
-
-    def delta_at_local(self, t_local: float) -> float:
-        return ramp_value(self.delta0, self.delta1, self.shape,
-                          t_local / self.duration, self.knots)
 
     def delta_values_local(self, t_local: np.ndarray) -> np.ndarray:
         if self.kind is not StrokeKind.RAMP_DETUNING:
@@ -238,56 +223,13 @@ class CycleSchedule:
                 f"started at {self.delta_start}"
             )
         durations = np.array([s.duration for s in self.strokes])
-        local_edges = np.concatenate(([0.0], np.cumsum(durations)))
-        object.__setattr__(self, "_d0s", tuple(d0s))
-        object.__setattr__(self, "_d1s", tuple(d1s))
-        object.__setattr__(self, "_local_edges", local_edges)
-
-    @property
-    def period(self) -> float:
-        return float(self._local_edges[-1])
-
-    @property
-    def total_duration(self) -> float:
-        return self.cycle_count * self.period
-
-    @property
-    def strokes_per_cycle(self) -> int:
-        return len(self.strokes)
-
-    def _locate(self, t: float) -> tuple[int, int, float]:
-        """(cycle, stroke position, local time within the stroke) at time t."""
-        if t < 0 or t > self.total_duration * (1 + 1e-12):
-            raise ValueError(f"time {t} outside the schedule [0, {self.total_duration}]")
-        period = self.period
-        cycle = min(int(t / period), self.cycle_count - 1)
-        t_cyc = min(t - cycle * period, period)
-        edges = self._local_edges
-        pos = min(int(np.searchsorted(edges[1:], t_cyc, side="right")), len(self.strokes) - 1)
-        return cycle, pos, t_cyc - edges[pos]
-
-    def delta_at(self, t: float) -> float:
-        _, pos, t_loc = self._locate(t)
-        stroke = self.strokes[pos]
-        return ramp_value(self._d0s[pos], self._d1s[pos], stroke.shape,
-                          t_loc / stroke.duration, stroke.knots)
-
-    def omega0_at(self, t: float) -> tuple[int, float]:
-        """(target index, amplitude) of the active exchange pulse, or (-1, 0.0)."""
-        _, pos, _ = self._locate(t)
-        stroke = self.strokes[pos]
-        if stroke.kind is StrokeKind.EXCHANGE_PULSE:
-            return stroke.target, stroke.amplitude
-        return -1, 0.0
-
-    def spans(self) -> list[StrokeSpan]:
-        """All stroke instances over the full run, on the absolute time axis."""
-        out = []
-        edges = self._local_edges
+        edges = np.concatenate(([0.0], np.cumsum(durations)))
+        period = float(edges[-1])
+        spans = []
         for cycle in range(self.cycle_count):
-            base = cycle * self.period
+            base = cycle * period
             for pos, stroke in enumerate(self.strokes):
-                out.append(
+                spans.append(
                     StrokeSpan(
                         index=cycle * len(self.strokes) + pos,
                         cycle=cycle,
@@ -296,16 +238,57 @@ class CycleSchedule:
                         t_start=base + edges[pos],
                         t_end=base + edges[pos + 1],
                         duration=stroke.duration,
-                        delta0=self._d0s[pos],
-                        delta1=self._d1s[pos],
+                        delta0=d0s[pos],
+                        delta1=d1s[pos],
                         shape=stroke.shape,
                         target=stroke.target,
                         amplitude=stroke.amplitude if stroke.kind is StrokeKind.EXCHANGE_PULSE else 0.0,
-                        profile=stroke.profile,
                         knots=stroke.knots,
                     )
                 )
-        return out
+        object.__setattr__(self, "_period", period)
+        object.__setattr__(self, "_spans", tuple(spans))
+        object.__setattr__(self, "_starts", np.array([s.t_start for s in spans]))
+
+    @property
+    def period(self) -> float:
+        return self._period
+
+    @property
+    def total_duration(self) -> float:
+        return self.cycle_count * self.period
+
+    def stroke_index(self, times):
+        """Index into ``spans()`` of the stroke that owns each time.
+
+        Strokes own half-open intervals [start, end), and the final instant
+        of the schedule falls into the last stroke.  Returns an int for a
+        scalar time and an integer array for an array of times.
+        """
+        t = np.asarray(times, dtype=float)
+        inside = (t >= 0) & (t <= self.total_duration * (1 + 1e-12))
+        if not np.all(inside):
+            raise ValueError(
+                f"time {t[~inside][0]} outside the schedule [0, {self.total_duration}]"
+            )
+        # starts[0] = 0, so every time has a start at or before it
+        idx = np.searchsorted(self._starts, t, side="right") - 1
+        return int(idx) if idx.ndim == 0 else idx
+
+    def delta_at(self, times):
+        """Detuning at each time: the owning span's ``delta_values_local`` at
+        the local time.  Returns a float for a scalar time."""
+        t = np.asarray(times, dtype=float)
+        idx = np.asarray(self.stroke_index(t))
+        out = np.empty(t.shape)
+        for k in np.unique(idx):
+            span, own = self._spans[k], idx == k
+            out[own] = span.delta_values_local(t[own] - span.t_start)
+        return float(out) if out.ndim == 0 else out
+
+    def spans(self) -> list[StrokeSpan]:
+        """All stroke instances over the full run, on the absolute time axis."""
+        return list(self._spans)
 
     def boundaries(self) -> np.ndarray:
         """All stroke boundary times, including t = 0 and the final instant."""

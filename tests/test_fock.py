@@ -31,11 +31,11 @@ def params(**over):
 class TestOperators:
     def test_qubit_truncated_ladder(self):
         ops = build_operators((2,))
-        assert np.array_equal(ops.annihilation[0], np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert np.array_equal(ops.annihilation(0), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_commutator_defect_only_in_top_level(self):
         ops = build_operators((7,))
-        a = ops.annihilation[0]
+        a = ops.annihilation(0)
         comm = a @ a.conj().T - a.conj().T @ a
         expected = np.eye(7)
         expected[-1, -1] = -(7 - 1)
@@ -108,7 +108,7 @@ class TestStates:
 
 def dense_rhs(p, ops, rho, target, amplitude, delta):
     """-i[H, rho] plus the thermal dissipators, from dense ladder matrices."""
-    a = ops.annihilation
+    a = [ops.annihilation(m) for m in range(len(ops.cutoffs))]
     ad = [x.conj().T for x in a]
     h = -delta * ad[0] @ a[0] + p.omega_b * ad[1] @ a[1]
     h = h + p.g * (a[0] + ad[0]) @ (a[1] + ad[1])
@@ -161,6 +161,19 @@ class TestGenerator:
         again = gen.rhs(rho, gen.bands(0, 5.0), -3.0, np.empty_like(rho))
         assert np.array_equal(out, again)
 
+    def test_rhs_of_hermitian_rho_is_exactly_hermitian(self):
+        # propagate_fock keeps no projection onto Hermitian matrices, so the
+        # generator itself must map a Hermitian rho to an exactly Hermitian slope
+        p = params(delta_targets=(10.0, 7.0), n_targets=(0.25, 0.4))
+        ops = ModeOperators((3, 3, 3, 2))
+        gen = _Generator(p, ops)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(ops.dim, ops.dim)) + 1j * rng.normal(size=(ops.dim, ops.dim))
+        rho = (x + x.conj().T) / ops.dim
+        for target, amplitude in ((0, 0.0), (0, 5.0), (1, 2.5)):
+            out = gen.rhs(rho, gen.bands(target, amplitude), -7.5, np.empty_like(rho))
+            assert np.array_equal(out, out.conj().T), (target, amplitude)
+
     def test_holds_no_dense_operator(self):
         ops = ModeOperators((6, 6, 8))
         gen = _Generator(params(), ops)
@@ -168,6 +181,10 @@ class TestGenerator:
                   if isinstance(value, np.ndarray) and value.shape == (ops.dim, ops.dim)
                   and not name.startswith("_")]
         assert square == []
+        # the operators hold per-mode diagonals and (offset, weight) shifts, none d x d
+        held = [x for v in vars(ops).values() if isinstance(v, list) for x in v]
+        weights = [x[1] if isinstance(x, tuple) else x for x in held]
+        assert weights and all(w.shape == (ops.dim,) for w in weights)
 
 
 @pytest.mark.parametrize("cutoffs, modes", [((3, 4, 2), (0, 1)), ((3, 4, 2), (2, 0)),
@@ -180,7 +197,7 @@ def test_quadrature_moments_match_dense_operators(cutoffs, modes):
     st = FockState(rho=rho / np.trace(rho).real, cutoffs=cutoffs)
     quads = []
     for m in modes:
-        a = ops.annihilation[m]
+        a = ops.annihilation(m)
         quads += [(a + a.conj().T) / np.sqrt(2.0), -1j * (a - a.conj().T) / np.sqrt(2.0)]
     mean = np.array([np.trace(q @ st.rho).real for q in quads])
     second = np.array([[0.5 * np.trace((qi @ qj + qj @ qi) @ st.rho).real for qj in quads]
@@ -230,6 +247,18 @@ class TestPropagation:
         assert np.max(traj.trace_errors) < 1e-9
         assert np.max(traj.hermiticity_errors) < 1e-10
         assert np.min(traj.min_eigenvalues) > -1e-8
+
+    def test_rho_stays_exactly_hermitian_without_projection(self):
+        # a ramp into an exchange pulse exercises every coupling band
+        p = params()
+        sched = CycleSchedule(strokes=(Stroke.ramp(-30.0, -3.0, 0.05, shape="cosine"),
+                                       Stroke.exchange(0, 5.0, 0.05)),
+                              cycle_count=1, delta_start=-30.0)
+        traj = propagate_fock(thermal_state((5, 5, 6), (0.05, 0.05, 0.1)), p, sched, 0.1,
+                              samples_per_stroke=4)
+        assert np.all(traj.hermiticity_errors == 0.0)
+        rho = traj.final_state.rho
+        assert np.array_equal(rho, rho.conj().T)
 
     def test_leakage_monitor_trips(self):
         # pump the target mode hard against a tiny cutoff: the swap pushes

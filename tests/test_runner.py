@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from omcool import gaussian
+from omcool.config import load_config_file, parse_cycle_config
 from omcool.errors import TruncationError
 from omcool.params import SystemParams
 from omcool.polariton import (
@@ -20,7 +21,14 @@ from omcool.runner import (
     analyze_cycles,
     run_protocol,
 )
-from omcool.schedule import CycleSchedule, Stroke, StrokeKind, build_default_cycle
+from omcool.schedule import (
+    CycleSchedule,
+    Stroke,
+    StrokeKind,
+    StrokeSpan,
+    build_default_cycle,
+    stroke_walk,
+)
 
 
 def params(**over):
@@ -56,7 +64,6 @@ class TestRunProtocol:
         t2 = run_protocol(fig1_params, sched, "gaussian", samples_per_stroke=6)
         assert np.array_equal(t1.occupations, t2.occupations)
         assert np.array_equal(t1.n_polariton, t2.n_polariton)
-        assert t1.fingerprint == t2.fingerprint
 
     def test_stroke_index_and_omega0_columns(self, fig1_params):
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
@@ -118,8 +125,55 @@ class TestRunProtocol:
                 n_polariton=np.zeros((2, 2)), delta=np.zeros(2),
                 omega0_active=np.zeros(2), stroke_index=np.zeros(2, dtype=int),
                 markers=np.zeros(1), spans=(), engine="gaussian",
-                fingerprint="", mode_labels=("a", "b", "c"),
+                mode_labels=("a", "b", "c"),
             )
+
+
+def walk_deltas(sched, samples_per_stroke):
+    """delta at every sample as the engines form it from the stroke walk: the
+    walked span's ``delta_values_local`` at (sample - span.t_start).  A sample
+    that ends a stroke is where the next stroke's walk starts, except the last."""
+    walk = stroke_walk(sched, 0.0, sched.total_duration, samples_per_stroke)
+    out = []
+    for j, (span, seg_start, ends) in enumerate(walk):
+        owned = np.concatenate(([seg_start], ends if j == len(walk) - 1 else ends[:-1]))
+        out.append(span.delta_values_local(owned - span.t_start))
+    return np.concatenate(out)
+
+
+class TestDeltaColumn:
+    """The delta column is the detuning the engines integrate with, bitwise."""
+
+    def run(self, name, engine):
+        cfg = parse_cycle_config(load_config_file(name), for_validate=name == "smalltest")
+        # smaller cutoffs than the config's keep the Fock run short; the
+        # schedule and the sample grid, which fix delta, are unchanged
+        fock = FockOptions(cutoffs=(5, 5, 6), leakage_threshold=1e-2)
+        return cfg, run_protocol(cfg.params, cfg.schedule, engine, cfg.initial, tol=cfg.tol,
+                                 samples_per_stroke=cfg.samples_per_stroke,
+                                 fock_options=fock)
+
+    @pytest.mark.parametrize("name", ["fig1", "smalltest"])
+    def test_gaussian(self, name):
+        cfg, traj = self.run(name, "gaussian")
+        assert np.array_equal(traj.delta, walk_deltas(cfg.schedule, cfg.samples_per_stroke))
+
+    def test_fock(self, monkeypatch):
+        # the Fock engine evaluates each segment's detunings in one call on a
+        # (stage, step) grid whose first entry is the segment's starting sample
+        starts = []
+        local = StrokeSpan.delta_values_local
+
+        def spy(span, t_local):
+            values = local(span, t_local)
+            if np.ndim(t_local) == 2:
+                starts.append(values[0, 0])
+            return values
+
+        monkeypatch.setattr(StrokeSpan, "delta_values_local", spy)
+        cfg, traj = self.run("smalltest", "fock")
+        assert np.array_equal(traj.delta, walk_deltas(cfg.schedule, cfg.samples_per_stroke))
+        assert np.array_equal(traj.delta[:-1], starts)
 
 
 class TestAnalyzeCycles:
@@ -149,10 +203,10 @@ class TestAnalyzeCycles:
         return Trajectory(
             times=times, occupations=occupations,
             n_polariton=np.zeros((times.size, 2)),
-            delta=np.array([sched.delta_at(t) for t in times]),
+            delta=sched.delta_at(times),
             omega0_active=np.zeros_like(times),
             stroke_index=np.zeros(times.size, dtype=int),
-            markers=times, spans=spans, engine="synthetic", fingerprint="",
+            markers=times, spans=spans, engine="synthetic",
             mode_labels=("a", "b", "c"),
         ), cmp_params
 

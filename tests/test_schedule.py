@@ -123,16 +123,16 @@ class TestScheduleEvaluation:
         _, sched = self.make(shape)
         spans = sched.spans()
         for left, right in zip(spans[:-1], spans[1:]):
-            end_of_left = left.delta_at_local(left.duration)
-            start_of_right = right.delta_at_local(0.0)
-            assert end_of_left == start_of_right
+            end_of_left = left.delta_values_local(np.array([left.duration]))
+            start_of_right = right.delta_values_local(np.array([0.0]))
+            assert end_of_left[0] == start_of_right[0] == left.delta1
 
     @pytest.mark.parametrize("shape", ["linear", "cosine", "adiabatic"])
     def test_delta_continuous_and_periodic(self, shape):
         _, sched = self.make(shape)
         ts = np.linspace(0.0, sched.period, 301)
-        base = np.array([sched.delta_at(t) for t in ts])
-        shifted = np.array([sched.delta_at(t + sched.period) for t in ts[:-1]])
+        base = sched.delta_at(ts)
+        shifted = sched.delta_at(ts[:-1] + sched.period)
         assert shifted == pytest.approx(base[:-1], rel=1e-9)
         # piecewise smooth: finite values everywhere, endpoints exact
         assert sched.delta_at(0.0) == -6000.0
@@ -153,13 +153,28 @@ class TestScheduleEvaluation:
 
     def test_omega0_zero_outside_exchange(self):
         _, sched = self.make()
-        assert sched.omega0_at(0.02) == (-1, 0.0)   # mid ramp
-        assert sched.omega0_at(0.044) == (0, 200.0)  # mid exchange
-        assert sched.omega0_at(0.1) == (-1, 0.0)    # mid hold
+        spans = sched.spans()
+
+        def pulse(t):
+            span = spans[sched.stroke_index(t)]
+            return span.target if span.kind is StrokeKind.EXCHANGE_PULSE else -1, span.amplitude
+
+        assert pulse(0.02) == (-1, 0.0)   # mid ramp
+        assert pulse(0.044) == (0, 200.0)  # mid exchange
+        assert pulse(0.1) == (-1, 0.0)    # mid hold
         # half-open: the exchange start boundary belongs to the pulse,
         # the end boundary to the next stroke
-        assert sched.omega0_at(0.04) == (0, 200.0)
-        assert sched.omega0_at(0.048) == (-1, 0.0)
+        assert pulse(0.04) == (0, 200.0)
+        assert pulse(0.048) == (-1, 0.0)
+
+    def test_stroke_index_half_open_and_clamped(self):
+        _, sched = self.make()
+        bounds = sched.boundaries()
+        assert sched.stroke_index(0.0) == 0
+        assert np.array_equal(sched.stroke_index(bounds[:-1]), np.arange(bounds.size - 1))
+        # the final instant belongs to the last stroke, not past it
+        assert sched.stroke_index(sched.total_duration) == bounds.size - 2
+        assert isinstance(sched.stroke_index(0.1), int)
 
     def test_continuity_enforced(self):
         with pytest.raises(ValueError, match="discontinuity"):
@@ -180,6 +195,9 @@ class TestScheduleEvaluation:
         _, sched = self.make()
         with pytest.raises(ValueError, match="outside"):
             sched.delta_at(2 * sched.total_duration)
+        for bad in (-1e-9, float("nan"), np.array([0.1, 2 * sched.total_duration])):
+            with pytest.raises(ValueError, match="outside"):
+                sched.stroke_index(bad)
 
 
 class TestAdiabaticProfile:
