@@ -11,7 +11,11 @@ with the standard thermal dissipator
 so that a lone mode relaxes as d<N>/dt = -rate (<N> - n).  It exists to
 cross-validate the Gaussian engine at small scale, so it favors exactness
 and transparency over reach: fixed-step RK4 (reproducible baselines), dense
-complex density matrix, and matrix-free superoperator application -- the
+complex density matrix, and matrix-free superoperator application.  The RK4
+step of each sample segment is 1/(50 f) for the largest frequency scale f on
+that segment, with the detuning taken at the segment's two ends (every ramp
+shape is monotone, so these bound it); a caller's ``dt`` caps the step and
+must not exceed the stroke-wide 1/(50 f_max).  In the generator the
 Hamiltonian acts through weighted row shifts of the density matrix, the jump
 terms through weighted shifts of its flattened entries, so memory stays
 O(d^2) rather than the O(d^4) of a full Liouvillian and no d x d operator
@@ -397,10 +401,13 @@ def propagate_fock(
 ) -> FockTrajectory:
     """Integrate the master equation through the schedule up to ``t_end``.
 
-    ``dt`` caps the RK4 step; the default (and the validated upper bound) is
-    1/(50 f_max) for the largest frequency scale f_max of each stroke.  The
-    trajectory is sampled on the ``schedule.stroke_walk`` grid.  Top
-    Fock-level population is checked after every step against
+    Each segment between two output samples takes fixed RK4 steps of at
+    most 1/(50 f), where f is the largest frequency scale on that segment
+    (``span_fmax`` with the detunings at the segment's ends).  ``dt`` caps
+    the step further; it must not exceed the stroke-wide bound
+    1/(50 f_max), and a coarser ``dt`` raises ValueError.  The trajectory
+    is sampled on the ``schedule.stroke_walk`` grid.  Top Fock-level
+    population is checked after every step against
     ``leakage_threshold``; trace, hermiticity and positivity are checked at
     every output sample.
     """
@@ -431,7 +438,6 @@ def propagate_fock(
     for span, seg_start, targets_local in walk:
         bands = gen.bands(span.target, span.amplitude)
         dt_max = 1.0 / (50.0 * span_fmax(span, params))
-        dt_target = dt_max if dt is None else min(dt, dt_max)
         if dt is not None and dt > dt_max * (1.0 + 1e-9):
             raise ValueError(
                 f"dt={dt} too coarse for stroke {span.index}; need dt <= {dt_max:.3e}"
@@ -440,6 +446,11 @@ def propagate_fock(
         t_now = seg_start
         for t_target in targets_local:
             length = t_target - t_now
+            # the segment's end detunings bound |delta| on it (ramps are monotone)
+            ends = span.delta_values_local(np.array([t_now, t_target]) - span.t_start)
+            dt_target = 1.0 / (50.0 * span_fmax(span, params, ends))
+            if dt is not None:
+                dt_target = min(dt, dt_target)
             nsteps = max(1, int(np.ceil(length / dt_target - 1e-12)))
             h = length / nsteps
             t_loc = (t_now - span.t_start) + np.arange(nsteps) * h

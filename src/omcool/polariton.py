@@ -37,13 +37,22 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return J
 
 
-def stability_limit(delta: float, omega_b: float) -> float:
+def stability_limit(delta, omega_b: float):
     """Largest coupling g for which both polariton branches are real."""
-    return 0.5 * np.sqrt(abs(delta) * omega_b)
+    return 0.5 * np.sqrt(np.abs(delta) * omega_b)
 
 
-def check_stability(delta: float, omega_b: float, g: float) -> None:
-    """Raise StabilityError unless g <= sqrt(|delta| * omega_b) / 2 and delta < 0."""
+def check_stability(delta, omega_b: float, g: float) -> None:
+    """Raise StabilityError unless g <= sqrt(|delta| * omega_b) / 2 and delta < 0.
+
+    ``delta`` may be an array; the error then names its first bad entry.
+    """
+    if np.ndim(delta):
+        d = np.asarray(delta, dtype=float)
+        bad = (d >= 0) | (g > stability_limit(d, omega_b))
+        if bad.any():
+            check_stability(d.flat[np.argmax(bad)].item(), omega_b, g)
+        return
     if delta >= 0:
         raise StabilityError(
             f"red-detuned regime requires delta < 0, got delta={delta}", delta=delta
@@ -57,20 +66,27 @@ def check_stability(delta: float, omega_b: float, g: float) -> None:
         )
 
 
-def polariton_spectrum(delta: float, omega_b: float, g: float) -> tuple[float, float]:
+def polariton_spectrum(delta, omega_b: float, g: float):
     """Closed-form polariton branch frequencies (omega_A >= omega_B).
 
     omega_{A,B}^2 = [delta^2 + omega_b^2 +- sqrt((delta^2 - omega_b^2)^2
                      - 16 g^2 delta omega_b)] / 2
+
+    Returns two floats for a scalar ``delta`` and two arrays for an array.
     """
     check_stability(delta, omega_b, g)
+    if np.ndim(delta):
+        delta = np.asarray(delta, dtype=float)
     s = delta * delta + omega_b * omega_b
     disc = (delta * delta - omega_b * omega_b) ** 2 - 16.0 * g * g * delta * omega_b
     root = np.sqrt(disc)
     omega_a2 = 0.5 * (s + root)
     omega_b2 = 0.5 * (s - root)
     # check_stability guarantees omega_b2 >= 0 up to roundoff
-    return float(np.sqrt(omega_a2)), float(np.sqrt(max(omega_b2, 0.0)))
+    om_a, om_b = np.sqrt(omega_a2), np.sqrt(np.maximum(omega_b2, 0.0))
+    if np.ndim(delta):
+        return om_a, om_b
+    return float(om_a), float(om_b)
 
 
 def hamiltonian_matrix(delta: float, omega_b: float, g: float) -> np.ndarray:

@@ -67,11 +67,8 @@ def adiabatic_ramp_profile(
     if g <= 0:
         raise ValueError("adiabatic ramp profile needs g > 0; use shape='linear' for g = 0")
     dense = np.linspace(delta_start, delta_end, 8 * knots)
-    gaps = np.empty(dense.size)
-    for i, d in enumerate(dense):
-        om_a, om_b = polariton_spectrum(d, omega_b, g)
-        gaps[i] = om_a - om_b
-    weight = 1.0 / gaps**2
+    om_a, om_b = polariton_spectrum(dense, omega_b, g)
+    weight = 1.0 / (om_a - om_b)**2
     # cumulative time along the sweep (trapezoid rule), normalized to u in [0, 1]
     seg = 0.5 * (weight[1:] + weight[:-1]) * np.abs(np.diff(dense))
     u_of_delta = np.concatenate(([0.0], np.cumsum(seg)))
@@ -296,9 +293,15 @@ class CycleSchedule:
         return np.array([s.t_start for s in spans] + [spans[-1].t_end])
 
 
-def span_fmax(span: StrokeSpan, params: "SystemParams") -> float:
-    """Largest frequency or rate of a stroke, the scale that bounds step sizes."""
-    scales = [abs(span.delta0), abs(span.delta1), params.omega_b, params.kappa,
+def span_fmax(span: StrokeSpan, params: "SystemParams", deltas=None) -> float:
+    """Largest frequency or rate of a stroke, the scale that bounds step sizes.
+
+    The detuning enters through the stroke's end detunings, or through the
+    pair ``deltas`` when given: every ramp shape is monotone, so the detunings
+    at the ends of an interval of the stroke bound |delta| on that interval.
+    """
+    d0, d1 = (span.delta0, span.delta1) if deltas is None else deltas
+    scales = [abs(d0), abs(d1), params.omega_b, params.kappa,
               params.gamma, 2.0 * params.g, span.amplitude, 1.0]
     scales.extend(params.delta_targets)
     return max(scales)

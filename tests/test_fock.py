@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import omcool.fock as fock_mod
 from omcool.errors import IntegrationError, TruncationError
 from omcool.fock import (
     FockState,
@@ -17,7 +18,7 @@ from omcool.fock import (
 )
 from omcool.params import SystemParams
 from omcool.polariton import rabi_populations
-from omcool.schedule import CycleSchedule, Stroke
+from omcool.schedule import CycleSchedule, Stroke, adiabatic_ramp_profile
 
 
 def params(**over):
@@ -290,6 +291,87 @@ class TestPropagation:
         t2 = propagate_fock(st, p, sched, 0.05)
         assert np.array_equal(t1.final_state.rho, t2.final_state.rho)
         assert np.array_equal(t1.occupations, t2.occupations)
+
+
+def _step_counts(monkeypatch, *args, **kwargs):
+    """Run propagate_fock and count its RK4 steps (four rhs calls each)
+    between consecutive output samples."""
+    calls, marks = [0], []
+    rhs, occupations = _Generator.rhs, fock_mod.mode_occupations
+
+    def counted_rhs(self, *a):
+        calls[0] += 1
+        return rhs(self, *a)
+
+    def marked_occupations(*a):
+        marks.append(calls[0])
+        return occupations(*a)
+
+    monkeypatch.setattr(_Generator, "rhs", counted_rhs)
+    monkeypatch.setattr(fock_mod, "mode_occupations", marked_occupations)
+    traj = propagate_fock(*args, **kwargs)
+    monkeypatch.undo()
+    assert all(m % 4 == 0 for m in marks)
+    return traj, np.diff(marks) // 4
+
+
+class TestStepRule:
+    """Each sample segment steps at 1/(50 f), f the frequency scale on that
+    segment alone; ``dt`` caps it up to the stroke-wide 1/(50 f_max)."""
+
+    def test_segment_steps_follow_local_detuning(self, monkeypatch):
+        # linear ramps -30 -> -3 and back in 4 segments of 0.0525 each, with a
+        # hold at -3 between them; every other frequency scale of params() is
+        # at most 10
+        p = params()
+        sched = CycleSchedule(strokes=(Stroke.ramp(-30.0, -3.0, 0.21), Stroke.hold(0.05),
+                                       Stroke.ramp(-3.0, -30.0, 0.21)),
+                              cycle_count=1, delta_start=-30.0)
+        traj, steps = _step_counts(monkeypatch, thermal_state((3, 3, 2), (0.05, 0.05, 0.0)),
+                                   p, sched, 0.47, samples_per_stroke=4,
+                                   leakage_threshold=0.5)
+        t = traj.times
+        deltas = np.where(t <= 0.21, -30.0 + 27.0 * t / 0.21,
+                          np.where(t <= 0.26, -3.0, -3.0 - 27.0 * (t - 0.26) / 0.21))
+        f_seg = np.maximum(np.maximum(np.abs(deltas[:-1]), np.abs(deltas[1:])), 10.0)
+        expected = np.ceil(np.diff(t) * 50.0 * f_seg)
+        assert steps.tolist() == expected.tolist() == [79, 62, 44, 27, 7, 7, 7, 7,
+                                                       27, 44, 62, 79]
+        # the hold's f is its stroke-wide f (7 steps as before); each ramp took
+        # 4 * 79 steps at its stroke-wide f = 30
+        assert steps[:4].sum() == steps[8:].sum() < 4 * 79
+
+    def test_adiabatic_ramps_agree_with_stroke_wide_steps(self, monkeypatch):
+        p = params()
+        down = adiabatic_ramp_profile(-30.0, -3.0, p.omega_b, p.g)
+        sched = CycleSchedule(
+            strokes=(Stroke.ramp(-30.0, -3.0, 0.31, shape="adiabatic", profile=down),
+                     Stroke.ramp(-3.0, -30.0, 0.31, shape="adiabatic",
+                                 profile=tuple(reversed(down)))),
+            cycle_count=1, delta_start=-30.0)
+        st = thermal_state((3, 4, 2), (0.05, 0.1, 0.0))
+        kwargs = dict(samples_per_stroke=6, leakage_threshold=0.5)
+        local, local_steps = _step_counts(monkeypatch, st, p, sched, 0.62, **kwargs)
+        # both ramps reach |delta| = 30, so one dt is each stroke's own bound
+        wide, wide_steps = _step_counts(monkeypatch, st, p, sched, 0.62,
+                                        dt=1.0 / (50.0 * 30.0), **kwargs)
+        assert wide_steps.tolist() == np.ceil(np.diff(wide.times) * 1500.0).tolist()
+        assert local_steps.sum() < 0.6 * wide_steps.sum()
+        assert np.array_equal(local.times, wide.times)
+        assert np.max(np.abs(local.occupations - wide.occupations)) < 1e-8
+        assert np.max(np.abs(local.ab_covs - wide.ab_covs)) < 1e-8
+
+    def test_dt_capped_at_stroke_wide_bound(self):
+        p = params()
+        sched = CycleSchedule(strokes=(Stroke.ramp(-3.0, -30.0, 0.02),), cycle_count=1,
+                              delta_start=-3.0)
+        st = thermal_state((2, 2, 2), (0.0, 0.0, 0.0))
+        bound = 1.0 / (50.0 * 30.0)
+        propagate_fock(st, p, sched, 0.02, dt=bound, samples_per_stroke=2,
+                       leakage_threshold=1.0)
+        with pytest.raises(ValueError, match="dt"):
+            propagate_fock(st, p, sched, 0.02, dt=bound * (1.0 + 1e-6),
+                           samples_per_stroke=2)
 
 
 class TestEngineAgreement:

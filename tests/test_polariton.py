@@ -7,6 +7,7 @@ from omcool.errors import PhysicsError, StabilityError
 from omcool.polariton import (
     CoolingMapParams,
     bogoliubov_basis,
+    check_stability,
     cooling_limit,
     exchange_efficiency,
     hamiltonian_matrix,
@@ -43,6 +44,30 @@ class TestSpectrum:
             polariton_spectrum(-50.0, OMEGA_B, G)
         with pytest.raises(StabilityError):
             polariton_spectrum(100.0, OMEGA_B, G)
+
+    def test_array_call_equals_scalar_calls_bitwise(self):
+        deltas = np.linspace(-8000.0, -200.0, 1001)
+        om_a, om_b = polariton_spectrum(deltas, OMEGA_B, G)
+        for scalars in ([polariton_spectrum(d, OMEGA_B, G) for d in deltas],
+                        [polariton_spectrum(float(d), OMEGA_B, G) for d in deltas]):
+            assert all(type(x) is float for pair in scalars for x in pair)
+            assert np.array_equal(om_a, [a for a, _ in scalars])
+            assert np.array_equal(om_b, [b for _, b in scalars])
+        assert check_stability(deltas, OMEGA_B, G) is None
+
+    def test_array_call_names_first_unstable_entry(self):
+        deltas = np.linspace(-6000.0, -200.0, 11)
+        for bad, expected in ((-50.0, "unstable at delta=-50.0"),
+                              (100.0, "requires delta < 0, got delta=100.0")):
+            for call in (polariton_spectrum, check_stability):
+                with_bad = deltas.copy()
+                with_bad[[4, 8]] = bad, -40.0
+                with pytest.raises(StabilityError, match=expected) as err:
+                    call(with_bad, OMEGA_B, G)
+                assert err.value.delta == bad
+                with pytest.raises(StabilityError) as scalar_err:
+                    call(bad, OMEGA_B, G)
+                assert str(err.value) == str(scalar_err.value)
 
     def test_min_gap_sits_at_the_crossing(self):
         deltas = np.linspace(-6000.0, -200.0, 4001)
