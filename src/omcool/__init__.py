@@ -32,9 +32,7 @@ from .polariton import (
 )
 from .schedule import CycleSchedule, Stroke, StrokeKind, build_default_cycle
 from .gaussian import (
-    DriftDiffusion,
     GaussianState,
-    build_drift_diffusion,
     mode_occupations,
     polariton_occupations,
     propagate,
@@ -56,7 +54,6 @@ __all__ = [
     "CoolingMapParams",
     "CycleReport",
     "CycleSchedule",
-    "DriftDiffusion",
     "FockOptions",
     "FockState",
     "GaussianState",
@@ -78,7 +75,6 @@ __all__ = [
     "analyze_cycles",
     "bogoliubov_basis",
     "build_default_cycle",
-    "build_drift_diffusion",
     "build_operators",
     "cooling_limit",
     "exchange_efficiency",

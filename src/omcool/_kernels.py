@@ -1,9 +1,8 @@
-"""Numeric kernels of the Gaussian engine: drift assembly, expm and Magnus-4.
+"""Numeric kernels of the Gaussian engine: expm and Magnus-4.
 
-``fill_drift`` writes the drift matrix of the moment equations.  ``expm1``
-is a numpy-only matrix exponential (Higham's Pade scaling and squaring,
-SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) that works on stacks of
-matrices and returns exp(X) - I: propagators of short substeps lie close to
+``expm1`` is a numpy-only matrix exponential (Higham's Pade scaling and
+squaring, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) that works on stacks
+of matrices and returns exp(X) - I: propagators of short substeps lie close to
 the identity, and keeping them as I + Y holds their small part to full
 precision through long products.  ``magnus4`` gives the fourth-order Magnus
 propagators (Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151 (2009)) of
@@ -34,42 +33,6 @@ _PADE = {
          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
          16380.0, 182.0, 1.0),
 }
-
-
-def fill_drift(A, delta_now, omega0, omega_b, g, kappa, gamma_m, delta_t):
-    """Fill the drift matrix of the moment equations, d<z>/dt = A <z>.
-
-    Mode order is (a, b, targets...) with interleaved (x, p) quadratures.
-    Each mode contributes a rotation at its frequency (-delta for the cavity)
-    plus -rate/2 diagonal damping; the optomechanical coupling enters the
-    momenta as -2g x, the parametric coupling as a beam-splitter block.
-    ``omega0[k]`` is the active exchange amplitude on target k (usually one
-    nonzero entry at most).
-    """
-    A[...] = 0.0
-    A[0, 0] = -0.5 * kappa
-    A[1, 1] = -0.5 * kappa
-    A[0, 1] = -delta_now
-    A[1, 0] = delta_now
-    A[2, 2] = -0.5 * gamma_m
-    A[3, 3] = -0.5 * gamma_m
-    A[2, 3] = omega_b
-    A[3, 2] = -omega_b
-    A[1, 2] -= 2.0 * g
-    A[3, 0] -= 2.0 * g
-    for k in range(delta_t.shape[0]):
-        i0 = 4 + 2 * k
-        A[i0, i0] = -0.5 * gamma_m
-        A[i0 + 1, i0 + 1] = -0.5 * gamma_m
-        A[i0, i0 + 1] = delta_t[k]
-        A[i0 + 1, i0] = -delta_t[k]
-        om = omega0[k]
-        if om != 0.0:
-            A[2, i0 + 1] += om
-            A[3, i0] -= om
-            A[i0, 3] += om
-            A[i0 + 1, 2] -= om
-    return A
 
 
 def _pade(X, m):

@@ -46,6 +46,7 @@ from .polariton import (
     bogoliubov_basis,
     cooling_limit,
     polariton_spectrum,
+    survival_factor,
 )
 from .runner import analyze_cycles, config_fingerprint, run_protocol
 from .schedule import StrokeKind
@@ -105,11 +106,9 @@ def cmd_spectrum(args) -> int:
             )
     deltas = np.linspace(cfg.delta_start, cfg.delta_stop, cfg.samples)
 
-    rows = []
-    for delta in deltas:
-        om_a, om_b = polariton_spectrum(delta, cfg.omega_b, cfg.g)
-        basis = bogoliubov_basis(delta, cfg.omega_b, cfg.g)
-        rows.append((delta, om_a, om_b, basis.u))
+    om_a, om_b = polariton_spectrum(deltas, cfg.omega_b, cfg.g)
+    u = [bogoliubov_basis(delta, cfg.omega_b, cfg.g).u for delta in deltas]
+    rows = zip(deltas, om_a, om_b, u)
     _write_csv(args.out, _metadata("spectrum", raw),
                ["delta", "omega_A", "omega_B", "u"], rows)
     print(f"wrote {cfg.samples} spectrum rows to {args.out}")
@@ -119,7 +118,7 @@ def cmd_spectrum(args) -> int:
 def _limit_rows(cfg):
     def resolve(eta, r, tau):
         if r is None:
-            r = float(np.exp(-cfg.gamma * tau))
+            r = survival_factor(cfg.gamma, tau)
         degenerate = eta == 0.0 and r == 1.0
         if degenerate:
             return (eta, r, cfg.n_a, cfg.n_c, float("nan"), 1)

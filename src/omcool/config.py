@@ -368,6 +368,10 @@ def parse_limit_config(cfg: dict) -> LimitConfig:
         samples = _integer(sweep, "samples", "sweep.")
         if samples < 1 or start > stop:
             raise ConfigError("empty sweep range: need start <= stop and samples >= 1")
+    # the swept variable replaces its fixed value; a swept r also replaces gamma and tau
+    for key in {"eta": ("eta",), "r": ("r", "gamma", "tau"), "tau": ("tau",)}.get(variable, ()):
+        if key in cfg:
+            raise ConfigError(f"'{key}' is ignored when sweep.variable is '{variable}'")
     if variable == "tau" or tau is not None:
         if gamma is None:
             raise ConfigError("'gamma' is required to derive r from tau")

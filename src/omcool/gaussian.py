@@ -162,52 +162,6 @@ def polariton_occupations(state: GaussianState, basis: PolaritonBasis) -> tuple[
 
 
 @dataclass(frozen=True)
-class DriftDiffusion:
-    """Drift matrix A and diffusion matrix D of the moment equations."""
-
-    A: np.ndarray
-    D: np.ndarray
-
-
-def diffusion_vector(params: SystemParams) -> np.ndarray:
-    """Diagonal of D: rate * (2 n_bath + 1) / 2 for each quadrature."""
-    occ = [params.n_a, params.n_b, *params.n_targets]
-    rates = [params.kappa, params.gamma] + [params.gamma] * len(params.n_targets)
-    return np.repeat([r * (n + 0.5) for r, n in zip(rates, occ)], 2)
-
-
-def _omega0_vector(params: SystemParams, target: int | None, amplitude: float) -> np.ndarray:
-    om = np.zeros(len(params.delta_targets))
-    if target is not None and amplitude != 0.0:
-        om[target] = amplitude
-    return om
-
-
-def build_drift_diffusion(
-    params: SystemParams, delta_now: float, omega0_now=None,
-) -> DriftDiffusion:
-    """Assemble A and D at a given detuning and exchange-amplitude setting.
-
-    ``omega0_now`` is an array of per-target exchange amplitudes (defaults to
-    all zero).  Raises StabilityError before any propagation would go
-    unstable at this detuning.
-    """
-    check_stability(delta_now, params.omega_b, params.g)
-    if omega0_now is None:
-        omega0_now = np.zeros(len(params.delta_targets))
-    omega0_now = np.asarray(omega0_now, dtype=float)
-    if omega0_now.shape != (len(params.delta_targets),):
-        raise ValueError("omega0_now must have one entry per target mode")
-    n = 2 * params.n_modes
-    A = np.zeros((n, n))
-    _kernels.fill_drift(
-        A, delta_now, omega0_now, params.omega_b, params.g,
-        params.kappa, params.gamma, np.asarray(params.delta_targets),
-    )
-    return DriftDiffusion(A=A, D=np.diag(diffusion_vector(params)))
-
-
-@dataclass(frozen=True)
 class GaussianTrajectory:
     """Sampled moment trajectory: times, means (S, 2N) and covariances (S, 2N, 2N).
 
@@ -241,17 +195,29 @@ class GaussianTrajectory:
 def _stroke_generator(params: SystemParams, span: StrokeSpan):
     """(M0, E, [M0, E]) of the stroke's Van Loan generator M0 + delta E.
 
-    M(delta) = [[A(delta), D], [0, -A(delta)^T]]; only A[0, 1] = -delta and
-    A[1, 0] = delta depend on the detuning, so E is constant.
+    M(delta) = [[A(delta), D], [0, -A(delta)^T]].  Each mode (a, b,
+    targets...) rotates at its frequency and damps at -rate/2 in A, and
+    diffuses at rate * (n_bath + 1/2) per quadrature in D.  The cavity's
+    frequency -delta is the only entry that depends on the detuning, so it
+    enters through the constant E alone.  The optomechanical coupling enters
+    the momenta as -2g x; an exchange span adds its beam-splitter block.
     """
-    dd = build_drift_diffusion(params, span.delta0,
-                               _omega0_vector(params, span.target, span.amplitude))
-    A = dd.A
-    A[0, 1] = A[1, 0] = 0.0  # the detuning enters through E
+    rates = np.array([params.kappa] + [params.gamma] * (params.n_modes - 1))
+    baths = np.array([params.n_a, params.n_b, *params.n_targets])
+    freqs = np.array([0.0, params.omega_b, *params.delta_targets])
+    x = np.arange(0, 2 * params.n_modes, 2)
+    A = np.diag(np.repeat(-0.5 * rates, 2))
+    A[x, x + 1] = freqs
+    A[x + 1, x] -= freqs
+    A[[1, 3], [2, 0]] -= 2.0 * params.g
+    if span.target is not None and span.amplitude != 0.0:
+        c = 4 + 2 * span.target
+        A[[2, c], [c + 1, 3]] = span.amplitude
+        A[[3, c + 1], [c, 2]] = -span.amplitude
     n = A.shape[0]
     M0 = np.zeros((2 * n, 2 * n))
     M0[:n, :n] = A
-    M0[:n, n:] = dd.D
+    M0[:n, n:] = np.diag(np.repeat(rates * (baths + 0.5), 2))
     M0[n:, n:] = -A.T
     E = np.zeros_like(M0)
     E[0, 1] = E[n, n + 1] = -1.0
@@ -412,8 +378,3 @@ def propagate(
         mode_labels=state.mode_labels or params.mode_labels,
         min_eigenvalues=np.array(min_eigs),
     )
-
-
-def steady_state_residual(dd: DriftDiffusion, cov: np.ndarray) -> float:
-    """Max-norm of A sigma + sigma A^T + D (zero at a stationary covariance)."""
-    return float(np.max(np.abs(dd.A @ cov + cov @ dd.A.T + dd.D)))

@@ -267,15 +267,14 @@ def exchange_efficiency(
     return float(eta), float(omega_p)
 
 
-def survival_factor(gamma: float, tau1: float, tau2: float, tau3: float, tau4: float) -> float:
-    """Fraction of excess target-mode population that survives one full cycle,
-    r = exp(-gamma * (tau1 + tau2 + tau3 + tau4))."""
-    taus = (tau1, tau2, tau3, tau4)
-    if any(tau < 0 for tau in taus):
-        raise ValueError("stroke durations must be non-negative")
+def survival_factor(gamma: float, period: float) -> float:
+    """Fraction of excess target-mode population that survives one full cycle
+    of length ``period``, r = exp(-gamma * period)."""
+    if period < 0:
+        raise ValueError(f"the cycle period tau must be non-negative, got {period}")
     if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    return float(np.exp(-gamma * sum(taus)))
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    return float(np.exp(-gamma * period))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .polariton import (
     cooling_limit,
     exchange_efficiency,
     pair_occupations,
+    survival_factor,
 )
 from .schedule import CycleSchedule, StrokeKind, StrokeSpan
 
@@ -275,7 +276,7 @@ def analyze_cycles(traj: Trajectory, params: SystemParams, target: int = 0) -> C
     # r uses the full cycle period: each target's exchange recurs once per cycle
     strokes_per_cycle = max(s.position for s in traj.spans) + 1
     period = sum(s.duration for s in traj.spans[:strokes_per_cycle])
-    r = float(np.exp(-params.gamma * period))
+    r = survival_factor(params.gamma, period)
 
     records = []
     for span in ex_spans:

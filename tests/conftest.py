@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from omcool.params import SystemParams
+from omcool.polariton import hamiltonian_matrix, symplectic_form
 
 _ACCEPTANCE_LINES = []
 
@@ -40,3 +41,30 @@ def small_params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240711)
+
+
+def _reference_drift_diffusion(params, delta, target=None, amplitude=0.0):
+    """(A, D) of the moment equations, built from the quadratic Hamiltonian.
+
+    A = J H - diag(rates)/2 with H = z^T H z / 2 over (a, b, targets...):
+    the (a, b) pair's ``hamiltonian_matrix``, each target rotating at its
+    detuning and, with ``target`` set, the beam splitter
+    amplitude (x_b x_c + p_b p_c).  D = rate (n_bath + 1/2) per quadrature.
+    """
+    n = params.n_modes
+    H = np.zeros((2 * n, 2 * n))
+    H[:4, :4] = hamiltonian_matrix(delta, params.omega_b, params.g)
+    for k, freq in enumerate(params.delta_targets):
+        H[4 + 2 * k:6 + 2 * k, 4 + 2 * k:6 + 2 * k] = freq * np.eye(2)
+    if target is not None:
+        c = 4 + 2 * target
+        H[2:4, c:c + 2] = H[c:c + 2, 2:4] = amplitude * np.eye(2)
+    rates = np.repeat([params.kappa] + [params.gamma] * (n - 1), 2)
+    baths = np.repeat([params.n_a, params.n_b, *params.n_targets], 2)
+    return symplectic_form(n) @ H - np.diag(rates) / 2, np.diag(rates * (baths + 0.5))
+
+
+@pytest.fixture
+def reference_drift_diffusion():
+    """Test-side (A, D) builder, independent of the engine's generator assembly."""
+    return _reference_drift_diffusion

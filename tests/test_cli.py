@@ -217,6 +217,30 @@ class TestLimitCommand:
         assert len(rows) == 1
         assert float(rows[0][4]) == 0.5
 
+    @pytest.mark.parametrize("fixed, variable, key", [
+        ({"eta": 0.9, "gamma": 1.0, "tau": 0.188}, "r", "gamma"),
+        ({"eta": 0.9, "tau": 0.188}, "r", "tau"),
+        ({"eta": 0.9, "r": 0.5}, "r", "r"),
+        ({"eta": 0.9, "r": 0.5}, "eta", "eta"),
+        ({"eta": 0.9, "gamma": 1.0, "tau": 0.188}, "tau", "tau"),
+    ])
+    def test_ignored_keys_rejected(self, tmp_path, capsys, fixed, variable, key):
+        cfg = write_config(tmp_path, "lim.json", {
+            "schema_version": 1, "n_a": 0.0, "n_c": 10.0, **fixed,
+            "sweep": {"variable": variable, "start": 0.1, "stop": 0.9, "samples": 3},
+        })
+        assert run_cli("limit", "--config", cfg, "--out", str(tmp_path / "o.csv")) == 2
+        assert f"'{key}' is ignored" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("tau", -0.1), ("gamma", -1.0)])
+    def test_negative_decay_inputs_named(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "lim.json", {
+            "schema_version": 1, "n_a": 0.0, "n_c": 10.0, "eta": 0.9,
+            "gamma": 1.0, "tau": 0.1, key: value,
+        })
+        assert run_cli("limit", "--config", cfg, "--out", str(tmp_path / "o.csv")) == 2
+        assert key in capsys.readouterr().err
+
     def test_degenerate_rows_flagged(self, tmp_path):
         cfg = write_config(tmp_path, "lim.json", {
             "schema_version": 1, "n_a": 0.0, "n_c": 12.0, "eta": 0.0, "r": 1.0,
@@ -367,3 +391,12 @@ def test_runtime_imports_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names_resolve():
+    # a name left in __all__ after its import is gone breaks star-imports
+    import omcool
+
+    missing = [name for name in omcool.__all__ if not hasattr(omcool, name)]
+    assert missing == []
+    exec("from omcool import *", {})

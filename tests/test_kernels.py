@@ -1,18 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm as scipy_expm
 
 from omcool import _kernels, gaussian
-from omcool.errors import StabilityError
-from omcool.gaussian import (
-    GaussianState,
-    _stroke_generator,
-    build_drift_diffusion,
-    diffusion_vector,
-    propagate,
-    thermal_state,
-)
+from omcool.config import load_config_file, parse_cycle_config
+from omcool.gaussian import GaussianState, _stroke_generator, propagate, thermal_state
 from omcool.params import SystemParams
 from omcool.schedule import CycleSchedule, Stroke, build_default_cycle
 
@@ -25,43 +20,67 @@ def fig1_like(**over):
     return SystemParams(**kwargs)
 
 
+def _drift_diffusion(p, stroke, delta):
+    """A and D blocks of a one-stroke schedule's Van Loan generator at ``delta``."""
+    span = CycleSchedule(strokes=(stroke,), cycle_count=1, delta_start=delta).spans()[0]
+    M0, E, _ = _stroke_generator(p, span)
+    n = M0.shape[0] // 2
+    M = M0 + delta * E
+    return M[:n, :n], M[:n, n:]
+
+
 class TestDriftDiffusion:
     def test_single_mode_block(self):
         p = fig1_like(g=0.0, omega_0=0.0)
-        dd = build_drift_diffusion(p, -2000.0)
-        block = dd.A[:2, :2]
-        assert np.array_equal(block, np.array([[-20.0, 2000.0], [-2000.0, -20.0]]))
+        A, _ = _drift_diffusion(p, Stroke.hold(0.1), -2000.0)
+        assert np.array_equal(A[:2, :2], np.array([[-20.0, 2000.0], [-2000.0, -20.0]]))
 
     def test_vacuum_diffusion(self):
         p = fig1_like(g=0.0, omega_0=0.0, n_a=0.0, n_b=0.0, n_targets=(0.0,))
-        dvec = diffusion_vector(p)
-        assert np.array_equal(dvec, [20.0, 20.0, 0.5, 0.5, 0.5, 0.5])
+        _, D = _drift_diffusion(p, Stroke.hold(0.1), -2000.0)
+        assert np.array_equal(D, np.diag([20.0, 20.0, 0.5, 0.5, 0.5, 0.5]))
 
     def test_thermal_diffusion_scaling(self):
-        dvec = diffusion_vector(fig1_like())
+        p = fig1_like()
+        _, D = _drift_diffusion(p, Stroke.hold(0.1), -600.0)
         # rate * (2 n + 1) / 2 per quadrature
-        assert dvec[0] == pytest.approx(40.0 * (2 * 0.5 + 1) / 2)
-        assert dvec[2] == pytest.approx(1.0 * (2 * 2.0 + 1) / 2)
-        assert dvec[4] == pytest.approx(1.0 * (2 * 12.0 + 1) / 2)
+        assert D[0, 0] == pytest.approx(40.0 * (2 * 0.5 + 1) / 2)
+        assert D[2, 2] == pytest.approx(1.0 * (2 * 2.0 + 1) / 2)
+        assert D[4, 4] == pytest.approx(1.0 * (2 * 12.0 + 1) / 2)
 
     def test_exchange_block_antisymmetry(self):
         p = fig1_like()
-        dd = build_drift_diffusion(p, -600.0, omega0_now=[200.0])
+        A, _ = _drift_diffusion(p, Stroke.exchange(0, 200.0, 0.008), -600.0)
         # beam-splitter coupling: x_b gains from p_c, p_b loses x_c, and
         # symmetrically for the target
-        assert dd.A[2, 5] == 200.0
-        assert dd.A[3, 4] == -200.0
-        assert dd.A[4, 3] == 200.0
-        assert dd.A[5, 2] == -200.0
+        assert A[2, 5] == 200.0
+        assert A[3, 4] == -200.0
+        assert A[4, 3] == 200.0
+        assert A[5, 2] == -200.0
 
     def test_reference_drift_is_stable(self):
-        dd = build_drift_diffusion(fig1_like(), -600.0, omega0_now=[200.0])
-        assert dd.A.shape == (6, 6)
-        assert np.max(np.linalg.eigvals(dd.A).real) < 0.0
+        p = fig1_like()
+        A, _ = _drift_diffusion(p, Stroke.exchange(0, 200.0, 0.008), -600.0)
+        assert A.shape == (6, 6)
+        assert np.max(np.linalg.eigvals(A).real) < 0.0
 
-    def test_instability_raises_before_propagation(self):
-        with pytest.raises(StabilityError):
-            build_drift_diffusion(fig1_like(), -50.0)
+    @pytest.mark.filterwarnings("ignore::omcool.errors.AdiabaticityWarning")
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "smalltest"])
+    def test_generator_matches_hamiltonian_reference(self, name, reference_drift_diffusion):
+        # every stroke of the bundled config, exchange on and off, at both ends
+        # of its detuning range: M0 + delta E = [[A, D], [0, -A^T]] with
+        # A = J H - diag(rates)/2 and D = rate (n_bath + 1/2)
+        raw = {k: v for k, v in load_config_file(name).items() if k != "comparison"}
+        cfg = parse_cycle_config(raw)
+        for span in cfg.schedule.spans():
+            for amplitude in {span.amplitude, 0.0}:
+                M0, E, C = _stroke_generator(
+                    cfg.params, dataclasses.replace(span, amplitude=amplitude))
+                for delta in (span.delta0, span.delta1):
+                    A, D = reference_drift_diffusion(cfg.params, delta, span.target, amplitude)
+                    M = np.block([[A, D], [np.zeros_like(A), -A.T]])
+                    assert np.array_equal(M0 + delta * E, M)
+                assert np.array_equal(C, M0 @ E - E @ M0)
 
 
 RAMP_T = 0.002
@@ -87,13 +106,11 @@ def _run_span(nsteps):
     return phi @ mean, phi @ cov @ phi.T + Z[:6, 6:] @ phi.T
 
 
-def _moment_rhs(p, span):
-    dvec = diffusion_vector(p)
-
+def _moment_rhs(p, span, reference):
     def rhs(t, y):
-        A = build_drift_diffusion(p, float(span.delta_values_local(np.array(t)))).A
+        A, D = reference(p, float(span.delta_values_local(np.array(t))))
         cov = y[6:].reshape(6, 6)
-        dc = A @ cov + cov @ A.T + np.diag(dvec)
+        dc = A @ cov + cov @ A.T + D
         return np.concatenate((A @ y[:6], dc.ravel()))
 
     return rhs
@@ -148,7 +165,7 @@ class TestBackends:
         assert order1 > 3.8
         assert order2 > 3.8
 
-    def test_ramp_stroke_matches_dop853(self, small_params):
+    def test_ramp_stroke_matches_dop853(self, small_params, reference_drift_diffusion):
         # a smooth ramp: the kinks of the adiabatic table cap DOP853's own accuracy
         sched = _ramp_schedule(small_params, 0.3, "cosine")
         state = GaussianState(mean=np.array([0.3, -0.1, 0.2, 0.0, 0.05, -0.2]),
@@ -156,8 +173,9 @@ class TestBackends:
         traj = propagate(state, sched, 0.3, tol=1e-10, params=small_params,
                          samples_per_stroke=4)
         y0 = np.concatenate((state.mean, state.cov.ravel()))
-        ref = solve_ivp(_moment_rhs(small_params, sched.spans()[0]), (0.0, 0.3), y0,
-                        method="DOP853", rtol=1e-12, atol=1e-12, t_eval=traj.times)
+        rhs = _moment_rhs(small_params, sched.spans()[0], reference_drift_diffusion)
+        ref = solve_ivp(rhs, (0.0, 0.3), y0, method="DOP853", rtol=1e-12, atol=1e-12,
+                        t_eval=traj.times)
         assert np.max(np.abs(traj.means - ref.y[:6].T)) < 1e-10
         assert np.max(np.abs(traj.covs.reshape(len(traj), 36) - ref.y[6:].T)) < 1e-10
 

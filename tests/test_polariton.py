@@ -194,18 +194,20 @@ class TestExchangeEfficiency:
 
 class TestSurvivalFactor:
     def test_zero_durations(self):
-        assert survival_factor(1.0, 0.0, 0.0, 0.0, 0.0) == 1.0
+        assert survival_factor(1.0, 0.0) == 1.0
 
     def test_zero_damping(self):
-        assert survival_factor(0.0, 0.04, 0.008, 0.04, 0.1) == 1.0
+        assert survival_factor(0.0, 0.04 + 0.008 + 0.04 + 0.1) == 1.0
 
     def test_reference_cycle(self):
-        r = survival_factor(1.0, 0.04, 0.008, 0.04, 0.1)
+        r = survival_factor(1.0, 0.04 + 0.008 + 0.04 + 0.1)
         assert r == pytest.approx(0.828614707232681, rel=1e-12)
 
     def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            survival_factor(1.0, -0.1, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="period"):
+            survival_factor(1.0, -0.1)
+        with pytest.raises(ValueError, match="gamma"):
+            survival_factor(-1.0, 0.1)
 
 
 class TestCoolingLimit:
@@ -252,7 +254,7 @@ class TestLimitComposition:
         # percent of the fluid bath occupation
         basis = bogoliubov_basis(-600.0, OMEGA_B, G)
         eta, _ = exchange_efficiency(basis, 2000.0, 200.0)
-        r = survival_factor(1.0, 0.04, 0.008, 0.04, 0.1)
+        r = survival_factor(1.0, 0.04 + 0.008 + 0.04 + 0.1)
         lim = cooling_limit(CoolingMapParams(eta=eta, r=r, n_a=0.5, n_c=12.0))
         assert lim == pytest.approx(0.5, rel=0.05)
 
