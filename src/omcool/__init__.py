@@ -37,7 +37,7 @@ from .gaussian import (
     polariton_occupations,
     propagate,
 )
-from .fock import FockState, build_operators, number_state, propagate_fock
+from .fock import FockState, ModeOperators, number_state, propagate_fock
 from .runner import (
     CycleReport,
     FockOptions,
@@ -61,6 +61,7 @@ __all__ = [
     "IntegrationError",
     "MeanFieldInputs",
     "MeanFieldResult",
+    "ModeOperators",
     "OmcoolError",
     "PhysicsError",
     "PolaritonBasis",
@@ -75,7 +76,6 @@ __all__ = [
     "analyze_cycles",
     "bogoliubov_basis",
     "build_default_cycle",
-    "build_operators",
     "cooling_limit",
     "exchange_efficiency",
     "iterate_cooling_map",

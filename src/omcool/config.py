@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, StabilityError
+from .fock import DEFAULT_LEAKAGE_THRESHOLD
 from .params import SystemParams
-from .runner import FockOptions, InitialOccupations
+from .runner import ENGINES, FockOptions, InitialOccupations
 from .schedule import (
     RAMP_SHAPES,
     CycleSchedule,
@@ -107,8 +108,7 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def parse_params(obj: dict, path: str = "params.") -> SystemParams:
-    allowed = {"omega_b", "g", "kappa", "gamma", "n_a", "n_b", "delta_i",
-               "delta_f", "omega_0", "delta_targets", "n_targets"}
+    allowed = {f.name for f in fields(SystemParams)}
     required = allowed - {"delta_targets", "n_targets"}
     _check_keys(obj, allowed, required, path)
     kwargs = {k: _number(obj, k, path) for k in required}
@@ -224,7 +224,7 @@ def parse_fock_options(obj: dict, params: SystemParams, path: str = "fock.") -> 
         dt = _number(obj, "dt", path)
         if dt <= 0:
             raise ConfigError(f"'{path}dt' must be positive")
-    threshold = _number(obj, "leakage_threshold", path, default=1e-3)
+    threshold = _number(obj, "leakage_threshold", path, default=DEFAULT_LEAKAGE_THRESHOLD)
     if not 0 < threshold < 1:
         raise ConfigError(f"'{path}leakage_threshold' must lie in (0, 1)")
     try:
@@ -259,7 +259,7 @@ def parse_cycle_config(cfg: dict, *, for_validate: bool = False) -> CycleConfig:
     params = parse_params(cfg["params"])
     schedule = parse_schedule(cfg["schedule"], params)
     initial = parse_initial(cfg["initial"], params)
-    engine = _string(cfg, "engine", "", default="gaussian", choices=("gaussian", "fock"))
+    engine = _string(cfg, "engine", "", default="gaussian", choices=ENGINES)
 
     integ = cfg.get("integrator", {})
     _check_keys(integ, {"tol", "samples_per_stroke"}, set(), "integrator.")

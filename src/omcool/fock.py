@@ -83,13 +83,6 @@ class FockState:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
 
-    def leakage(self) -> np.ndarray:
-        """Population of the top retained Fock level, per mode."""
-        diag = np.real(np.einsum("ii->i", self.rho)).reshape(self.cutoffs)
-        return np.array(
-            [np.sum(np.take(diag, self.cutoffs[m] - 1, axis=m)) for m in range(self.n_modes)]
-        )
-
     def validate(self) -> tuple[float, float, float]:
         """Check trace, hermiticity and positivity; return the
         ``(trace_error, hermiticity_error, min_eigenvalue)`` the checks computed."""
@@ -166,11 +159,6 @@ def _expect(rho: np.ndarray, op) -> complex:
     """tr(O rho) of a shift O = (offset, weight): sum_i w[i] rho[i + o, i]."""
     o, w = op
     return complex(np.dot(w[max(0, -o): w.size - max(0, o)], np.diagonal(rho, -o)))
-
-
-def build_operators(cutoffs) -> ModeOperators:
-    """Per-mode ladder and number operators on the tensor-product space."""
-    return ModeOperators(cutoffs)
 
 
 def thermal_state(cutoffs, occupations, time: float = 0.0,
@@ -411,6 +399,8 @@ def propagate_fock(
     ``leakage_threshold``; trace, hermiticity and positivity are checked at
     every output sample.
     """
+    if dt is not None and not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got dt={dt}")
     ops = ModeOperators(state.cutoffs)
     gen = _Generator(params, ops)
     t0 = state.time
@@ -421,9 +411,14 @@ def propagate_fock(
     # RK4 work buffers: the k1 + 2 k2 + 2 k3 + k4 sum, the current stage's
     # slope and the next stage's argument
     total, slope, stage = (np.empty_like(rho) for _ in range(3))
-    # flat indices of each mode's top retained level, for the leakage check
+    # flat indices of each mode's top retained level
     top_levels = [np.flatnonzero(ops.number_diag[m] == c - 1)
                   for m, c in enumerate(state.cutoffs)]
+
+    def leakage(r):
+        """Population of the top retained Fock level, per mode."""
+        diag = r.reshape(-1)[:: ops.dim + 1].real
+        return [float(np.sum(diag[top])) for top in top_levels]
 
     times = [t0]
     records = []
@@ -431,7 +426,7 @@ def propagate_fock(
     def record(r, t):
         st = FockState(rho=r, cutoffs=state.cutoffs, time=t)
         records.append((mode_occupations(st, ops), *quadrature_moments(st, ops),
-                        st.leakage(), *st.validate()))
+                        leakage(r), *st.validate()))
 
     record(rho, t0)
 
@@ -472,9 +467,7 @@ def propagate_fock(
                 total += rho
                 # the generator keeps a Hermitian rho exactly Hermitian
                 rho, total = total, rho
-                diag = rho.reshape(-1)[:: ops.dim + 1].real
-                for m, top in enumerate(top_levels):
-                    leak = float(np.sum(diag[top]))
+                for m, leak in enumerate(leakage(rho)):
                     if leak > leakage_threshold:
                         raise TruncationError(
                             f"top-level population {leak:.3e} of mode {m} exceeds "

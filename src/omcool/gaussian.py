@@ -39,8 +39,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import IntegrationError
-from .params import MODE_NAMES, SystemParams
-from .polariton import PolaritonBasis, check_stability, pair_occupations, symplectic_form
+from .params import SystemParams
+from .polariton import (PolaritonBasis, check_stability, moment_occupations, pair_occupations,
+                        symplectic_form)
 from .schedule import CycleSchedule, StrokeKind, StrokeSpan, span_fmax, stroke_walk
 
 SYMMETRY_TOL = 1e-12
@@ -56,7 +57,6 @@ class GaussianState:
     mean: np.ndarray
     cov: np.ndarray
     time: float = 0.0
-    mode_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -67,8 +67,6 @@ class GaussianState:
             raise ValueError("cov must be 2N x 2N")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        if not self.mode_labels:
-            object.__setattr__(self, "mode_labels", tuple(MODE_NAMES[: mean.size // 2]))
 
     @property
     def n_modes(self) -> int:
@@ -101,7 +99,7 @@ class GaussianState:
         return min_eig
 
 
-def thermal_state(occupations, time: float = 0.0, mode_labels=()) -> GaussianState:
+def thermal_state(occupations, time: float = 0.0) -> GaussianState:
     """Product thermal state in the bare-mode basis (zero means)."""
     occupations = np.asarray(occupations, dtype=float)
     if np.any(occupations < 0):
@@ -111,7 +109,6 @@ def thermal_state(occupations, time: float = 0.0, mode_labels=()) -> GaussianSta
         mean=np.zeros(2 * occupations.size),
         cov=np.diag(diag),
         time=time,
-        mode_labels=tuple(mode_labels),
     )
 
 
@@ -141,17 +138,9 @@ def polariton_initial_state(
     return GaussianState(mean=np.zeros(2 * n), cov=cov, time=time)
 
 
-def _occupations(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """N = (sigma_xx + sigma_pp - 1)/2 + |mean|^2/2 per mode, over any leading axes."""
-    d = np.diagonal(covs, axis1=-2, axis2=-1)
-    therm = 0.5 * (d[..., 0::2] + d[..., 1::2] - 1.0)
-    coh = 0.5 * (means[..., 0::2] ** 2 + means[..., 1::2] ** 2)
-    return therm + coh
-
-
 def mode_occupations(state: GaussianState) -> np.ndarray:
     """Mean occupation per bare mode."""
-    return _occupations(state.mean, state.cov)
+    return moment_occupations(state.mean, state.cov)
 
 
 def polariton_occupations(state: GaussianState, basis: PolaritonBasis) -> tuple[float, float]:
@@ -171,7 +160,6 @@ class GaussianTrajectory:
     times: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-    mode_labels: tuple[str, ...]
     min_eigenvalues: np.ndarray
 
     def __len__(self) -> int:
@@ -180,12 +168,11 @@ class GaussianTrajectory:
     def state_at(self, i: int) -> GaussianState:
         return GaussianState(
             mean=self.means[i], cov=self.covs[i], time=float(self.times[i]),
-            mode_labels=self.mode_labels,
         )
 
     def occupations(self) -> np.ndarray:
         """(S, N) bare-mode occupations along the trajectory."""
-        return _occupations(self.means, self.covs)
+        return moment_occupations(self.means, self.covs)
 
     @property
     def final_state(self) -> GaussianState:
@@ -302,8 +289,7 @@ def propagate(
 
     mean, cov = state.mean, state.cov
     times_out = [t0]
-    means_out = [mean]
-    covs_out = [cov]
+    samples = [(mean, cov)]
 
     # Maps depend only on the stroke's place in the cycle and the local
     # sample offsets, so later cycles reuse the first cycle's maps.
@@ -319,8 +305,9 @@ def propagate(
         ramp = span.kind is StrokeKind.RAMP_DETUNING
         fmax = span_fmax(span, params) if ramp else 0.0
 
-        def stroke_maps(level):
-            out = []
+        def sweep(level):
+            """(mean, cov) at each of the stroke's samples, reached by its maps at ``level``."""
+            out, m, c = [], mean, cov
             for a, b in zip(local[:-1], local[1:]):
                 key = (span.position, level, round(a / span.duration, 12) if ramp else None,
                        round((b - a) / span.duration, 12))
@@ -330,22 +317,18 @@ def propagate(
                         raise IntegrationError(
                             f"non-finite stroke map in stroke {span.index}", time=seg_start)
                     maps[key] = phi, q
-                out.append(maps[key])
+                m, c = _apply(*maps[key], m, c)
+                out.append((m, c))
             return out
 
-        level = 1
+        # each attempt checks the next level against the last one, so a
+        # refused fine sweep becomes the coarse sweep of the next attempt
+        coarse, level = sweep(1), 1
         for attempt in range(_MAX_REFINE + 1):
-            m_c, c_c, m_f, c_f = mean, cov, mean, cov
-            err = 0.0
-            rec_m, rec_c = [], []
-            for coarse, fine in zip(stroke_maps(level), stroke_maps(2 * level)):
-                m_c, c_c = _apply(*coarse, m_c, c_c)
-                m_f, c_f = _apply(*fine, m_f, c_f)
-                # np.max keeps a NaN, where the builtin max() may drop it
-                err = np.max([err, np.abs(m_f - m_c).max(), np.abs(c_f - c_c).max()])
-                rec_m.append(m_f)
-                rec_c.append(c_f)
-            err = float(err) / 15.0
+            fine = sweep(2 * level)
+            # np.max keeps a NaN, where the builtin max() may drop it
+            diffs = [np.abs(f - c).max() for pf, pc in zip(fine, coarse) for f, c in zip(pf, pc)]
+            err = float(np.max([0.0] + diffs)) / 15.0
             if not math.isfinite(err):
                 raise IntegrationError(
                     f"non-finite state or error estimate in stroke {span.index}",
@@ -363,18 +346,17 @@ def propagate(
                     time=seg_start,
                 )
             prev_err = err
-            level *= 2
+            coarse, level = fine, 2 * level
 
-        mean, cov = m_f, c_f
+        mean, cov = fine[-1]
         times_out.extend(ends.tolist())
-        means_out.extend(rec_m)
-        covs_out.extend(rec_c)
+        samples.extend(fine)
 
-    times, means, covs = np.asarray(times_out), np.asarray(means_out), np.asarray(covs_out)
+    times = np.asarray(times_out)
+    means, covs = (np.asarray(x) for x in zip(*samples))
     min_eigs = [GaussianState(mean=m, cov=c, time=float(t)).validate()
                 for t, m, c in zip(times, means, covs)]
     return GaussianTrajectory(
         times=times, means=means, covs=covs,
-        mode_labels=state.mode_labels or params.mode_labels,
         min_eigenvalues=np.array(min_eigs),
     )

@@ -61,7 +61,8 @@ def check_stability(delta, omega_b: float, g: float) -> None:
     if g > g_max:
         raise StabilityError(
             f"unstable at delta={delta}: g={g} exceeds the stability limit "
-            f"0.5*sqrt(|delta|*omega_b)={g_max:.6g}",
+            f"0.5*sqrt(|delta|*omega_b)={g_max:.6g}; the stable sub-interval is "
+            f"delta <= {-4.0 * g * g / omega_b:.6g}",
             delta=delta,
         )
 
@@ -213,13 +214,18 @@ def bogoliubov_basis(delta: float, omega_b: float, g: float) -> PolaritonBasis:
     )
 
 
+def moment_occupations(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """N = (sigma_xx + sigma_pp - 1)/2 + |mean|^2/2 per mode, over any leading axes."""
+    d = np.diagonal(covs, axis1=-2, axis2=-1)
+    therm = 0.5 * (d[..., 0::2] + d[..., 1::2] - 1.0)
+    coh = 0.5 * (means[..., 0::2] ** 2 + means[..., 1::2] ** 2)
+    return therm + coh
+
+
 def pair_occupations(mean: np.ndarray, cov: np.ndarray,
                      basis: PolaritonBasis) -> tuple[float, float]:
     """(N_A, N_B) from the quadrature mean (4,) and covariance (4, 4) of (a, b)."""
-    m = basis.S @ mean
-    c = basis.S @ cov @ basis.S.T
-    n_a = 0.5 * (c[0, 0] + c[1, 1] - 1.0) + 0.5 * (m[0] ** 2 + m[1] ** 2)
-    n_b = 0.5 * (c[2, 2] + c[3, 3] - 1.0) + 0.5 * (m[2] ** 2 + m[3] ** 2)
+    n_a, n_b = moment_occupations(basis.S @ mean, basis.S @ cov @ basis.S.T)
     return float(n_a), float(n_b)
 
 

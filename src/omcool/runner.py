@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +50,8 @@ class InitialOccupations:
         object.__setattr__(self, "targets", tuple(float(x) for x in self.targets))
         if len(self.pair) != 2:
             raise ValueError("pair must hold two occupations")
+        if not all(map(math.isfinite, self.pair + self.targets)):
+            raise ValueError(f"occupations must be finite, got {self.pair + self.targets}")
         if any(x < 0 for x in self.pair + self.targets):
             raise ValueError("occupations must be non-negative")
 
@@ -227,24 +230,7 @@ class CycleReport:
     limit_deviation: float
 
     def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "eta": self.eta,
-            "r": self.r,
-            "cycles": [
-                {
-                    "cycle": c.cycle,
-                    "n_before": c.n_before,
-                    "n_after": c.n_after,
-                    "predicted_after": c.predicted_after,
-                    "deviation": c.deviation,
-                }
-                for c in self.cycles
-            ],
-            "asymptote_estimate": self.asymptote_estimate,
-            "cooling_limit": self.cooling_limit,
-            "limit_deviation": self.limit_deviation,
-        }
+        return asdict(self)
 
 
 def _sample_at(traj: Trajectory, t: float) -> int:

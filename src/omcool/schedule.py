@@ -318,6 +318,8 @@ def stroke_walk(
     samples are every stroke boundary plus ``samples_per_stroke - 1``
     uniform interior points per stroke.
     """
+    if samples_per_stroke < 1:
+        raise ValueError(f"samples_per_stroke must be at least 1, got {samples_per_stroke}")
     if t_end < t_start:
         raise ValueError(f"t_end={t_end} precedes the state time {t_start}")
     if t_end > schedule.total_duration * (1.0 + 1e-12):
@@ -332,8 +334,7 @@ def stroke_walk(
     pts = [np.array([t_start, t_end])]
     for _, lo, hi in segments:
         pts.append(np.array([lo, hi]))
-        if samples_per_stroke > 1:
-            pts.append(np.linspace(lo, hi, samples_per_stroke + 1)[1:-1])
+        pts.append(np.linspace(lo, hi, samples_per_stroke + 1)[1:-1])
     grid = np.unique(np.concatenate(pts))
 
     walk = []

@@ -7,9 +7,8 @@ import omcool.fock as fock_mod
 from omcool.errors import IntegrationError, TruncationError
 from omcool.fock import (
     FockState,
-    ModeOperators,
     _Generator,
-    build_operators,
+    ModeOperators,
     mode_occupations,
     number_state,
     propagate_fock,
@@ -31,11 +30,11 @@ def params(**over):
 
 class TestOperators:
     def test_qubit_truncated_ladder(self):
-        ops = build_operators((2,))
+        ops = ModeOperators((2,))
         assert np.array_equal(ops.annihilation(0), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_commutator_defect_only_in_top_level(self):
-        ops = build_operators((7,))
+        ops = ModeOperators((7,))
         a = ops.annihilation(0)
         comm = a @ a.conj().T - a.conj().T @ a
         expected = np.eye(7)
@@ -43,17 +42,17 @@ class TestOperators:
         assert np.allclose(comm, expected, atol=1e-12)
 
     def test_product_dimension(self):
-        assert build_operators((4, 4, 6)).dim == 96
+        assert ModeOperators((4, 4, 6)).dim == 96
 
     def test_number_diagonal(self):
-        ops = build_operators((3, 2))
+        ops = ModeOperators((3, 2))
         n0 = ops.number(0)
         assert np.array_equal(np.diag(n0), [0, 0, 1, 1, 2, 2])
         assert np.array_equal(n0, np.diag(np.diag(n0)))
 
     def test_cutoff_floor(self):
         with pytest.raises(ValueError):
-            build_operators((1, 4))
+            ModeOperators((1, 4))
 
 
 class TestStates:
@@ -281,6 +280,15 @@ class TestPropagation:
         st = thermal_state((6, 6, 6), (0.1, 0.2, 0.25))
         with pytest.raises(ValueError, match="dt"):
             propagate_fock(st, p, sched, 0.1, dt=0.01)
+
+    @pytest.mark.parametrize("dt", [-1e-4, 0.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        p = params()
+        sched = CycleSchedule(strokes=(Stroke.hold(0.05),), cycle_count=1,
+                              delta_start=-30.0)
+        st = thermal_state((6, 6, 6), (0.1, 0.2, 0.25))
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            propagate_fock(st, p, sched, 0.05, dt=dt)
 
     def test_deterministic(self):
         p = params()

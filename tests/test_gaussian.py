@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
+from omcool import gaussian
 from omcool.errors import IntegrationError, StabilityError
 from omcool.gaussian import (
     GaussianState,
@@ -169,6 +170,31 @@ class TestPropagateContract:
         with pytest.raises(IntegrationError, match="stalled"):
             propagate(thermal_state([0.5, 2.0, 12.0]), sched, 0.002, tol=1e-20,
                       params=fig1_params)
+
+    def test_each_refinement_level_swept_once(self, fig1_params, monkeypatch):
+        # a refused attempt's fine sweep is the next attempt's coarse sweep,
+        # so accepting level 2^k applies the maps of k + 1 levels, not 2k
+        levels, applied = set(), []
+        segment_map, apply = gaussian._segment_map, gaussian._apply
+
+        def counting_map(span, generator, a, b, level, fmax):
+            levels.add(level)
+            return segment_map(span, generator, a, b, level, fmax)
+
+        def counting_apply(*args):
+            applied.append(None)
+            return apply(*args)
+
+        monkeypatch.setattr(gaussian, "_segment_map", counting_map)
+        monkeypatch.setattr(gaussian, "_apply", counting_apply)
+        sched = CycleSchedule(strokes=(Stroke.ramp(-6000.0, -600.0, 0.04),),
+                              cycle_count=1, delta_start=-6000.0)
+        segments = 8
+        propagate(thermal_state([0.5, 2.0, 12.0]), sched, 0.04, tol=1e-10,
+                  params=fig1_params, samples_per_stroke=segments)
+        attempts = len(levels) - 1
+        assert attempts >= 2
+        assert len(applied) == (attempts + 1) * segments
 
     def test_sample_grid_includes_boundaries(self, fig1_params):
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,12 @@ class TestRunProtocol:
                 InitialOccupations(basis="polariton", pair=(0.1, 0.2), targets=(0.25,)),
                 fock_options=FockOptions(cutoffs=(6, 6, 8)),
             )
+
+    @pytest.mark.parametrize("pair, targets", [((math.nan, 0.2), (0.25,)),
+                                               ((0.1, 0.2), (math.inf,))])
+    def test_non_finite_initial_occupations_rejected(self, pair, targets):
+        with pytest.raises(ValueError, match="finite"):
+            InitialOccupations(basis="bare", pair=pair, targets=targets)
 
     def test_engine_errors_carry_stroke_index(self, small_params):
         sched = build_default_cycle(small_params, 0.3, 0.32, 0.3, 0.5, targets=[0])

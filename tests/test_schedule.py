@@ -253,3 +253,8 @@ class TestStrokeWalk:
 
     def test_empty_window_has_no_segments(self):
         assert stroke_walk(self.make(), 0.05, 0.05, 4) == []
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_per_stroke_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples_per_stroke"):
+            stroke_walk(self.make(), 0.0, 0.1, samples)
