@@ -39,7 +39,8 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key '{path + key}'")
-    for key in required:
+    # sorted, so the key a message names does not depend on the hash seed
+    for key in sorted(required):
         if key not in obj:
             raise ConfigError(f"missing required key '{path + key}'")
 
@@ -111,7 +112,8 @@ def parse_params(obj: dict, path: str = "params.") -> SystemParams:
     allowed = {f.name for f in fields(SystemParams)}
     required = allowed - {"delta_targets", "n_targets"}
     _check_keys(obj, allowed, required, path)
-    kwargs = {k: _number(obj, k, path) for k in required}
+    kwargs = {f.name: _number(obj, f.name, path) for f in fields(SystemParams)
+              if f.name in required}
     kwargs["delta_targets"] = tuple(_number_list(obj, "delta_targets", path, []))
     kwargs["n_targets"] = tuple(_number_list(obj, "n_targets", path, []))
     try:

@@ -10,20 +10,36 @@ with the standard thermal dissipator
 
 so that a lone mode relaxes as d<N>/dt = -rate (<N> - n).  It exists to
 cross-validate the Gaussian engine at small scale, so it favors exactness
-and transparency over reach: fixed-step RK4 (reproducible baselines), dense
-complex density matrix, and matrix-free superoperator application.  The RK4
+and transparency over reach: fixed-step RK4 (reproducible baselines), the
+density matrix held as dense complex blocks, and matrix-free superoperator
+application.  The RK4
 step of each sample segment is 1/(50 f) for the largest frequency scale f on
 that segment, with the detuning taken at the segment's two ends (every ramp
 shape is monotone, so these bound it); a caller's ``dt`` caps the step and
-must not exceed the stroke-wide 1/(50 f_max).  In the generator the
-Hamiltonian acts through weighted row shifts of the density matrix, the jump
-terms through weighted shifts of its flattened entries, so memory stays
-O(d^2) rather than the O(d^4) of a full Liouvillian and no d x d operator
-product (nor a multi-threaded BLAS call) runs in the step loop.  The
-quadrature moments are traces along diagonals of rho, again with no d x d
-operator.  As an independent oracle it shares only the schedule with the
-Gaussian engine (its stroke walk, sample grid and step-size scale), never
-the Gaussian engine's code.
+must not exceed the stroke-wide 1/(50 f_max).
+
+Every term of the master equation conserves the total excitation parity
+P = (-1)^(n_a + n_b + ...): g (a + a^dag)(b + b^dag) changes the total
+number by 0 or +-2, omega_0 (b^dag c + c^dag b) keeps it, the diagonal
+terms are diagonal, and each jump a rho a^dag flips the parity of the row
+and of the column together.  With the basis sorted by parity, rho is four
+blocks rho_pq, and the cross blocks (p != q) are never fed from the
+diagonal ones.  The step loop therefore carries rho as its two diagonal
+blocks, plus the cross blocks only when the initial rho has a nonzero entry
+there, in one flat buffer; a thermal start carries d^2/2 entries for an
+even d.  In the generator the Hamiltonian acts through weighted row gathers
+inside each block and the jump terms through weighted flat gathers between
+blocks, so no d x d operator product (nor a multi-threaded BLAS call) runs
+in the step loop and every entry sees the same operations, in the same
+order, as on the full matrix.  The memory is O(d^2) rather than the O(d^4)
+of a full Liouvillian: the RK4 buffers, the generator's two scratch
+buffers, and an index and a weight per carried entry for each jump term
+(about 8 MB at cutoffs (6, 6, 8)).  Each output sample reassembles the
+natural-order d x d rho for the observables and the checks; the quadrature
+moments are traces along its diagonals, again with no d x d operator.  As
+an independent oracle it shares only the schedule with the Gaussian engine
+(its stroke walk, sample grid and step-size scale), never the Gaussian
+engine's code.
 
 Truncation is monitored continuously: the population of the top retained
 Fock level of each mode is tracked at every step and a TruncationError is
@@ -75,7 +91,8 @@ class FockState:
         return len(self.cutoffs)
 
     def trace_error(self) -> float:
-        return abs(float(np.trace(self.rho).real) - 1.0) + abs(float(np.trace(self.rho).imag))
+        tr = np.trace(self.rho)
+        return abs(float(tr.real) - 1.0) + abs(float(tr.imag))
 
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.rho - self.rho.conj().T)))
@@ -276,105 +293,161 @@ class FockTrajectory:
         return self.times.size
 
 
-def _band(offset: int, weight: np.ndarray):
-    """``(dst, src, weight[dst])`` of the shift ``out[i] += weight[i] * x[i + offset]``,
-    cut to the rows where the weight is nonzero (there ``i + offset`` is a
-    valid index), or None when the weight vanishes everywhere."""
-    nz = np.flatnonzero(weight)
-    if nz.size == 0:
-        return None
-    lo, hi = int(nz[0]), int(nz[-1]) + 1
-    return slice(lo, hi), slice(lo + offset, hi + offset), weight[lo:hi].copy()
-
-
-def _bands(scale, pairs) -> list:
-    """The nonzero bands of ``scale`` times each product of two ladder shifts."""
-    bands = (_band(o, scale * w) for o, w in (_compose(x, y) for x, y in pairs))
-    return [b for b in bands if b is not None]
-
-
 class _Generator:
-    """Pieces of the master-equation right-hand side, precomputed per system.
+    """Pieces of the master-equation right-hand side, precomputed per run.
 
-    The right-hand side is evaluated as Y + Y^dag + jump sandwiches, with
+    rho is carried as its parity blocks (see the module docstring): block
+    (p, q) holds the rows of parity p and the columns of parity q, each in
+    natural order, and the carried blocks lie one after the other in one flat
+    buffer, each in row-major order (``split``/``join`` convert to and from
+    the natural d x d matrix).  The right-hand side is evaluated block by
+    block as Y + Y^dag + jump sandwiches, with
 
         Y = -i H_off rho + L[:, None] * rho,
         L = damp_diag - i h_diag(t),
 
     which folds the diagonal Hamiltonian commutator and every dissipator
     anticommutator into a single broadcast multiply (rho stays Hermitian
-    through all RK4 stages, so the mirror term is just Y^dag).  Nothing here
-    is a d x d operator: with the ladder operators as row shifts
-    (``ModeOperators.lowering``/``raising``), H_off = g (a + a^dag)(b + b^dag)
-    + omega_0 (b^dag c + c^dag b) is a few weighted row-shift bands, applied
-    by contiguous row-slice multiply-adds.  The jump sandwiches
-    a rho a^dag / a^dag rho a shift rows and columns together by the mode's
-    stride s, which is one offset s (d + 1) on the flattened density matrix,
-    weighted by the rate-scaled outer product of the ladder weights.
+    through all RK4 stages, so the mirror term of block pq is Y_qp^dag).
+    Nothing here is a d x d operator: H_off = g (a + a^dag)(b + b^dag)
+    + omega_0 (b^dag c + c^dag b) is a few bands, each a weighted row gather
+    inside a block, and each jump sandwich a rho a^dag reads the block of
+    the flipped parities through a flat gather index, weighted by the
+    rate-scaled outer product of the ladder weights.  Each entry sees the
+    operations of the full-matrix evaluation in its order: L * rho, the
+    bands in order, the mirror sum, the jumps in order.
     """
 
-    def __init__(self, params: SystemParams, ops: ModeOperators):
+    def __init__(self, params: SystemParams, ops: ModeOperators, rho: np.ndarray):
         if len(ops.cutoffs) != params.n_modes:
             raise ValueError(
                 f"cutoffs describe {len(ops.cutoffs)} modes, params {params.n_modes}"
             )
-        d = ops.dim
+        d = self.dim = ops.dim
         n_modes = params.n_modes
         lower, upper = ops.lowering, ops.raising
 
+        # the natural indices of each parity, and each index's place among them
+        parity = np.add.reduce(ops.number_diag).astype(int) % 2
+        natural = [np.flatnonzero(parity == p) for p in (0, 1)]
+        order = np.concatenate(natural)  # parity-sorted: even states, then odd
+        local = np.empty(d, dtype=np.intp)
+        for nat in natural:
+            local[nat] = np.arange(nat.size)
+        sizes = [nat.size for nat in natural]
+        self.rows = [slice(0, sizes[0]), slice(sizes[0], d)]  # of each parity in order
+        # the cross blocks are carried only if the initial rho has them
+        cross = bool(np.any(rho[np.ix_(natural[0], natural[1])] != 0))
+        self.blocks = [(0, 0), (1, 1)] + ([(0, 1), (1, 0)] if cross else [])
+        self.shapes = [(sizes[p], sizes[q]) for p, q in self.blocks]
+        ends = np.cumsum([a * b for a, b in self.shapes])
+        self.spans = [slice(int(e) - a * b, int(e)) for e, (a, b) in zip(ends, self.shapes)]
+        self.size = int(ends[-1])
+        self.mirror = [self.blocks.index((q, p)) for p, q in self.blocks]
+        # natural flat index (row * d + column) of every carried entry
+        self.flat_index = np.concatenate(
+            [(natural[p][:, None] * d + natural[q][None, :]).reshape(-1)
+             for p, q in self.blocks])
+        # buffer position of each diagonal entry rho_ii, in natural order
+        self.diagonal = np.empty(d, dtype=np.intp)
+        for p, nat in enumerate(natural):
+            self.diagonal[nat] = self.spans[p].start + np.arange(nat.size) * (nat.size + 1)
+
+        def source(offset, weight):
+            """Place, among its parity, of each natural index's source i + offset;
+            0 where the weight vanishes (the term adds 0 there)."""
+            return local[np.where(weight != 0, np.arange(d) + offset, 0)]
+
+        def bands(scale, pairs):
+            """The nonzero bands of ``scale`` times each product of two ladder
+            shifts, as (source row, weight) per row in parity-sorted order."""
+            shifts = ((o, scale * w) for o, w in (_compose(x, y) for x, y in pairs))
+            return [(source(o, w)[order], w[order]) for o, w in shifts if np.any(w != 0)]
+
         # -i g (a + a^dag)(b + b^dag), and -i (b^dag c + c^dag b) per target
-        self.couple = _bands(-1j * params.g, [(x, y) for x in (lower[0], upper[0])
-                                              for y in (lower[1], upper[1])])
-        self.exchange = [_bands(-1j, [(upper[1], lower[k]), (lower[1], upper[k])])
+        self.couple = bands(-1j * params.g, [(x, y) for x in (lower[0], upper[0])
+                                             for y in (lower[1], upper[1])])
+        self.exchange = [bands(-1j, [(upper[1], lower[k]), (lower[1], upper[k])])
                          for k in range(2, n_modes)]
-        self.diag_static = params.omega_b * ops.number_diag[1].copy()
+        diag_static = params.omega_b * ops.number_diag[1].copy()
         for k, dt in enumerate(params.delta_targets):
-            self.diag_static += dt * ops.number_diag[2 + k]
-        self.na_diag = ops.number_diag[0]
+            diag_static += dt * ops.number_diag[2 + k]
+        self.diag_static = diag_static[order]
+        self.na_diag = ops.number_diag[0][order]
 
         rates = [params.kappa, params.gamma] + [params.gamma] * len(params.delta_targets)
         nbars = [params.n_a, params.n_b, *params.n_targets]
-        self.damp_diag = np.zeros(d)
+        damp_diag = np.zeros(d)
         self.jumps = []
         for m in range(n_modes):
             rate, nbar = rates[m], nbars[m]
             if rate == 0.0:
                 continue
-            self.damp_diag -= 0.5 * rate * (
+            damp_diag -= 0.5 * rate * (
                 (nbar + 1.0) * ops.number_diag[m] + nbar * ops.lower_diag[m]
             )
             for (s, w), scale in ((lower[m], rate * (nbar + 1.0)), (upper[m], rate * nbar)):
-                jump = _band(s * (d + 1), scale * np.outer(w, w).reshape(-1))
-                if jump is not None:
-                    self.jumps.append(jump)
-        self._y = np.empty((d, d), dtype=complex)
-        self._tmp = np.empty((d, d), dtype=complex)
+                if scale == 0.0:
+                    continue
+                # block (p, q) reads block (1 - p, 1 - q) at rows and columns i + s
+                src = source(s, w)
+                gather, weight = [], []
+                for p, q in self.blocks:
+                    k = self.blocks.index((1 - p, 1 - q))
+                    gather.append((self.spans[k].start + src[natural[p]][:, None]
+                                   * self.shapes[k][1] + src[natural[q]]).reshape(-1))
+                    weight.append((scale * np.outer(w[natural[p]], w[natural[q]])).reshape(-1))
+                self.jumps.append((np.concatenate(gather), np.concatenate(weight)))
+        self.damp_diag = damp_diag[order]
+        self._y = np.empty(self.size, dtype=complex)
+        self._tmp = np.empty(self.size, dtype=complex)
+
+    def split(self, rho: np.ndarray) -> np.ndarray:
+        """The carried blocks of a natural-order d x d ``rho``, as one flat buffer."""
+        return rho.reshape(-1)[self.flat_index]
+
+    def join(self, buf: np.ndarray) -> np.ndarray:
+        """The natural-order d x d matrix of a flat buffer (uncarried blocks 0)."""
+        rho = np.zeros((self.dim, self.dim), dtype=complex)
+        rho.reshape(-1)[self.flat_index] = buf
+        return rho
 
     def bands(self, target: int | None, amplitude: float) -> list:
-        """Row-shift bands of -i H_off for an exchange pulse of ``amplitude``
-        on ``target`` (no pulse when the amplitude is 0)."""
+        """Row gathers of -i H_off for an exchange pulse of ``amplitude`` on
+        ``target`` (no pulse when the amplitude is 0): per band, the
+        ``(source rows, weight column)`` of each parity block."""
         bands = list(self.couple)
         if amplitude != 0.0:
-            bands += [(dst, src, amplitude * w) for dst, src, w in self.exchange[target]]
-        return [(dst, src, w[:, None]) for dst, src, w in bands]
+            bands += [(src, amplitude * w) for src, w in self.exchange[target]]
+        return [[(src[r], w[r, None]) for r in self.rows] for src, w in bands]
+
+    def _views(self, buf):
+        return [buf[s].reshape(shape) for s, shape in zip(self.spans, self.shapes)]
 
     def rhs(self, rho: np.ndarray, bands: list, delta_now: float,
             out: np.ndarray) -> np.ndarray:
-        """drho/dt at detuning ``delta_now``, written into ``out``."""
+        """drho/dt of the flat buffer ``rho`` at detuning ``delta_now``,
+        written into ``out``."""
         y, tmp = self._y, self._tmp
         lvec = self.damp_diag - 1j * (self.diag_static - delta_now * self.na_diag)
-        np.multiply(lvec[:, None], rho, out=y)
-        for dst, src, w in bands:
-            t = tmp[: dst.stop - dst.start]
-            np.multiply(w, rho[src], out=t)
-            y[dst] += t
-        np.conjugate(y.T, out=out)
-        out += y
-        flat, rho_flat, tmp_flat = out.reshape(-1), rho.reshape(-1), tmp.reshape(-1)
-        for dst, src, w in self.jumps:
-            t = tmp_flat[: dst.stop - dst.start]
-            np.multiply(w, rho_flat[src], out=t)
-            flat[dst] += t
+        ys = self._views(y)
+        # every gather index is in range, and mode="clip" spares the buffered
+        # copy of ``out`` that np.take makes under its default mode="raise"
+        for (p, _), r, yb in zip(self.blocks, self._views(rho), ys):
+            np.multiply(lvec[self.rows[p], None], r, out=yb)
+            t = tmp[: r.size].reshape(r.shape)
+            for band in bands:
+                src, w = band[p]
+                np.take(r, src, axis=0, out=t, mode="clip")
+                np.multiply(w, t, out=t)
+                yb += t
+        for k, ob in enumerate(self._views(out)):
+            np.conjugate(ys[self.mirror[k]].T, out=ob)
+            ob += ys[k]
+        for gather, w in self.jumps:
+            np.take(rho, gather, out=tmp, mode="clip")
+            np.multiply(w, tmp, out=tmp)
+            out += tmp
         return out
 
 
@@ -402,29 +475,30 @@ def propagate_fock(
     if dt is not None and not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got dt={dt}")
     ops = ModeOperators(state.cutoffs)
-    gen = _Generator(params, ops)
     t0 = state.time
     walk = stroke_walk(schedule, t0, t_end, samples_per_stroke)
 
     rho = np.array(state.rho, dtype=complex)
     rho = 0.5 * (rho + rho.conj().T)
+    gen = _Generator(params, ops, rho)
+    rho = gen.split(rho)
     # RK4 work buffers: the k1 + 2 k2 + 2 k3 + k4 sum, the current stage's
     # slope and the next stage's argument
     total, slope, stage = (np.empty_like(rho) for _ in range(3))
-    # flat indices of each mode's top retained level
-    top_levels = [np.flatnonzero(ops.number_diag[m] == c - 1)
+    # buffer positions of the diagonal entries of each mode's top retained
+    # level, in natural order
+    top_levels = [gen.diagonal[ops.number_diag[m] == c - 1]
                   for m, c in enumerate(state.cutoffs)]
 
     def leakage(r):
         """Population of the top retained Fock level, per mode."""
-        diag = r.reshape(-1)[:: ops.dim + 1].real
-        return [float(np.sum(diag[top])) for top in top_levels]
+        return [float(np.sum(r.real[top])) for top in top_levels]
 
     times = [t0]
     records = []
 
     def record(r, t):
-        st = FockState(rho=r, cutoffs=state.cutoffs, time=t)
+        st = FockState(rho=gen.join(r), cutoffs=state.cutoffs, time=t)
         records.append((mode_occupations(st, ops), *quadrature_moments(st, ops),
                         leakage(r), *st.validate()))
 
@@ -492,6 +566,6 @@ def propagate_fock(
         trace_errors=np.array([r[4] for r in records]),
         hermiticity_errors=np.array([r[5] for r in records]),
         min_eigenvalues=np.array([r[6] for r in records]),
-        final_state=FockState(rho=rho, cutoffs=state.cutoffs, time=times[-1]),
+        final_state=FockState(rho=gen.join(rho), cutoffs=state.cutoffs, time=times[-1]),
         cutoffs=state.cutoffs,
     )

@@ -393,6 +393,37 @@ def test_runtime_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+MISSING_KEYS_RUN = """
+from omcool.config import parse_params
+from omcool.errors import ConfigError
+
+full = dict(omega_b=10.0, g=2.0, kappa=8.0, gamma=0.5, n_a=0.1, n_b=0.2,
+            delta_i=-30.0, delta_f=-3.0, omega_0=5.0)
+for obj in ({"omega_b": 1.0}, dict(full, kappa="fast", g="strong", n_b="hot")):
+    try:
+        parse_params(obj)
+    except ConfigError as exc:
+        print(exc)
+"""
+
+
+def test_config_error_independent_of_hash_seed():
+    # the required keys and the numbers used to be walked in set order, so
+    # the key a message named changed with PYTHONHASHSEED
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    messages = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        out = subprocess.run([sys.executable, "-c", MISSING_KEYS_RUN], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        messages.add(out.stdout)
+    assert messages == {"missing required key 'params.delta_f'\n"
+                        "'params.g' must be a finite number\n"}
+
+
 def test_public_names_resolve():
     # a name left in __all__ after its import is gone breaks star-imports
     import omcool

@@ -126,6 +126,20 @@ def dense_rhs(p, ops, rho, target, amplitude, delta):
     return out
 
 
+def random_hermitian(dim, seed):
+    """A random Hermitian matrix: every entry, so all four parity blocks, nonzero."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (x + x.conj().T) / dim
+
+
+def block_rhs(gen, rho, bands, delta):
+    """The generator's slope of a natural-order rho, split into blocks and
+    reassembled."""
+    buf = gen.split(rho)
+    return gen.join(gen.rhs(buf, bands, delta, np.empty_like(buf)))
+
+
 class TestGenerator:
     @pytest.mark.parametrize("cutoffs, targets", [
         ((2, 3), ()),
@@ -136,29 +150,31 @@ class TestGenerator:
         p = params(delta_targets=tuple(t[0] for t in targets),
                    n_targets=tuple(t[1] for t in targets))
         ops = ModeOperators(cutoffs)
-        gen = _Generator(p, ops)
-        rng = np.random.default_rng(sum(cutoffs))
-        x = rng.normal(size=(ops.dim, ops.dim)) + 1j * rng.normal(size=(ops.dim, ops.dim))
-        rho = (x + x.conj().T) / ops.dim
+        rho = random_hermitian(ops.dim, sum(cutoffs))
+        gen = _Generator(p, ops, rho)
+        # a rho with nonzero cross blocks carries all four blocks
+        assert gen.size == ops.dim**2
+        assert np.array_equal(gen.join(gen.split(rho)), rho)
         pulses = [(0, 0.0)] + [(k, amp) for k in range(len(targets)) for amp in (5.0, 2.5)]
         for target, amplitude in pulses:
             bands = gen.bands(target, amplitude)
             for delta in (-30.0, -7.5, -3.0):
-                got = gen.rhs(rho, bands, delta, np.empty_like(rho))
+                got = block_rhs(gen, rho, bands, delta)
                 want = dense_rhs(p, ops, rho, target, amplitude, delta)
                 assert np.max(np.abs(got - want)) < 1e-12, (target, amplitude, delta)
 
     def test_rhs_leaves_its_input_and_fills_out(self):
         p = params()
         ops = ModeOperators((3, 3, 4))
-        gen = _Generator(p, ops)
-        rho = thermal_state(ops.cutoffs, (0.05, 0.05, 0.1)).rho
-        before = rho.copy()
-        out = np.full_like(rho, np.nan)
-        got = gen.rhs(rho, gen.bands(0, 5.0), -3.0, out)
+        rho = random_hermitian(ops.dim, 5)
+        gen = _Generator(p, ops, rho)
+        buf = gen.split(rho)
+        before = buf.copy()
+        out = np.full_like(buf, np.nan)
+        got = gen.rhs(buf, gen.bands(0, 5.0), -3.0, out)
         assert got is out and np.all(np.isfinite(out))
-        assert np.array_equal(rho, before)
-        again = gen.rhs(rho, gen.bands(0, 5.0), -3.0, np.empty_like(rho))
+        assert np.array_equal(buf, before)
+        again = gen.rhs(buf, gen.bands(0, 5.0), -3.0, np.empty_like(buf))
         assert np.array_equal(out, again)
 
     def test_rhs_of_hermitian_rho_is_exactly_hermitian(self):
@@ -166,21 +182,20 @@ class TestGenerator:
         # generator itself must map a Hermitian rho to an exactly Hermitian slope
         p = params(delta_targets=(10.0, 7.0), n_targets=(0.25, 0.4))
         ops = ModeOperators((3, 3, 3, 2))
-        gen = _Generator(p, ops)
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(ops.dim, ops.dim)) + 1j * rng.normal(size=(ops.dim, ops.dim))
-        rho = (x + x.conj().T) / ops.dim
+        rho = random_hermitian(ops.dim, 11)
+        gen = _Generator(p, ops, rho)
         for target, amplitude in ((0, 0.0), (0, 5.0), (1, 2.5)):
-            out = gen.rhs(rho, gen.bands(target, amplitude), -7.5, np.empty_like(rho))
+            out = block_rhs(gen, rho, gen.bands(target, amplitude), -7.5)
             assert np.array_equal(out, out.conj().T), (target, amplitude)
 
     def test_holds_no_dense_operator(self):
         ops = ModeOperators((6, 6, 8))
-        gen = _Generator(params(), ops)
-        square = [name for name, value in vars(gen).items()
-                  if isinstance(value, np.ndarray) and value.shape == (ops.dim, ops.dim)
-                  and not name.startswith("_")]
-        assert square == []
+        for rho in (thermal_state(ops.cutoffs, (0.1, 0.2, 0.25)).rho,
+                    random_hermitian(ops.dim, 3)):
+            gen = _Generator(params(), ops, rho)
+            square = [name for name, value in vars(gen).items()
+                      if isinstance(value, np.ndarray) and value.shape == (ops.dim, ops.dim)]
+            assert square == []
         # the operators hold per-mode diagonals and (offset, weight) shifts, none d x d
         held = [x for v in vars(ops).values() if isinstance(v, list) for x in v]
         weights = [x[1] if isinstance(x, tuple) else x for x in held]
@@ -259,6 +274,47 @@ class TestPropagation:
         assert np.all(traj.hermiticity_errors == 0.0)
         rho = traj.final_state.rho
         assert np.array_equal(rho, rho.conj().T)
+
+    def test_coherence_carried_in_cross_blocks(self):
+        # mode a in (|0> + |1>)/sqrt(2): its coherence lives in the cross
+        # parity blocks, and without couplings it rotates and decays as
+        # <a>(t) = <a>(0) exp((i delta - kappa/2) t)
+        p = params(g=0.0, omega_0=0.0, gamma=0.0, n_a=0.0)
+        sched = CycleSchedule(strokes=(Stroke.hold(0.1),), cycle_count=1,
+                              delta_start=-30.0)
+        cutoffs = (3, 2, 2)
+        psi = np.zeros(12)
+        psi[[0, 4]] = 1.0 / math.sqrt(2.0)  # |0,0,0> and |1,0,0>
+        st = FockState(rho=np.outer(psi, psi).astype(complex), cutoffs=cutoffs)
+        traj = propagate_fock(st, p, sched, 0.1)
+        a_mean = (traj.ab_means[:, 0] + 1j * traj.ab_means[:, 1]) / math.sqrt(2.0)
+        exact = 0.5 * np.exp((1j * -30.0 - 0.5 * p.kappa) * traj.times)
+        assert np.max(np.abs(a_mean - exact)) < 1e-8
+
+    def test_thermal_start_carries_only_parity_diagonal_blocks(self, monkeypatch):
+        p = params()
+        sched = CycleSchedule(strokes=(Stroke.ramp(-30.0, -3.0, 0.05),
+                                       Stroke.exchange(0, 5.0, 0.05)),
+                              cycle_count=1, delta_start=-30.0)
+        cutoffs = (3, 4, 3)
+        sizes, rhs = set(), _Generator.rhs
+
+        def sized_rhs(self, rho, *a):
+            sizes.add(rho.size)
+            return rhs(self, rho, *a)
+
+        monkeypatch.setattr(_Generator, "rhs", sized_rhs)
+        traj = propagate_fock(thermal_state(cutoffs, (0.05, 0.1, 0.1)), p, sched, 0.1,
+                              samples_per_stroke=4, leakage_threshold=0.5)
+        d = 36
+        assert sizes == {d * d // 2}
+        parity = np.add.reduce(ModeOperators(cutoffs).number_diag) % 2
+        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        rho = traj.final_state.rho
+        assert rho.shape == (d, d)
+        assert not np.any(rho[np.ix_(even, odd)]) and not np.any(rho[np.ix_(odd, even)])
+        # the carried blocks did evolve off their diagonals
+        assert np.any(rho[np.ix_(even, even)] - np.diag(np.diag(rho)[even]))
 
     def test_leakage_monitor_trips(self):
         # pump the target mode hard against a tiny cutoff: the swap pushes
