@@ -16,14 +16,15 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, StabilityError
-from .fock import DEFAULT_LEAKAGE_THRESHOLD
+from .errors import ConfigError
+from .fock import DEFAULT_LEAKAGE_THRESHOLD, _check_dt
 from .params import SystemParams
 from .runner import ENGINES, FockOptions, InitialOccupations
 from .schedule import (
     RAMP_SHAPES,
     CycleSchedule,
     Stroke,
+    _check_targets,
     adiabatic_ramp_profile,
     build_default_cycle,
 )
@@ -35,7 +36,7 @@ _NUMBER = (int, float)
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path or 'config'} must be a JSON object")
+        raise ConfigError(f"{path.rstrip('.') or 'config'} must be a JSON object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key '{path + key}'")
@@ -85,7 +86,16 @@ def _string(obj: dict, key: str, path: str, default=None, choices=None):
     return val
 
 
+def _kind(obj, key: str, path: str, choices) -> str:
+    """The required string ``key`` that selects what else the object holds."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"missing required key '{path}{key}'")
+    return _string(obj, key, path, choices=choices)
+
+
 def _check_version(cfg: dict) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -118,16 +128,12 @@ def parse_params(obj: dict, path: str = "params.") -> SystemParams:
     kwargs["n_targets"] = tuple(_number_list(obj, "n_targets", path, []))
     try:
         return SystemParams(**kwargs)
-    except StabilityError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"invalid params: {exc}") from exc
 
 
 def _parse_stroke(obj: dict, params: SystemParams, path: str) -> Stroke:
-    kind = _string(obj, "kind", path, choices=("ramp", "exchange", "hold"))
-    if kind is None:
-        raise ConfigError(f"missing required key '{path}kind'")
+    kind = _kind(obj, "kind", path, ("ramp", "exchange", "hold"))
     if kind == "ramp":
         _check_keys(obj, {"kind", "duration", "delta_start", "delta_end", "shape"},
                     {"kind", "duration", "delta_start", "delta_end"}, path)
@@ -142,17 +148,19 @@ def _parse_stroke(obj: dict, params: SystemParams, path: str) -> Stroke:
     if kind == "exchange":
         _check_keys(obj, {"kind", "duration", "target", "amplitude"},
                     {"kind", "duration", "target"}, path)
+        target = _integer(obj, "target", path)
+        try:
+            _check_targets([target], params)
+        except ValueError as exc:
+            raise ConfigError(f"'{path}target': {exc}") from exc
         amplitude = _number(obj, "amplitude", path, default=params.omega_0)
-        return Stroke.exchange(_integer(obj, "target", path),
-                               amplitude, _number(obj, "duration", path))
+        return Stroke.exchange(target, amplitude, _number(obj, "duration", path))
     _check_keys(obj, {"kind", "duration"}, {"kind", "duration"}, path)
     return Stroke.hold(_number(obj, "duration", path))
 
 
 def parse_schedule(obj: dict, params: SystemParams, path: str = "schedule.") -> CycleSchedule:
-    kind = _string(obj, "type", path, choices=("default_cycle", "strokes"))
-    if kind is None:
-        raise ConfigError(f"missing required key '{path}type'")
+    kind = _kind(obj, "type", path, ("default_cycle", "strokes"))
     try:
         if kind == "default_cycle":
             _check_keys(obj, {"type", "tau1", "tau2", "tau3", "tau4", "targets",
@@ -186,8 +194,6 @@ def parse_schedule(obj: dict, params: SystemParams, path: str = "schedule.") -> 
             cycle_count=_integer(obj, "cycles", path, default=1),
             delta_start=_number(obj, "delta_start", path, default=params.delta_i),
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
 
@@ -210,13 +216,14 @@ def parse_initial(obj: dict, params: SystemParams, path: str = "initial.") -> In
         raise ConfigError(f"invalid initial occupations: {exc}") from exc
 
 
-def parse_fock_options(obj: dict, params: SystemParams, path: str = "fock.") -> FockOptions:
+def parse_fock_options(obj: dict, params: SystemParams, schedule: CycleSchedule,
+                       path: str = "fock.") -> FockOptions:
     _check_keys(obj, {"cutoffs", "dt", "leakage_threshold"}, {"cutoffs"}, path)
     cutoffs = obj["cutoffs"]
     if not isinstance(cutoffs, list) or any(
-        isinstance(c, bool) or not isinstance(c, int) for c in cutoffs
+        isinstance(c, bool) or not isinstance(c, int) or c < 2 for c in cutoffs
     ):
-        raise ConfigError(f"'{path}cutoffs' must be a list of integers")
+        raise ConfigError(f"'{path}cutoffs' must be a list of integers, each at least 2")
     if len(cutoffs) != params.n_modes:
         raise ConfigError(
             f"'{path}cutoffs' must list one cutoff per mode ({params.n_modes} expected)"
@@ -224,15 +231,14 @@ def parse_fock_options(obj: dict, params: SystemParams, path: str = "fock.") -> 
     dt = None
     if obj.get("dt") is not None:
         dt = _number(obj, "dt", path)
-        if dt <= 0:
-            raise ConfigError(f"'{path}dt' must be positive")
+        try:
+            _check_dt(dt, params, schedule.spans())
+        except ValueError as exc:
+            raise ConfigError(f"invalid '{path}dt': {exc}") from exc
     threshold = _number(obj, "leakage_threshold", path, default=DEFAULT_LEAKAGE_THRESHOLD)
     if not 0 < threshold < 1:
         raise ConfigError(f"'{path}leakage_threshold' must lie in (0, 1)")
-    try:
-        return FockOptions(cutoffs=tuple(cutoffs), dt=dt, leakage_threshold=threshold)
-    except ValueError as exc:
-        raise ConfigError(f"invalid fock options: {exc}") from exc
+    return FockOptions(cutoffs=tuple(cutoffs), dt=dt, leakage_threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -274,7 +280,7 @@ def parse_cycle_config(cfg: dict, *, for_validate: bool = False) -> CycleConfig:
 
     fock = None
     if "fock" in cfg:
-        fock = parse_fock_options(cfg["fock"], params)
+        fock = parse_fock_options(cfg["fock"], params, schedule)
     if engine == "fock" and fock is None:
         raise ConfigError("engine 'fock' requires a 'fock' section with cutoffs")
     if (engine == "fock" or for_validate) and initial.basis != "bare":

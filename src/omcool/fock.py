@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import IntegrationError, TruncationError
 from .params import SystemParams
-from .schedule import CycleSchedule, span_fmax, stroke_walk
+from .schedule import CycleSchedule, StrokeSpan, span_fmax, stroke_walk
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
@@ -81,14 +81,6 @@ class FockState:
         if rho.shape != (d, d):
             raise ValueError(f"rho must be {d} x {d} for cutoffs {cutoffs}")
         object.__setattr__(self, "rho", rho)
-
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.cutoffs)
 
     def trace_error(self) -> float:
         tr = np.trace(self.rho)
@@ -287,10 +279,6 @@ class FockTrajectory:
     hermiticity_errors: np.ndarray
     min_eigenvalues: np.ndarray
     final_state: FockState
-    cutoffs: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return self.times.size
 
 
 class _Generator:
@@ -451,6 +439,25 @@ class _Generator:
         return out
 
 
+def _max_step(span: StrokeSpan, params: SystemParams, deltas=None) -> float:
+    """The RK4 step bound 1/(50 f), for the ``span_fmax`` f of the stroke or,
+    given ``deltas``, of its stretch between those two detunings."""
+    return 1.0 / (50.0 * span_fmax(span, params, deltas))
+
+
+def _check_dt(dt: float, params: SystemParams, spans) -> None:
+    """Raise ValueError unless ``dt`` is finite, positive and within the
+    stroke-wide step bound 1/(50 f_max) of every span."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got dt={dt}")
+    for span in spans:
+        dt_max = _max_step(span, params)
+        if dt > dt_max * (1.0 + 1e-9):
+            raise ValueError(
+                f"dt={dt} too coarse for stroke {span.index}; need dt <= {dt_max:.3e}"
+            )
+
+
 def propagate_fock(
     state: FockState,
     params: SystemParams,
@@ -472,11 +479,11 @@ def propagate_fock(
     ``leakage_threshold``; trace, hermiticity and positivity are checked at
     every output sample.
     """
-    if dt is not None and not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got dt={dt}")
     ops = ModeOperators(state.cutoffs)
     t0 = state.time
     walk = stroke_walk(schedule, t0, t_end, samples_per_stroke)
+    if dt is not None:
+        _check_dt(dt, params, [span for span, _, _ in walk])
 
     rho = np.array(state.rho, dtype=complex)
     rho = 0.5 * (rho + rho.conj().T)
@@ -506,18 +513,12 @@ def propagate_fock(
 
     for span, seg_start, targets_local in walk:
         bands = gen.bands(span.target, span.amplitude)
-        dt_max = 1.0 / (50.0 * span_fmax(span, params))
-        if dt is not None and dt > dt_max * (1.0 + 1e-9):
-            raise ValueError(
-                f"dt={dt} too coarse for stroke {span.index}; need dt <= {dt_max:.3e}"
-            )
-
         t_now = seg_start
         for t_target in targets_local:
             length = t_target - t_now
             # the segment's end detunings bound |delta| on it (ramps are monotone)
             ends = span.delta_values_local(np.array([t_now, t_target]) - span.t_start)
-            dt_target = 1.0 / (50.0 * span_fmax(span, params, ends))
+            dt_target = _max_step(span, params, ends)
             if dt is not None:
                 dt_target = min(dt, dt_target)
             nsteps = max(1, int(np.ceil(length / dt_target - 1e-12)))
@@ -567,5 +568,4 @@ def propagate_fock(
         hermiticity_errors=np.array([r[5] for r in records]),
         min_eigenvalues=np.array([r[6] for r in records]),
         final_state=FockState(rho=gen.join(rho), cutoffs=state.cutoffs, time=times[-1]),
-        cutoffs=state.cutoffs,
     )

@@ -123,19 +123,10 @@ def polariton_initial_state(
     """
     if n_A < 0 or n_B < 0:
         raise ValueError("polariton occupations must be non-negative")
+    state = thermal_state([n_A, n_B, *target_occupations], time)
     s_inv = basis.inverse()
-    cov_pol = np.diag([n_A + 0.5, n_A + 0.5, n_B + 0.5, n_B + 0.5])
-    cov_ab = s_inv @ cov_pol @ s_inv.T
-    targets = np.asarray(target_occupations, dtype=float)
-    n = 2 + targets.size
-    cov = np.zeros((2 * n, 2 * n))
-    cov[:4, :4] = cov_ab
-    for k, occ in enumerate(targets):
-        if occ < 0:
-            raise ValueError("occupations must be non-negative")
-        i0 = 4 + 2 * k
-        cov[i0, i0] = cov[i0 + 1, i0 + 1] = occ + 0.5
-    return GaussianState(mean=np.zeros(2 * n), cov=cov, time=time)
+    state.cov[:4, :4] = s_inv @ state.cov[:4, :4] @ s_inv.T
+    return state
 
 
 def mode_occupations(state: GaussianState) -> np.ndarray:

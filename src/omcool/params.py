@@ -118,8 +118,6 @@ def mean_field_reduce(inputs: MeanFieldInputs) -> MeanFieldResult:
     ``delta = delta_bare - 2 * beta * g0``.  The pump phase is chosen so that
     alpha is real.
     """
-    if inputs.delta_bare == 0:
-        raise ValueError("delta_bare must be nonzero")
     alpha = inputs.alpha_in / inputs.delta_bare
     beta = -inputs.g0 * alpha**2 / inputs.omega_b
     g = alpha * inputs.g0

@@ -22,7 +22,7 @@ from .polariton import (
     pair_occupations,
     survival_factor,
 )
-from .schedule import CycleSchedule, StrokeKind, StrokeSpan
+from .schedule import CycleSchedule, StrokeKind, StrokeSpan, _check_targets
 
 ENGINES = ("gaussian", "fock")
 
@@ -127,6 +127,7 @@ def run_protocol(
         raise ValueError("initial occupations must cover every target mode")
     t_end = schedule.total_duration
     spans = tuple(schedule.spans())
+    _check_targets([s.target for s in spans if s.target is not None], params)
 
     def annotate(exc):
         t = getattr(exc, "time", None)
@@ -260,8 +261,7 @@ def analyze_cycles(traj: Trajectory, params: SystemParams, target: int = 0) -> C
     basis = bogoliubov_basis(first.delta0, params.omega_b, params.g)
     eta, _ = exchange_efficiency(basis, params.delta_targets[target], first.amplitude)
     # r uses the full cycle period: each target's exchange recurs once per cycle
-    strokes_per_cycle = max(s.position for s in traj.spans) + 1
-    period = sum(s.duration for s in traj.spans[:strokes_per_cycle])
+    period = sum(s.duration for s in traj.spans if s.cycle == 0)
     r = survival_factor(params.gamma, period)
 
     records = []

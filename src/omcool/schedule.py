@@ -289,8 +289,7 @@ class CycleSchedule:
 
     def boundaries(self) -> np.ndarray:
         """All stroke boundary times, including t = 0 and the final instant."""
-        spans = self.spans()
-        return np.array([s.t_start for s in spans] + [spans[-1].t_end])
+        return np.append(self._starts, self._spans[-1].t_end)
 
 
 def span_fmax(span: StrokeSpan, params: "SystemParams", deltas=None) -> float:
@@ -336,14 +335,15 @@ def stroke_walk(
         pts.append(np.array([lo, hi]))
         pts.append(np.linspace(lo, hi, samples_per_stroke + 1)[1:-1])
     grid = np.unique(np.concatenate(pts))
+    return [(span, lo, grid[(grid > lo) & (grid <= hi)]) for span, lo, hi in segments]
 
-    walk = []
-    for span, lo, hi in segments:
-        ends = grid[(grid > lo) & (grid <= hi)]
-        if ends.size == 0 or ends[-1] < hi:
-            ends = np.append(ends, hi)
-        walk.append((span, lo, ends))
-    return walk
+
+def _check_targets(targets, params: "SystemParams") -> None:
+    """Raise ValueError unless each index in ``targets`` names a target mode."""
+    n_targets = len(params.delta_targets)
+    for t in targets:
+        if not 0 <= t < n_targets:
+            raise ValueError(f"unknown target index {t}; system has {n_targets} target(s)")
 
 
 def build_default_cycle(
@@ -368,10 +368,7 @@ def build_default_cycle(
     targets = tuple(targets)
     if not targets:
         raise ValueError("need at least one target mode")
-    n_targets = len(params.delta_targets)
-    for t in targets:
-        if not 0 <= t < n_targets:
-            raise ValueError(f"unknown target index {t}; system has {n_targets} target(s)")
+    _check_targets(targets, params)
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target indices; each target gets one pulse per cycle")
     for name, tau in (("tau1", tau1), ("tau2", tau2), ("tau3", tau3), ("tau4", tau4)):

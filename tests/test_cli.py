@@ -165,6 +165,156 @@ class TestConfigErrors:
         assert "--tol" in capsys.readouterr().err
 
 
+DROP = object()
+
+SPECTRUM_BASE = {"schema_version": 1, "omega_b": 2000.0, "g": 0.0,
+                 "delta_start": -6000.0, "delta_stop": -100.0, "samples": 60}
+LIMIT_BASE = {"schema_version": 1, "n_a": 0.0, "n_c": 12.0, "eta": 0.9, "r": 0.8}
+RAMP = {"kind": "ramp", "duration": 0.3, "delta_start": -30.0, "delta_end": -3.0}
+
+
+def _edited(base, edits):
+    """A copy of ``base`` with each dotted key set to its value (DROP deletes
+    it, and the key "" replaces the whole config)."""
+    cfg = json.loads(json.dumps(base))
+    for key, value in edits.items():
+        if key == "":
+            return value
+        *parents, last = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node.setdefault(part, {})
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return cfg
+
+
+# (command, base config, edits, text the message must contain): each case is
+# rejected by the parser, so it must exit 2 before any engine runs
+BAD_CONFIGS = [
+    ("cycle", "run", {"": [1, 2]}, "config must be a JSON object"),
+    ("cycle", "run", {"schema_version": 2}, "schema_version = 1"),
+    ("cycle", "run", {"description": 5}, "'description' must be a string"),
+    ("cycle", "run", {"params": [1]}, "params must be a JSON object"),
+    ("cycle", "run", {"integrator": 5}, "integrator must be a JSON object"),
+    ("cycle", "run", {"params.g": DROP}, "missing required key 'params.g'"),
+    ("cycle", "run", {"params.n_targets": "hot"}, "'params.n_targets' must be a list"),
+    ("cycle", "run", {"params.kappa": -1.0}, "decay rates must be non-negative"),
+    ("cycle", "run", {"schedule": None}, "missing required key 'schedule.type'"),
+    ("cycle", "run", {"schedule.type": "zigzag"}, "'schedule.type' must be one of"),
+    ("cycle", "run", {"schedule.type": 3}, "'schedule.type' must be a string"),
+    ("cycle", "run", {"schedule.tau5": 1.0}, "unknown key 'schedule.tau5'"),
+    ("cycle", "run", {"schedule.targets": [0.5]}, "'schedule.targets' must be a list of integers"),
+    ("cycle", "run", {"schedule.targets": [1]}, "unknown target index 1"),
+    ("cycle", "run", {"schedule.cycles": "two"}, "'schedule.cycles' must be an integer"),
+    ("cycle", "run", {"schedule.ramp_shape": "square"}, "'schedule.ramp_shape' must be one of"),
+    ("cycle", "run", {"schedule.tau1": -0.1}, "tau1 must be positive"),
+    ("cycle", "run", {"schedule": {"type": "strokes", "strokes": []}},
+     "'schedule.strokes' must be a non-empty list"),
+    ("cycle", "run", {"schedule": {"type": "strokes", "strokes": [1]}},
+     "missing required key 'schedule.strokes[0].kind'"),
+    ("cycle", "run", {"schedule": {"type": "strokes", "strokes": [{"kind": "pause"}]}},
+     "'schedule.strokes[0].kind' must be one of"),
+    ("cycle", "run", {"schedule": {"type": "strokes", "strokes": [dict(RAMP, extra=1)]}},
+     "unknown key 'schedule.strokes[0].extra'"),
+    ("cycle", "run", {"schedule": {"type": "strokes", "strokes": [
+        {"kind": "hold", "duration": 0.1}, {"kind": "exchange", "duration": 0.1}]}},
+     "missing required key 'schedule.strokes[1].target'"),
+    ("cycle", "run", {"schedule": {"type": "strokes", "strokes": [
+        {"kind": "exchange", "duration": 0.1, "target": 3}]}},
+     "'schedule.strokes[0].target'"),
+    ("cycle", "run", {"schedule": {"type": "strokes", "strokes": [
+        dict(RAMP, delta_start=-20.0)]}}, "detuning discontinuity"),
+    ("cycle", "run", {"schedule": {"type": "strokes", "strokes": [
+        {"kind": "hold", "duration": 0.0}]}}, "stroke duration must be positive"),
+    ("cycle", "run", {"initial.basis": "dressed"}, "'initial.basis' must be one of"),
+    ("cycle", "run", {"initial.pair": [0.1]}, "'initial.pair' must hold exactly two"),
+    ("cycle", "run", {"initial.targets": []}, "'initial.targets' must list one occupation"),
+    ("cycle", "run", {"initial.pair": [-0.1, 0.2]}, "occupations must be non-negative"),
+    ("cycle", "run", {"engine": "exact"}, "'engine' must be one of"),
+    ("cycle", "run", {"integrator.tol": 0.0}, "'integrator.tol' must be positive"),
+    ("cycle", "run", {"integrator.samples_per_stroke": 0},
+     "'integrator.samples_per_stroke' must be >= 1"),
+    ("cycle", "run", {"integrator.order": 4}, "unknown key 'integrator.order'"),
+    ("cycle", "run", {"engine": "fock"}, "engine 'fock' requires a 'fock' section"),
+    ("cycle", "run", {"engine": "fock", "fock.cutoffs": [4, 4, 4], "initial.basis": "polariton"},
+     "requires initial.basis = 'bare'"),
+    ("cycle", "run", {"fock.cutoffs": [6, 6]}, "'fock.cutoffs' must list one cutoff per mode"),
+    ("cycle", "run", {"fock.cutoffs": "six"}, "'fock.cutoffs' must be a list of integers"),
+    ("validate", "run", {"fock.cutoffs": [1, 5, 5], "params.n_a": 0.0,
+                         "initial.pair": [0.0, 0.2]}, "'fock.cutoffs'"),
+    ("validate", "run", {"fock.cutoffs": [1, 5, 5]}, "'fock.cutoffs'"),
+    ("validate", "run", {"fock.cutoffs": [6, 6, 8], "fock.dt": 1.0}, "'fock.dt'"),
+    ("validate", "run", {"fock.cutoffs": [6, 6, 8], "fock.dt": -1e-3}, "'fock.dt'"),
+    ("validate", "run", {"fock.cutoffs": [6, 6, 8], "fock.leakage_threshold": 2.0},
+     "'fock.leakage_threshold' must lie in (0, 1)"),
+    ("validate", "run", {"fock.cutoffs": [6, 6, 8], "comparison.threshold": 0.0},
+     "'comparison.threshold' must be positive"),
+    ("validate", "run", {"fock.cutoffs": [6, 6, 8], "comparison.strict": True},
+     "unknown key 'comparison.strict'"),
+    ("validate", "run", {"params.n_a": 0.0}, "missing required key 'fock'"),
+    ("spectrum", "spectrum", {"": None}, "config must be a JSON object"),
+    ("spectrum", "spectrum", {"delta_start": DROP}, "missing required key 'delta_start'"),
+    ("spectrum", "spectrum", {"omega_b": 0.0}, "'omega_b' must be positive"),
+    ("spectrum", "spectrum", {"g": -1.0}, "'g' must be non-negative"),
+    ("spectrum", "spectrum", {"samples": 1.5}, "'samples' must be an integer"),
+    ("spectrum", "spectrum", {"samples": 0}, "empty sweep range"),
+    ("spectrum", "spectrum", {"delta_start": -10.0, "delta_stop": 10.0}, "red-detuned"),
+    ("limit", "limit", {"": "n_a"}, "config must be a JSON object"),
+    ("limit", "limit", {"n_c": DROP}, "missing required key 'n_c'"),
+    ("limit", "limit", {"n_a": -1.0}, "bath occupations must be non-negative"),
+    ("limit", "limit", {"gamma": 1.0, "tau": 0.1}, "give either 'r' or ('gamma', 'tau')"),
+    ("limit", "limit", {"r": DROP, "tau": 0.1}, "'gamma' is required"),
+    ("limit", "limit", {"eta": DROP}, "'eta' is required"),
+    ("limit", "limit", {"r": DROP}, "give 'r' or ('gamma', 'tau')"),
+    ("limit", "limit", {"r": 1.5}, "r must lie in (0, 1]"),
+    ("limit", "limit", {"eta": DROP, "sweep": {"variable": "n_a", "start": 0.0, "stop": 1.0,
+                                               "samples": 3}}, "'sweep.variable' must be one of"),
+    ("limit", "limit", {"eta": DROP, "sweep": {"variable": "eta", "start": 0.0, "samples": 3}},
+     "missing required key 'sweep.stop'"),
+    ("limit", "limit", {"eta": DROP, "sweep": {"variable": "eta", "start": 1.0, "stop": 0.0,
+                                               "samples": 3}}, "empty sweep range"),
+]
+
+
+@pytest.mark.parametrize("command, base, edits, expected", BAD_CONFIGS,
+                         ids=[f"{c}-{'-'.join(e) or 'top'}-{i}"
+                              for i, (c, _, e, _) in enumerate(BAD_CONFIGS)])
+def test_bad_config_exits_2_naming_its_key(tmp_path, capsys, monkeypatch,
+                                           command, base, edits, expected):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the config was rejected")
+
+    monkeypatch.setattr("omcool.cli.run_protocol", no_engine)
+    bases = {"run": small_cycle_config(), "spectrum": SPECTRUM_BASE, "limit": LIMIT_BASE}
+    path = write_config(tmp_path, "bad.json", _edited(bases[base], edits))
+    assert run_cli(command, "--config", path, "--out", str(tmp_path / "x.out")) == 2
+    assert expected in capsys.readouterr().err
+
+
+def test_strokes_schedule_with_adiabatic_ramps_matches_default_cycle(tmp_path):
+    # the custom-stroke path builds each adiabatic profile from the params,
+    # so spelling out the default cycle stroke by stroke gives its trajectory
+    default = small_cycle_config()
+    default["schedule"]["ramp_shape"] = "adiabatic"
+    strokes = _edited(default, {"schedule": {"type": "strokes", "strokes": [
+        dict(RAMP, shape="adiabatic"),
+        {"kind": "exchange", "duration": 0.32, "target": 0},
+        dict(RAMP, delta_start=-3.0, delta_end=-30.0, shape="adiabatic"),
+        {"kind": "hold", "duration": 0.5},
+    ]}})
+    rows = []
+    for name, cfg in (("default.json", default), ("strokes.json", strokes)):
+        out = tmp_path / (name + ".csv")
+        assert run_cli("cycle", "--config", write_config(tmp_path, name, cfg),
+                       "--out", str(out)) == 0
+        rows.append(read_csv(out)[1:])
+    assert rows[0] == rows[1]
+    assert len(rows[1][1]) == 4 * 6 + 1
+
+
 class TestLimitCommand:
     def test_eta_sweep_reaches_fluid_floor(self, tmp_path):
         cfg = write_config(tmp_path, "lim.json", {

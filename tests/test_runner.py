@@ -113,6 +113,21 @@ class TestRunProtocol:
                 fock_options=FockOptions(cutoffs=(6, 6, 8)),
             )
 
+    @pytest.mark.parametrize("engine", ["gaussian", "fock"])
+    def test_exchange_on_missing_target_rejected_before_stepping(
+            self, small_params, monkeypatch, engine):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr("omcool.gaussian.propagate", no_stepping)
+        monkeypatch.setattr("omcool.fock.propagate_fock", no_stepping)
+        sched = CycleSchedule(strokes=(Stroke.hold(0.1), Stroke.exchange(3, 5.0, 0.1)),
+                              cycle_count=1, delta_start=-30.0)
+        init = InitialOccupations(basis="bare", pair=(0.1, 0.2), targets=(0.25,))
+        with pytest.raises(ValueError, match="unknown target index 3"):
+            run_protocol(small_params, sched, engine, init,
+                         fock_options=FockOptions(cutoffs=(4, 4, 4)))
+
     @pytest.mark.parametrize("pair, targets", [((math.nan, 0.2), (0.25,)),
                                                ((0.1, 0.2), (math.inf,))])
     def test_non_finite_initial_occupations_rejected(self, pair, targets):
