@@ -30,7 +30,7 @@ from .polariton import (
     rabi_populations,
     survival_factor,
 )
-from .schedule import CycleSchedule, Stroke, StrokeKind, build_default_cycle
+from .schedule import CycleSchedule, Samples, Stroke, StrokeKind, build_default_cycle
 from .gaussian import (
     GaussianState,
     mode_occupations,
@@ -65,6 +65,7 @@ __all__ = [
     "OmcoolError",
     "PhysicsError",
     "PolaritonBasis",
+    "Samples",
     "StabilityError",
     "Stroke",
     "StrokeKind",

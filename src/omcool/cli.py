@@ -231,7 +231,9 @@ def cmd_validate(args) -> int:
     max_dev = float("nan")
     max_leak = float("nan")
     try:
-        traj_g, traj_f = run("gaussian"), run("fock")
+        # the Fock run first: its initial state's tail check can settle
+        # INCONCLUSIVE before either engine steps
+        traj_f, traj_g = run("fock"), run("gaussian")
         if traj_g.times.size != traj_f.times.size or not np.allclose(
             traj_g.times, traj_f.times, rtol=0, atol=1e-12
         ):

@@ -97,7 +97,8 @@ def _check_version(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # bool is an int and 1.0 == 1, so equality alone would accept true and 1.0
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
             f"config must declare schema_version = {SCHEMA_VERSION}, got {version!r}"
         )
@@ -113,9 +114,11 @@ def load_config_file(path: str | Path) -> dict:
             return json.loads(bundled.read_text())
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def parse_params(obj: dict, path: str = "params.") -> SystemParams:

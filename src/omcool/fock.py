@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import IntegrationError, TruncationError
 from .params import SystemParams
-from .schedule import CycleSchedule, StrokeSpan, span_fmax, stroke_walk
+from .schedule import CycleSchedule, Samples, StrokeSpan, span_fmax, stroke_walk
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
@@ -92,9 +92,9 @@ class FockState:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
 
-    def validate(self) -> tuple[float, float, float]:
+    def validate(self) -> float:
         """Check trace, hermiticity and positivity; return the
-        ``(trace_error, hermiticity_error, min_eigenvalue)`` the checks computed."""
+        ``min_eigenvalue`` the positivity check computed."""
         terr = self.trace_error()
         if terr > TRACE_TOL:
             raise IntegrationError(f"trace deviates by {terr:.3e} at t={self.time}", time=self.time)
@@ -109,7 +109,7 @@ class FockState:
                 f"negative eigenvalue {mineig:.3e} at t={self.time}; reduce the step size",
                 time=self.time,
             )
-        return terr, herr, mineig
+        return mineig
 
 
 class ModeOperators:
@@ -259,26 +259,6 @@ def quadrature_moments(state: FockState, ops: ModeOperators, modes=(0, 1)):
             second[2 * i:2 * i + 2, 2 * j:2 * j + 2] = block
             second[2 * j:2 * j + 2, 2 * i:2 * i + 2] = block.T
     return mean, second - np.outer(mean, mean)
-
-
-@dataclass(frozen=True)
-class FockTrajectory:
-    """Occupation trajectory plus per-sample invariant metrics.
-
-    Full density matrices are not stored (d^2 complex entries per sample adds
-    up quickly); the final state is kept, and the quadrature moments of the
-    (a, b) pair are recorded so polariton observables can be reconstructed.
-    """
-
-    times: np.ndarray
-    occupations: np.ndarray
-    ab_means: np.ndarray
-    ab_covs: np.ndarray
-    leakage: np.ndarray
-    trace_errors: np.ndarray
-    hermiticity_errors: np.ndarray
-    min_eigenvalues: np.ndarray
-    final_state: FockState
 
 
 class _Generator:
@@ -466,16 +446,18 @@ def propagate_fock(
     dt: float | None = None,
     samples_per_stroke: int = 16,
     leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD,
-) -> FockTrajectory:
+) -> Samples:
     """Integrate the master equation through the schedule up to ``t_end``.
 
     Each segment between two output samples takes fixed RK4 steps of at
     most 1/(50 f), where f is the largest frequency scale on that segment
     (``span_fmax`` with the detunings at the segment's ends).  ``dt`` caps
     the step further; it must not exceed the stroke-wide bound
-    1/(50 f_max), and a coarser ``dt`` raises ValueError.  The trajectory
-    is sampled on the ``schedule.stroke_walk`` grid.  Top Fock-level
-    population is checked after every step against
+    1/(50 f_max), and a coarser ``dt`` raises ValueError.  The samples lie
+    on the ``schedule.stroke_walk`` grid; density matrices are not kept
+    (d^2 complex entries each), only the final state and each sample's
+    occupations, quadrature moments of every mode and leakage.  Top
+    Fock-level population is checked after every step against
     ``leakage_threshold``; trace, hermiticity and positivity are checked at
     every output sample.
     """
@@ -503,11 +485,12 @@ def propagate_fock(
 
     times = [t0]
     records = []
+    modes = tuple(range(len(state.cutoffs)))
 
     def record(r, t):
         st = FockState(rho=gen.join(r), cutoffs=state.cutoffs, time=t)
-        records.append((mode_occupations(st, ops), *quadrature_moments(st, ops),
-                        leakage(r), *st.validate()))
+        records.append((mode_occupations(st, ops), *quadrature_moments(st, ops, modes),
+                        st.validate(), leakage(r)))
 
     record(rho, t0)
 
@@ -554,18 +537,9 @@ def propagate_fock(
             times.append(t_now)
             record(rho, t_now)
 
-    occ = np.array([r[0] for r in records])
-    means = np.array([r[1] for r in records])
-    covs = np.array([r[2] for r in records])
-    leaks = np.array([r[3] for r in records])
-    return FockTrajectory(
-        times=np.asarray(times),
-        occupations=occ,
-        ab_means=means,
-        ab_covs=covs,
-        leakage=leaks,
-        trace_errors=np.array([r[4] for r in records]),
-        hermiticity_errors=np.array([r[5] for r in records]),
-        min_eigenvalues=np.array([r[6] for r in records]),
+    occ, means, covs, min_eigs, leaks = (np.array(x) for x in zip(*records))
+    return Samples(
+        times=np.asarray(times), occupations=occ, means=means, covs=covs,
+        physicality=min_eigs, leakage=leaks,
         final_state=FockState(rho=gen.join(rho), cutoffs=state.cutoffs, time=times[-1]),
     )

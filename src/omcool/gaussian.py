@@ -42,7 +42,7 @@ from .errors import IntegrationError
 from .params import SystemParams
 from .polariton import (PolaritonBasis, check_stability, moment_occupations, pair_occupations,
                         symplectic_form)
-from .schedule import CycleSchedule, StrokeKind, StrokeSpan, span_fmax, stroke_walk
+from .schedule import CycleSchedule, Samples, StrokeKind, StrokeSpan, span_fmax, stroke_walk
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
@@ -141,35 +141,6 @@ def polariton_occupations(state: GaussianState, basis: PolaritonBasis) -> tuple[
     return pair_occupations(state.mean[:4], state.cov[:4, :4], basis)
 
 
-@dataclass(frozen=True)
-class GaussianTrajectory:
-    """Sampled moment trajectory: times, means (S, 2N) and covariances (S, 2N, 2N).
-
-    ``min_eigenvalues`` holds each sample's ``uncertainty_min_eig``.
-    """
-
-    times: np.ndarray
-    means: np.ndarray
-    covs: np.ndarray
-    min_eigenvalues: np.ndarray
-
-    def __len__(self) -> int:
-        return self.times.size
-
-    def state_at(self, i: int) -> GaussianState:
-        return GaussianState(
-            mean=self.means[i], cov=self.covs[i], time=float(self.times[i]),
-        )
-
-    def occupations(self) -> np.ndarray:
-        """(S, N) bare-mode occupations along the trajectory."""
-        return moment_occupations(self.means, self.covs)
-
-    @property
-    def final_state(self) -> GaussianState:
-        return self.state_at(len(self) - 1)
-
-
 def _stroke_generator(params: SystemParams, span: StrokeSpan):
     """(M0, E, [M0, E]) of the stroke's Van Loan generator M0 + delta E.
 
@@ -259,12 +230,12 @@ def propagate(
     *,
     params: SystemParams,
     samples_per_stroke: int = 32,
-) -> GaussianTrajectory:
+) -> Samples:
     """Propagate a Gaussian state through the schedule up to ``t_end``.
 
     ``params`` supplies the frequencies, couplings and rates.  The returned
-    trajectory is sampled on the ``schedule.stroke_walk`` grid, and every
-    sample is checked against the state invariants.
+    samples lie on the ``schedule.stroke_walk`` grid, and every sample is
+    checked against the state invariants.
     """
     if state.n_modes != params.n_modes:
         raise ValueError(
@@ -347,7 +318,8 @@ def propagate(
     means, covs = (np.asarray(x) for x in zip(*samples))
     min_eigs = [GaussianState(mean=m, cov=c, time=float(t)).validate()
                 for t, m, c in zip(times, means, covs)]
-    return GaussianTrajectory(
-        times=times, means=means, covs=covs,
-        min_eigenvalues=np.array(min_eigs),
+    return Samples(
+        times=times, occupations=moment_occupations(means, covs), means=means, covs=covs,
+        physicality=np.array(min_eigs), leakage=None,
+        final_state=GaussianState(mean=means[-1], cov=covs[-1], time=float(times[-1])),
     )

@@ -6,7 +6,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -88,8 +89,8 @@ class Trajectory:
     spans: tuple[StrokeSpan, ...]
     engine: str
     mode_labels: tuple[str, ...]
-    physicality: np.ndarray = field(default=None)
-    leakage: np.ndarray = field(default=None)
+    physicality: np.ndarray
+    leakage: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -129,14 +130,6 @@ def run_protocol(
     spans = tuple(schedule.spans())
     _check_targets([s.target for s in spans if s.target is not None], params)
 
-    def annotate(exc):
-        t = getattr(exc, "time", None)
-        if t is None:
-            return exc
-        k = schedule.stroke_index(t)
-        exc.args = (f"{exc.args[0]} [stroke {k}, cycle {spans[k].cycle}]",) + exc.args[1:]
-        return exc
-
     # delta repeats every cycle and holds still through exchange and hold
     # strokes, so each distinct value gets one basis
     bases = {}
@@ -147,23 +140,14 @@ def run_protocol(
         return bases[delta]
 
     if engine == "gaussian":
-        basis0 = basis_at(schedule.delta_start)
         if initial.basis == "polariton":
             state0 = gauss_mod.polariton_initial_state(
-                basis0, initial.pair[0], initial.pair[1], initial.targets
+                basis_at(schedule.delta_start), *initial.pair, initial.targets
             )
         else:
             state0 = gauss_mod.thermal_state(list(initial.pair) + list(initial.targets))
-        try:
-            traj = gauss_mod.propagate(
-                state0, schedule, t_end, tol=tol, params=params,
-                samples_per_stroke=samples_per_stroke,
-            )
-        except IntegrationError as exc:
-            raise annotate(exc)
-        occ = traj.occupations()
-        ab_means, ab_covs = traj.means[:, :4], traj.covs[:, :4, :4]
-        leak = None
+        propagate = partial(gauss_mod.propagate, state0, schedule, t_end, tol=tol,
+                            params=params, samples_per_stroke=samples_per_stroke)
     else:
         if fock_options is None:
             raise ValueError("fock engine requires fock_options with per-mode cutoffs")
@@ -173,29 +157,29 @@ def run_protocol(
         state0 = fock_mod.thermal_state(
             fock_options.cutoffs, occ0, leakage_threshold=fock_options.leakage_threshold
         )
-        try:
-            traj = fock_mod.propagate_fock(
-                state0, params, schedule, t_end, dt=fock_options.dt,
-                samples_per_stroke=samples_per_stroke,
-                leakage_threshold=fock_options.leakage_threshold,
-            )
-        except (IntegrationError, TruncationError) as exc:
-            raise annotate(exc)
-        occ = traj.occupations
-        ab_means, ab_covs = traj.ab_means, traj.ab_covs
-        leak = traj.leakage
+        propagate = partial(fock_mod.propagate_fock, state0, params, schedule, t_end,
+                            dt=fock_options.dt, samples_per_stroke=samples_per_stroke,
+                            leakage_threshold=fock_options.leakage_threshold)
+    try:
+        run = propagate()
+    except (IntegrationError, TruncationError) as exc:
+        if exc.time is not None:
+            k = schedule.stroke_index(exc.time)
+            exc.args = (f"{exc.args[0]} [stroke {k}, cycle {spans[k].cycle}]",) + exc.args[1:]
+        raise
 
-    times = traj.times
+    times = run.times
     idx = schedule.stroke_index(times)
     delta = schedule.delta_at(times)
     # a span's amplitude is zero outside exchange strokes
     omega0 = np.array([spans[i].amplitude for i in idx], dtype=float)
     n_pol = np.array([
-        pair_occupations(m, c, basis_at(d)) for d, m, c in zip(delta, ab_means, ab_covs)
+        pair_occupations(m[:4], c[:4, :4], basis_at(d))
+        for d, m, c in zip(delta, run.means, run.covs)
     ])
     return Trajectory(
         times=times,
-        occupations=occ,
+        occupations=run.occupations,
         n_polariton=n_pol,
         delta=delta,
         omega0_active=omega0,
@@ -204,8 +188,8 @@ def run_protocol(
         spans=spans,
         engine=engine,
         mode_labels=params.mode_labels,
-        physicality=traj.min_eigenvalues,
-        leakage=leak,
+        physicality=run.physicality,
+        leakage=run.leakage,
     )
 
 

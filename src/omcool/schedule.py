@@ -338,6 +338,29 @@ def stroke_walk(
     return [(span, lo, grid[(grid > lo) & (grid <= hi)]) for span, lo, hi in segments]
 
 
+@dataclass(frozen=True)
+class Samples:
+    """What either engine returns: its run sampled on the ``stroke_walk`` grid.
+
+    ``occupations`` (S, N) are the bare-mode occupations; ``means`` (S, 2N)
+    and ``covs`` (S, 2N, 2N) the quadrature moments of every mode, with
+    x = (a + a^dag)/sqrt(2) and p = -i(a - a^dag)/sqrt(2).  ``physicality``
+    is each sample's invariant margin: the smallest eigenvalue of
+    cov + iJ/2 (Gaussian engine) or of rho (Fock engine).  ``leakage``
+    (S, N) is the Fock engine's top-level population per mode, None for the
+    Gaussian engine; ``final_state`` is the last sample in the engine's own
+    state type.
+    """
+
+    times: np.ndarray
+    occupations: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    physicality: np.ndarray
+    leakage: np.ndarray | None
+    final_state: object
+
+
 def _check_targets(targets, params: "SystemParams") -> None:
     """Raise ValueError unless each index in ``targets`` names a target mode."""
     n_targets = len(params.delta_targets)

@@ -21,6 +21,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
+def fock_checks(monkeypatch):
+    """(trace error, hermiticity error, min eigenvalue) of every state that
+    ``FockState.validate`` accepts while the test runs, in call order: one row
+    per Fock output sample."""
+    from omcool.fock import FockState
+
+    rows = []
+    validate = FockState.validate
+
+    def recorded(state):
+        min_eig = validate(state)
+        rows.append((state.trace_error(), state.hermiticity_error(), min_eig))
+        return min_eig
+
+    monkeypatch.setattr(FockState, "validate", recorded)
+    return rows
+
+
+@pytest.fixture
 def fig1_params():
     return SystemParams(
         omega_b=2000.0, g=200.0, kappa=40.0, gamma=1.0, n_a=0.5, n_b=2.0,

@@ -51,7 +51,7 @@ def _check_runtime(name, elapsed, limit):
     return detail
 
 
-def test_c1_thermal_relaxation_oracle():
+def test_c1_thermal_relaxation_oracle(fock_checks):
     t0 = time.perf_counter()
     # Gaussian engine
     p = SystemParams(omega_b=2000.0, g=0.0, kappa=40.0, gamma=0.0, n_a=0.5,
@@ -60,7 +60,7 @@ def test_c1_thermal_relaxation_oracle():
                           delta_start=-2000.0)
     gtraj = propagate(thermal_state([5.0, 0.0]), sched, 0.1, tol=1e-10, params=p)
     exact = 0.5 + 4.5 * np.exp(-40.0 * gtraj.times)
-    g_err = float(np.max(np.abs(gtraj.occupations()[:, 0] - exact) / exact))
+    g_err = float(np.max(np.abs(gtraj.occupations[:, 0] - exact) / exact))
 
     # Fock engine, cutoff 30 on the damped mode
     pf = SystemParams(omega_b=1.0, g=0.0, kappa=40.0, gamma=0.0, n_a=0.5,
@@ -73,14 +73,14 @@ def test_c1_thermal_relaxation_oracle():
 
     elapsed = time.perf_counter() - t0
     _CACHE["c1_gauss"] = gtraj
-    _CACHE["c1_fock"] = ftraj
+    _CACHE["c1_fock"] = np.array(fock_checks)  # per-sample (trace, hermiticity, min eig)
     rt = _check_runtime("C1", elapsed, 5.0)
     _report("C1 thermal relaxation", g_err < 1e-8 and f_err < 1e-4,
             f"gaussian rel err {g_err:.2e} (<1e-8), fock rel err {f_err:.2e} "
             f"(<1e-4), {rt}")
 
 
-def test_c2_rabi_exchange():
+def test_c2_rabi_exchange(fock_checks):
     t0 = time.perf_counter()
     t_swap = math.pi / (2 * 200.0)
     # Gaussian: thermal 2 <-> 12 swap
@@ -91,7 +91,7 @@ def test_c2_rabi_exchange():
                           cycle_count=1, delta_start=-2000.0)
     gtraj = propagate(thermal_state([0.0, 2.0, 12.0]), sched, t_swap,
                       tol=1e-10, params=p)
-    occ = gtraj.occupations()
+    occ = gtraj.occupations
     nb, nc = rabi_populations(2.0, 12.0, 2000.0, 2000.0, 200.0, gtraj.times)
     g_err = float(max(np.max(np.abs(occ[:, 1] - nb)), np.max(np.abs(occ[:, 2] - nc))))
     g_swap = abs(occ[-1, 1] - 12.0) < 1e-5 and abs(occ[-1, 2] - 2.0) < 1e-5
@@ -109,7 +109,7 @@ def test_c2_rabi_exchange():
 
     elapsed = time.perf_counter() - t0
     _CACHE["c2_gauss"] = gtraj
-    _CACHE["c2_fock"] = ftraj
+    _CACHE["c2_fock"] = np.array(fock_checks)
     rt = _check_runtime("C2", elapsed, 30.0)
     _report("C2 resonant exchange", g_err < 1e-5 and f_err < 1e-5 and g_swap
             and f_swap,
@@ -243,21 +243,18 @@ def test_c8_physicality_suite():
     missing = [k for k in required if k not in _CACHE]
     assert not missing, f"criteria runs missing from cache: {missing}"
 
+    # physicality is each sample's min eig(cov + iJ/2)
     worst_gauss = 0.0
-    for key in ("c1_gauss", "c2_gauss"):
-        traj = _CACHE[key]
-        for i in range(len(traj)):
-            worst_gauss = min(worst_gauss, traj.state_at(i).uncertainty_min_eig())
-    for key in ("c4", "c5", "c6_gauss"):
+    for key in ("c1_gauss", "c2_gauss", "c4", "c5", "c6_gauss"):
         worst_gauss = min(worst_gauss, float(np.min(_CACHE[key].physicality)))
 
     worst_trace = worst_herm = 0.0
     worst_eig = 0.0
     for key in ("c1_fock", "c2_fock"):
-        traj = _CACHE[key]
-        worst_trace = max(worst_trace, float(np.max(traj.trace_errors)))
-        worst_herm = max(worst_herm, float(np.max(traj.hermiticity_errors)))
-        worst_eig = min(worst_eig, float(np.min(traj.min_eigenvalues)))
+        trace_errors, hermiticity_errors, min_eigenvalues = _CACHE[key].T
+        worst_trace = max(worst_trace, float(np.max(trace_errors)))
+        worst_herm = max(worst_herm, float(np.max(hermiticity_errors)))
+        worst_eig = min(worst_eig, float(np.min(min_eigenvalues)))
     fock_run = _CACHE["c6_fock"]
     worst_eig = min(worst_eig, float(np.min(fock_run.physicality)))
 

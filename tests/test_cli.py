@@ -129,6 +129,17 @@ class TestConfigErrors:
         assert run_cli("cycle", "--config", str(path), "--out",
                        str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_named(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes('{"description": "caf\xe9"}'.encode("latin-1"))
+        assert run_cli("cycle", "--config", str(path), "--out",
+                       str(tmp_path / "x.csv")) == 2
+        assert f"cannot read config {path}" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert run_cli("cycle", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "x.csv")) == 2
@@ -276,6 +287,9 @@ BAD_CONFIGS = [
      "missing required key 'sweep.stop'"),
     ("limit", "limit", {"eta": DROP, "sweep": {"variable": "eta", "start": 1.0, "stop": 0.0,
                                                "samples": 3}}, "empty sweep range"),
+    # appended, so that every earlier case keeps its id
+    ("cycle", "run", {"schema_version": True}, "schema_version = 1, got True"),
+    ("limit", "limit", {"schema_version": 1.0}, "schema_version = 1, got 1.0"),
 ]
 
 
@@ -482,11 +496,22 @@ class TestValidateCommand:
         assert payload["status"] == "PASS"
         assert payload["max_deviation"] < 1e-4
 
-    def test_tiny_cutoffs_inconclusive(self, tmp_path, capsys):
+    def test_tiny_cutoffs_inconclusive(self, tmp_path, capsys, monkeypatch):
+        # the Fock initial state's tail check settles it: no engine runs
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr("omcool.gaussian.propagate", no_engine)
+        monkeypatch.setattr("omcool.fock.propagate_fock", no_engine)
         path = self.swap_config(tmp_path, cutoffs=(2, 2, 2))
-        assert run_cli("validate", "--config", path) == 0
+        report = tmp_path / "val.json"
+        assert run_cli("validate", "--config", path, "--out", str(report)) == 0
         out = capsys.readouterr().out
         assert "INCONCLUSIVE" in out
+        assert "fock truncation: thermal occupation 0.2 needs more than 2 levels" in out
+        payload = json.loads(report.read_text())
+        assert payload["status"] == "INCONCLUSIVE"
+        assert payload["max_deviation"] is None and payload["max_leakage"] is None
 
     def test_engine_key_rejected(self, tmp_path, capsys):
         cfg = small_cycle_config(fock={"cutoffs": [6, 6, 8]})

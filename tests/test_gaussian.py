@@ -63,7 +63,7 @@ class TestThermalRelaxation:
                    delta_targets=(), n_targets=())
         traj = propagate(thermal_state([5.0, 0.0]), hold_schedule(0.1), 0.1,
                          tol=1e-10, params=p)
-        occ = traj.occupations()[:, 0]
+        occ = traj.occupations[:, 0]
         exact = 0.5 + 4.5 * np.exp(-40.0 * traj.times)
         assert np.max(np.abs(occ - exact) / exact) < 1e-8
 
@@ -76,7 +76,7 @@ class TestRabiExchange:
                               cycle_count=1, delta_start=-2000.0)
         traj = propagate(thermal_state([0.0, 2.0, 12.0]), sched, t_swap,
                          tol=1e-10, params=p)
-        occ = traj.occupations()
+        occ = traj.occupations
         n_b, n_c = rabi_populations(2.0, 12.0, 2000.0, 2000.0, 200.0, traj.times)
         assert np.max(np.abs(occ[:, 1] - n_b)) < 1e-7
         assert np.max(np.abs(occ[:, 2] - n_c)) < 1e-7
@@ -103,7 +103,7 @@ class TestSteadyState:
                               cycle_count=1, delta_start=-2000.0)
         traj = propagate(thermal_state([0.0, 2.0, 12.0]), sched, t_end,
                          tol=1e-10, params=p)
-        total = traj.occupations()[:, 1:].sum(axis=1)
+        total = traj.occupations[:, 1:].sum(axis=1)
         assert np.max(np.abs(total - 14.0)) < 1e-8
 
 
@@ -115,8 +115,8 @@ class TestPropagateContract:
         state = polariton_initial_state(basis, 0.5, 2.0, [12.0])
         traj = propagate(state, sched, sched.total_duration, tol=1e-7,
                          params=fig1_params)
-        for i in range(len(traj)):
-            assert traj.state_at(i).uncertainty_min_eig() > -1e-9
+        for m, c in zip(traj.means, traj.covs):
+            assert GaussianState(mean=m, cov=c).uncertainty_min_eig() > -1e-9
 
     def test_deterministic(self, fig1_params):
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])

@@ -177,7 +177,7 @@ class TestBackends:
         ref = solve_ivp(rhs, (0.0, 0.3), y0, method="DOP853", rtol=1e-12, atol=1e-12,
                         t_eval=traj.times)
         assert np.max(np.abs(traj.means - ref.y[:6].T)) < 1e-10
-        assert np.max(np.abs(traj.covs.reshape(len(traj), 36) - ref.y[6:].T)) < 1e-10
+        assert np.max(np.abs(traj.covs.reshape(-1, 36) - ref.y[6:].T)) < 1e-10
 
     def test_three_cycles_reuse_the_first_cycle_maps(self, fig1_params, monkeypatch):
         built = []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from omcool import gaussian
+from omcool import fock, gaussian
 from omcool.config import load_config_file, parse_cycle_config
 from omcool.errors import TruncationError
 from omcool.params import SystemParams
@@ -16,6 +16,7 @@ from omcool.polariton import (
     pair_occupations,
 )
 from omcool.runner import (
+    ENGINES,
     FockOptions,
     InitialOccupations,
     Trajectory,
@@ -25,6 +26,7 @@ from omcool.runner import (
 )
 from omcool.schedule import (
     CycleSchedule,
+    Samples,
     Stroke,
     StrokeKind,
     StrokeSpan,
@@ -87,20 +89,9 @@ class TestRunProtocol:
 
     def test_physicality_is_each_samples_uncertainty_eigenvalue(self, fig1_params):
         traj, gtraj = self._gaussian_pair(fig1_params)
-        expected = [gtraj.state_at(i).uncertainty_min_eig() for i in range(len(gtraj))]
+        expected = [gaussian.GaussianState(mean=m, cov=c).uncertainty_min_eig()
+                    for m, c in zip(gtraj.means, gtraj.covs)]
         assert np.array_equal(traj.physicality, expected)
-
-    def test_one_polariton_formula_for_both_engine_branches(self, fig1_params):
-        # the Gaussian branch hands the formula views into the full moments,
-        # the Fock branch contiguous (a, b) blocks; both give the same numbers
-        traj, gtraj = self._gaussian_pair(fig1_params)
-        ab_means = np.array([m[:4] for m in gtraj.means])
-        ab_covs = np.array([c[:4, :4] for c in gtraj.covs])
-        for i in range(len(gtraj)):
-            basis = bogoliubov_basis(traj.delta[i], 2000.0, 200.0)
-            via_state = gaussian.polariton_occupations(gtraj.state_at(i), basis)
-            via_blocks = pair_occupations(ab_means[i], ab_covs[i], basis)
-            assert via_state == via_blocks == tuple(traj.n_polariton[i])
 
     def test_fock_engine_requires_options_and_bare_basis(self, small_params):
         sched = build_default_cycle(small_params, 0.3, 0.32, 0.3, 0.5, targets=[0])
@@ -148,8 +139,65 @@ class TestRunProtocol:
                 n_polariton=np.zeros((2, 2)), delta=np.zeros(2),
                 omega0_active=np.zeros(2), stroke_index=np.zeros(2, dtype=int),
                 markers=np.zeros(1), spans=(), engine="gaussian",
-                mode_labels=("a", "b", "c"),
+                mode_labels=("a", "b", "c"), physicality=np.zeros(2),
             )
+
+
+class TestEngineRecord:
+    def test_both_engines_return_one_record(self, monkeypatch):
+        cfg = parse_cycle_config(load_config_file("smalltest"), for_validate=True)
+        # smaller cutoffs than the config's keep the Fock run short
+        fock_options = FockOptions(cutoffs=(5, 5, 6), leakage_threshold=1e-2)
+        ops = fock.ModeOperators(fock_options.cutoffs)
+        records, fock_pairs = {}, []
+        validate = fock.FockState.validate
+
+        def check(state):
+            # the sample's (a, b) moments on their own, as contiguous blocks
+            fock_pairs.append(fock.quadrature_moments(state, ops, (0, 1)))
+            return validate(state)
+
+        def kept(engine, propagate):
+            def run(*args, **kwargs):
+                records[engine] = propagate(*args, **kwargs)
+                return records[engine]
+            return run
+
+        monkeypatch.setattr(fock.FockState, "validate", check)
+        monkeypatch.setattr(gaussian, "propagate", kept("gaussian", gaussian.propagate))
+        monkeypatch.setattr(fock, "propagate_fock", kept("fock", fock.propagate_fock))
+        trajs = {engine: run_protocol(cfg.params, cfg.schedule, engine, cfg.initial,
+                                      tol=cfg.tol, samples_per_stroke=cfg.samples_per_stroke,
+                                      fock_options=fock_options)
+                 for engine in ENGINES}
+
+        g, f = records["gaussian"], records["fock"]
+        n = g.times.size
+        assert type(g) is type(f) is Samples
+        for run in (g, f):
+            assert run.means.shape == (n, 6)
+            assert run.covs.shape == (n, 6, 6)
+            assert run.occupations.shape == (n, 3)
+            assert run.physicality.shape == (n,)
+        assert g.leakage is None
+        assert f.leakage.shape == (n, 3)
+        assert len(fock_pairs) == n
+        for i, (mean, cov) in enumerate(fock_pairs):
+            assert np.array_equal(f.means[i, :4], mean)
+            assert np.array_equal(f.covs[i, :4, :4], cov)
+        # run_protocol reads each engine's (a, b) block as a view into the full
+        # moments; the polariton formula gives the contiguous blocks' numbers
+        pairs = {"gaussian": [(m[:4].copy(), c[:4, :4].copy()) for m, c in zip(g.means, g.covs)],
+                 "fock": fock_pairs}
+        for engine, traj in trajs.items():
+            for d, (mean, cov), n_pol in zip(traj.delta, pairs[engine], traj.n_polariton):
+                basis = bogoliubov_basis(d, cfg.params.omega_b, cfg.params.g)
+                assert pair_occupations(mean, cov, basis) == tuple(n_pol)
+        traj = trajs["gaussian"]
+        for d, m, c, n_pol in zip(traj.delta, g.means, g.covs, traj.n_polariton):
+            basis = bogoliubov_basis(d, cfg.params.omega_b, cfg.params.g)
+            state = gaussian.GaussianState(mean=m, cov=c)
+            assert gaussian.polariton_occupations(state, basis) == tuple(n_pol)
 
 
 def walk_deltas(sched, samples_per_stroke):
@@ -230,7 +278,7 @@ class TestAnalyzeCycles:
             omega0_active=np.zeros_like(times),
             stroke_index=np.zeros(times.size, dtype=int),
             markers=times, spans=spans, engine="synthetic",
-            mode_labels=("a", "b", "c"),
+            mode_labels=("a", "b", "c"), physicality=np.zeros_like(times),
         ), cmp_params
 
     def test_synthetic_map_reproduced_exactly(self, fig1_params):
