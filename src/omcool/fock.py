@@ -10,13 +10,17 @@ with the standard thermal dissipator
 
 so that a lone mode relaxes as d<N>/dt = -rate (<N> - n).  It exists to
 cross-validate the Gaussian engine at small scale, so it favors exactness
-and transparency over reach: fixed-step RK4 (reproducible baselines), the
+and transparency over reach: fixed step counts (reproducible baselines), the
 density matrix held as dense complex blocks, and matrix-free superoperator
-application.  The RK4
-step of each sample segment is 1/(50 f) for the largest frequency scale f on
-that segment, with the detuning taken at the segment's two ends (every ramp
-shape is monotone, so these bound it); a caller's ``dt`` caps the step and
-must not exceed the stroke-wide 1/(50 f_max).
+application.  Hold and exchange strokes have a constant generator L, so each
+sample segment there advances by exp(h L) rho, a truncated Taylor series
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) in steps of
+h = TAYLOR_THETA / B for a bound B >= ||L|| from the generator's weights,
+each series stopped by a trace-norm bound on its dropped tail.  Ramps take
+RK4 steps of 1/(50 f) for the largest frequency scale f on the segment, with
+the detuning taken at the segment's two ends (every ramp shape is monotone,
+so these bound it).  A caller's ``dt`` caps every step and must not exceed
+the stroke-wide 1/(50 f_max).
 
 Every term of the master equation conserves the total excitation parity
 P = (-1)^(n_a + n_b + ...): g (a + a^dag)(b + b^dag) changes the total
@@ -32,7 +36,7 @@ inside each block and the jump terms through weighted flat gathers between
 blocks, so no d x d operator product (nor a multi-threaded BLAS call) runs
 in the step loop and every entry sees the same operations, in the same
 order, as on the full matrix.  The memory is O(d^2) rather than the O(d^4)
-of a full Liouvillian: the RK4 buffers, the generator's two scratch
+of a full Liouvillian: three work buffers, the generator's two scratch
 buffers, and an index and a weight per carried entry for each jump term
 (about 8 MB at cutoffs (6, 6, 8)).  Each output sample reassembles the
 natural-order d x d rho for the observables and the checks; the quadrature
@@ -55,12 +59,18 @@ import numpy as np
 
 from .errors import IntegrationError, TruncationError
 from .params import SystemParams
-from .schedule import CycleSchedule, Samples, StrokeSpan, span_fmax, stroke_walk
+from .schedule import (CycleSchedule, Samples, StrokeKind, StrokeSpan, span_fmax,
+                       stroke_walk)
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 DEFAULT_LEAKAGE_THRESHOLD = 1e-3
+# h B of one Taylor step of a constant stroke, and the bound on the trace norm
+# of the series tail that each step drops; at h B = 6 no term of the series
+# exceeds 6^6/6! ~ 65 times ||rho||, so cancellation among terms costs ~1e-14
+TAYLOR_THETA = 6.0
+TAYLOR_EPS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -276,7 +286,8 @@ class _Generator:
 
     which folds the diagonal Hamiltonian commutator and every dissipator
     anticommutator into a single broadcast multiply (rho stays Hermitian
-    through all RK4 stages, so the mirror term of block pq is Y_qp^dag).
+    through every RK4 stage and Taylor term, so the mirror term of block pq
+    is Y_qp^dag).
     Nothing here is a d x d operator: H_off = g (a + a^dag)(b + b^dag)
     + omega_0 (b^dag c + c^dag b) is a few bands, each a weighted row gather
     inside a block, and each jump sandwich a rho a^dag reads the block of
@@ -392,12 +403,27 @@ class _Generator:
     def _views(self, buf):
         return [buf[s].reshape(shape) for s, shape in zip(self.spans, self.shapes)]
 
+    def _lvec(self, delta_now: float) -> np.ndarray:
+        return self.damp_diag - 1j * (self.diag_static - delta_now * self.na_diag)
+
+    def norm_bound(self, bands: list, delta_now: float) -> float:
+        """A bound B on the norm of ``rhs`` at ``delta_now``, from its weights.
+
+        Every gather is injective, so a weighted gather has a Frobenius
+        operator norm of at most its largest weight: Y is bounded by the
+        largest |L[i]| of the diagonal above plus each band's largest weight,
+        the mirror term doubles that, and each jump adds its largest weight.
+        """
+        y = np.abs(self._lvec(delta_now)).max()
+        y += sum(max(np.abs(w).max() for _, w in band) for band in bands)
+        return float(2.0 * y + sum(np.abs(w).max() for _, w in self.jumps))
+
     def rhs(self, rho: np.ndarray, bands: list, delta_now: float,
             out: np.ndarray) -> np.ndarray:
         """drho/dt of the flat buffer ``rho`` at detuning ``delta_now``,
         written into ``out``."""
         y, tmp = self._y, self._tmp
-        lvec = self.damp_diag - 1j * (self.diag_static - delta_now * self.na_diag)
+        lvec = self._lvec(delta_now)
         ys = self._views(y)
         # every gather index is in range, and mode="clip" spares the buffered
         # copy of ``out`` that np.take makes under its default mode="raise"
@@ -438,6 +464,57 @@ def _check_dt(dt: float, params: SystemParams, spans) -> None:
             )
 
 
+def _rk4_step(gen: _Generator, rho, bands, deltas, h: float, total, slope, stage):
+    """One RK4 step of length ``h`` from ``rho``, at the detunings ``deltas``
+    (start, midpoint, end), into ``total``; ``slope`` and ``stage`` are scratch."""
+    d0, dh, d1 = deltas
+    gen.rhs(rho, bands, d0, total)  # k1
+    np.multiply(total, 0.5 * h, out=stage)
+    stage += rho
+    # k2 and k3, both at the midpoint, enter the sum twice
+    for coef in (0.5 * h, h):
+        gen.rhs(stage, bands, dh, slope)
+        np.multiply(slope, coef, out=stage)
+        stage += rho
+        slope *= 2.0
+        total += slope
+    gen.rhs(stage, bands, d1, slope)  # k4
+    total += slope
+    total *= h / 6.0
+    total += rho
+
+
+def _taylor_step(gen: _Generator, rho, bands, delta: float, h: float, hb: float,
+                 total, term, spare):
+    """exp(h L) rho into ``total``, for the constant generator L at ``delta``;
+    ``term`` and ``spare`` are scratch.
+
+    ``hb`` is h B for a bound B >= ||L|| (``_Generator.norm_bound``), so past
+    the term t_k of order k every term shrinks by at least r = h B / (k + 1):
+    once r < 1 the tail is at most ||t_k|| r / (1 - r) in the Frobenius norm,
+    and sqrt(d) times that in the trace norm.  The series stops when that
+    trace-norm bound is at most TAYLOR_EPS.  A Lindblad step does not
+    amplify the trace norm, so these bounds, summed over the steps, bound
+    the drift of every eigenvalue of rho (Weyl).
+    """
+    np.copyto(total, rho)
+    np.copyto(term, rho)
+    k = 0
+    while True:
+        k += 1
+        gen.rhs(term, bands, delta, spare)
+        spare *= h / k
+        total += spare
+        term, spare = spare, term
+        r = hb / (k + 1)
+        if r < 1.0:
+            # d ||t_k||_F^2 by einsum's own loop, not a multi-threaded BLAS dot
+            x = term.view(float)
+            tail = np.sqrt(gen.dim * np.einsum("i,i->", x, x)) * r / (1.0 - r)
+            if not tail > TAYLOR_EPS:  # a NaN tail ends the series too
+                return
+
+
 def propagate_fock(
     state: FockState,
     params: SystemParams,
@@ -449,10 +526,13 @@ def propagate_fock(
 ) -> Samples:
     """Integrate the master equation through the schedule up to ``t_end``.
 
-    Each segment between two output samples takes fixed RK4 steps of at
-    most 1/(50 f), where f is the largest frequency scale on that segment
+    Each segment between two output samples takes a fixed number of equal
+    steps.  On a hold or exchange stroke, a segment of length l takes
+    ceil(l B / TAYLOR_THETA) Taylor steps of exp(h L) (``_taylor_step``), B
+    the generator's ``norm_bound``; on a ramp, RK4 steps of at most
+    1/(50 f), where f is the largest frequency scale on that segment
     (``span_fmax`` with the detunings at the segment's ends).  ``dt`` caps
-    the step further; it must not exceed the stroke-wide bound
+    every step further; it must not exceed the stroke-wide bound
     1/(50 f_max), and a coarser ``dt`` raises ValueError.  The samples lie
     on the ``schedule.stroke_walk`` grid; density matrices are not kept
     (d^2 complex entries each), only the final state and each sample's
@@ -471,8 +551,8 @@ def propagate_fock(
     rho = 0.5 * (rho + rho.conj().T)
     gen = _Generator(params, ops, rho)
     rho = gen.split(rho)
-    # RK4 work buffers: the k1 + 2 k2 + 2 k3 + k4 sum, the current stage's
-    # slope and the next stage's argument
+    # work buffers: the step's result and two scratch buffers (the RK4 stages,
+    # or the Taylor terms)
     total, slope, stage = (np.empty_like(rho) for _ in range(3))
     # buffer positions of the diagonal entries of each mode's top retained
     # level, in natural order
@@ -496,33 +576,32 @@ def propagate_fock(
 
     for span, seg_start, targets_local in walk:
         bands = gen.bands(span.target, span.amplitude)
+        # hold and exchange strokes keep one generator, bounded once
+        bound = (None if span.kind is StrokeKind.RAMP_DETUNING
+                 else gen.norm_bound(bands, span.delta0))
         t_now = seg_start
         for t_target in targets_local:
             length = t_target - t_now
-            # the segment's end detunings bound |delta| on it (ramps are monotone)
-            ends = span.delta_values_local(np.array([t_now, t_target]) - span.t_start)
-            dt_target = _max_step(span, params, ends)
+            if bound is None:
+                # the segment's end detunings bound |delta| on it (ramps are monotone)
+                ends = span.delta_values_local(np.array([t_now, t_target]) - span.t_start)
+                dt_target = _max_step(span, params, ends)
+            else:
+                dt_target = TAYLOR_THETA / bound
             if dt is not None:
                 dt_target = min(dt, dt_target)
             nsteps = max(1, int(np.ceil(length / dt_target - 1e-12)))
             h = length / nsteps
-            t_loc = (t_now - span.t_start) + np.arange(nsteps) * h
-            deltas = span.delta_values_local(np.stack([t_loc, t_loc + 0.5 * h, t_loc + h]))
-            for k, (d0, dh, d1) in enumerate(deltas.T):
-                gen.rhs(rho, bands, d0, total)  # k1
-                np.multiply(total, 0.5 * h, out=stage)
-                stage += rho
-                # k2 and k3, both at the midpoint, enter the sum twice
-                for coef in (0.5 * h, h):
-                    gen.rhs(stage, bands, dh, slope)
-                    np.multiply(slope, coef, out=stage)
-                    stage += rho
-                    slope *= 2.0
-                    total += slope
-                gen.rhs(stage, bands, d1, slope)  # k4
-                total += slope
-                total *= h / 6.0
-                total += rho
+            if bound is None:
+                t_loc = (t_now - span.t_start) + np.arange(nsteps) * h
+                deltas = span.delta_values_local(
+                    np.stack([t_loc, t_loc + 0.5 * h, t_loc + h])).T
+            for k in range(nsteps):
+                if bound is None:
+                    _rk4_step(gen, rho, bands, deltas[k], h, total, slope, stage)
+                else:
+                    _taylor_step(gen, rho, bands, span.delta0, h, h * bound,
+                                 total, slope, stage)
                 # the generator keeps a Hermitian rho exactly Hermitian
                 rho, total = total, rho
                 for m, leak in enumerate(leakage(rho)):

@@ -442,11 +442,12 @@ class TestCycleCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_engine_flag_overrides_config(self, tmp_path):
-        cfg = small_cycle_config(fock={"cutoffs": [6, 6, 8]})
+        # cutoffs below smalltest's, as test_runner's TestDeltaColumn uses,
+        # and a short hold keep the fock run short
+        cfg = small_cycle_config(fock={"cutoffs": [5, 5, 6], "leakage_threshold": 1e-2})
+        cfg["schedule"]["tau4"] = 0.1
         path = write_config(tmp_path, "cyc.json", cfg)
         out = tmp_path / "focktraj.csv"
-        cfg["schedule"]["tau4"] = 0.1  # keep the fock run short
-        path = write_config(tmp_path, "cyc2.json", cfg)
         assert run_cli("cycle", "--config", path, "--out", str(out),
                        "--engine", "fock") == 0
         meta, _, _ = read_csv(out)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 import omcool.fock as fock_mod
 from omcool.errors import IntegrationError, TruncationError
@@ -361,52 +362,68 @@ class TestPropagation:
 
 
 def _step_counts(monkeypatch, *args, **kwargs):
-    """Run propagate_fock and count its RK4 steps (four rhs calls each)
-    between consecutive output samples."""
-    calls, marks = [0], []
-    rhs, occupations = _Generator.rhs, fock_mod.mode_occupations
+    """Run propagate_fock and count its steps between consecutive output
+    samples: RK4 steps (four rhs calls each) on ramp segments, Taylor steps
+    on hold and exchange segments (0 where the segment takes the other kind)."""
+    counts, marks = [0, 0], []  # rhs calls, Taylor steps
+    rhs, taylor, occupations = _Generator.rhs, fock_mod._taylor_step, fock_mod.mode_occupations
 
     def counted_rhs(self, *a):
-        calls[0] += 1
+        counts[0] += 1
         return rhs(self, *a)
 
+    def counted_taylor(*a):
+        counts[1] += 1
+        return taylor(*a)
+
     def marked_occupations(*a):
-        marks.append(calls[0])
+        marks.append(tuple(counts))
         return occupations(*a)
 
     monkeypatch.setattr(_Generator, "rhs", counted_rhs)
+    monkeypatch.setattr(fock_mod, "_taylor_step", counted_taylor)
     monkeypatch.setattr(fock_mod, "mode_occupations", marked_occupations)
     traj = propagate_fock(*args, **kwargs)
     monkeypatch.undo()
-    assert all(m % 4 == 0 for m in marks)
-    return traj, np.diff(marks) // 4
+    calls, taylor_steps = np.diff(np.array(marks), axis=0).T
+    ramp = taylor_steps == 0
+    assert np.all(calls[ramp] % 4 == 0)
+    return traj, np.where(ramp, calls // 4, 0), taylor_steps
 
 
 class TestStepRule:
-    """Each sample segment steps at 1/(50 f), f the frequency scale on that
-    segment alone; ``dt`` caps it up to the stroke-wide 1/(50 f_max)."""
+    """Each ramp segment takes RK4 steps of 1/(50 f), f the frequency scale
+    on that segment alone; each hold or exchange segment of length l takes
+    ceil(l B / TAYLOR_THETA) Taylor steps for the generator's norm bound B;
+    ``dt`` caps both, up to the stroke-wide 1/(50 f_max)."""
 
     def test_segment_steps_follow_local_detuning(self, monkeypatch):
         # linear ramps -30 -> -3 and back in 4 segments of 0.0525 each, with a
-        # hold at -3 between them; every other frequency scale of params() is
-        # at most 10
+        # hold at -3 between them in 4 segments of 0.125; every other frequency
+        # scale of params() is at most 10
         p = params()
-        sched = CycleSchedule(strokes=(Stroke.ramp(-30.0, -3.0, 0.21), Stroke.hold(0.05),
+        sched = CycleSchedule(strokes=(Stroke.ramp(-30.0, -3.0, 0.21), Stroke.hold(0.5),
                                        Stroke.ramp(-3.0, -30.0, 0.21)),
                               cycle_count=1, delta_start=-30.0)
-        traj, steps = _step_counts(monkeypatch, thermal_state((3, 3, 2), (0.05, 0.05, 0.0)),
-                                   p, sched, 0.47, samples_per_stroke=4,
-                                   leakage_threshold=0.5)
+        st = thermal_state((3, 3, 2), (0.05, 0.05, 0.0))
+        traj, rk4_steps, taylor_steps = _step_counts(monkeypatch, st, p, sched, 0.92,
+                                                     samples_per_stroke=4,
+                                                     leakage_threshold=0.5)
         t = traj.times
-        deltas = np.where(t <= 0.21, -30.0 + 27.0 * t / 0.21,
-                          np.where(t <= 0.26, -3.0, -3.0 - 27.0 * (t - 0.26) / 0.21))
+        ramp = np.r_[0:4, 8:12]
+        deltas = np.where(t <= 0.21, -30.0 + 27.0 * t / 0.21, -3.0 - 27.0 * (t - 0.71) / 0.21)
         f_seg = np.maximum(np.maximum(np.abs(deltas[:-1]), np.abs(deltas[1:])), 10.0)
-        expected = np.ceil(np.diff(t) * 50.0 * f_seg)
-        assert steps.tolist() == expected.tolist() == [79, 62, 44, 27, 7, 7, 7, 7,
-                                                       27, 44, 62, 79]
-        # the hold's f is its stroke-wide f (7 steps as before); each ramp took
-        # 4 * 79 steps at its stroke-wide f = 30
-        assert steps[:4].sum() == steps[8:].sum() < 4 * 79
+        expected = np.ceil(np.diff(t) * 50.0 * f_seg)[ramp]
+        assert rk4_steps[ramp].tolist() == expected.tolist() == [79, 62, 44, 27,
+                                                                 27, 44, 62, 79]
+        # each ramp took 4 * 79 steps at its stroke-wide f = 30
+        assert rk4_steps[:4].sum() == rk4_steps[8:].sum() < 4 * 79
+        gen = _Generator(p, ModeOperators(st.cutoffs), st.rho)
+        bound = gen.norm_bound(gen.bands(None, 0.0), -3.0)
+        hold = np.ceil(np.diff(t)[4:8] * bound / fock_mod.TAYLOR_THETA)
+        assert taylor_steps.tolist() == [0] * 4 + hold.tolist() + [0] * 4
+        assert hold.tolist() == [3, 3, 3, 3]
+        assert np.all(rk4_steps[4:8] == 0)
 
     def test_adiabatic_ramps_agree_with_stroke_wide_steps(self, monkeypatch):
         p = params()
@@ -418,10 +435,10 @@ class TestStepRule:
             cycle_count=1, delta_start=-30.0)
         st = thermal_state((3, 4, 2), (0.05, 0.1, 0.0))
         kwargs = dict(samples_per_stroke=6, leakage_threshold=0.5)
-        local, local_steps = _step_counts(monkeypatch, st, p, sched, 0.62, **kwargs)
+        local, local_steps, _ = _step_counts(monkeypatch, st, p, sched, 0.62, **kwargs)
         # both ramps reach |delta| = 30, so one dt is each stroke's own bound
-        wide, wide_steps = _step_counts(monkeypatch, st, p, sched, 0.62,
-                                        dt=1.0 / (50.0 * 30.0), **kwargs)
+        wide, wide_steps, _ = _step_counts(monkeypatch, st, p, sched, 0.62,
+                                           dt=1.0 / (50.0 * 30.0), **kwargs)
         assert wide_steps.tolist() == np.ceil(np.diff(wide.times) * 1500.0).tolist()
         assert local_steps.sum() < 0.6 * wide_steps.sum()
         assert np.array_equal(local.times, wide.times)
@@ -460,3 +477,77 @@ class TestEngineAgreement:
         gocc = gtraj.occupations
         assert np.array_equal(gtraj.times, ftraj.times)
         assert np.max(np.abs(gocc - ftraj.occupations)) < 5e-4
+
+
+def dense_liouvillian(p, ops, target, amplitude, delta):
+    """The d^2 x d^2 matrix of ``dense_rhs`` acting on row-major vec(rho)."""
+    d = ops.dim
+    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return np.array([dense_rhs(p, ops, e, target, amplitude, delta).reshape(-1)
+                     for e in basis]).T
+
+
+def coherent_state(cutoffs, seed):
+    """A pure state with every amplitude nonzero, so rho fills all four
+    parity blocks."""
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(cutoffs))
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    return FockState(rho=np.outer(psi, psi.conj()), cutoffs=cutoffs)
+
+
+class TestTaylorAction:
+    """Hold and exchange strokes advance by a Taylor series of exp(h L) rho,
+    its step and stopping rule taken from the norm bound B >= ||L||."""
+
+    @pytest.mark.parametrize("stroke, target, amplitude", [
+        (Stroke.hold(0.3), None, 0.0), (Stroke.exchange(0, 5.0, 0.3), 0, 5.0)])
+    @pytest.mark.parametrize("start", ["thermal", "coherent"])
+    def test_matches_dense_expm(self, stroke, target, amplitude, start):
+        p = params()
+        cutoffs = (2, 2, 2)
+        st = (thermal_state(cutoffs, (0.3, 0.2, 0.25), leakage_threshold=1.0) if start == "thermal"
+              else coherent_state(cutoffs, 4))
+        sched = CycleSchedule(strokes=(stroke,), cycle_count=1, delta_start=-30.0)
+        traj = propagate_fock(st, p, sched, 0.3, samples_per_stroke=3, leakage_threshold=1.0)
+        ops = ModeOperators(cutoffs)
+        lv = dense_liouvillian(p, ops, target, amplitude, -30.0)
+        for t, occ in zip(traj.times, traj.occupations):
+            rho = (scipy_expm(t * lv) @ st.rho.reshape(-1)).reshape(ops.dim, ops.dim)
+            want = mode_occupations(FockState(rho=rho, cutoffs=cutoffs), ops)
+            assert np.max(np.abs(occ - want)) < 1e-12
+        assert np.max(np.abs(traj.final_state.rho - rho)) < 1e-12
+
+    @pytest.mark.parametrize("cutoffs", [(2, 2, 2), (3, 3, 2)])
+    def test_norm_bound_covers_dense_norm(self, cutoffs):
+        p = params()
+        ops = ModeOperators(cutoffs)
+        gen = _Generator(p, ops, thermal_state(cutoffs, (0.0, 0.0, 0.0)).rho)
+        # ramp detunings at both ends, a hold, an exchange pulse
+        for target, amplitude, delta in ((None, 0.0, -30.0), (None, 0.0, -3.0), (0, 5.0, -3.0)):
+            bound = gen.norm_bound(gen.bands(target, amplitude), delta)
+            norm = np.linalg.norm(dense_liouvillian(p, ops, target, amplitude, delta), 2)
+            assert norm <= bound, (target, amplitude, delta)
+
+    def test_norm_bound_attained_by_symmetric_spectrum(self):
+        # no coupling or bath, and level energies -20 n_a + 20 n_b in [-20, 20]:
+        # ||L|| = max |E_i - E_j| = 40 is twice max |E|, so the bound's factor
+        # 2 on the Y term cannot be dropped
+        p = params(g=0.0, kappa=0.0, gamma=0.0, omega_b=20.0, delta_targets=(), n_targets=())
+        ops = ModeOperators((2, 2))
+        gen = _Generator(p, ops, thermal_state((2, 2), (0.0, 0.0)).rho)
+        bound = gen.norm_bound(gen.bands(None, 0.0), 20.0)
+        norm = np.linalg.norm(dense_liouvillian(p, ops, None, 0.0, 20.0), 2)
+        assert bound == 40.0 and norm == pytest.approx(40.0, rel=1e-12)
+
+    def test_dt_caps_taylor_steps(self, monkeypatch):
+        p = params()
+        sched = CycleSchedule(strokes=(Stroke.hold(0.3),), cycle_count=1, delta_start=-30.0)
+        st = thermal_state((2, 2, 2), (0.3, 0.2, 0.25), leakage_threshold=1.0)
+        free, _, free_steps = _step_counts(monkeypatch, st, p, sched, 0.3,
+                                           samples_per_stroke=3, leakage_threshold=1.0)
+        capped, _, capped_steps = _step_counts(monkeypatch, st, p, sched, 0.3, dt=5e-4,
+                                               samples_per_stroke=3, leakage_threshold=1.0)
+        assert free_steps.tolist() != capped_steps.tolist() == [200, 200, 200]
+        assert np.max(np.abs(free.final_state.rho - capped.final_state.rho)) < 1e-12

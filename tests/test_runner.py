@@ -230,21 +230,36 @@ class TestDeltaColumn:
         assert np.array_equal(traj.delta, walk_deltas(cfg.schedule, cfg.samples_per_stroke))
 
     def test_fock(self, monkeypatch):
-        # the Fock engine evaluates each segment's detunings in one call on a
-        # (stage, step) grid whose first entry is the segment's starting sample
-        starts = []
-        local = StrokeSpan.delta_values_local
+        # each ramp segment evaluates its detunings in one call on a (stage,
+        # step) grid whose first entry is the segment's starting sample; each
+        # hold or exchange segment takes every Taylor step at its stroke's one
+        # detuning, which is also the segment's starting sample
+        used = []  # per output sample, the detunings of the segment after it
+        local, taylor, occupations = (StrokeSpan.delta_values_local, fock._taylor_step,
+                                      fock.mode_occupations)
 
         def spy(span, t_local):
             values = local(span, t_local)
             if np.ndim(t_local) == 2:
-                starts.append(values[0, 0])
+                used[-1].append(values[0, 0])
             return values
 
+        def spy_taylor(gen, rho, bands, delta, *a):
+            used[-1].append(delta)
+            return taylor(gen, rho, bands, delta, *a)
+
+        def mark(*a):
+            used.append([])
+            return occupations(*a)
+
         monkeypatch.setattr(StrokeSpan, "delta_values_local", spy)
+        monkeypatch.setattr(fock, "_taylor_step", spy_taylor)
+        monkeypatch.setattr(fock, "mode_occupations", mark)
         cfg, traj = self.run("smalltest", "fock")
         assert np.array_equal(traj.delta, walk_deltas(cfg.schedule, cfg.samples_per_stroke))
-        assert np.array_equal(traj.delta[:-1], starts)
+        assert len(used) == traj.delta.size and used[-1] == []
+        for start, seg in zip(traj.delta[:-1], used[:-1]):
+            assert seg and np.array_equal(seg, np.full(len(seg), start))
 
 
 class TestAnalyzeCycles:
