@@ -40,10 +40,13 @@ of a full Liouvillian: three work buffers, the generator's two scratch
 buffers, and an index and a weight per carried entry for each jump term
 (about 8 MB at cutoffs (6, 6, 8)).  Each output sample reassembles the
 natural-order d x d rho for the observables and the checks; the quadrature
-moments are traces along its diagonals, again with no d x d operator.  As
-an independent oracle it shares only the schedule with the Gaussian engine
-(its stroke walk, sample grid and step-size scale), never the Gaussian
-engine's code.
+moments are traces along its diagonals, again with no d x d operator.  The
+positivity check is the engine's only d x d LAPACK call: an ``eigvalsh`` of
+each parity block of rho (of the whole rho when its cross blocks are
+nonzero), run on one BLAS thread, since OpenBLAS's idle workers would spin
+on a second core after every call.  As an independent oracle it shares
+only the schedule with the Gaussian engine (its stroke walk, sample grid
+and step-size scale), never the Gaussian engine's code.
 
 Truncation is monitored continuously: the population of the top retained
 Fock level of each mode is tracked at every step and a TruncationError is
@@ -52,8 +55,10 @@ raised when it crosses the configured threshold.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -71,6 +76,52 @@ DEFAULT_LEAKAGE_THRESHOLD = 1e-3
 # exceeds 6^6/6! ~ 65 times ||rho||, so cancellation among terms costs ~1e-14
 TAYLOR_THETA = 6.0
 TAYLOR_EPS = 1e-14
+# (get, set) thread-count symbols of OpenBLAS: numpy 2.x wheels, other
+# 64-bit-integer builds, then the plain library
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS mapped into this
+    process, numpy's own copy first, or None where there is none (another
+    BLAS, or no /proc/self/maps).  ``ctypes.CDLL`` of a mapped library
+    returns the handle already loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                return getattr(lib, get), getattr(lib, set_)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the previous count
+    after it, also when it raises; do nothing where no OpenBLAS is found."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 @dataclass(frozen=True)
@@ -100,21 +151,33 @@ class FockState:
         return float(np.max(np.abs(self.rho - self.rho.conj().T)))
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
+        """Smallest eigenvalue of the Hermitian part of rho: the smaller of
+        its two parity blocks' minima when its cross-parity blocks are exactly
+        0 (as for every thermal start, see the module docstring), else the
+        full matrix's.  The ``eigvalsh`` runs on one BLAS thread."""
+        herm = 0.5 * (self.rho + self.rho.conj().T)
+        odd = np.indices(self.cutoffs).sum(0).ravel() % 2 == 1
+        if np.any(herm[np.ix_(~odd, odd)]):
+            blocks = [herm]
+        else:
+            blocks = [herm[np.ix_(s, s)] for s in (~odd, odd)]
+        with _one_blas_thread():
+            return float(min(np.linalg.eigvalsh(b).min() for b in blocks))
 
     def validate(self) -> float:
         """Check trace, hermiticity and positivity; return the
-        ``min_eigenvalue`` the positivity check computed."""
+        ``min_eigenvalue`` the positivity check computed.  A NaN fails every
+        check (each test is written so that a false comparison fails)."""
         terr = self.trace_error()
-        if terr > TRACE_TOL:
+        if not terr <= TRACE_TOL:
             raise IntegrationError(f"trace deviates by {terr:.3e} at t={self.time}", time=self.time)
         herr = self.hermiticity_error()
-        if herr > HERMITICITY_TOL:
+        if not herr <= HERMITICITY_TOL:
             raise IntegrationError(
                 f"hermiticity deviates by {herr:.3e} at t={self.time}", time=self.time
             )
         mineig = self.min_eigenvalue()
-        if mineig < -POSITIVITY_TOL:
+        if not mineig >= -POSITIVITY_TOL:
             raise IntegrationError(
                 f"negative eigenvalue {mineig:.3e} at t={self.time}; reduce the step size",
                 time=self.time,

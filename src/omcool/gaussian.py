@@ -79,20 +79,21 @@ class GaussianState:
 
     def validate(self) -> float:
         """Check symmetry, the uncertainty relation and the occupations;
-        return the ``uncertainty_min_eig`` the check computed."""
+        return the ``uncertainty_min_eig`` the check computed.  A NaN fails
+        every check (each test is written so that a false comparison fails)."""
         scale = max(1.0, float(np.max(np.abs(self.cov))))
         asym = float(np.max(np.abs(self.cov - self.cov.T)))
-        if asym > SYMMETRY_TOL * scale:
+        if not asym <= SYMMETRY_TOL * scale:
             raise IntegrationError(
                 f"covariance asymmetry {asym:.3e} at t={self.time}", time=self.time
             )
         min_eig = self.uncertainty_min_eig()
-        if min_eig < -UNCERTAINTY_TOL:
+        if not min_eig >= -UNCERTAINTY_TOL:
             raise IntegrationError(
                 f"uncertainty relation violated (min eig {min_eig:.3e}) at t={self.time}",
                 time=self.time,
             )
-        if np.min(mode_occupations(self)) < -UNCERTAINTY_TOL:
+        if not np.min(mode_occupations(self)) >= -UNCERTAINTY_TOL:
             raise IntegrationError(
                 f"negative mode occupation at t={self.time}", time=self.time
             )

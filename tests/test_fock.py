@@ -551,3 +551,86 @@ class TestTaylorAction:
                                                samples_per_stroke=3, leakage_threshold=1.0)
         assert free_steps.tolist() != capped_steps.tolist() == [200, 200, 200]
         assert np.max(np.abs(free.final_state.rho - capped.final_state.rho)) < 1e-12
+
+
+def _one_block_negative():
+    """A thermal state with a 2 x 2 coherence inside the odd-parity block
+    strong enough to make one eigenvalue of that block negative."""
+    st = thermal_state((3, 2), (0.4, 0.3), leakage_threshold=1.0)
+    rho = st.rho.copy()
+    i, j = 1, 2  # |0, 1> and |1, 0>, both odd
+    rho[i, j] = rho[j, i] = 1.5 * np.sqrt(rho[i, i].real * rho[j, j].real)
+    return FockState(rho=rho, cutoffs=st.cutoffs, time=0.4)
+
+
+needs_openblas = pytest.mark.skipif(fock_mod._openblas_threads() is None,
+                                    reason="no OpenBLAS found in this process")
+
+
+class TestPositivityCheck:
+    """``min_eigenvalue`` diagonalizes the parity blocks of rho when its
+    cross-parity blocks vanish, the full rho otherwise, on one BLAS thread."""
+
+    @pytest.mark.parametrize("case, sizes", [
+        ("thermal", [(9, 9), (9, 9)]),
+        ("coherent", [(18, 18)]),
+        ("one block negative", [(3, 3), (3, 3)]),
+    ])
+    def test_matches_full_eigvalsh(self, monkeypatch, case, sizes):
+        st = {"thermal": lambda: thermal_state((3, 3, 2), (0.3, 0.2, 0.25),
+                                               leakage_threshold=1.0),
+              "coherent": lambda: coherent_state((3, 3, 2), 7),
+              "one block negative": _one_block_negative}[case]()
+        want = np.linalg.eigvalsh(0.5 * (st.rho + st.rho.conj().T)).min()
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        assert abs(st.min_eigenvalue() - want) < 1e-14
+        assert shapes == sizes
+
+    def test_negative_eigenvalue_in_one_block_fails_validate(self):
+        st = _one_block_negative()
+        assert st.min_eigenvalue() < -1e-3
+        with pytest.raises(IntegrationError, match="negative eigenvalue") as err:
+            st.validate()
+        assert err.value.time == 0.4
+
+    @needs_openblas
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_eigvalsh_runs_on_one_blas_thread(self, monkeypatch, fails):
+        get, set_ = fock_mod._openblas_threads()
+        before = get()
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a):
+            seen.append(get())
+            if fails:
+                raise np.linalg.LinAlgError("stub")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        set_(2)  # so that the cap and the restore both show
+        try:
+            st = thermal_state((3, 2), (0.4, 0.3), leakage_threshold=1.0)
+            if fails:
+                with pytest.raises(np.linalg.LinAlgError, match="stub"):
+                    st.min_eigenvalue()
+            else:
+                st.min_eigenvalue()
+            assert seen == ([1] if fails else [1, 1])
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_nan_fails_validate_with_the_state_time(self):
+        st = number_state((2, 2), (0, 0), time=0.7)
+        st.rho[1, 1] = np.nan
+        with pytest.raises(IntegrationError) as err:
+            st.validate()
+        assert err.value.time == 0.7

@@ -56,6 +56,13 @@ class TestStateBasics:
         with pytest.raises(IntegrationError, match="asymmetry"):
             GaussianState(mean=np.zeros(2), cov=cov).validate()
 
+    def test_validate_rejects_nan(self):
+        state = thermal_state([0.1, 0.2], time=0.7)
+        state.cov[1, 1] = np.nan
+        with pytest.raises(IntegrationError) as err:
+            state.validate()
+        assert err.value.time == 0.7
+
 
 class TestThermalRelaxation:
     def test_matches_closed_form(self):
