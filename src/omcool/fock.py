@@ -167,7 +167,7 @@ class FockState:
     def validate(self) -> float:
         """Check trace, hermiticity and positivity; return the
         ``min_eigenvalue`` the positivity check computed.  A NaN fails every
-        check (each test is written so that a false comparison fails)."""
+        check (each check passes only on a true comparison)."""
         terr = self.trace_error()
         if not terr <= TRACE_TOL:
             raise IntegrationError(f"trace deviates by {terr:.3e} at t={self.time}", time=self.time)

@@ -80,7 +80,7 @@ class GaussianState:
     def validate(self) -> float:
         """Check symmetry, the uncertainty relation and the occupations;
         return the ``uncertainty_min_eig`` the check computed.  A NaN fails
-        every check (each test is written so that a false comparison fails)."""
+        every check (each check passes only on a true comparison)."""
         scale = max(1.0, float(np.max(np.abs(self.cov))))
         asym = float(np.max(np.abs(self.cov - self.cov.T)))
         if not asym <= SYMMETRY_TOL * scale:

@@ -563,10 +563,6 @@ def _one_block_negative():
     return FockState(rho=rho, cutoffs=st.cutoffs, time=0.4)
 
 
-needs_openblas = pytest.mark.skipif(fock_mod._openblas_threads() is None,
-                                    reason="no OpenBLAS found in this process")
-
-
 class TestPositivityCheck:
     """``min_eigenvalue`` diagonalizes the parity blocks of rho when its
     cross-parity blocks vanish, the full rho otherwise, on one BLAS thread."""
@@ -600,7 +596,8 @@ class TestPositivityCheck:
             st.validate()
         assert err.value.time == 0.4
 
-    @needs_openblas
+    @pytest.mark.skipif(fock_mod._openblas_threads() is None,
+                        reason="no OpenBLAS found in this process")
     @pytest.mark.parametrize("fails", [False, True])
     def test_eigvalsh_runs_on_one_blas_thread(self, monkeypatch, fails):
         get, set_ = fock_mod._openblas_threads()
