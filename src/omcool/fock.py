@@ -34,11 +34,14 @@ there, in one flat buffer; a thermal start carries d^2/2 entries for an
 even d.  In the generator the Hamiltonian acts through weighted row gathers
 inside each block and the jump terms through weighted flat gathers between
 blocks, so no d x d operator product (nor a multi-threaded BLAS call) runs
-in the step loop and every entry sees the same operations, in the same
-order, as on the full matrix.  The memory is O(d^2) rather than the O(d^4)
-of a full Liouvillian: three work buffers, the generator's two scratch
-buffers, and an index and a weight per carried entry for each jump term
-(about 8 MB at cutoffs (6, 6, 8)).  Each output sample reassembles the
+in the step loop.  The jump sum is Hermitian, so it is gathered only on one
+triangle of rho (about d^2/4 entries for a thermal start) and completed by
+the same Hermitian mirror sum that builds the rest of the slope; a diagonal
+block's slope is bitwise the same whether or not the cross blocks are
+carried.  The memory is O(d^2) rather than the O(d^4) of a full
+Liouvillian: three work buffers, the generator's three scratch buffers, and
+an index and a complex weight per gathered entry for each jump term (about
+7 MB at cutoffs (6, 6, 8)).  Each output sample reassembles the
 natural-order d x d rho for the observables and the checks; the quadrature
 moments are traces along its diagonals, again with no d x d operator.  The
 positivity check is the engine's only d x d LAPACK call: an ``eigvalsh`` of
@@ -342,22 +345,25 @@ class _Generator:
     natural order, and the carried blocks lie one after the other in one flat
     buffer, each in row-major order (``split``/``join`` convert to and from
     the natural d x d matrix).  The right-hand side is evaluated block by
-    block as Y + Y^dag + jump sandwiches, with
+    block as (Y + U) + (Y + U)^dag, with
 
         Y = -i H_off rho + L[:, None] * rho,
         L = damp_diag - i h_diag(t),
 
     which folds the diagonal Hamiltonian commutator and every dissipator
-    anticommutator into a single broadcast multiply (rho stays Hermitian
-    through every RK4 stage and Taylor term, so the mirror term of block pq
-    is Y_qp^dag).
+    anticommutator into a single broadcast multiply, and U the jump sum J
+    (the sandwiches a rho a^dag) at the entries ``upper``: the upper
+    triangle of each diagonal block, with its diagonal halved, and all of
+    block (0, 1).  rho stays Hermitian through every RK4 stage and Taylor
+    term, so J is Hermitian, J = U + U^dag, the mirror term of block pq is
+    (Y + U)_qp^dag, and the slope is exactly Hermitian by construction.
     Nothing here is a d x d operator: H_off = g (a + a^dag)(b + b^dag)
     + omega_0 (b^dag c + c^dag b) is a few bands, each a weighted row gather
-    inside a block, and each jump sandwich a rho a^dag reads the block of
-    the flipped parities through a flat gather index, weighted by the
-    rate-scaled outer product of the ladder weights.  Each entry sees the
-    operations of the full-matrix evaluation in its order: L * rho, the
-    bands in order, the mirror sum, the jumps in order.
+    inside a block, and each jump sandwich reads the block of the flipped
+    parities through a flat gather index at U's entries, weighted by the
+    rate-scaled outer product of the ladder weights (stored complex, since
+    a real-by-complex multiply runs through a cast buffer).  The jumps
+    accumulate in one packed buffer, added into Y before the mirror sum.
     """
 
     def __init__(self, params: SystemParams, ops: ModeOperators, rho: np.ndarray):
@@ -417,10 +423,21 @@ class _Generator:
         self.diag_static = diag_static[order]
         self.na_diag = ops.number_diag[0][order]
 
+        # buffer positions of U's entries (see the class docstring)
+        entries = []
+        for (p, q), span, (a, b) in zip(self.blocks, self.spans, self.shapes):
+            if p == q:
+                i, j = np.triu_indices(a)
+                entries.append(span.start + i * b + j)
+            elif p == 0:
+                entries.append(np.arange(span.start, span.stop))
+        self.upper = np.concatenate(entries)
+
         rates = [params.kappa, params.gamma] + [params.gamma] * len(params.delta_targets)
         nbars = [params.n_a, params.n_b, *params.n_targets]
         damp_diag = np.zeros(d)
         self.jumps = []
+        self.jump_norm = 0.0
         for m in range(n_modes):
             rate, nbar = rates[m], nbars[m]
             if rate == 0.0:
@@ -439,10 +456,15 @@ class _Generator:
                     gather.append((self.spans[k].start + src[natural[p]][:, None]
                                    * self.shapes[k][1] + src[natural[q]]).reshape(-1))
                     weight.append((scale * np.outer(w[natural[p]], w[natural[q]])).reshape(-1))
-                self.jumps.append((np.concatenate(gather), np.concatenate(weight)))
+                weight = np.concatenate(weight).astype(complex)
+                weight[self.diagonal] *= 0.5
+                self.jumps.append((np.concatenate(gather)[self.upper], weight[self.upper]))
+                # ||a rho a^dag|| <= ||a||^2 ||rho||, read before the halving
+                self.jump_norm += scale * float(np.max(w)) ** 2
         self.damp_diag = damp_diag[order]
         self._y = np.empty(self.size, dtype=complex)
         self._tmp = np.empty(self.size, dtype=complex)
+        self._acc = np.empty(self.upper.size, dtype=complex)
 
     def split(self, rho: np.ndarray) -> np.ndarray:
         """The carried blocks of a natural-order d x d ``rho``, as one flat buffer."""
@@ -470,16 +492,23 @@ class _Generator:
         return self.damp_diag - 1j * (self.diag_static - delta_now * self.na_diag)
 
     def norm_bound(self, bands: list, delta_now: float) -> float:
-        """A bound B on the norm of ``rhs`` at ``delta_now``, from its weights.
+        """A bound B on the Frobenius operator norm of ``rhs`` at
+        ``delta_now``, summed from the norms of its parts.
 
-        Every gather is injective, so a weighted gather has a Frobenius
-        operator norm of at most its largest weight: Y is bounded by the
-        largest |L[i]| of the diagonal above plus each band's largest weight,
-        the mirror term doubles that, and each jump adds its largest weight.
+        The diagonal part scales entry ij by L[i] + conj(L[j]); its norm is
+        the largest such modulus, taken over all d^2 index pairs, so B does
+        not depend on the carried blocks.  The bands give -i [H_off, rho],
+        of norm at most 2 ||H_off||, and H_off is Hermitian, so its norm is
+        at most its largest absolute row sum (Gershgorin), at most the
+        largest row sum of the band weights.  Each jump s a rho a^dag adds
+        s ||a||^2 = s max|w|^2, read from the ladder weights before U's
+        diagonal is halved: the jump attains it on a diagonal entry, so the
+        halved weights can fall below its norm.
         """
-        y = np.abs(self._lvec(delta_now)).max()
-        y += sum(max(np.abs(w).max() for _, w in band) for band in bands)
-        return float(2.0 * y + sum(np.abs(w).max() for _, w in self.jumps))
+        lvec = self._lvec(delta_now)
+        diagonal = np.abs(lvec[:, None] + lvec.conj()).max()
+        rows = sum(np.abs(np.concatenate([w for _, w in band])) for band in bands)
+        return float(diagonal + 2.0 * np.max(rows) + self.jump_norm)
 
     def rhs(self, rho: np.ndarray, bands: list, delta_now: float,
             out: np.ndarray) -> np.ndarray:
@@ -498,13 +527,17 @@ class _Generator:
                 np.take(r, src, axis=0, out=t, mode="clip")
                 np.multiply(w, t, out=t)
                 yb += t
+        # Y += U, so the mirror sum below adds J = U + U^dag as well
+        acc, part = self._acc, tmp[: self._acc.size]
+        np.take(y, self.upper, out=acc, mode="clip")
+        for gather, w in self.jumps:
+            np.take(rho, gather, out=part, mode="clip")
+            np.multiply(w, part, out=part)
+            acc += part
+        y[self.upper] = acc
         for k, ob in enumerate(self._views(out)):
             np.conjugate(ys[self.mirror[k]].T, out=ob)
             ob += ys[k]
-        for gather, w in self.jumps:
-            np.take(rho, gather, out=tmp, mode="clip")
-            np.multiply(w, tmp, out=tmp)
-            out += tmp
         return out
 
 

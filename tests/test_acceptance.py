@@ -209,10 +209,10 @@ def test_c6_engine_equivalence():
     assert np.array_equal(traj_g.times, traj_f.times)
     max_dev = float(np.max(np.abs(traj_g.occupations - traj_f.occupations)))
     max_leak = float(np.max(traj_f.leakage))
-    assert elapsed < 60.0, f"C6 runtime {elapsed:.1f}s over budget"
+    assert elapsed < 30.0, f"C6 runtime {elapsed:.1f}s over budget"
     _report("C6 engine equivalence", max_dev < 5e-2 and max_leak < 1e-3,
             f"max occupation deviation {max_dev:.2e} (<5e-2), max leakage "
-            f"{max_leak:.2e} (<1e-3), runtime {elapsed:.1f}s (budget 60s)")
+            f"{max_leak:.2e} (<1e-3), runtime {elapsed:.1f}s (budget 30s)")
 
 
 def test_c7_analytic_map_consistency():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.linalg import expm as scipy_expm
 
 import omcool.fock as fock_mod
@@ -141,20 +143,36 @@ def block_rhs(gen, rho, bands, delta):
     return gen.join(gen.rhs(buf, bands, delta, np.empty_like(buf)))
 
 
+def parity_diagonal(cutoffs, rho):
+    """``rho`` with its cross-parity blocks set to 0, the form a thermal
+    start keeps."""
+    odd = np.indices(cutoffs).sum(0).ravel() % 2 == 1
+    return np.where(odd[:, None] == odd[None, :], rho, 0.0)
+
+
 class TestGenerator:
     @pytest.mark.parametrize("cutoffs, targets", [
         ((2, 3), ()),
         ((3, 3, 4), ((10.0, 0.25),)),
         ((3, 3, 3, 2), ((10.0, 0.25), (7.0, 0.4))),
     ])
-    def test_rhs_matches_dense_master_equation(self, cutoffs, targets):
+    @pytest.mark.parametrize("start", ["four-block", "thermal", "two-block"])
+    def test_rhs_matches_dense_master_equation(self, cutoffs, targets, start):
         p = params(delta_targets=tuple(t[0] for t in targets),
                    n_targets=tuple(t[1] for t in targets))
         ops = ModeOperators(cutoffs)
         rho = random_hermitian(ops.dim, sum(cutoffs))
+        if start == "thermal":
+            rho = thermal_state(cutoffs, (0.3, 0.2, 0.25, 0.4)[:len(cutoffs)],
+                                leakage_threshold=1.0).rho
+        elif start == "two-block":
+            rho = parity_diagonal(cutoffs, rho)
         gen = _Generator(p, ops, rho)
-        # a rho with nonzero cross blocks carries all four blocks
-        assert gen.size == ops.dim**2
+        # a rho with nonzero cross blocks carries all four blocks, else the
+        # two parity-diagonal ones
+        odd = int(np.sum(np.indices(cutoffs).sum(0) % 2))
+        carried = ops.dim**2 if start == "four-block" else odd**2 + (ops.dim - odd)**2
+        assert gen.size == carried
         assert np.array_equal(gen.join(gen.split(rho)), rho)
         pulses = [(0, 0.0)] + [(k, amp) for k in range(len(targets)) for amp in (5.0, 2.5)]
         for target, amplitude in pulses:
@@ -188,6 +206,25 @@ class TestGenerator:
         for target, amplitude in ((0, 0.0), (0, 5.0), (1, 2.5)):
             out = block_rhs(gen, rho, gen.bands(target, amplitude), -7.5)
             assert np.array_equal(out, out.conj().T), (target, amplitude)
+
+    @pytest.mark.parametrize("start", ["thermal", "two-block"])
+    def test_two_block_rhs_is_bitwise_the_four_block_one(self, start):
+        # carrying the zero cross blocks changes no operation on the diagonal
+        # blocks, so their slope is bitwise the same
+        p = params(delta_targets=(10.0, 7.0), n_targets=(0.25, 0.4))
+        cutoffs = (3, 3, 3, 2)
+        ops = ModeOperators(cutoffs)
+        rho = (thermal_state(cutoffs, (0.3, 0.2, 0.25, 0.4), leakage_threshold=1.0).rho
+               if start == "thermal" else parity_diagonal(cutoffs, random_hermitian(ops.dim, 2)))
+        two = _Generator(p, ops, rho)
+        four = _Generator(p, ops, random_hermitian(ops.dim, 3))
+        assert two.blocks == [(0, 0), (1, 1)] and len(four.blocks) == 4
+        for target, amplitude in ((0, 0.0), (0, 5.0), (1, 2.5)):
+            for delta in (-30.0, -3.0):
+                got = block_rhs(two, rho, two.bands(target, amplitude), delta)
+                full = block_rhs(four, rho, four.bands(target, amplitude), delta)
+                assert two.split(got).tobytes() == two.split(full).tobytes()
+                assert not np.any(got - full)
 
     def test_holds_no_dense_operator(self):
         ops = ModeOperators((6, 6, 8))
@@ -422,7 +459,7 @@ class TestStepRule:
         bound = gen.norm_bound(gen.bands(None, 0.0), -3.0)
         hold = np.ceil(np.diff(t)[4:8] * bound / fock_mod.TAYLOR_THETA)
         assert taylor_steps.tolist() == [0] * 4 + hold.tolist() + [0] * 4
-        assert hold.tolist() == [3, 3, 3, 3]
+        assert hold.tolist() == [2, 2, 2, 2]
         assert np.all(rk4_steps[4:8] == 0)
 
     def test_adiabatic_ramps_agree_with_stroke_wide_steps(self, monkeypatch):
@@ -520,15 +557,67 @@ class TestTaylorAction:
         assert np.max(np.abs(traj.final_state.rho - rho)) < 1e-12
 
     @pytest.mark.parametrize("cutoffs", [(2, 2, 2), (3, 3, 2)])
-    def test_norm_bound_covers_dense_norm(self, cutoffs):
+    @pytest.mark.parametrize("start", ["thermal", "coherent"])
+    def test_norm_bound_covers_dense_norm(self, cutoffs, start):
         p = params()
         ops = ModeOperators(cutoffs)
-        gen = _Generator(p, ops, thermal_state(cutoffs, (0.0, 0.0, 0.0)).rho)
+        st = (thermal_state(cutoffs, (0.0, 0.0, 0.0)) if start == "thermal"
+              else coherent_state(cutoffs, 5))
+        gen = _Generator(p, ops, st.rho)
+        assert len(gen.blocks) == (2 if start == "thermal" else 4)
         # ramp detunings at both ends, a hold, an exchange pulse
         for target, amplitude, delta in ((None, 0.0, -30.0), (None, 0.0, -3.0), (0, 5.0, -3.0)):
             bound = gen.norm_bound(gen.bands(target, amplitude), delta)
             norm = np.linalg.norm(dense_liouvillian(p, ops, target, amplitude, delta), 2)
             assert norm <= bound, (target, amplitude, delta)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=hst.data())
+    def test_norm_bound_covers_dense_norm_of_drawn_params(self, data):
+        rate, level = hst.floats(0.0, 50.0), hst.floats(0.0, 5.0)
+        omega_b = data.draw(hst.floats(0.5, 50.0), "omega_b")
+        delta_f = -data.draw(hst.floats(0.1, 50.0), "-delta_f")
+        delta_i = delta_f * data.draw(hst.floats(1.01, 10.0), "delta_i / delta_f")
+        # below the stability limit 0.5 sqrt(|delta| omega_b) on the whole range
+        g = data.draw(hst.floats(0.0, 0.99), "g / limit") * 0.5 * math.sqrt(-delta_f * omega_b)
+        p = SystemParams(omega_b=omega_b, g=g, kappa=data.draw(rate, "kappa"),
+                         gamma=data.draw(rate, "gamma"), n_a=data.draw(level, "n_a"),
+                         n_b=data.draw(level, "n_b"), delta_i=delta_i, delta_f=delta_f,
+                         omega_0=data.draw(rate, "omega_0"),
+                         delta_targets=(data.draw(hst.floats(0.1, 50.0), "delta_c"),),
+                         n_targets=(data.draw(level, "n_c"),))
+        cutoffs = data.draw(hst.sampled_from([(2, 2, 2), (3, 3, 2)]), "cutoffs")
+        start = data.draw(hst.sampled_from(["thermal", "coherent"]), "start")
+        ops = ModeOperators(cutoffs)
+        st0 = (thermal_state(cutoffs, (0.0, 0.0, 0.0)) if start == "thermal"
+               else coherent_state(cutoffs, 6))
+        gen = _Generator(p, ops, st0.rho)
+        amplitude = data.draw(hst.just(0.0) | rate, "amplitude")
+        target = 0 if amplitude else None
+        delta = data.draw(hst.sampled_from([delta_i, delta_f]), "delta")
+        bound = gen.norm_bound(gen.bands(target, amplitude), delta)
+        norm = np.linalg.norm(dense_liouvillian(p, ops, target, amplitude, delta), 2)
+        assert norm <= bound * (1.0 + 1e-12)
+
+    def test_jump_term_read_before_halving(self):
+        # one jump, kappa a rho a^dag at cutoffs (2, 2): on a thermal start its
+        # largest weight, kappa, sits only on the diagonal of the parity
+        # blocks, where U halves it.  With the diagonal of the generator
+        # zeroed (and no bands) the rhs is the jump alone, of norm kappa, so
+        # the bound must read kappa ||a||^2, not the halved kappa / 2
+        p = params(g=0.0, kappa=3.0, gamma=0.0, n_a=0.0, delta_targets=(), n_targets=())
+        ops = ModeOperators((2, 2))
+        gen = _Generator(p, ops, thermal_state((2, 2), (0.0, 0.0)).rho)
+        assert len(gen.jumps) == 1 and np.abs(gen.jumps[0][1]).max() == 1.5
+        gen.damp_diag, gen.diag_static, gen.na_diag = (np.zeros(ops.dim) for _ in range(3))
+        a = ops.annihilation(0)
+        jump = 3.0 * np.kron(a, a.conj())  # row-major vec(a rho a^dag)
+        rho = parity_diagonal((2, 2), random_hermitian(ops.dim, 8))
+        want = (jump @ rho.reshape(-1)).reshape(ops.dim, ops.dim)
+        assert np.max(np.abs(block_rhs(gen, rho, [], 0.0) - want)) < 1e-15
+        norm = np.linalg.norm(jump, 2)
+        assert norm == pytest.approx(3.0, rel=1e-12)
+        assert gen.norm_bound([], 0.0) >= norm
 
     def test_norm_bound_attained_by_symmetric_spectrum(self):
         # no coupling or bath, and level energies -20 n_a + 20 n_b in [-20, 20]:
