@@ -423,15 +423,23 @@ class _Generator:
         self.diag_static = diag_static[order]
         self.na_diag = ops.number_diag[0][order]
 
-        # buffer positions of U's entries (see the class docstring)
-        entries = []
+        # U's entries (see the class docstring): their buffer positions, their
+        # natural rows and columns, and the start and row width of the block
+        # of the flipped parities, which the jumps read
+        pos, rows, cols, starts, widths = [], [], [], [], []
         for (p, q), span, (a, b) in zip(self.blocks, self.spans, self.shapes):
-            if p == q:
-                i, j = np.triu_indices(a)
-                entries.append(span.start + i * b + j)
-            elif p == 0:
-                entries.append(np.arange(span.start, span.stop))
-        self.upper = np.concatenate(entries)
+            if p > q:
+                continue
+            i, j = np.triu_indices(a) if p == q else np.indices((a, b)).reshape(2, -1)
+            k = self.blocks.index((1 - p, 1 - q))
+            pos.append(span.start + i * b + j)
+            rows.append(natural[p][i])
+            cols.append(natural[q][j])
+            starts.append(np.full(i.size, self.spans[k].start))
+            widths.append(np.full(i.size, self.shapes[k][1]))
+        self.upper = np.concatenate(pos)
+        rows, cols, starts, widths = map(np.concatenate, (rows, cols, starts, widths))
+        half = np.where(rows == cols, 0.5, 1.0)
 
         rates = [params.kappa, params.gamma] + [params.gamma] * len(params.delta_targets)
         nbars = [params.n_a, params.n_b, *params.n_targets]
@@ -448,17 +456,11 @@ class _Generator:
             for (s, w), scale in ((lower[m], rate * (nbar + 1.0)), (upper[m], rate * nbar)):
                 if scale == 0.0:
                     continue
-                # block (p, q) reads block (1 - p, 1 - q) at rows and columns i + s
+                # entry (i, j) reads the flipped block at row and column i + s, j + s
                 src = source(s, w)
-                gather, weight = [], []
-                for p, q in self.blocks:
-                    k = self.blocks.index((1 - p, 1 - q))
-                    gather.append((self.spans[k].start + src[natural[p]][:, None]
-                                   * self.shapes[k][1] + src[natural[q]]).reshape(-1))
-                    weight.append((scale * np.outer(w[natural[p]], w[natural[q]])).reshape(-1))
-                weight = np.concatenate(weight).astype(complex)
-                weight[self.diagonal] *= 0.5
-                self.jumps.append((np.concatenate(gather)[self.upper], weight[self.upper]))
+                weight = scale * (w[rows] * w[cols]) * half
+                self.jumps.append((starts + src[rows] * widths + src[cols],
+                                   weight.astype(complex)))
                 # ||a rho a^dag|| <= ||a||^2 ||rho||, read before the halving
                 self.jump_norm += scale * float(np.max(w)) ** 2
         self.damp_diag = damp_diag[order]
