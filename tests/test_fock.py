@@ -602,9 +602,11 @@ class TestTaylorAction:
     def test_jump_term_read_before_halving(self):
         # one jump, kappa a rho a^dag at cutoffs (2, 2): on a thermal start its
         # largest weight, kappa, sits only on the diagonal of the parity
-        # blocks, where U halves it.  With the diagonal of the generator
-        # zeroed (and no bands) the rhs is the jump alone, of norm kappa, so
-        # the bound must read kappa ||a||^2, not the halved kappa / 2
+        # blocks, where U halves it.  In a whole generator the damping on the
+        # diagonal, set by the same rate, has covered the lost half in every
+        # small case tried, so the diagonal is zeroed here (and there are no
+        # bands): the rhs is then the jump alone, of norm kappa, and the
+        # bound must read kappa ||a||^2, not the halved kappa / 2
         p = params(g=0.0, kappa=3.0, gamma=0.0, n_a=0.0, delta_targets=(), n_targets=())
         ops = ModeOperators((2, 2))
         gen = _Generator(p, ops, thermal_state((2, 2), (0.0, 0.0)).rho)
