@@ -498,8 +498,8 @@ class _Generator:
         ``delta_now``, summed from the norms of its parts.
 
         The diagonal part scales entry ij by L[i] + conj(L[j]); its norm is
-        the largest such modulus, taken over all d^2 index pairs, so B does
-        not depend on the carried blocks.  The bands give -i [H_off, rho],
+        at most the largest such modulus, taken over all d^2 index pairs so
+        that B does not depend on the carried blocks.  The bands give -i [H_off, rho],
         of norm at most 2 ||H_off||, and H_off is Hermitian, so its norm is
         at most its largest absolute row sum (Gershgorin), at most the
         largest row sum of the band weights.  Each jump s a rho a^dag adds

@@ -156,31 +156,29 @@ class TestGenerator:
         ((3, 3, 4), ((10.0, 0.25),)),
         ((3, 3, 3, 2), ((10.0, 0.25), (7.0, 0.4))),
     ])
-    @pytest.mark.parametrize("start", ["four-block", "thermal", "two-block"])
-    def test_rhs_matches_dense_master_equation(self, cutoffs, targets, start):
+    def test_rhs_matches_dense_master_equation(self, cutoffs, targets):
         p = params(delta_targets=tuple(t[0] for t in targets),
                    n_targets=tuple(t[1] for t in targets))
         ops = ModeOperators(cutoffs)
-        rho = random_hermitian(ops.dim, sum(cutoffs))
-        if start == "thermal":
-            rho = thermal_state(cutoffs, (0.3, 0.2, 0.25, 0.4)[:len(cutoffs)],
+        four = random_hermitian(ops.dim, sum(cutoffs))
+        thermal = thermal_state(cutoffs, (0.3, 0.2, 0.25, 0.4)[:len(cutoffs)],
                                 leakage_threshold=1.0).rho
-        elif start == "two-block":
-            rho = parity_diagonal(cutoffs, rho)
-        gen = _Generator(p, ops, rho)
-        # a rho with nonzero cross blocks carries all four blocks, else the
-        # two parity-diagonal ones
         odd = int(np.sum(np.indices(cutoffs).sum(0) % 2))
-        carried = ops.dim**2 if start == "four-block" else odd**2 + (ops.dim - odd)**2
-        assert gen.size == carried
-        assert np.array_equal(gen.join(gen.split(rho)), rho)
-        pulses = [(0, 0.0)] + [(k, amp) for k in range(len(targets)) for amp in (5.0, 2.5)]
-        for target, amplitude in pulses:
-            bands = gen.bands(target, amplitude)
-            for delta in (-30.0, -7.5, -3.0):
-                got = block_rhs(gen, rho, bands, delta)
-                want = dense_rhs(p, ops, rho, target, amplitude, delta)
-                assert np.max(np.abs(got - want)) < 1e-12, (target, amplitude, delta)
+        two_blocks = odd**2 + (ops.dim - odd)**2
+        # a rho with nonzero cross blocks carries all four blocks, a thermal
+        # one (or any with zero cross blocks) the two parity-diagonal ones
+        for rho, size in ((four, ops.dim**2), (thermal, two_blocks),
+                          (parity_diagonal(cutoffs, four), two_blocks)):
+            gen = _Generator(p, ops, rho)
+            assert gen.size == size
+            assert np.array_equal(gen.join(gen.split(rho)), rho)
+            pulses = [(0, 0.0)] + [(k, amp) for k in range(len(targets)) for amp in (5.0, 2.5)]
+            for target, amplitude in pulses:
+                bands = gen.bands(target, amplitude)
+                for delta in (-30.0, -7.5, -3.0):
+                    got = block_rhs(gen, rho, bands, delta)
+                    want = dense_rhs(p, ops, rho, target, amplitude, delta)
+                    assert np.max(np.abs(got - want)) < 1e-12, (size, target, amplitude, delta)
 
     def test_rhs_leaves_its_input_and_fills_out(self):
         p = params()
@@ -557,19 +555,20 @@ class TestTaylorAction:
         assert np.max(np.abs(traj.final_state.rho - rho)) < 1e-12
 
     @pytest.mark.parametrize("cutoffs", [(2, 2, 2), (3, 3, 2)])
-    @pytest.mark.parametrize("start", ["thermal", "coherent"])
-    def test_norm_bound_covers_dense_norm(self, cutoffs, start):
+    def test_norm_bound_covers_dense_norm(self, cutoffs):
         p = params()
         ops = ModeOperators(cutoffs)
-        st = (thermal_state(cutoffs, (0.0, 0.0, 0.0)) if start == "thermal"
-              else coherent_state(cutoffs, 5))
-        gen = _Generator(p, ops, st.rho)
-        assert len(gen.blocks) == (2 if start == "thermal" else 4)
-        # ramp detunings at both ends, a hold, an exchange pulse
-        for target, amplitude, delta in ((None, 0.0, -30.0), (None, 0.0, -3.0), (0, 5.0, -3.0)):
-            bound = gen.norm_bound(gen.bands(target, amplitude), delta)
-            norm = np.linalg.norm(dense_liouvillian(p, ops, target, amplitude, delta), 2)
-            assert norm <= bound, (target, amplitude, delta)
+        # a thermal start carries two parity blocks, a coherent one all four
+        for st, blocks in ((thermal_state(cutoffs, (0.0, 0.0, 0.0)), 2),
+                           (coherent_state(cutoffs, 5), 4)):
+            gen = _Generator(p, ops, st.rho)
+            assert len(gen.blocks) == blocks
+            # ramp detunings at both ends, a hold, an exchange pulse
+            for target, amplitude, delta in ((None, 0.0, -30.0), (None, 0.0, -3.0),
+                                             (0, 5.0, -3.0)):
+                bound = gen.norm_bound(gen.bands(target, amplitude), delta)
+                norm = np.linalg.norm(dense_liouvillian(p, ops, target, amplitude, delta), 2)
+                assert norm <= bound, (blocks, target, amplitude, delta)
 
     @settings(max_examples=30, deadline=None)
     @given(data=hst.data())
