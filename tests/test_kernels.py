@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -120,13 +121,51 @@ class TestBackends:
     def test_backend_selected(self):
         assert _kernels.BACKEND == "magnus4"
 
-    @pytest.mark.parametrize("norm", [0.01, 0.2, 0.9, 2.0, 5.0, 6.0, 50.0, 400.0])
+    @pytest.mark.parametrize("norm", [0.01, 0.0239, 0.024, 0.2, 0.3066, 0.3067, 0.9, 2.0,
+                                      5.0, 6.0, 50.0, 400.0])
     def test_expm_matches_scipy_across_scaling_threshold(self, norm):
-        # theta_13 = 5.37: below it Pade alone, above it scaling and squaring
+        # Taylor degree 7 up to theta_7 = 0.0239, degree 12 up to theta_12 =
+        # 0.3066, then Pade-13 alone up to theta_13 = 5.37 and scaling and
+        # squaring above it
         X = np.random.default_rng(7).standard_normal((12, 12))
         X *= norm / np.abs(X).sum(axis=0).max()
         ref = scipy_expm(X)
         assert np.max(np.abs(np.eye(12) + _kernels.expm1(X) - ref)) < 1e-13 * np.abs(ref).max()
+
+    def test_taylor_thresholds_follow_the_tail_rule(self):
+        # theta_m is the norm at which ||X||^m / (m + 1)! reaches 2^-53
+        for m, theta in _kernels._TAYLOR:
+            assert theta**m / math.factorial(m + 1) == pytest.approx(2.0**-53, rel=1e-12)
+        assert [(m, round(t, 4)) for m, t in _kernels._TAYLOR] == [(7, 0.0239), (12, 0.3066)]
+
+    @pytest.mark.parametrize("norm", [1e-9, 0.02, 0.0239, 0.024, 0.2, 0.3066])
+    def test_no_linear_solve_up_to_theta_12(self, norm, monkeypatch):
+        def solve(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        X = np.random.default_rng(10).standard_normal((5, 12, 12))
+        X *= norm / np.abs(X).sum(axis=-2).max()
+        want = np.stack([scipy_expm(x) for x in X]) - np.eye(12)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert np.max(np.abs(_kernels.expm1(X) - want)) < 1e-15
+        with pytest.raises(AssertionError, match="solve"):
+            _kernels.expm1(X * (0.31 / norm))
+
+    def test_mixed_stack_takes_the_degree_of_its_largest_norm(self, monkeypatch):
+        taken = []
+        taylor = _kernels._taylor
+        monkeypatch.setattr(_kernels, "_taylor",
+                            lambda X, m: taken.append((X.shape[0], m)) or taylor(X, m))
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((4, 12, 12))
+        X /= np.abs(X).sum(axis=-2).max(axis=-1)[:, None, None]
+        for norms, degree in (((1e-6, 0.01, 0.02, 0.023), 7), ((1e-6, 0.01, 0.02, 0.2), 12)):
+            stacked = _kernels.expm1(X * np.array(norms)[:, None, None])
+            for k, norm in enumerate(norms):
+                # each matrix gets what the same degree gives it alone
+                alone = taylor(X[k:k + 1] * norm, degree)[0]
+                assert np.max(np.abs(stacked[k] - alone)) <= 4e-16 * norm
+            assert taken[-1] == (4, degree)
 
     def test_expm1_of_stack_and_non_finite_input(self):
         X = np.random.default_rng(8).standard_normal((3, 6, 6))
