@@ -46,19 +46,26 @@ def check_stability(delta, omega_b: float, g: float) -> None:
     """Raise StabilityError unless g <= sqrt(|delta| * omega_b) / 2 and delta < 0.
 
     ``delta`` may be an array; the error then names its first bad entry.
+    Each test passes only when it holds, so a NaN fails it; a non-finite
+    delta, omega_b or g is an error of its own.
     """
+    for name, value in (("omega_b", omega_b), ("g", g)):
+        if not math.isfinite(value):
+            raise StabilityError(f"{name} must be finite, got {name}={value}")
     if np.ndim(delta):
         d = np.asarray(delta, dtype=float)
-        bad = (d >= 0) | (g > stability_limit(d, omega_b))
-        if bad.any():
-            check_stability(d.flat[np.argmax(bad)].item(), omega_b, g)
+        good = np.isfinite(d) & (d < 0) & (g <= stability_limit(d, omega_b))
+        if not good.all():
+            check_stability(d.flat[np.argmin(good)].item(), omega_b, g)
         return
-    if delta >= 0:
+    if not math.isfinite(delta):
+        raise StabilityError(f"delta must be finite, got delta={delta}", delta=delta)
+    if not delta < 0:
         raise StabilityError(
             f"red-detuned regime requires delta < 0, got delta={delta}", delta=delta
         )
     g_max = stability_limit(delta, omega_b)
-    if g > g_max:
+    if not g <= g_max:
         raise StabilityError(
             f"unstable at delta={delta}: g={g} exceeds the stability limit "
             f"0.5*sqrt(|delta|*omega_b)={g_max:.6g}; the stable sub-interval is "
@@ -75,6 +82,14 @@ def polariton_spectrum(delta, omega_b: float, g: float):
 
     Returns two floats for a scalar ``delta`` and two arrays for an array.
     """
+    if (isinstance(delta, float) and -math.inf < delta < 0.0 and 0.0 < omega_b < math.inf
+            and -math.inf < g <= 0.5 * math.sqrt(-delta * omega_b)):
+        # a stable float: the arithmetic below with math.sqrt, bit for bit
+        # (np.float64 arithmetic is IEEE double too, only slower)
+        d = float(delta)
+        s = d * d + omega_b * omega_b
+        root = math.sqrt((d * d - omega_b * omega_b) ** 2 - 16.0 * g * g * d * omega_b)
+        return math.sqrt(0.5 * (s + root)), math.sqrt(max(0.5 * (s - root), 0.0))
     check_stability(delta, omega_b, g)
     if np.ndim(delta):
         delta = np.asarray(delta, dtype=float)

@@ -46,14 +46,17 @@ class TestSpectrum:
             polariton_spectrum(100.0, OMEGA_B, G)
 
     def test_array_call_equals_scalar_calls_bitwise(self):
-        deltas = np.linspace(-8000.0, -200.0, 1001)
-        om_a, om_b = polariton_spectrum(deltas, OMEGA_B, G)
-        for scalars in ([polariton_spectrum(d, OMEGA_B, G) for d in deltas],
-                        [polariton_spectrum(float(d), OMEGA_B, G) for d in deltas]):
+        # floats (np.float64 included) take the scalar fast path, ints the
+        # general one; both must give the array call's bits
+        for kind, deltas in ((np.float64, np.linspace(-8000.0, -200.0, 1001)),
+                             (float, np.linspace(-8000.0, -200.0, 1001)),
+                             (int, np.arange(-8000, -199, 8))):
+            om_a, om_b = polariton_spectrum(deltas, OMEGA_B, G)
+            scalars = [polariton_spectrum(kind(d), OMEGA_B, G) for d in deltas]
             assert all(type(x) is float for pair in scalars for x in pair)
             assert np.array_equal(om_a, [a for a, _ in scalars])
             assert np.array_equal(om_b, [b for _, b in scalars])
-        assert check_stability(deltas, OMEGA_B, G) is None
+            assert check_stability(deltas, OMEGA_B, G) is None
 
     def test_array_call_names_first_unstable_entry(self):
         deltas = np.linspace(-6000.0, -200.0, 11)
@@ -68,6 +71,31 @@ class TestSpectrum:
                 with pytest.raises(StabilityError) as scalar_err:
                     call(bad, OMEGA_B, G)
                 assert str(err.value) == str(scalar_err.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_fails_fast(self, bad):
+        for call in (polariton_spectrum, check_stability, bogoliubov_basis):
+            with pytest.raises(StabilityError, match=f"delta must be finite, got delta={bad}") as err:
+                call(bad, 10.0, 2.0)
+            assert err.value.delta is bad
+        # an array names its first bad entry, as the scalar call does
+        deltas = np.array([-30.0, -20.0, bad, 100.0, math.nan])
+        for call in (polariton_spectrum, check_stability):
+            with pytest.raises(StabilityError, match=f"got delta={bad}"):
+                call(deltas, 10.0, 2.0)
+        with pytest.raises(StabilityError, match=f"got delta={bad}"):
+            polariton_spectrum(np.float64(bad), 10.0, 2.0)
+
+    @pytest.mark.parametrize("name", ["omega_b", "g"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_b_or_g_fails_fast(self, name, bad):
+        args = {"omega_b": 10.0, "g": 2.0, name: bad}
+        for delta in (-30.0, np.array([-30.0, -20.0])):
+            for call in (polariton_spectrum, check_stability):
+                with pytest.raises(StabilityError, match=f"{name} must be finite, got {name}={bad}"):
+                    call(delta, args["omega_b"], args["g"])
+        with pytest.raises(StabilityError, match=f"{name}={bad}"):
+            bogoliubov_basis(-30.0, args["omega_b"], args["g"])
 
     def test_min_gap_sits_at_the_crossing(self):
         deltas = np.linspace(-6000.0, -200.0, 4001)
