@@ -445,7 +445,7 @@ class _Generator:
         nbars = [params.n_a, params.n_b, *params.n_targets]
         damp_diag = np.zeros(d)
         self.jumps = []
-        self.jump_norm = 0.0
+        jump_scales, jump_rows, jump_cols = [], [], []
         for m in range(n_modes):
             rate, nbar = rates[m], nbars[m]
             if rate == 0.0:
@@ -461,8 +461,15 @@ class _Generator:
                 weight = scale * (w[rows] * w[cols]) * half
                 self.jumps.append((starts + src[rows] * widths + src[cols],
                                    weight.astype(complex)))
-                # ||a rho a^dag|| <= ||a||^2 ||rho||, read before the halving
-                self.jump_norm += scale * float(np.max(w)) ** 2
+                # for norm_bound: the unhalved weight of each row, and of each
+                # column, the row i - s that reads it (w vanishes where i + s
+                # leaves the space, so the roll wraps in zeros)
+                jump_scales.append(scale)
+                jump_rows.append(w[order])
+                jump_cols.append(np.roll(w, s)[order])
+        self.jump_scales = np.array(jump_scales)[:, None]
+        self.jump_rows = np.array(jump_rows).reshape(-1, d)
+        self.jump_cols = np.array(jump_cols).reshape(-1, d)
         self.damp_diag = damp_diag[order]
         self._y = np.empty(self.size, dtype=complex)
         self._tmp = np.empty(self.size, dtype=complex)
@@ -495,22 +502,34 @@ class _Generator:
 
     def norm_bound(self, bands: list, delta_now: float) -> float:
         """A bound B on the Frobenius operator norm of ``rhs`` at
-        ``delta_now``, summed from the norms of its parts.
+        ``delta_now``: Schur's B = sqrt(R_1 R_inf) >= ||L||_2, with R_inf and
+        R_1 the largest absolute row and column sums of L as a d^2 x d^2
+        matrix, taken over all d^2 index pairs so that B does not depend on
+        the carried blocks.
 
-        The diagonal part scales entry ij by L[i] + conj(L[j]); its norm is
-        at most the largest such modulus, taken over all d^2 index pairs so
-        that B does not depend on the carried blocks.  The bands give -i [H_off, rho],
-        of norm at most 2 ||H_off||, and H_off is Hermitian, so its norm is
-        at most its largest absolute row sum (Gershgorin), at most the
-        largest row sum of the band weights.  Each jump s a rho a^dag adds
-        s ||a||^2 = s max|w|^2, read from the ladder weights before U's
-        diagonal is halved: the jump attains it on a diagonal entry, so the
-        halved weights can fall below its norm.
+        Row (i, j) of L holds L[i] + conj(L[j]) on its diagonal; the bands
+        give -i [H_off, rho], whose row sum is at most r[i] + r[j], r the row
+        sums of the band weights (H_off is Hermitian, so its column sums are
+        its row sums); each jump s a rho a^dag reads rho[i + o, j + o] with
+        weight s w[i] w[j], from the ladder weights before U's diagonal is
+        halved.  Column (k, l) holds the same diagonal and band sums, and the
+        jump weights of the row (k - o, l - o) that reads it.
         """
         lvec = self._lvec(delta_now)
-        diagonal = np.abs(lvec[:, None] + lvec.conj()).max()
-        rows = sum(np.abs(np.concatenate([w for _, w in band])) for band in bands)
-        return float(diagonal + 2.0 * np.max(rows) + self.jump_norm)
+        rows = sum((np.abs(np.concatenate([w for _, w in band])) for band in bands),
+                   np.zeros((self.dim, 1)))
+        base = np.abs(lvec[:, None] + lvec.conj())
+        base += rows
+        base += rows.T
+        sums = np.empty_like(base)
+        largest = []
+        for weights in (self.jump_rows, self.jump_cols):
+            # the sum over jumps of s w[i] w[j]; einsum, not a BLAS product,
+            # which would wake BLAS threads and their buffers
+            np.einsum("ji,jk->ik", self.jump_scales * weights, weights, out=sums)
+            sums += base
+            largest.append(sums.max())
+        return float(np.sqrt(largest[0] * largest[1]))
 
     def rhs(self, rho: np.ndarray, bands: list, delta_now: float,
             out: np.ndarray) -> np.ndarray:

@@ -598,6 +598,24 @@ class TestTaylorAction:
         norm = np.linalg.norm(dense_liouvillian(p, ops, target, amplitude, delta), 2)
         assert norm <= bound * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("cutoffs", [(2, 2, 2), (3, 3, 2)])
+    def test_schur_bound_within_summed_bound(self, cutoffs):
+        # sqrt(R_1 R_inf) against the bound summed part by part, max|L_i +
+        # conj(L_j)| + 2 max row sum of the bands + s max|w|^2 per jump, which
+        # caps both R_1 and R_inf
+        p = params()
+        ops = ModeOperators(cutoffs)
+        for st in (thermal_state(cutoffs, (0.0, 0.0, 0.0)), coherent_state(cutoffs, 5)):
+            gen = _Generator(p, ops, st.rho)
+            for target, amplitude, delta in ((None, 0.0, -30.0), (None, 0.0, -3.0),
+                                             (0, 5.0, -3.0)):
+                bands = gen.bands(target, amplitude)
+                lvec = gen._lvec(delta)
+                rows = sum(np.abs(np.concatenate([w for _, w in band])) for band in bands)
+                summed = (np.abs(lvec[:, None] + lvec.conj()).max() + 2.0 * np.max(rows)
+                          + np.sum(gen.jump_scales[:, 0] * gen.jump_rows.max(axis=1) ** 2))
+                assert gen.norm_bound(bands, delta) <= summed * (1.0 + 1e-15)
+
     def test_jump_term_read_before_halving(self):
         # one jump, kappa a rho a^dag at cutoffs (2, 2): on a thermal start its
         # largest weight, kappa, sits only on the diagonal of the parity
