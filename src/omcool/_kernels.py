@@ -4,7 +4,7 @@
 matrices and returns exp(X) - I: propagators of short substeps lie close to
 the identity, and keeping them as I + Y holds their small part to full
 precision through long products.  A stack whose largest 1-norm is at most
-theta_12 = 0.307 takes the Taylor polynomial of degree 7 (up to theta_7 =
+theta_12 = 0.3066 takes the Taylor polynomial of degree 7 (up to theta_7 =
 0.0239) or 12, evaluated with matrix products alone (Paterson and
 Stockmeyer, SIAM J. Comput. 2, 60 (1973)); a larger norm takes Higham's
 Pade-13 scaling and squaring (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)),

@@ -74,8 +74,9 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_delta_fails_fast(self, bad):
+        message = f"delta must be finite, got delta={bad}"
         for call in (polariton_spectrum, check_stability, bogoliubov_basis):
-            with pytest.raises(StabilityError, match=f"delta must be finite, got delta={bad}") as err:
+            with pytest.raises(StabilityError, match=message) as err:
                 call(bad, 10.0, 2.0)
             assert err.value.delta is bad
         # an array names its first bad entry, as the scalar call does
@@ -92,7 +93,8 @@ class TestSpectrum:
         args = {"omega_b": 10.0, "g": 2.0, name: bad}
         for delta in (-30.0, np.array([-30.0, -20.0])):
             for call in (polariton_spectrum, check_stability):
-                with pytest.raises(StabilityError, match=f"{name} must be finite, got {name}={bad}"):
+                message = f"{name} must be finite, got {name}={bad}"
+                with pytest.raises(StabilityError, match=message):
                     call(delta, args["omega_b"], args["g"])
         with pytest.raises(StabilityError, match=f"{name}={bad}"):
             bogoliubov_basis(-30.0, args["omega_b"], args["g"])
