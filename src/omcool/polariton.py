@@ -82,27 +82,26 @@ def polariton_spectrum(delta, omega_b: float, g: float):
 
     Returns two floats for a scalar ``delta`` and two arrays for an array.
     """
-    if (isinstance(delta, float) and -math.inf < delta < 0.0 and 0.0 < omega_b < math.inf
-            and -math.inf < g <= 0.5 * math.sqrt(-delta * omega_b)):
-        # a stable float: the arithmetic below with math.sqrt, bit for bit
-        # (np.float64 arithmetic is IEEE double too, only slower)
-        d = float(delta)
-        s = d * d + omega_b * omega_b
-        root = math.sqrt((d * d - omega_b * omega_b) ** 2 - 16.0 * g * g * d * omega_b)
-        return math.sqrt(0.5 * (s + root)), math.sqrt(max(0.5 * (s - root), 0.0))
-    check_stability(delta, omega_b, g)
-    if np.ndim(delta):
+    # (np.ndim costs more than the scalar arithmetic, so Python numbers skip it)
+    if not isinstance(delta, (float, int)) and np.ndim(delta):
+        check_stability(delta, omega_b, g)
         delta = np.asarray(delta, dtype=float)
-    s = delta * delta + omega_b * omega_b
-    disc = (delta * delta - omega_b * omega_b) ** 2 - 16.0 * g * g * delta * omega_b
-    root = np.sqrt(disc)
-    omega_a2 = 0.5 * (s + root)
-    omega_b2 = 0.5 * (s - root)
-    # check_stability guarantees omega_b2 >= 0 up to roundoff
-    om_a, om_b = np.sqrt(omega_a2), np.sqrt(np.maximum(omega_b2, 0.0))
-    if np.ndim(delta):
-        return om_a, om_b
-    return float(om_a), float(om_b)
+        s = delta * delta + omega_b * omega_b
+        root = np.sqrt((delta * delta - omega_b * omega_b) ** 2
+                       - 16.0 * g * g * delta * omega_b)
+        # check_stability guarantees s - root >= 0 up to roundoff
+        return np.sqrt(0.5 * (s + root)), np.sqrt(np.maximum(0.5 * (s - root), 0.0))
+    d = float(delta)
+    # check_stability's pass condition, written out: it raises when this fails
+    if not (-math.inf < d < 0.0 and 0.0 <= omega_b < math.inf
+            and -math.inf < g <= 0.5 * math.sqrt(-d * omega_b)):
+        check_stability(delta, omega_b, g)
+    # the array arithmetic above in the same order, so the bits agree (numpy's
+    # ** 2 is a product, which cannot raise OverflowError as float ** 2 can)
+    s = d * d + omega_b * omega_b
+    t = d * d - omega_b * omega_b
+    root = math.sqrt(t * t - 16.0 * g * g * d * omega_b)
+    return math.sqrt(0.5 * (s + root)), math.sqrt(max(0.5 * (s - root), 0.0))
 
 
 def hamiltonian_matrix(delta: float, omega_b: float, g: float) -> np.ndarray:

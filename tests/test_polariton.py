@@ -46,8 +46,8 @@ class TestSpectrum:
             polariton_spectrum(100.0, OMEGA_B, G)
 
     def test_array_call_equals_scalar_calls_bitwise(self):
-        # floats (np.float64 included) take the scalar fast path, ints the
-        # general one; both must give the array call's bits
+        # every scalar kind takes the math path, which must give the array
+        # call's bits
         for kind, deltas in ((np.float64, np.linspace(-8000.0, -200.0, 1001)),
                              (float, np.linspace(-8000.0, -200.0, 1001)),
                              (int, np.arange(-8000, -199, 8))):
