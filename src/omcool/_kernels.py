@@ -25,7 +25,8 @@ BACKEND = "magnus4"
 
 # Taylor degree m serves ||X||_1 <= theta_m, the largest norm whose dropped
 # tail relative to ||X||, ||X||^m / (m + 1)!, is at most 2^-53: theta_7 =
-# 0.0239 and theta_12 = 0.3066.
+# 0.0239 and theta_12 = 0.3066.  Degree 7 saves degree 12 one product on the
+# small norms of most design-sweep substeps.
 _TAYLOR = tuple((m, (math.factorial(m + 1) * 2.0**-53) ** (1.0 / m)) for m in (7, 12))
 # Pade-13 is exact to double precision for ||X||_1 <= theta_13.
 _THETA13 = 5.371920351148152e0
@@ -92,6 +93,7 @@ def expm1(X):
     1-norm.  A non-finite input gives an all-NaN result.
     """
     X = np.asarray(X, dtype=float)
+    # column sums by einsum: faster than .sum(axis=-2) on these small stacks
     norm = float(np.einsum("...ij->...j", np.abs(X)).max()) if X.size else 0.0
     if not math.isfinite(norm):
         return np.full(X.shape, np.nan)
