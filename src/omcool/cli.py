@@ -99,7 +99,7 @@ def cmd_spectrum(args) -> int:
     deltas = np.linspace(cfg.delta_start, cfg.delta_stop, cfg.samples)
 
     om_a, om_b = polariton_spectrum(deltas, cfg.omega_b, cfg.g)
-    u = [bogoliubov_basis(delta, cfg.omega_b, cfg.g).u for delta in deltas]
+    u = bogoliubov_basis(deltas, cfg.omega_b, cfg.g).u
     rows = zip(deltas, om_a, om_b, u)
     _write_csv(args.out, _metadata("spectrum", raw),
                ["delta", "omega_A", "omega_B", "u"], rows)

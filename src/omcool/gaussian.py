@@ -78,26 +78,38 @@ class GaussianState:
         return float(np.linalg.eigvalsh(self.cov + 0.5j * J).min())
 
     def validate(self) -> float:
-        """Check symmetry, the uncertainty relation and the occupations;
-        return the ``uncertainty_min_eig`` the check computed.  A NaN fails
-        every check (each check passes only on a true comparison)."""
-        scale = max(1.0, float(np.max(np.abs(self.cov))))
-        asym = float(np.max(np.abs(self.cov - self.cov.T)))
-        if not asym <= SYMMETRY_TOL * scale:
-            raise IntegrationError(
-                f"covariance asymmetry {asym:.3e} at t={self.time}", time=self.time
-            )
-        min_eig = self.uncertainty_min_eig()
-        if not min_eig >= -UNCERTAINTY_TOL:
-            raise IntegrationError(
-                f"uncertainty relation violated (min eig {min_eig:.3e}) at t={self.time}",
-                time=self.time,
-            )
-        if not np.min(mode_occupations(self)) >= -UNCERTAINTY_TOL:
-            raise IntegrationError(
-                f"negative mode occupation at t={self.time}", time=self.time
-            )
-        return min_eig
+        """``check_samples`` of this state alone: its ``uncertainty_min_eig``, once checked."""
+        return float(check_samples([self.time], self.mean[None], self.cov[None])[1][0])
+
+
+def check_samples(times, means: np.ndarray, covs: np.ndarray):
+    """Bare-mode occupations and ``uncertainty_min_eig`` of stacked samples,
+    once every sample passes the checks of ``GaussianState.validate``.
+
+    The first failing sample raises IntegrationError for the first check it
+    fails, at its time.  A NaN fails every check (each check passes only on
+    a true comparison).
+    """
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+    asym = np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1))
+    symmetric = asym <= SYMMETRY_TOL * scale
+    # eigvalsh cannot take a non-finite matrix, which the symmetry check refuses
+    J = symplectic_form(means.shape[-1] // 2)
+    min_eig = np.linalg.eigvalsh(np.where(symmetric[:, None, None], covs, 0.0)
+                                 + 0.5j * J).min(axis=-1)
+    occupations = moment_occupations(means, covs)
+    failures = (
+        (~symmetric, lambda k: f"covariance asymmetry {asym[k]:.3e}"),
+        (~(min_eig >= -UNCERTAINTY_TOL),
+         lambda k: f"uncertainty relation violated (min eig {min_eig[k]:.3e})"),
+        (~(occupations.min(axis=-1) >= -UNCERTAINTY_TOL), lambda k: "negative mode occupation"),
+    )
+    bad = np.any([mask for mask, _ in failures], axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        text = next(text(k) for mask, text in failures if mask[k])
+        raise IntegrationError(f"{text} at t={times[k]}", time=float(times[k]))
+    return occupations, min_eig
 
 
 def thermal_state(occupations, time: float = 0.0) -> GaussianState:
@@ -317,10 +329,9 @@ def propagate(
 
     times = np.asarray(times_out)
     means, covs = (np.asarray(x) for x in zip(*samples))
-    min_eigs = [GaussianState(mean=m, cov=c, time=float(t)).validate()
-                for t, m, c in zip(times, means, covs)]
+    occupations, min_eigs = check_samples(times, means, covs)
     return Samples(
-        times=times, occupations=moment_occupations(means, covs), means=means, covs=covs,
-        physicality=np.array(min_eigs), leakage=None,
+        times=times, occupations=occupations, means=means, covs=covs,
+        physicality=min_eigs, leakage=None,
         final_state=GaussianState(mean=means[-1], cov=covs[-1], time=float(times[-1])),
     )

@@ -19,7 +19,7 @@ cooling map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,6 +128,9 @@ class PolaritonBasis:
     and ``u_p`` are the corresponding quadrature overlaps (coefficients of
     x_b in X_A and of p_b in P_A); u = (u_x + u_p) / 2.  The annihilation
     overlap is the one that drives the exchange efficiency to 1 on resonance.
+
+    A stacked basis, built for a delta array of length K, holds (K,) arrays
+    and a (K, 4, 4) ``S``; indexing it selects entries along that axis.
     """
 
     delta: float
@@ -140,31 +143,57 @@ class PolaritonBasis:
     u_x: float
     u_p: float
 
+    def __getitem__(self, index) -> PolaritonBasis:
+        return replace(self, **{k: v[index] for k, v in vars(self).items() if np.ndim(v)})
+
     def inverse(self) -> np.ndarray:
         """Symplectic inverse of S (maps polariton quadratures back to bare)."""
         J = symplectic_form(2)
-        return -J @ self.S.T @ J
+        return -J @ np.swapaxes(self.S, -1, -2) @ J
 
 
-def _decoupled_basis(delta: float, omega_b: float) -> PolaritonBasis:
-    # g = 0: branches are the bare modes; 'A' is whichever has the larger
-    # frequency (|delta| for the cavity, omega_b for the mechanics).
-    if abs(delta) >= omega_b:
-        S = np.eye(4)
-        u = u_x = u_p = 0.0
-        om_a, om_b2 = abs(delta), omega_b
-    else:
-        S = np.zeros((4, 4))
-        S[0, 2] = S[1, 3] = S[2, 0] = S[3, 1] = 1.0
-        u = u_x = u_p = 1.0
-        om_a, om_b2 = omega_b, abs(delta)
-    return PolaritonBasis(
-        delta=delta, omega_b=omega_b, g=0.0, omega_A=om_a, omega_B=om_b2,
-        S=S, u=u, u_x=u_x, u_p=u_p,
+def _coupled_modes(d: np.ndarray, omega_b: float, g: float):
+    """(S, u, omega_A, omega_B) over the stack of detunings ``d``, after
+    checking each entry's normal-mode extraction and residuals."""
+    J = symplectic_form(2)
+    M = hamiltonian_matrix(0.0, omega_b, g) - d[:, None, None] * np.diag([1.0, 1.0, 0.0, 0.0])
+    evals, evecs = np.linalg.eig(M @ J)
+    scale = np.maximum(np.abs(d), omega_b)
+    n_pos = np.count_nonzero(evals.imag > 1e-12 * scale[:, None], axis=-1)
+    # the two positive frequencies lead, upper branch first
+    top, rows = np.argsort(-evals.imag, axis=-1, kind="stable")[:, :2], np.arange(d.size)[:, None]
+    freqs, w = evals.imag[rows, top], evecs[rows, :, top]  # w[k, i] is mode i's eigenvector
+    with np.errstate(invalid="ignore", divide="ignore"):  # a failing entry raises below
+        norm = (1j * w[..., None, :] @ J @ w.conj()[..., None]).real[..., 0, 0]
+        w = w / np.sqrt(norm)[..., None]
+        u_b = (w[..., 2] - 1j * w[..., 3]) / np.sqrt(2.0)  # [A, b^dag]
+        u_a = (w[..., 0] - 1j * w[..., 1]) / np.sqrt(2.0)  # [A, a^dag]
+        ref = np.where(np.abs(u_b) > np.abs(u_a), u_b, u_a)
+        w = w * (ref.conj() / np.abs(ref))[..., None]
+    S = np.sqrt(2.0) * np.stack((w.real, w.imag), axis=-2).reshape(-1, 4, 4)
+    u = ((w[:, 0, 2] - 1j * w[:, 0, 3]) / np.sqrt(2.0)).real
+
+    # guard the construction itself; the tight tolerances live in the tests
+    St = np.swapaxes(S, -1, -2)
+    Sinv = -J @ St @ J
+    resid = np.swapaxes(Sinv, -1, -2) @ M @ Sinv
+    off = np.where(np.eye(4, dtype=bool), 0.0, resid)
+    failures = (
+        (n_pos != 2, "normal-mode extraction failed at delta={} (marginally stable?)"),
+        (~np.all(norm > 0, axis=-1), "non-positive symplectic norm at delta={}"),
+        (~(np.abs(S @ J @ St - J).max(axis=(-2, -1)) <= 1e-8),
+         "symplectic construction failed at delta={}"),
+        (~(np.abs(off).max(axis=(-2, -1)) <= 1e-6 * scale), "diagonalization failed at delta={}"),
     )
+    bad = np.any([mask for mask, _ in failures], axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        text = next(text for mask, text in failures if mask[k])
+        raise StabilityError(text.format(d[k]), delta=float(d[k]))
+    return S, u, freqs[:, 0], freqs[:, 1]
 
 
-def bogoliubov_basis(delta: float, omega_b: float, g: float) -> PolaritonBasis:
+def bogoliubov_basis(delta, omega_b: float, g: float) -> PolaritonBasis:
     """Numerically construct the symplectic diagonalization of the pair Hamiltonian.
 
     Normal modes are extracted from the eigenvectors of M J: a row vector w
@@ -172,60 +201,25 @@ def bogoliubov_basis(delta: float, omega_b: float, g: float) -> PolaritonBasis:
     normalized to [A, A^dag] = i w^T J w* = 1.  The free phase of each mode
     is fixed so that the dominant bare-mode overlap is real and positive,
     which makes S real and u >= 0.
+
+    A delta array of length K gives a stacked basis from one stacked
+    eigendecomposition; a scalar delta is the K = 1 case.  The first entry
+    that fails a check raises the error its scalar call raises.
     """
     check_stability(delta, omega_b, g)
+    d = np.asarray(delta, dtype=float).reshape(-1)
     if g == 0.0:
-        return _decoupled_basis(delta, omega_b)
-
-    M = hamiltonian_matrix(delta, omega_b, g)
-    J = symplectic_form(2)
-    evals, evecs = np.linalg.eig(M @ J)
-    pos = [k for k in range(4) if evals[k].imag > 1e-12 * max(abs(delta), omega_b)]
-    if len(pos) != 2:
-        raise StabilityError(
-            f"normal-mode extraction failed at delta={delta} (marginally stable?)",
-            delta=delta,
-        )
-    # sort by frequency, upper branch first
-    pos.sort(key=lambda k: -evals[k].imag)
-
-    rows = []
-    overlaps = []
-    for k in pos:
-        w = evecs[:, k]
-        norm = (1j * w @ J @ w.conj()).real
-        if norm <= 0:
-            raise StabilityError(
-                f"non-positive symplectic norm at delta={delta}", delta=delta
-            )
-        w = w / np.sqrt(norm)
-        u_b = (w[2] - 1j * w[3]) / np.sqrt(2.0)  # [A, b^dag]
-        u_a = (w[0] - 1j * w[1]) / np.sqrt(2.0)  # [A, a^dag]
-        ref = u_b if abs(u_b) > abs(u_a) else u_a
-        w = w * (ref.conj() / abs(ref))
-        rows.append(np.sqrt(2.0) * w.real)
-        rows.append(np.sqrt(2.0) * w.imag)
-        overlaps.append(((w[2] - 1j * w[3]) / np.sqrt(2.0)).real)
-    S = np.array(rows)
-
-    # guard the construction itself; the tight tolerances live in the tests
-    scale = max(abs(delta), omega_b)
-    if np.max(np.abs(S @ J @ S.T - J)) > 1e-8:
-        raise StabilityError(f"symplectic construction failed at delta={delta}", delta=delta)
-    Sinv = -J @ S.T @ J
-    resid = Sinv.T @ M @ Sinv
-    if np.max(np.abs(resid - np.diag(np.diag(resid)))) > 1e-6 * scale:
-        raise StabilityError(f"diagonalization failed at delta={delta}", delta=delta)
-
-    omega_a = float(evals[pos[0]].imag)
-    omega_b_branch = float(evals[pos[1]].imag)
-    u = float(overlaps[0])
-    u_x = float(S[0, 2])
-    u_p = float(S[1, 3])
-    return PolaritonBasis(
-        delta=delta, omega_b=omega_b, g=g, omega_A=omega_a, omega_B=omega_b_branch,
-        S=S, u=u, u_x=u_x, u_p=u_p,
-    )
+        # the branches are the bare modes; 'A' is whichever has the larger
+        # frequency (|delta| for the cavity, omega_b for the mechanics)
+        u = np.where(np.abs(d) >= omega_b, 0.0, 1.0)
+        S = np.where(u[:, None, None] == 0.0, np.eye(4), np.eye(4)[[2, 3, 0, 1]])
+        om_a, om_b = np.maximum(np.abs(d), omega_b), np.minimum(np.abs(d), omega_b)
+    else:
+        S, u, om_a, om_b = _coupled_modes(d, omega_b, g)
+    out = dict(delta=d, omega_A=om_a, omega_B=om_b, S=S, u=u, u_x=S[:, 0, 2], u_p=S[:, 1, 3])
+    if np.ndim(delta) == 0:
+        out = {k: v[0] if k == "S" else float(v[0]) for k, v in out.items()}
+    return PolaritonBasis(omega_b=omega_b, g=g, **out)
 
 
 def moment_occupations(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -236,11 +230,13 @@ def moment_occupations(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     return therm + coh
 
 
-def pair_occupations(mean: np.ndarray, cov: np.ndarray,
-                     basis: PolaritonBasis) -> tuple[float, float]:
-    """(N_A, N_B) from the quadrature mean (4,) and covariance (4, 4) of (a, b)."""
-    n_a, n_b = moment_occupations(basis.S @ mean, basis.S @ cov @ basis.S.T)
-    return float(n_a), float(n_b)
+def pair_occupations(mean: np.ndarray, cov: np.ndarray, basis: PolaritonBasis):
+    """(N_A, N_B) from the quadrature means (..., 4) and covariances (..., 4, 4)
+    of (a, b), rotated by the basis ``S`` (4, 4) or a stack of them aligned
+    with the samples.  Returns two floats for one sample, two arrays for a stack."""
+    S = basis.S
+    n = moment_occupations((S @ mean[..., None])[..., 0], S @ cov @ np.swapaxes(S, -1, -2))
+    return (float(n[0]), float(n[1])) if n.ndim == 1 else (n[..., 0], n[..., 1])
 
 
 def rabi_populations(n_b0, n_c0, omega_b, delta, omega_0, t):

@@ -130,20 +130,10 @@ def run_protocol(
     spans = tuple(schedule.spans())
     _check_targets([s.target for s in spans if s.target is not None], params)
 
-    # delta repeats every cycle and holds still through exchange and hold
-    # strokes, so each distinct value gets one basis
-    bases = {}
-
-    def basis_at(delta):
-        if delta not in bases:
-            bases[delta] = bogoliubov_basis(delta, params.omega_b, params.g)
-        return bases[delta]
-
     if engine == "gaussian":
         if initial.basis == "polariton":
-            state0 = gauss_mod.polariton_initial_state(
-                basis_at(schedule.delta_start), *initial.pair, initial.targets
-            )
+            basis0 = bogoliubov_basis(schedule.delta_start, params.omega_b, params.g)
+            state0 = gauss_mod.polariton_initial_state(basis0, *initial.pair, initial.targets)
         else:
             state0 = gauss_mod.thermal_state(list(initial.pair) + list(initial.targets))
         propagate = partial(gauss_mod.propagate, state0, schedule, t_end, tol=tol,
@@ -173,10 +163,11 @@ def run_protocol(
     delta = schedule.delta_at(times)
     # a span's amplitude is zero outside exchange strokes
     omega0 = np.array([spans[i].amplitude for i in idx], dtype=float)
-    n_pol = np.array([
-        pair_occupations(m[:4], c[:4, :4], basis_at(d))
-        for d, m, c in zip(delta, run.means, run.covs)
-    ])
+    # delta repeats every cycle and holds still through exchange and hold
+    # strokes, so only its distinct values need a basis
+    distinct = np.array(sorted(set(delta.tolist())))
+    bases = bogoliubov_basis(distinct, params.omega_b, params.g)[np.searchsorted(distinct, delta)]
+    n_pol = np.column_stack(pair_occupations(run.means[:, :4], run.covs[:, :4, :4], bases))
     return Trajectory(
         times=times,
         occupations=run.occupations,
@@ -261,8 +252,8 @@ def analyze_cycles(traj: Trajectory, params: SystemParams, target: int = 0) -> C
                         predicted_after=predicted, deviation=dev)
         )
 
-    posts = np.array([c.n_after for c in records])
-    asymptote = float(np.median(posts[-3:]))
+    last = sorted(c.n_after for c in records[-3:])
+    asymptote = (last[len(last) // 2] + last[~(len(last) // 2)]) / 2
     limit = cooling_limit(
         CoolingMapParams(eta=eta, r=r, n_a=params.n_a, n_c=params.n_targets[target])
     )

@@ -278,7 +278,7 @@ class CycleSchedule:
         t = np.asarray(times, dtype=float)
         idx = np.asarray(self.stroke_index(t))
         out = np.empty(t.shape)
-        for k in np.unique(idx):
+        for k in np.flatnonzero(np.bincount(idx.ravel())):
             span, own = self._spans[k], idx == k
             out[own] = span.delta_values_local(t[own] - span.t_start)
         return float(out) if out.ndim == 0 else out
@@ -334,7 +334,8 @@ def stroke_walk(
     for _, lo, hi in segments:
         pts.append(np.array([lo, hi]))
         pts.append(np.linspace(lo, hi, samples_per_stroke + 1)[1:-1])
-    grid = np.unique(np.concatenate(pts))
+    grid = np.sort(np.concatenate(pts))
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
     return [(span, lo, grid[(grid > lo) & (grid <= hi)]) for span, lo, hi in segments]
 
 

@@ -15,7 +15,8 @@ from omcool.gaussian import (
     thermal_state,
 )
 from omcool.params import SystemParams
-from omcool.polariton import bogoliubov_basis, rabi_populations
+from omcool.polariton import (bogoliubov_basis, moment_occupations, rabi_populations,
+                              symplectic_form)
 from omcool.schedule import CycleSchedule, Stroke, build_default_cycle
 
 
@@ -62,6 +63,86 @@ class TestStateBasics:
         with pytest.raises(IntegrationError) as err:
             state.validate()
         assert err.value.time == 0.7
+
+
+def reference_validate(t, mean, cov):
+    """The error text of one sample's checks, made one at a time and one
+    sample at a time, or None when the sample passes."""
+    scale = max(1.0, float(np.max(np.abs(cov))))
+    asym = float(np.max(np.abs(cov - cov.T)))
+    if not asym <= gaussian.SYMMETRY_TOL * scale:
+        return f"covariance asymmetry {asym:.3e} at t={t}"
+    min_eig = float(np.linalg.eigvalsh(cov + 0.5j * symplectic_form(mean.size // 2)).min())
+    if not min_eig >= -gaussian.UNCERTAINTY_TOL:
+        return f"uncertainty relation violated (min eig {min_eig:.3e}) at t={t}"
+    if not np.min(moment_occupations(mean, cov)) >= -gaussian.UNCERTAINTY_TOL:
+        return f"negative mode occupation at t={t}"
+    return None
+
+
+def asymmetric(mean, cov):
+    cov[0, 3] += 1e-6
+
+
+def uncertain(mean, cov):
+    cov[:2, :2] = 0.1 * np.eye(2)
+
+
+def nan_cov(mean, cov):
+    cov[2, 2] = np.nan
+
+
+def nan_mean(mean, cov):
+    mean[1] = np.nan
+
+
+class TestStackedChecks:
+    @pytest.fixture
+    def run(self, fig1_params):
+        sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0],
+                                    ramp_shape="adiabatic")
+        return propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
+                         tol=1e-7, params=fig1_params, samples_per_stroke=8)
+
+    @pytest.mark.parametrize("corrupt", [asymmetric, uncertain, nan_cov, nan_mean])
+    def test_first_failing_sample_raises_its_own_error(self, run, corrupt):
+        # sample 11 lies inside the second stroke; a later sample fails too
+        times, means, covs = run.times, run.means.copy(), run.covs.copy()
+        corrupt(means[11], covs[11])
+        asymmetric(means[15], covs[15])
+        expected = reference_validate(times[11], means[11], covs[11])
+        assert expected is not None
+        with pytest.raises(IntegrationError) as stacked:
+            gaussian.check_samples(times, means, covs)
+        with pytest.raises(IntegrationError) as single:
+            GaussianState(mean=means[11], cov=covs[11], time=float(times[11])).validate()
+        assert str(stacked.value) == str(single.value) == expected
+        assert stacked.value.time == single.value.time == times[11]
+
+    def test_propagate_raises_the_first_failing_samples_error(self, fig1_params, monkeypatch):
+        # a stroke map that removes noise drives the state below the
+        # uncertainty bound partway through the second stroke
+        segment_map, check_samples = gaussian._segment_map, gaussian.check_samples
+        seen = []
+
+        def drained(span, *args):
+            phi, q = segment_map(span, *args)
+            return phi, -30.0 * q if span.index == 1 else q
+
+        def recorded(*samples):
+            seen.append(samples)
+            return check_samples(*samples)
+
+        monkeypatch.setattr(gaussian, "_segment_map", drained)
+        monkeypatch.setattr(gaussian, "check_samples", recorded)
+        sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
+        with pytest.raises(IntegrationError, match="uncertainty relation violated") as err:
+            propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
+                      tol=1e-7, params=fig1_params, samples_per_stroke=8)
+        texts = [reference_validate(*sample) for sample in zip(*seen[0])]
+        k = next(i for i, text in enumerate(texts) if text is not None)
+        assert str(err.value) == texts[k]
+        assert err.value.time == seen[0][0][k] > sched.spans()[1].t_start
 
 
 class TestThermalRelaxation:

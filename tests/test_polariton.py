@@ -12,6 +12,7 @@ from omcool.polariton import (
     exchange_efficiency,
     hamiltonian_matrix,
     iterate_cooling_map,
+    pair_occupations,
     polariton_spectrum,
     rabi_populations,
     survival_factor,
@@ -62,7 +63,7 @@ class TestSpectrum:
         deltas = np.linspace(-6000.0, -200.0, 11)
         for bad, expected in ((-50.0, "unstable at delta=-50.0"),
                               (100.0, "requires delta < 0, got delta=100.0")):
-            for call in (polariton_spectrum, check_stability):
+            for call in (polariton_spectrum, check_stability, bogoliubov_basis):
                 with_bad = deltas.copy()
                 with_bad[[4, 8]] = bad, -40.0
                 with pytest.raises(StabilityError, match=expected) as err:
@@ -157,6 +158,99 @@ class TestBogoliubovBasis:
     def test_overlap_is_mean_of_quadrature_overlaps(self):
         basis = bogoliubov_basis(-600.0, OMEGA_B, G)
         assert basis.u == pytest.approx(0.5 * (basis.u_x + basis.u_p), rel=1e-12)
+
+
+_eig = np.linalg.eig  # the unpatched one
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def other_modes(a, evals, evecs):
+    """The normal modes of the pair 500 closer to zero detuning: a valid
+    symplectic basis that does not diagonalize this pair."""
+    delta = -a[0, 1] + 500.0
+    return _eig(hamiltonian_matrix(delta, OMEGA_B, G) @ symplectic_form(2))
+
+
+def mixed_modes(a, evals, evecs):
+    """Half of the lower positive-frequency mode added to the upper one."""
+    pos = np.argsort(-evals.imag)[:2]
+    evecs = evecs.copy()
+    evecs[:, pos[0]] += 0.5 * evecs[:, pos[1]]
+    return evals, evecs
+
+
+class TestArrayBasis:
+    FIELDS = ("S", "u", "u_x", "u_p", "omega_A", "omega_B")
+
+    @pytest.mark.parametrize("g, deltas", [
+        # across the anticrossing at delta = -omega_b
+        (G, np.concatenate((np.linspace(-6000.0, -200.0, 291),
+                            np.linspace(-2100.0, -1900.0, 41)))),
+        # decoupled: either side of |delta| = omega_b, and on it
+        (0.0, np.array([-6000.0, -2000.5, -OMEGA_B, -1999.5, -200.0])),
+    ])
+    def test_array_call_equals_scalar_calls_bitwise(self, g, deltas):
+        stacked = bogoliubov_basis(deltas, OMEGA_B, g)
+        assert stacked.S.shape == (deltas.size, 4, 4)
+        for k, delta in enumerate(deltas):
+            scalar = bogoliubov_basis(float(delta), OMEGA_B, g)
+            assert scalar.S.shape == (4, 4) and type(scalar.u) is float
+            for name in self.FIELDS:
+                assert bits(getattr(stacked, name)[k]) == bits(getattr(scalar, name)), (name, delta)
+                assert bits(getattr(stacked[k], name)) == bits(getattr(scalar, name))
+
+    def test_inverse_of_stacked_basis(self):
+        deltas = np.linspace(-6000.0, -200.0, 9)
+        stacked = bogoliubov_basis(deltas, OMEGA_B, G)
+        inv = stacked.inverse()
+        assert inv.shape == (9, 4, 4)
+        assert np.max(np.abs(stacked.S @ inv - np.eye(4))) < 1e-12
+        for k, delta in enumerate(deltas):
+            assert bits(inv[k]) == bits(bogoliubov_basis(delta, OMEGA_B, G).inverse())
+
+    def test_stacked_pair_occupations_equal_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        deltas = np.linspace(-6000.0, -200.0, 13)
+        bases = bogoliubov_basis(deltas, OMEGA_B, G)
+        means = rng.normal(size=(13, 4))
+        x = rng.normal(size=(13, 4, 4))
+        covs = x @ np.swapaxes(x, -1, -2) + 0.5 * np.eye(4)
+        n_a, n_b = pair_occupations(means, covs, bases)
+        for k, delta in enumerate(deltas):
+            pair = pair_occupations(means[k], covs[k], bogoliubov_basis(delta, OMEGA_B, G))
+            assert all(type(n) is float for n in pair)
+            assert pair == (n_a[k], n_b[k])
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda a, evals, evecs: (evals.real + 0j, evecs),
+         "normal-mode extraction failed at delta={} (marginally stable?)"),
+        (lambda a, evals, evecs: (evals, evecs.conj()), "non-positive symplectic norm at delta={}"),
+        (mixed_modes, "symplectic construction failed at delta={}"),
+        (other_modes, "diagonalization failed at delta={}"),
+    ])
+    def test_each_check_names_the_first_failing_entry(self, monkeypatch, corrupt, message):
+        bad = (-2500.0, -1000.0)
+
+        def corrupted(a):
+            evals, evecs = _eig(a)
+            for k in range(len(a)):
+                if -a[k, 0, 1] in bad:
+                    evals[k], evecs[k] = corrupt(a[k], evals[k], evecs[k])
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eig", corrupted)
+        deltas = np.linspace(-6000.0, -200.0, 11)
+        assert bits(bogoliubov_basis(deltas, OMEGA_B, G).S) == bits(
+            [bogoliubov_basis(d, OMEGA_B, G).S for d in deltas])
+        deltas[[4, 8]] = bad
+        for delta in (deltas, bad[0]):
+            with pytest.raises(StabilityError) as err:
+                bogoliubov_basis(delta, OMEGA_B, G)
+            assert str(err.value) == message.format(bad[0])
+            assert err.value.delta == bad[0]
 
 
 class TestRabiPopulations:

@@ -91,7 +91,7 @@ class TestRunProtocol:
         traj, gtraj = self._gaussian_pair(fig1_params)
         expected = [gaussian.GaussianState(mean=m, cov=c).uncertainty_min_eig()
                     for m, c in zip(gtraj.means, gtraj.covs)]
-        assert np.array_equal(traj.physicality, expected)
+        assert traj.physicality.tobytes() == np.array(expected).tobytes()
 
     def test_fock_engine_requires_options_and_bare_basis(self, small_params):
         sched = build_default_cycle(small_params, 0.3, 0.32, 0.3, 0.5, targets=[0])
