@@ -17,6 +17,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -48,7 +49,7 @@ from .polariton import (
     polariton_spectrum,
     survival_factor,
 )
-from .runner import ENGINES, analyze_cycles, config_fingerprint, run_protocol
+from .runner import ENGINES, analyze_cycles, run_protocol
 from .schedule import StrokeKind
 
 EXIT_OK = 0
@@ -57,24 +58,25 @@ EXIT_PHYSICS = 3
 EXIT_NUMERICS = 4
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.12g" % float(x)
+def config_fingerprint(payload: dict) -> str:
+    """Stable hash of a run description (canonical JSON, sha256, 16 hex chars)."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _write_csv(path: str, metadata: dict, header: list[str], rows) -> None:
-    """Write CSV atomically: metadata lines, header, then formatted rows."""
+def _write_csv(path: str, metadata: dict, header: list[str], table: np.ndarray) -> None:
+    """Write CSV atomically: metadata lines, header, then the rows of the
+    float ``table``, each number as %.12g (an integer below 1e12 prints as one)."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=out.name, suffix=".tmp")
+    row = ",".join(["%.12g"] * len(header)) + "\n"
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             for key, value in metadata.items():
                 fh.write(f"# {key}={value}\n")
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.writelines(row % tuple(r) for r in table.tolist())
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -100,9 +102,8 @@ def cmd_spectrum(args) -> int:
 
     om_a, om_b = polariton_spectrum(deltas, cfg.omega_b, cfg.g)
     u = bogoliubov_basis(deltas, cfg.omega_b, cfg.g).u
-    rows = zip(deltas, om_a, om_b, u)
     _write_csv(args.out, _metadata("spectrum", raw),
-               ["delta", "omega_A", "omega_B", "u"], rows)
+               ["delta", "omega_A", "omega_B", "u"], np.column_stack((deltas, om_a, om_b, u)))
     print(f"wrote {cfg.samples} spectrum rows to {args.out}")
     return EXIT_OK
 
@@ -141,23 +142,19 @@ def cmd_limit(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _write_csv(args.out, _metadata("limit", raw),
-               ["eta", "r", "n_a", "n_c", "N_infinity", "degenerate"], rows)
+               ["eta", "r", "n_a", "n_c", "N_infinity", "degenerate"], np.array(rows, float))
     flagged = sum(r[-1] for r in rows)
     note = f" ({flagged} degenerate row(s) flagged)" if flagged else ""
     print(f"wrote {len(rows)} limit rows to {args.out}{note}")
     return EXIT_OK
 
 
-def _trajectory_rows(traj):
+def _trajectory_table(traj):
     header = ["t"] + [f"N_{lbl}" for lbl in traj.mode_labels]
     header += ["N_A", "N_B", "delta", "omega0_active", "stroke_index"]
-    rows = []
-    for i in range(traj.times.size):
-        row = [traj.times[i], *traj.occupations[i], traj.n_polariton[i, 0],
-               traj.n_polariton[i, 1], traj.delta[i], traj.omega0_active[i],
-               int(traj.stroke_index[i])]
-        rows.append(row)
-    return header, rows
+    table = np.column_stack((traj.times, traj.occupations, traj.n_polariton, traj.delta,
+                             traj.omega0_active, traj.stroke_index))
+    return header, table
 
 
 def _print_report(report) -> None:
@@ -193,9 +190,9 @@ def cmd_cycle(args) -> int:
         cfg.params, cfg.schedule, engine=engine, initial=cfg.initial, tol=tol,
         samples_per_stroke=cfg.samples_per_stroke, fock_options=cfg.fock,
     )
-    header, rows = _trajectory_rows(traj)
-    _write_csv(args.out, _metadata("cycle", raw, engine), header, rows)
-    print(f"wrote {len(rows)} trajectory rows to {args.out}")
+    header, table = _trajectory_table(traj)
+    _write_csv(args.out, _metadata("cycle", raw, engine), header, table)
+    print(f"wrote {len(table)} trajectory rows to {args.out}")
 
     targets_pulsed = sorted(
         {s.target for s in traj.spans

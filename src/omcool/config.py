@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .fock import DEFAULT_LEAKAGE_THRESHOLD, _check_dt
 from .params import SystemParams
-from .runner import ENGINES, FockOptions, InitialOccupations
+from .runner import ENGINES, FockOptions, InitialOccupations, check_run
 from .schedule import (
     RAMP_SHAPES,
     CycleSchedule,
     Stroke,
-    _check_targets,
     adiabatic_ramp_profile,
     build_default_cycle,
 )
@@ -32,6 +30,7 @@ from .schedule import (
 SCHEMA_VERSION = 1
 
 _NUMBER = (int, float)
+_REQUIRED = object()  # the default of a key that must be present
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
@@ -46,6 +45,20 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
             raise ConfigError(f"missing required key '{path + key}'")
 
 
+def _read(obj: dict, path: str, readers: dict) -> dict:
+    """Check ``obj``'s keys against ``readers``, then read its values in order.
+
+    ``readers`` maps each key to ``(reader, default, *args)``, its value read
+    as ``reader(obj, key, path, default, *args)``; a key whose default is
+    ``_REQUIRED`` must be present, and one whose reader is None is read by
+    the caller.  Returns the values read, by key.
+    """
+    required = {key for key, (_, default, *_) in readers.items() if default is _REQUIRED}
+    _check_keys(obj, set(readers), required, path)
+    return {key: read(obj, key, path, default, *args)
+            for key, (read, default, *args) in readers.items() if read is not None}
+
+
 def _number(obj: dict, key: str, path: str, default=None):
     if key not in obj:
         return default
@@ -53,6 +66,13 @@ def _number(obj: dict, key: str, path: str, default=None):
     if isinstance(val, bool) or not isinstance(val, _NUMBER) or not math.isfinite(val):
         raise ConfigError(f"'{path}{key}' must be a finite number")
     return float(val)
+
+
+def _positive(obj: dict, key: str, path: str, default=None, read=_number):
+    val = read(obj, key, path, default)
+    if val <= 0:
+        raise ConfigError(f"'{path}{key}' must be positive")
+    return val
 
 
 def _integer(obj: dict, key: str, path: str, default=None):
@@ -73,6 +93,15 @@ def _number_list(obj: dict, key: str, path: str, default=None):
     ):
         raise ConfigError(f"'{path}{key}' must be a list of finite numbers")
     return [float(x) for x in val]
+
+
+def _integer_list(obj: dict, key: str, path: str, default=None, note=""):
+    if key not in obj:
+        return default
+    val = obj[key]
+    if not isinstance(val, list) or any(isinstance(x, bool) or not isinstance(x, int) for x in val):
+        raise ConfigError(f"'{path}{key}' must be a list of integers{note}")
+    return val
 
 
 def _string(obj: dict, key: str, path: str, default=None, choices=None):
@@ -122,15 +151,11 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def parse_params(obj: dict, path: str = "params.") -> SystemParams:
-    allowed = {f.name for f in fields(SystemParams)}
-    required = allowed - {"delta_targets", "n_targets"}
-    _check_keys(obj, allowed, required, path)
-    kwargs = {f.name: _number(obj, f.name, path) for f in fields(SystemParams)
-              if f.name in required}
-    kwargs["delta_targets"] = tuple(_number_list(obj, "delta_targets", path, []))
-    kwargs["n_targets"] = tuple(_number_list(obj, "n_targets", path, []))
+    # the fields with a default are the target lists, each optional
+    values = _read(obj, path, {f.name: (_number, _REQUIRED) if f.default_factory is MISSING
+                               else (_number_list, []) for f in fields(SystemParams)})
     try:
-        return SystemParams(**kwargs)
+        return SystemParams(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid params: {exc}") from exc
 
@@ -138,110 +163,65 @@ def parse_params(obj: dict, path: str = "params.") -> SystemParams:
 def _parse_stroke(obj: dict, params: SystemParams, path: str) -> Stroke:
     kind = _kind(obj, "kind", path, ("ramp", "exchange", "hold"))
     if kind == "ramp":
-        _check_keys(obj, {"kind", "duration", "delta_start", "delta_end", "shape"},
-                    {"kind", "duration", "delta_start", "delta_end"}, path)
-        shape = _string(obj, "shape", path, default="linear", choices=RAMP_SHAPES)
-        d0 = _number(obj, "delta_start", path)
-        d1 = _number(obj, "delta_end", path)
+        shape, d0, d1, duration = _read(obj, path, {
+            "kind": (None, _REQUIRED), "shape": (_string, "linear", RAMP_SHAPES),
+            "delta_start": (_number, _REQUIRED), "delta_end": (_number, _REQUIRED),
+            "duration": (_number, _REQUIRED)}).values()
         profile = None
         if shape == "adiabatic":
             profile = adiabatic_ramp_profile(d0, d1, params.omega_b, params.g)
-        return Stroke.ramp(d0, d1, _number(obj, "duration", path), shape=shape,
-                           profile=profile)
+        return Stroke.ramp(d0, d1, duration, shape=shape, profile=profile)
     if kind == "exchange":
-        _check_keys(obj, {"kind", "duration", "target", "amplitude"},
-                    {"kind", "duration", "target"}, path)
-        target = _integer(obj, "target", path)
-        try:
-            _check_targets([target], params)
-        except ValueError as exc:
-            raise ConfigError(f"'{path}target': {exc}") from exc
-        amplitude = _number(obj, "amplitude", path, default=params.omega_0)
-        return Stroke.exchange(target, amplitude, _number(obj, "duration", path))
-    _check_keys(obj, {"kind", "duration"}, {"kind", "duration"}, path)
-    return Stroke.hold(_number(obj, "duration", path))
+        return Stroke.exchange(**_read(obj, path, {
+            "kind": (None, _REQUIRED), "target": (_integer, _REQUIRED),
+            "amplitude": (_number, params.omega_0), "duration": (_number, _REQUIRED)}))
+    return Stroke.hold(**_read(obj, path, {"kind": (None, _REQUIRED),
+                                           "duration": (_number, _REQUIRED)}))
+
+
+def _strokes(obj: dict, key: str, path: str, default, params: SystemParams) -> list[Stroke]:
+    strokes = obj[key]
+    if not isinstance(strokes, list) or not strokes:
+        raise ConfigError(f"'{path}{key}' must be a non-empty list")
+    return [_parse_stroke(s, params, f"{path}{key}[{i}].") for i, s in enumerate(strokes)]
 
 
 def parse_schedule(obj: dict, params: SystemParams, path: str = "schedule.") -> CycleSchedule:
     kind = _kind(obj, "type", path, ("default_cycle", "strokes"))
     try:
         if kind == "default_cycle":
-            _check_keys(obj, {"type", "tau1", "tau2", "tau3", "tau4", "targets",
-                              "cycles", "ramp_shape"},
-                        {"type", "tau1", "tau2", "tau3", "tau4", "targets"}, path)
-            targets = obj["targets"]
-            if not isinstance(targets, list) or any(
-                isinstance(t, bool) or not isinstance(t, int) for t in targets
-            ):
-                raise ConfigError(f"'{path}targets' must be a list of integers")
-            return build_default_cycle(
-                params,
-                _number(obj, "tau1", path), _number(obj, "tau2", path),
-                _number(obj, "tau3", path), _number(obj, "tau4", path),
-                targets=targets,
-                cycles=_integer(obj, "cycles", path, default=1),
-                ramp_shape=_string(obj, "ramp_shape", path, default="linear",
-                                   choices=RAMP_SHAPES),
-            )
-        _check_keys(obj, {"type", "cycles", "delta_start", "strokes"},
-                    {"type", "strokes"}, path)
-        strokes_cfg = obj["strokes"]
-        if not isinstance(strokes_cfg, list) or not strokes_cfg:
-            raise ConfigError(f"'{path}strokes' must be a non-empty list")
-        strokes = [
-            _parse_stroke(s, params, f"{path}strokes[{i}].")
-            for i, s in enumerate(strokes_cfg)
-        ]
-        return CycleSchedule(
-            strokes=tuple(strokes),
-            cycle_count=_integer(obj, "cycles", path, default=1),
-            delta_start=_number(obj, "delta_start", path, default=params.delta_i),
-        )
+            return build_default_cycle(params, **_read(obj, path, {
+                "type": (None, _REQUIRED), "targets": (_integer_list, _REQUIRED),
+                **{tau: (_number, _REQUIRED) for tau in ("tau1", "tau2", "tau3", "tau4")},
+                "cycles": (_integer, 1), "ramp_shape": (_string, "linear", RAMP_SHAPES)}))
+        strokes, cycles, delta_start = _read(obj, path, {
+            "type": (None, _REQUIRED), "strokes": (_strokes, _REQUIRED, params),
+            "cycles": (_integer, 1), "delta_start": (_number, params.delta_i)}).values()
+        return CycleSchedule(strokes=tuple(strokes), cycle_count=cycles, delta_start=delta_start)
     except ValueError as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
 
 
-def parse_initial(obj: dict, params: SystemParams, path: str = "initial.") -> InitialOccupations:
-    _check_keys(obj, {"basis", "pair", "targets"}, {"basis", "pair"}, path)
-    basis = _string(obj, "basis", path, choices=("polariton", "bare"))
-    pair = _number_list(obj, "pair", path)
-    if len(pair) != 2:
-        raise ConfigError(f"'{path}pair' must hold exactly two occupations")
-    targets = _number_list(obj, "targets", path, [])
-    if len(targets) != len(params.delta_targets):
-        raise ConfigError(
-            f"'{path}targets' must list one occupation per target mode "
-            f"({len(params.delta_targets)} expected)"
-        )
+def parse_initial(obj: dict, path: str = "initial.") -> InitialOccupations:
+    values = _read(obj, path, {"basis": (_string, _REQUIRED, ("polariton", "bare")),
+                               "pair": (_number_list, _REQUIRED),
+                               "targets": (_number_list, [])})
     try:
-        return InitialOccupations(basis=basis, pair=tuple(pair), targets=tuple(targets))
+        return InitialOccupations(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid initial occupations: {exc}") from exc
 
 
-def parse_fock_options(obj: dict, params: SystemParams, schedule: CycleSchedule,
-                       path: str = "fock.") -> FockOptions:
-    _check_keys(obj, {"cutoffs", "dt", "leakage_threshold"}, {"cutoffs"}, path)
-    cutoffs = obj["cutoffs"]
-    if not isinstance(cutoffs, list) or any(
-        isinstance(c, bool) or not isinstance(c, int) or c < 2 for c in cutoffs
-    ):
-        raise ConfigError(f"'{path}cutoffs' must be a list of integers, each at least 2")
-    if len(cutoffs) != params.n_modes:
-        raise ConfigError(
-            f"'{path}cutoffs' must list one cutoff per mode ({params.n_modes} expected)"
-        )
-    dt = None
-    if obj.get("dt") is not None:
-        dt = _number(obj, "dt", path)
-        try:
-            _check_dt(dt, params, schedule.spans())
-        except ValueError as exc:
-            raise ConfigError(f"invalid '{path}dt': {exc}") from exc
-    threshold = _number(obj, "leakage_threshold", path, default=DEFAULT_LEAKAGE_THRESHOLD)
-    if not 0 < threshold < 1:
-        raise ConfigError(f"'{path}leakage_threshold' must lie in (0, 1)")
-    return FockOptions(cutoffs=tuple(cutoffs), dt=dt, leakage_threshold=threshold)
+def parse_fock_options(obj: dict, path: str = "fock.") -> FockOptions:
+    values = _read(obj, path, {
+        "cutoffs": (_integer_list, _REQUIRED, ", each at least 2"),
+        # null, like an absent key, leaves dt unset
+        "dt": (lambda o, k, p, d: d if o.get(k) is None else _number(o, k, p), None),
+        "leakage_threshold": (_number, FockOptions.leakage_threshold)})
+    try:
+        return FockOptions(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid fock options: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -257,49 +237,36 @@ class CycleConfig:
 
 
 def parse_cycle_config(cfg: dict, *, for_validate: bool = False) -> CycleConfig:
-    """Parse a protocol-run config (used by both ``cycle`` and ``validate``)."""
+    """Parse a protocol-run config (used by both ``cycle`` and ``validate``).
+
+    The run is checked (``runner.check_run``) for each engine the command
+    runs, so a config that ``run_protocol`` would refuse fails here.
+    """
     _check_version(cfg)
-    allowed = {"schema_version", "description", "params", "schedule", "initial",
-               "engine", "integrator", "fock"}
-    required = {"schema_version", "params", "schedule", "initial"}
-    if for_validate:
-        allowed = (allowed | {"comparison"}) - {"engine"}
-        required = required | {"fock"}
-    _check_keys(cfg, allowed, required, "")
-    _string(cfg, "description", "", default="")
+    # the sections are read below, in turn: the schedule needs the params
+    _read(cfg, "", {
+        "schema_version": (None, _REQUIRED), "description": (_string, ""),
+        "params": (None, _REQUIRED), "schedule": (None, _REQUIRED),
+        "initial": (None, _REQUIRED), "integrator": (None, None),
+        "fock": (None, _REQUIRED if for_validate else None),
+        **({"comparison": (None, None)} if for_validate else {"engine": (None, None)})})
     params = parse_params(cfg["params"])
     schedule = parse_schedule(cfg["schedule"], params)
-    initial = parse_initial(cfg["initial"], params)
+    initial = parse_initial(cfg["initial"])
     engine = _string(cfg, "engine", "", default="gaussian", choices=ENGINES)
-
-    integ = cfg.get("integrator", {})
-    _check_keys(integ, {"tol", "samples_per_stroke"}, set(), "integrator.")
-    tol = _number(integ, "tol", "integrator.", default=1e-7)
-    if tol <= 0:
-        raise ConfigError("'integrator.tol' must be positive")
-    spp = _integer(integ, "samples_per_stroke", "integrator.", default=32)
-    if spp < 1:
-        raise ConfigError("'integrator.samples_per_stroke' must be >= 1")
-
-    fock = None
-    if "fock" in cfg:
-        fock = parse_fock_options(cfg["fock"], params, schedule)
-    if engine == "fock" and fock is None:
-        raise ConfigError("engine 'fock' requires a 'fock' section with cutoffs")
-    if (engine == "fock" or for_validate) and initial.basis != "bare":
-        raise ConfigError("the fock engine requires initial.basis = 'bare'")
-
-    threshold = 5e-2
-    if for_validate:
-        comp = cfg.get("comparison", {})
-        _check_keys(comp, {"threshold"}, set(), "comparison.")
-        threshold = _number(comp, "threshold", "comparison.", default=5e-2)
-        if threshold <= 0:
-            raise ConfigError("'comparison.threshold' must be positive")
-
-    return CycleConfig(params=params, schedule=schedule, initial=initial,
-                       engine=engine, tol=tol, samples_per_stroke=spp,
-                       fock=fock, threshold=threshold)
+    integrator = _read(cfg.get("integrator", {}), "integrator.", {
+        "tol": (_positive, 1e-7), "samples_per_stroke": (_positive, 32, _integer)})
+    fock = parse_fock_options(cfg["fock"]) if "fock" in cfg else None
+    for run_engine in ("fock", "gaussian") if for_validate else (engine,):
+        try:
+            check_run(params, schedule, run_engine, initial, fock)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    # a cycle config has no comparison section, so it reads the default
+    comparison = _read(cfg.get("comparison", {}), "comparison.",
+                       {"threshold": (_positive, 5e-2)})
+    return CycleConfig(params=params, schedule=schedule, initial=initial, engine=engine,
+                       fock=fock, **integrator, **comparison)
 
 
 @dataclass(frozen=True)
@@ -313,16 +280,10 @@ class SpectrumConfig:
 
 def parse_spectrum_config(cfg: dict) -> SpectrumConfig:
     _check_version(cfg)
-    _check_keys(cfg, {"schema_version", "description", "omega_b", "g",
-                      "delta_start", "delta_stop", "samples"},
-                {"schema_version", "omega_b", "g", "delta_start", "delta_stop",
-                 "samples"}, "")
-    _string(cfg, "description", "", default="")
-    omega_b = _number(cfg, "omega_b", "")
-    g = _number(cfg, "g", "")
-    d0 = _number(cfg, "delta_start", "")
-    d1 = _number(cfg, "delta_stop", "")
-    samples = _integer(cfg, "samples", "")
+    _, omega_b, g, d0, d1, samples = _read(cfg, "", {
+        "schema_version": (None, _REQUIRED), "description": (_string, ""),
+        **{key: (_number, _REQUIRED) for key in ("omega_b", "g", "delta_start", "delta_stop")},
+        "samples": (_integer, _REQUIRED)}).values()
     if omega_b <= 0:
         raise ConfigError("'omega_b' must be positive")
     if g < 0:
@@ -351,34 +312,32 @@ class LimitConfig:
     sweep_samples: int | None
 
 
+def _sweep(obj: dict, key: str, path: str, default):
+    """The limit sweep's (variable, start, stop, samples), or ``default``
+    when the section is absent or null."""
+    if obj.get(key) is None:
+        return default
+    variable, start, stop, samples = _read(obj[key], f"{path}{key}.", {
+        "variable": (_string, _REQUIRED, ("eta", "r", "tau")),
+        "start": (_number, _REQUIRED), "stop": (_number, _REQUIRED),
+        "samples": (_integer, _REQUIRED)}).values()
+    if samples < 1 or start > stop:
+        raise ConfigError("empty sweep range: need start <= stop and samples >= 1")
+    return variable, start, stop, samples
+
+
 def parse_limit_config(cfg: dict) -> LimitConfig:
     _check_version(cfg)
-    _check_keys(cfg, {"schema_version", "description", "n_a", "n_c", "eta", "r",
-                      "gamma", "tau", "sweep"},
-                {"schema_version", "n_a", "n_c"}, "")
-    _string(cfg, "description", "", default="")
-    n_a = _number(cfg, "n_a", "")
-    n_c = _number(cfg, "n_c", "")
+    _, n_a, n_c, eta, r, gamma, tau, sweep = _read(cfg, "", {
+        "schema_version": (None, _REQUIRED), "description": (_string, ""),
+        "n_a": (_number, _REQUIRED), "n_c": (_number, _REQUIRED),
+        **{key: (_number, None) for key in ("eta", "r", "gamma", "tau")},
+        "sweep": (_sweep, (None,) * 4)}).values()
     if n_a < 0 or n_c < 0:
         raise ConfigError("bath occupations must be non-negative")
-    eta = _number(cfg, "eta", "")
-    r = _number(cfg, "r", "")
-    gamma = _number(cfg, "gamma", "")
-    tau = _number(cfg, "tau", "")
     if r is not None and (gamma is not None or tau is not None):
         raise ConfigError("give either 'r' or ('gamma', 'tau'), not both")
-
-    sweep = cfg.get("sweep")
-    variable = start = stop = samples = None
-    if sweep is not None:
-        _check_keys(sweep, {"variable", "start", "stop", "samples"},
-                    {"variable", "start", "stop", "samples"}, "sweep.")
-        variable = _string(sweep, "variable", "sweep.", choices=("eta", "r", "tau"))
-        start = _number(sweep, "start", "sweep.")
-        stop = _number(sweep, "stop", "sweep.")
-        samples = _integer(sweep, "samples", "sweep.")
-        if samples < 1 or start > stop:
-            raise ConfigError("empty sweep range: need start <= stop and samples >= 1")
+    variable, start, stop, samples = sweep
     # the swept variable replaces its fixed value; a swept r also replaces gamma and tau
     for key in {"eta": ("eta",), "r": ("r", "gamma", "tau"), "tau": ("tau",)}.get(variable, ()):
         if key in cfg:

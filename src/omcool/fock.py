@@ -127,6 +127,20 @@ def _one_blas_thread():
         set_(before)
 
 
+def _cutoffs(cutoffs) -> tuple[int, ...]:
+    """Per-mode cutoffs as ints, each an integer of at least 2 (a bool or a
+    float such as 3.7 is refused, not truncated)."""
+    cutoffs = tuple(cutoffs)
+    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 2 for c in cutoffs):
+        raise ValueError(f"every cutoff must be an integer of at least 2, got {cutoffs}")
+    return tuple(int(c) for c in cutoffs)
+
+
+def _check_leakage_threshold(threshold: float) -> None:
+    if not 0 < threshold < 1:  # NaN fails too
+        raise ValueError(f"leakage_threshold must lie in (0, 1), got {threshold}")
+
+
 @dataclass(frozen=True)
 class FockState:
     """Density matrix on a product of truncated Fock spaces."""
@@ -136,14 +150,11 @@ class FockState:
     time: float = 0.0
 
     def __post_init__(self):
-        cutoffs = tuple(int(c) for c in self.cutoffs)
-        object.__setattr__(self, "cutoffs", cutoffs)
-        if any(c < 2 for c in cutoffs):
-            raise ValueError("every cutoff must be at least 2")
-        d = int(np.prod(cutoffs))
+        object.__setattr__(self, "cutoffs", _cutoffs(self.cutoffs))
+        d = int(np.prod(self.cutoffs))
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (d, d):
-            raise ValueError(f"rho must be {d} x {d} for cutoffs {cutoffs}")
+            raise ValueError(f"rho must be {d} x {d} for cutoffs {self.cutoffs}")
         object.__setattr__(self, "rho", rho)
 
     def trace_error(self) -> float:
@@ -192,9 +203,7 @@ class ModeOperators:
     """Annihilation/number operators for each mode, embedded in the product space."""
 
     def __init__(self, cutoffs):
-        self.cutoffs = tuple(int(c) for c in cutoffs)
-        if any(c < 2 for c in self.cutoffs):
-            raise ValueError("every cutoff must be at least 2")
+        self.cutoffs = _cutoffs(cutoffs)
         self.dim = int(np.prod(self.cutoffs))
         # number operators are diagonal; keep the diagonals
         self.number_diag = []
@@ -253,7 +262,8 @@ def thermal_state(cutoffs, occupations, time: float = 0.0,
     Rejects occupations whose geometric tail beyond the cutoff exceeds the
     leakage threshold, since the truncated state could not represent them.
     """
-    cutoffs = tuple(int(c) for c in cutoffs)
+    cutoffs = _cutoffs(cutoffs)
+    _check_leakage_threshold(leakage_threshold)
     occupations = [float(n) for n in occupations]
     if len(occupations) != len(cutoffs):
         raise ValueError("need one occupation per mode")
@@ -282,7 +292,7 @@ def thermal_state(cutoffs, occupations, time: float = 0.0,
 
 def number_state(cutoffs, levels, time: float = 0.0) -> FockState:
     """Product Fock number state |n1, n2, ...><...|."""
-    cutoffs = tuple(int(c) for c in cutoffs)
+    cutoffs = _cutoffs(cutoffs)
     levels = [int(n) for n in levels]
     if len(levels) != len(cutoffs):
         raise ValueError("need one level per mode")
@@ -658,6 +668,7 @@ def propagate_fock(
     ``leakage_threshold``; trace, hermiticity and positivity are checked at
     every output sample.
     """
+    _check_leakage_threshold(leakage_threshold)
     ops = ModeOperators(state.cutoffs)
     t0 = state.time
     walk = stroke_walk(schedule, t0, t_end, samples_per_stroke)

@@ -3,8 +3,6 @@ observables, and compare per-cycle cooling against the analytic map."""
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -59,12 +57,15 @@ class InitialOccupations:
 
 @dataclass(frozen=True)
 class FockOptions:
+    """Fock-engine settings; ``check_run`` checks them against a run."""
+
     cutoffs: tuple[int, ...]
     dt: float | None = None
     leakage_threshold: float = fock_mod.DEFAULT_LEAKAGE_THRESHOLD
 
     def __post_init__(self):
-        object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
+        object.__setattr__(self, "cutoffs", fock_mod._cutoffs(self.cutoffs))
+        fock_mod._check_leakage_threshold(self.leakage_threshold)
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,40 @@ class Trajectory:
             raise ValueError("trajectory times must be strictly increasing")
 
 
-def config_fingerprint(payload: dict) -> str:
-    """Stable hash of a run description (canonical JSON, sha256, 16 hex chars)."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+def check_run(params: SystemParams, schedule: CycleSchedule, engine: str = "gaussian",
+              initial: InitialOccupations | None = None,
+              fock_options: FockOptions | None = None) -> InitialOccupations:
+    """Raise ValueError unless ``run_protocol`` can start this run; return
+    its initial occupations (by default, the baths' in the polariton basis).
+    Given ``fock_options`` are checked whatever the engine: one cutoff per
+    mode, and ``dt`` within every stroke's step bound."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    if initial is None:
+        initial = InitialOccupations(
+            basis="polariton", pair=(params.n_a, params.n_b), targets=params.n_targets
+        )
+    if len(initial.targets) != len(params.delta_targets):
+        raise ValueError(
+            "initial.targets must list one occupation per target mode "
+            f"({len(params.delta_targets)} expected)"
+        )
+    spans = schedule.spans()
+    _check_targets([s.target for s in spans if s.target is not None], params)
+    if fock_options is not None:
+        if len(fock_options.cutoffs) != params.n_modes:
+            raise ValueError(
+                "the Fock cutoffs must list one cutoff per mode "
+                f"({params.n_modes} expected, got {len(fock_options.cutoffs)})"
+            )
+        if fock_options.dt is not None:
+            fock_mod._check_dt(fock_options.dt, params, spans)
+    if engine == "fock" and fock_options is None:
+        raise ValueError("engine 'fock' requires fock_options (a config's 'fock' section) "
+                         "with per-mode cutoffs")
+    if engine == "fock" and initial.basis != "bare":
+        raise ValueError("the fock engine requires initial.basis = 'bare'")
+    return initial
 
 
 def run_protocol(
@@ -115,20 +146,13 @@ def run_protocol(
     """Run a full cooling protocol and record stroke-aware observables.
 
     Polariton occupations are computed in the instantaneous normal-mode
-    basis at every sample time.  Engine errors are re-raised with the stroke
-    index where they occurred.
+    basis at every sample time.  The arguments are checked first
+    (``check_run``).  Engine errors are re-raised with the stroke index
+    where they occurred.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if initial is None:
-        initial = InitialOccupations(
-            basis="polariton", pair=(params.n_a, params.n_b), targets=params.n_targets
-        )
-    if len(initial.targets) != len(params.delta_targets):
-        raise ValueError("initial occupations must cover every target mode")
+    initial = check_run(params, schedule, engine, initial, fock_options)
     t_end = schedule.total_duration
     spans = tuple(schedule.spans())
-    _check_targets([s.target for s in spans if s.target is not None], params)
 
     if engine == "gaussian":
         if initial.basis == "polariton":
@@ -139,10 +163,6 @@ def run_protocol(
         propagate = partial(gauss_mod.propagate, state0, schedule, t_end, tol=tol,
                             params=params, samples_per_stroke=samples_per_stroke)
     else:
-        if fock_options is None:
-            raise ValueError("fock engine requires fock_options with per-mode cutoffs")
-        if initial.basis != "bare":
-            raise ValueError("fock engine supports only bare-basis initial occupations")
         occ0 = list(initial.pair) + list(initial.targets)
         state0 = fock_mod.thermal_state(
             fock_options.cutoffs, occ0, leakage_threshold=fock_options.leakage_threshold

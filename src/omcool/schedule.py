@@ -62,10 +62,13 @@ def adiabatic_ramp_profile(
     The profile follows d(delta)/du proportional to (omega_A - omega_B)^2, so
     the fraction of the stroke spent near the avoided crossing grows as the
     gap shrinks.  Requires g > 0 (with g = 0 there is no crossing to respect;
-    use a linear ramp instead).
+    use a linear ramp instead).  A decreasing ramp is the increasing one
+    reversed, so a ramp and its return pass through the same detunings.
     """
     if g <= 0:
         raise ValueError("adiabatic ramp profile needs g > 0; use shape='linear' for g = 0")
+    if delta_start > delta_end:
+        return adiabatic_ramp_profile(delta_end, delta_start, omega_b, g, knots)[::-1]
     dense = np.linspace(delta_start, delta_end, 8 * knots)
     om_a, om_b = polariton_spectrum(dense, omega_b, g)
     weight = 1.0 / (om_a - om_b)**2
@@ -319,6 +322,8 @@ def stroke_walk(
     """
     if samples_per_stroke < 1:
         raise ValueError(f"samples_per_stroke must be at least 1, got {samples_per_stroke}")
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise ValueError(f"the run window [{t_start}, {t_end}] must be finite")
     if t_end < t_start:
         raise ValueError(f"t_end={t_end} precedes the state time {t_start}")
     if t_end > schedule.total_duration * (1.0 + 1e-12):

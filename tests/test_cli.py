@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from omcool.cli import main
+from omcool.config import parse_cycle_config
 from omcool.polariton import CoolingMapParams, cooling_limit
+from omcool.runner import run_protocol
 
 
 def run_cli(*argv):
@@ -235,32 +237,40 @@ BAD_CONFIGS = [
      "missing required key 'schedule.strokes[1].target'"),
     ("cycle", "run", {"schedule": {"type": "strokes", "strokes": [
         {"kind": "exchange", "duration": 0.1, "target": 3}]}},
-     "'schedule.strokes[0].target'"),
+     "unknown target index 3; system has 1 target(s)"),
     ("cycle", "run", {"schedule": {"type": "strokes", "strokes": [
         dict(RAMP, delta_start=-20.0)]}}, "detuning discontinuity"),
     ("cycle", "run", {"schedule": {"type": "strokes", "strokes": [
         {"kind": "hold", "duration": 0.0}]}}, "stroke duration must be positive"),
     ("cycle", "run", {"initial.basis": "dressed"}, "'initial.basis' must be one of"),
-    ("cycle", "run", {"initial.pair": [0.1]}, "'initial.pair' must hold exactly two"),
-    ("cycle", "run", {"initial.targets": []}, "'initial.targets' must list one occupation"),
+    ("cycle", "run", {"initial.pair": [0.1]},
+     "invalid initial occupations: pair must hold two occupations"),
+    ("cycle", "run", {"initial.targets": []},
+     "initial.targets must list one occupation per target mode (1 expected)"),
     ("cycle", "run", {"initial.pair": [-0.1, 0.2]}, "occupations must be non-negative"),
     ("cycle", "run", {"engine": "exact"}, "'engine' must be one of"),
     ("cycle", "run", {"integrator.tol": 0.0}, "'integrator.tol' must be positive"),
     ("cycle", "run", {"integrator.samples_per_stroke": 0},
-     "'integrator.samples_per_stroke' must be >= 1"),
+     "'integrator.samples_per_stroke' must be positive"),
     ("cycle", "run", {"integrator.order": 4}, "unknown key 'integrator.order'"),
-    ("cycle", "run", {"engine": "fock"}, "engine 'fock' requires a 'fock' section"),
+    ("cycle", "run", {"engine": "fock"},
+     "engine 'fock' requires fock_options (a config's 'fock' section)"),
     ("cycle", "run", {"engine": "fock", "fock.cutoffs": [4, 4, 4], "initial.basis": "polariton"},
      "requires initial.basis = 'bare'"),
-    ("cycle", "run", {"fock.cutoffs": [6, 6]}, "'fock.cutoffs' must list one cutoff per mode"),
+    ("cycle", "run", {"fock.cutoffs": [6, 6]},
+     "the Fock cutoffs must list one cutoff per mode (3 expected, got 2)"),
     ("cycle", "run", {"fock.cutoffs": "six"}, "'fock.cutoffs' must be a list of integers"),
     ("validate", "run", {"fock.cutoffs": [1, 5, 5], "params.n_a": 0.0,
-                         "initial.pair": [0.0, 0.2]}, "'fock.cutoffs'"),
-    ("validate", "run", {"fock.cutoffs": [1, 5, 5]}, "'fock.cutoffs'"),
-    ("validate", "run", {"fock.cutoffs": [6, 6, 8], "fock.dt": 1.0}, "'fock.dt'"),
-    ("validate", "run", {"fock.cutoffs": [6, 6, 8], "fock.dt": -1e-3}, "'fock.dt'"),
+                         "initial.pair": [0.0, 0.2]},
+     "invalid fock options: every cutoff must be an integer of at least 2"),
+    ("validate", "run", {"fock.cutoffs": [1, 5, 5]},
+     "invalid fock options: every cutoff must be an integer of at least 2"),
+    ("validate", "run", {"fock.cutoffs": [6, 6, 8], "fock.dt": 1.0},
+     "dt=1.0 too coarse for stroke 0"),
+    ("validate", "run", {"fock.cutoffs": [6, 6, 8], "fock.dt": -1e-3},
+     "dt must be finite and positive, got dt=-0.001"),
     ("validate", "run", {"fock.cutoffs": [6, 6, 8], "fock.leakage_threshold": 2.0},
-     "'fock.leakage_threshold' must lie in (0, 1)"),
+     "invalid fock options: leakage_threshold must lie in (0, 1), got 2.0"),
     ("validate", "run", {"fock.cutoffs": [6, 6, 8], "comparison.threshold": 0.0},
      "'comparison.threshold' must be positive"),
     ("validate", "run", {"fock.cutoffs": [6, 6, 8], "comparison.strict": True},
@@ -308,9 +318,10 @@ def test_bad_config_exits_2_naming_its_key(tmp_path, capsys, monkeypatch,
     assert expected in capsys.readouterr().err
 
 
-def test_strokes_schedule_with_adiabatic_ramps_matches_default_cycle(tmp_path):
+def test_strokes_schedule_with_adiabatic_ramps_matches_default_cycle():
     # the custom-stroke path builds each adiabatic profile from the params,
-    # so spelling out the default cycle stroke by stroke gives its trajectory
+    # the return ramp's as the reverse of the outward one, so spelling out
+    # the default cycle stroke by stroke gives its trajectory bit for bit
     default = small_cycle_config()
     default["schedule"]["ramp_shape"] = "adiabatic"
     strokes = _edited(default, {"schedule": {"type": "strokes", "strokes": [
@@ -319,14 +330,14 @@ def test_strokes_schedule_with_adiabatic_ramps_matches_default_cycle(tmp_path):
         dict(RAMP, delta_start=-3.0, delta_end=-30.0, shape="adiabatic"),
         {"kind": "hold", "duration": 0.5},
     ]}})
-    rows = []
-    for name, cfg in (("default.json", default), ("strokes.json", strokes)):
-        out = tmp_path / (name + ".csv")
-        assert run_cli("cycle", "--config", write_config(tmp_path, name, cfg),
-                       "--out", str(out)) == 0
-        rows.append(read_csv(out)[1:])
-    assert rows[0] == rows[1]
-    assert len(rows[1][1]) == 4 * 6 + 1
+    parsed = [parse_cycle_config(cfg) for cfg in (default, strokes)]
+    profiles = [[s.profile for s in p.schedule.strokes] for p in parsed]
+    assert profiles[0] == profiles[1]
+    runs = [run_protocol(p.params, p.schedule, initial=p.initial, tol=p.tol,
+                         samples_per_stroke=p.samples_per_stroke) for p in parsed]
+    for name in ("times", "occupations", "n_polariton", "delta", "physicality"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
+    assert runs[1].times.size == 4 * 6 + 1
 
 
 class TestLimitCommand:

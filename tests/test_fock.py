@@ -20,7 +20,13 @@ from omcool.fock import (
 )
 from omcool.params import SystemParams
 from omcool.polariton import rabi_populations
+from omcool.runner import FockOptions
 from omcool.schedule import CycleSchedule, Stroke, adiabatic_ramp_profile
+
+
+# the largest leakage threshold in (0, 1): no truncation guard on these tiny
+# spaces, where no top-level population comes near 1
+NO_GUARD = math.nextafter(1.0, 0.0)
 
 
 def params(**over):
@@ -150,6 +156,40 @@ def parity_diagonal(cutoffs, rho):
     return np.where(odd[:, None] == odd[None, :], rho, 0.0)
 
 
+class TestInputRules:
+    """The cutoff and leakage-threshold rules hold for every entry point."""
+
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, 1.0, 5.0])
+    def test_leakage_threshold_outside_unit_interval_rejected(self, threshold):
+        sched = CycleSchedule(strokes=(Stroke.hold(0.05),), cycle_count=1,
+                              delta_start=-30.0)
+        st = thermal_state((3, 3, 3), (0.1, 0.2, 0.25), leakage_threshold=0.5)
+        calls = [lambda: FockOptions(cutoffs=(3, 3, 3), leakage_threshold=threshold),
+                 lambda: thermal_state((3, 3, 3), (0.1, 0.2, 0.25),
+                                       leakage_threshold=threshold),
+                 lambda: propagate_fock(st, params(), sched, 0.05,
+                                        leakage_threshold=threshold)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"leakage_threshold must lie in \(0, 1\)"):
+                call()
+
+    @pytest.mark.parametrize("bad", [True, 3.7, 3.0, "3"])
+    def test_cutoff_must_be_an_integer(self, bad):
+        cutoffs = (3, bad)
+        calls = [lambda: FockOptions(cutoffs=cutoffs),
+                 lambda: FockState(rho=np.eye(9) / 9, cutoffs=cutoffs),
+                 lambda: ModeOperators(cutoffs),
+                 lambda: thermal_state(cutoffs, (0.1, 0.1)),
+                 lambda: number_state(cutoffs, (0, 0))]
+        for call in calls:
+            with pytest.raises(ValueError, match="every cutoff must be an integer of at least 2"):
+                call()
+
+    def test_numpy_integer_cutoffs_become_ints(self):
+        st = thermal_state(np.array([3, 2]), (0.1, 0.1), leakage_threshold=0.5)
+        assert st.cutoffs == (3, 2) and all(type(c) is int for c in st.cutoffs)
+
+
 class TestGenerator:
     @pytest.mark.parametrize("cutoffs, targets", [
         ((2, 3), ()),
@@ -162,7 +202,7 @@ class TestGenerator:
         ops = ModeOperators(cutoffs)
         four = random_hermitian(ops.dim, sum(cutoffs))
         thermal = thermal_state(cutoffs, (0.3, 0.2, 0.25, 0.4)[:len(cutoffs)],
-                                leakage_threshold=1.0).rho
+                                leakage_threshold=NO_GUARD).rho
         odd = int(np.sum(np.indices(cutoffs).sum(0) % 2))
         two_blocks = odd**2 + (ops.dim - odd)**2
         # a rho with nonzero cross blocks carries all four blocks, a thermal
@@ -212,7 +252,7 @@ class TestGenerator:
         p = params(delta_targets=(10.0, 7.0), n_targets=(0.25, 0.4))
         cutoffs = (3, 3, 3, 2)
         ops = ModeOperators(cutoffs)
-        rho = (thermal_state(cutoffs, (0.3, 0.2, 0.25, 0.4), leakage_threshold=1.0).rho
+        rho = (thermal_state(cutoffs, (0.3, 0.2, 0.25, 0.4), leakage_threshold=NO_GUARD).rho
                if start == "thermal" else parity_diagonal(cutoffs, random_hermitian(ops.dim, 2)))
         two = _Generator(p, ops, rho)
         four = _Generator(p, ops, random_hermitian(ops.dim, 3))
@@ -487,7 +527,7 @@ class TestStepRule:
         st = thermal_state((2, 2, 2), (0.0, 0.0, 0.0))
         bound = 1.0 / (50.0 * 30.0)
         propagate_fock(st, p, sched, 0.02, dt=bound, samples_per_stroke=2,
-                       leakage_threshold=1.0)
+                       leakage_threshold=NO_GUARD)
         with pytest.raises(ValueError, match="dt"):
             propagate_fock(st, p, sched, 0.02, dt=bound * (1.0 + 1e-6),
                            samples_per_stroke=2)
@@ -542,10 +582,10 @@ class TestTaylorAction:
     def test_matches_dense_expm(self, stroke, target, amplitude, start):
         p = params()
         cutoffs = (2, 2, 2)
-        st = (thermal_state(cutoffs, (0.3, 0.2, 0.25), leakage_threshold=1.0) if start == "thermal"
+        st = (thermal_state(cutoffs, (0.3, 0.2, 0.25), leakage_threshold=NO_GUARD) if start == "thermal"
               else coherent_state(cutoffs, 4))
         sched = CycleSchedule(strokes=(stroke,), cycle_count=1, delta_start=-30.0)
-        traj = propagate_fock(st, p, sched, 0.3, samples_per_stroke=3, leakage_threshold=1.0)
+        traj = propagate_fock(st, p, sched, 0.3, samples_per_stroke=3, leakage_threshold=NO_GUARD)
         ops = ModeOperators(cutoffs)
         lv = dense_liouvillian(p, ops, target, amplitude, -30.0)
         for t, occ in zip(traj.times, traj.occupations):
@@ -652,11 +692,11 @@ class TestTaylorAction:
     def test_dt_caps_taylor_steps(self, monkeypatch):
         p = params()
         sched = CycleSchedule(strokes=(Stroke.hold(0.3),), cycle_count=1, delta_start=-30.0)
-        st = thermal_state((2, 2, 2), (0.3, 0.2, 0.25), leakage_threshold=1.0)
+        st = thermal_state((2, 2, 2), (0.3, 0.2, 0.25), leakage_threshold=NO_GUARD)
         free, _, free_steps = _step_counts(monkeypatch, st, p, sched, 0.3,
-                                           samples_per_stroke=3, leakage_threshold=1.0)
+                                           samples_per_stroke=3, leakage_threshold=NO_GUARD)
         capped, _, capped_steps = _step_counts(monkeypatch, st, p, sched, 0.3, dt=5e-4,
-                                               samples_per_stroke=3, leakage_threshold=1.0)
+                                               samples_per_stroke=3, leakage_threshold=NO_GUARD)
         assert free_steps.tolist() != capped_steps.tolist() == [200, 200, 200]
         assert np.max(np.abs(free.final_state.rho - capped.final_state.rho)) < 1e-12
 
@@ -664,7 +704,7 @@ class TestTaylorAction:
 def _one_block_negative():
     """A thermal state with a 2 x 2 coherence inside the odd-parity block
     strong enough to make one eigenvalue of that block negative."""
-    st = thermal_state((3, 2), (0.4, 0.3), leakage_threshold=1.0)
+    st = thermal_state((3, 2), (0.4, 0.3), leakage_threshold=NO_GUARD)
     rho = st.rho.copy()
     i, j = 1, 2  # |0, 1> and |1, 0>, both odd
     rho[i, j] = rho[j, i] = 1.5 * np.sqrt(rho[i, i].real * rho[j, j].real)
@@ -682,7 +722,7 @@ class TestPositivityCheck:
     ])
     def test_matches_full_eigvalsh(self, monkeypatch, case, sizes):
         st = {"thermal": lambda: thermal_state((3, 3, 2), (0.3, 0.2, 0.25),
-                                               leakage_threshold=1.0),
+                                               leakage_threshold=NO_GUARD),
               "coherent": lambda: coherent_state((3, 3, 2), 7),
               "one block negative": _one_block_negative}[case]()
         want = np.linalg.eigvalsh(0.5 * (st.rho + st.rho.conj().T)).min()
@@ -722,7 +762,7 @@ class TestPositivityCheck:
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         set_(2)  # so that the cap and the restore both show
         try:
-            st = thermal_state((3, 2), (0.4, 0.3), leakage_threshold=1.0)
+            st = thermal_state((3, 2), (0.4, 0.3), leakage_threshold=NO_GUARD)
             if fails:
                 with pytest.raises(np.linalg.LinAlgError, match="stub"):
                     st.min_eigenvalue()

@@ -105,6 +105,24 @@ class TestRunProtocol:
             )
 
     @pytest.mark.parametrize("engine", ["gaussian", "fock"])
+    @pytest.mark.parametrize("options, message", [
+        (FockOptions(cutoffs=(6, 6, 8), dt=1e-2), "too coarse"),
+        (FockOptions(cutoffs=(6, 6)), "one cutoff per mode"),
+    ])
+    def test_fock_options_checked_whatever_the_engine(self, small_params, monkeypatch,
+                                                      engine, options, message):
+        # the same rules the config applies to a 'fock' section
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr("omcool.gaussian.propagate", no_stepping)
+        monkeypatch.setattr("omcool.fock.propagate_fock", no_stepping)
+        sched = build_default_cycle(small_params, 0.3, 0.32, 0.3, 0.5, targets=[0])
+        init = InitialOccupations(basis="bare", pair=(0.1, 0.2), targets=(0.25,))
+        with pytest.raises(ValueError, match=message):
+            run_protocol(small_params, sched, engine, init, fock_options=options)
+
+    @pytest.mark.parametrize("engine", ["gaussian", "fock"])
     def test_exchange_on_missing_target_rejected_before_stepping(
             self, small_params, monkeypatch, engine):
         def no_stepping(*args, **kwargs):

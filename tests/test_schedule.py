@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from omcool import fock, gaussian
 from omcool.errors import AdiabaticityWarning, ThermalizationWarning
 from omcool.params import SystemParams
 from omcool.schedule import (
@@ -218,6 +219,15 @@ class TestAdiabaticProfile:
         with pytest.raises(ValueError, match="g > 0"):
             adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 0.0)
 
+    def test_decreasing_ramp_is_the_reversed_increasing_one(self):
+        # bit for bit, so a hand-built return ramp equals build_default_cycle's
+        down = adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 200.0)
+        assert adiabatic_ramp_profile(-600.0, -6000.0, 2000.0, 200.0) == down[::-1]
+        sched = build_default_cycle(fig1_like(), 0.04, 0.008, 0.04, 0.1, targets=[0],
+                                    ramp_shape="adiabatic")
+        assert sched.strokes[0].profile == down
+        assert sched.strokes[2].profile == down[::-1]
+
 
 class TestStrokeWalk:
     def make(self):
@@ -253,6 +263,25 @@ class TestStrokeWalk:
 
     def test_empty_window_has_no_segments(self):
         assert stroke_walk(self.make(), 0.05, 0.05, 4) == []
+
+    @pytest.mark.parametrize("t_start", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_time_rejected_before_any_step(self, monkeypatch, t_start):
+        def no_step(*args, **kwargs):
+            raise AssertionError("an engine stepped")
+
+        for module, name in ((gaussian, "_segment_map"), (fock, "_rk4_step"),
+                             (fock, "_taylor_step")):
+            monkeypatch.setattr(module, name, no_step)
+        sched, p = self.make(), fig1_like()
+        g_state = gaussian.thermal_state([0.1, 0.2, 0.25], time=t_start)
+        f_state = fock.thermal_state((4, 4, 4), (0.1, 0.2, 0.25), time=t_start,
+                                     leakage_threshold=0.5)
+        with pytest.raises(ValueError):
+            gaussian.propagate(g_state, sched, 0.1, params=p)
+        with pytest.raises(ValueError):
+            fock.propagate_fock(f_state, p, sched, 0.1)
+        with pytest.raises(ValueError, match="must be finite"):
+            stroke_walk(sched, t_start, 0.1, 4)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_samples_per_stroke_below_one_rejected(self, samples):
