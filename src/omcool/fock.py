@@ -31,11 +31,11 @@ blocks rho_pq, and the cross blocks (p != q) are never fed from the
 diagonal ones.  The step loop therefore carries rho as its two diagonal
 blocks, plus the cross blocks only when the initial rho has a nonzero entry
 there, in one flat buffer; a thermal start carries d^2/2 entries for an
-even d.  In the generator the Hamiltonian acts through weighted row gathers
-inside each block and the jump terms through weighted flat gathers between
-blocks, so no d x d operator product (nor a multi-threaded BLAS call) runs
-in the step loop.  The jump sum is Hermitian, so it is gathered only on one
-triangle of rho (about d^2/4 entries for a thermal start) and completed by
+even d.  In the generator the Hamiltonian acts through weighted row slices
+or row gathers inside each block and the jump terms through weighted flat
+gathers between blocks, so no d x d operator product (nor a multi-threaded
+BLAS call) runs in the step loop.  The jump sum is Hermitian, so it is
+gathered only on one triangle of rho (about d^2/4 entries for a thermal start) and completed by
 the same Hermitian mirror sum that builds the rest of the slope; a diagonal
 block's slope is bitwise the same whether or not the cross blocks are
 carried.  The memory is O(d^2) rather than the O(d^4) of a full
@@ -44,11 +44,11 @@ an index and a complex weight per gathered entry for each jump term (about
 7 MB at cutoffs (6, 6, 8)).  Each output sample reassembles the
 natural-order d x d rho for the observables and the checks; the quadrature
 moments are traces along its diagonals, again with no d x d operator.  The
-positivity check is the engine's only d x d LAPACK call: an ``eigvalsh`` of
-each parity block of rho (of the whole rho when its cross blocks are
-nonzero), run on one BLAS thread, since OpenBLAS's idle workers would spin
-on a second core after every call.  As an independent oracle it shares
-only the schedule with the Gaussian engine (its stroke walk, sample grid
+checks read rho's parity blocks.  The positivity check is the engine's only
+LAPACK call: an ``eigvalsh`` of each parity block of rho (of the whole rho
+when its cross blocks are nonzero), run on one BLAS thread, since
+OpenBLAS's idle workers would spin on a second core after every call.  As
+an independent oracle it shares only the schedule with the Gaussian engine (its stroke walk, sample grid
 and step-size scale), never the Gaussian engine's code.
 
 Truncation is monitored continuously: the population of the top retained
@@ -127,13 +127,24 @@ def _one_blas_thread():
         set_(before)
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer: a bool or a float such as 3.0 is refused, not truncated."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _cutoffs(cutoffs) -> tuple[int, ...]:
-    """Per-mode cutoffs as ints, each an integer of at least 2 (a bool or a
-    float such as 3.7 is refused, not truncated)."""
+    """Per-mode cutoffs as ints, each an integer of at least 2."""
     cutoffs = tuple(cutoffs)
-    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 2 for c in cutoffs):
+    if not all(_is_integer(c) and c >= 2 for c in cutoffs):
         raise ValueError(f"every cutoff must be an integer of at least 2, got {cutoffs}")
     return tuple(int(c) for c in cutoffs)
+
+
+def _parity_indices(cutoffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The natural indices of the even and of the odd states of total
+    excitation parity, each in natural order."""
+    odd = np.indices(cutoffs).sum(0).ravel() % 2 == 1
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
 def _check_leakage_threshold(threshold: float) -> None:
@@ -161,22 +172,30 @@ class FockState:
         tr = np.trace(self.rho)
         return abs(float(tr.real) - 1.0) + abs(float(tr.imag))
 
+    def _parity_blocks(self) -> list:
+        """rho's blocks ``b[p][q]``: the rows of parity p, the columns of parity q."""
+        idx = _parity_indices(self.cutoffs)
+        return [[rows.take(cols, 1) for cols in idx] for rows in (self.rho.take(i, 0) for i in idx)]
+
     def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
+        """max |rho - rho^H|, taken block by block: rho_pq against rho_qp^H."""
+        b = self._parity_blocks()
+        # np.max keeps a NaN, where the builtin max() may drop it
+        return float(np.max([np.abs(b[p][q] - b[q][p].conj().T).max()
+                             for p, q in ((0, 0), (1, 1), (0, 1))]))
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the Hermitian part of rho: the smaller of
         its two parity blocks' minima when its cross-parity blocks are exactly
         0 (as for every thermal start, see the module docstring), else the
         full matrix's.  The ``eigvalsh`` runs on one BLAS thread."""
-        herm = 0.5 * (self.rho + self.rho.conj().T)
-        odd = np.indices(self.cutoffs).sum(0).ravel() % 2 == 1
-        if np.any(herm[np.ix_(~odd, odd)]):
-            blocks = [herm]
+        b = self._parity_blocks()
+        if np.any(0.5 * (b[0][1] + b[1][0].conj().T)):
+            blocks = [0.5 * (self.rho + self.rho.conj().T)]
         else:
-            blocks = [herm[np.ix_(s, s)] for s in (~odd, odd)]
+            blocks = [0.5 * (b[p][p] + b[p][p].conj().T) for p in (0, 1)]
         with _one_blas_thread():
-            return float(min(np.linalg.eigvalsh(b).min() for b in blocks))
+            return float(min(np.linalg.eigvalsh(h).min() for h in blocks))
 
     def validate(self) -> float:
         """Check trace, hermiticity and positivity; return the
@@ -293,7 +312,9 @@ def thermal_state(cutoffs, occupations, time: float = 0.0,
 def number_state(cutoffs, levels, time: float = 0.0) -> FockState:
     """Product Fock number state |n1, n2, ...><...|."""
     cutoffs = _cutoffs(cutoffs)
-    levels = [int(n) for n in levels]
+    levels = tuple(levels)
+    if not all(_is_integer(n) for n in levels):
+        raise ValueError(f"every level must be an integer, got {levels}")
     if len(levels) != len(cutoffs):
         raise ValueError("need one level per mode")
     for c, n in zip(cutoffs, levels):
@@ -368,12 +389,15 @@ class _Generator:
     term, so J is Hermitian, J = U + U^dag, the mirror term of block pq is
     (Y + U)_qp^dag, and the slope is exactly Hermitian by construction.
     Nothing here is a d x d operator: H_off = g (a + a^dag)(b + b^dag)
-    + omega_0 (b^dag c + c^dag b) is a few bands, each a weighted row gather
-    inside a block, and each jump sandwich reads the block of the flipped
-    parities through a flat gather index at U's entries, weighted by the
-    rate-scaled outer product of the ladder weights (stored complex, since
-    a real-by-complex multiply runs through a cast buffer).  The jumps
-    accumulate in one packed buffer, added into Y before the mirror sum.
+    + omega_0 (b^dag c + c^dag b) is a few bands inside each block.  A band
+    whose source rows are row + o for one o (as when the cutoffs after its
+    modes multiply to an even number: all four g bands at (6, 6, 8)) reads
+    a slice of rows, and any other band gathers them (``_row_band``).  Each
+    jump sandwich reads the block of the flipped parities through a flat
+    gather index at U's entries, weighted by the rate-scaled outer product
+    of the ladder weights (stored complex, since a real-by-complex multiply
+    runs through a cast buffer).  The jumps accumulate in one packed
+    buffer, added into Y before the mirror sum.
     """
 
     def __init__(self, params: SystemParams, ops: ModeOperators, rho: np.ndarray):
@@ -386,8 +410,7 @@ class _Generator:
         lower, upper = ops.lowering, ops.raising
 
         # the natural indices of each parity, and each index's place among them
-        parity = np.add.reduce(ops.number_diag).astype(int) % 2
-        natural = [np.flatnonzero(parity == p) for p in (0, 1)]
+        natural = _parity_indices(ops.cutoffs)
         order = np.concatenate(natural)  # parity-sorted: even states, then odd
         local = np.empty(d, dtype=np.intp)
         for nat in natural:
@@ -418,9 +441,10 @@ class _Generator:
 
         def bands(scale, pairs):
             """The nonzero bands of ``scale`` times each product of two ladder
-            shifts, as (source row, weight) per row in parity-sorted order."""
+            shifts, each as one ``_row_band`` per parity block."""
             shifts = ((o, scale * w) for o, w in (_compose(x, y) for x, y in pairs))
-            return [(source(o, w)[order], w[order]) for o, w in shifts if np.any(w != 0)]
+            return [[_row_band(source(o, w)[order][r], w[order][r]) for r in self.rows]
+                    for o, w in shifts if np.any(w != 0)]
 
         # -i g (a + a^dag)(b + b^dag), and -i (b^dag c + c^dag b) per target
         self.couple = bands(-1j * params.g, [(x, y) for x in (lower[0], upper[0])
@@ -496,13 +520,14 @@ class _Generator:
         return rho
 
     def bands(self, target: int | None, amplitude: float) -> list:
-        """Row gathers of -i H_off for an exchange pulse of ``amplitude`` on
+        """The bands of -i H_off for an exchange pulse of ``amplitude`` on
         ``target`` (no pulse when the amplitude is 0): per band, the
-        ``(source rows, weight column)`` of each parity block."""
+        ``(rows, source, weight column)`` of each parity block (``_row_band``)."""
         bands = list(self.couple)
         if amplitude != 0.0:
-            bands += [(src, amplitude * w) for src, w in self.exchange[target]]
-        return [[(src[r], w[r, None]) for r in self.rows] for src, w in bands]
+            bands += [[(rows, src, amplitude * w) for rows, src, w in band]
+                      for band in self.exchange[target]]
+        return bands
 
     def _views(self, buf):
         return [buf[s].reshape(shape) for s, shape in zip(self.spans, self.shapes)]
@@ -526,8 +551,10 @@ class _Generator:
         jump weights of the row (k - o, l - o) that reads it.
         """
         lvec = self._lvec(delta_now)
-        rows = sum((np.abs(np.concatenate([w for _, w in band])) for band in bands),
-                   np.zeros((self.dim, 1)))
+        rows = np.zeros((self.dim, 1))
+        for band in bands:
+            for block, (r, _, w) in zip(self.rows, band):
+                rows[block][r] += np.abs(w)
         base = np.abs(lvec[:, None] + lvec.conj())
         base += rows
         base += rows.T
@@ -554,10 +581,14 @@ class _Generator:
             np.multiply(lvec[self.rows[p], None], r, out=yb)
             t = tmp[: r.size].reshape(r.shape)
             for band in bands:
-                src, w = band[p]
-                np.take(r, src, axis=0, out=t, mode="clip")
-                np.multiply(w, t, out=t)
-                yb += t
+                rows, src, w = band[p]
+                tb = t[rows]
+                if isinstance(src, slice):  # a row shift reads its rows in place
+                    np.multiply(w, r[src], out=tb)
+                else:
+                    np.take(r, src, axis=0, out=tb, mode="clip")
+                    np.multiply(w, tb, out=tb)
+                yb[rows] += tb
         # Y += U, so the mirror sum below adds J = U + U^dag as well
         acc, part = self._acc, tmp[: self._acc.size]
         np.take(y, self.upper, out=acc, mode="clip")
@@ -570,6 +601,19 @@ class _Generator:
             np.conjugate(ys[self.mirror[k]].T, out=ob)
             ob += ys[k]
         return out
+
+
+def _row_band(src: np.ndarray, weight: np.ndarray) -> tuple:
+    """One parity block of a band, row i reading row src[i] with weight[i],
+    as ``(rows, source, weight column)``: the slices lo:hi and lo + o:hi + o
+    when every row of nonzero weight reads the row o away, else every row
+    and the gather index ``src``."""
+    nz = np.flatnonzero(weight)
+    offsets = src[nz] - nz
+    if not nz.size or np.any(offsets != offsets[0]):
+        return slice(None), src, weight[:, None]
+    lo, hi, o = int(nz[0]), int(nz[-1]) + 1, int(offsets[0])
+    return slice(lo, hi), slice(lo + o, hi + o), weight[lo:hi, None]
 
 
 def _max_step(span: StrokeSpan, params: SystemParams, deltas=None) -> float:

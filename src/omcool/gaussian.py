@@ -279,13 +279,15 @@ def propagate(
         # constant strokes need no substeps, and their maps depend on length only
         ramp = span.kind is StrokeKind.RAMP_DETUNING
         fmax = span_fmax(span, params) if ramp else 0.0
+        # each segment's offsets in its map keys, the same at every level
+        offsets = [(round(a / span.duration, 12) if ramp else None,
+                    round((b - a) / span.duration, 12)) for a, b in zip(local[:-1], local[1:])]
 
         def sweep(level):
             """(mean, cov) at each of the stroke's samples, reached by its maps at ``level``."""
             out, m, c = [], mean, cov
-            for a, b in zip(local[:-1], local[1:]):
-                key = (span.position, level, round(a / span.duration, 12) if ramp else None,
-                       round((b - a) / span.duration, 12))
+            for a, b, offset in zip(local[:-1], local[1:], offsets):
+                key = (span.position, level, *offset)
                 if key not in maps:
                     phi, q = _segment_map(span, generator, a, b, level, fmax)
                     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(q))):

@@ -85,8 +85,13 @@ class TestStates:
     def test_number_state(self):
         st = number_state((5, 3), (4, 1))
         assert np.array_equal(mode_occupations(st), [4.0, 1.0])
+        assert np.array_equal(mode_occupations(number_state((5, 3), np.array([4, 1]))), [4.0, 1.0])
         with pytest.raises(ValueError, match="cutoff"):
             number_state((5, 3), (5, 0))
+        # a bool or a float level is refused, not truncated
+        for levels in ((1.7, True), (1, True), (1.0, 1), (1, "1")):
+            with pytest.raises(ValueError, match="every level must be an integer"):
+                number_state((3, 3), levels)
 
     def test_validate_flags_bad_trace(self):
         st = number_state((3, 2), (0, 0))
@@ -115,17 +120,24 @@ class TestStates:
         assert occ == pytest.approx([0.4, 0.6], abs=5e-3)
 
 
+def dense_h_off(p, ops, target, amplitude):
+    """H_off = g (a + a^dag)(b + b^dag) + amplitude (b^dag c + c^dag b), dense."""
+    a = [ops.annihilation(m) for m in range(len(ops.cutoffs))]
+    h = p.g * (a[0] + a[0].T) @ (a[1] + a[1].T)
+    if amplitude != 0.0:
+        c = a[2 + target]
+        h = h + amplitude * (a[1].T @ c + c.T @ a[1])
+    return h
+
+
 def dense_rhs(p, ops, rho, target, amplitude, delta):
     """-i[H, rho] plus the thermal dissipators, from dense ladder matrices."""
     a = [ops.annihilation(m) for m in range(len(ops.cutoffs))]
     ad = [x.conj().T for x in a]
     h = -delta * ad[0] @ a[0] + p.omega_b * ad[1] @ a[1]
-    h = h + p.g * (a[0] + ad[0]) @ (a[1] + ad[1])
     for k, dk in enumerate(p.delta_targets):
         h = h + dk * ad[2 + k] @ a[2 + k]
-    if amplitude != 0.0:
-        c, cd = a[2 + target], ad[2 + target]
-        h = h + amplitude * (ad[1] @ c + cd @ a[1])
+    h = h + dense_h_off(p, ops, target, amplitude)
     out = -1j * (h @ rho - rho @ h)
     rates = [p.kappa, p.gamma] + [p.gamma] * len(p.delta_targets)
     nbars = [p.n_a, p.n_b, *p.n_targets]
@@ -195,6 +207,7 @@ class TestGenerator:
         ((2, 3), ()),
         ((3, 3, 4), ((10.0, 0.25),)),
         ((3, 3, 3, 2), ((10.0, 0.25), (7.0, 0.4))),
+        ((3, 4, 3), ((10.0, 0.25),)),  # an odd last cutoff: gathered g bands
     ])
     def test_rhs_matches_dense_master_equation(self, cutoffs, targets):
         p = params(delta_targets=tuple(t[0] for t in targets),
@@ -219,6 +232,30 @@ class TestGenerator:
                     got = block_rhs(gen, rho, bands, delta)
                     want = dense_rhs(p, ops, rho, target, amplitude, delta)
                     assert np.max(np.abs(got - want)) < 1e-12, (size, target, amplitude, delta)
+
+    @pytest.mark.parametrize("cutoffs, couple, exchange", [
+        # the g bands shift rows by a fixed offset when the cutoffs after
+        # modes a and b multiply to an even number; the exchange bands of the
+        # last mode gather at (6, 6, 8), and shift at (3, 4, 3)
+        ((6, 6, 8), "slice", "gather"),
+        ((3, 4, 3), "gather", "slice"),
+    ])
+    def test_row_shift_bands_read_slices(self, cutoffs, couple, exchange):
+        ops = ModeOperators(cutoffs)
+        rho = thermal_state(cutoffs, (0.1, 0.2, 0.25), leakage_threshold=NO_GUARD).rho
+        gen = _Generator(params(), ops, rho)
+        kinds = [{"slice" if isinstance(src, slice) else "gather" for _, src, _ in band}
+                 for band in gen.bands(0, 5.0)]
+        assert kinds == [{couple}] * 4 + [{exchange}] * 2
+        for band in gen.bands(0, 5.0):
+            for block, (rows, src, w) in zip(gen.rows, band):
+                n = block.stop - block.start
+                # a slice band reads inside its block; a gather band covers every row
+                if isinstance(src, slice):
+                    assert 0 <= src.start <= src.stop <= n
+                    assert src.stop - src.start == rows.stop - rows.start == w.shape[0] > 0
+                else:
+                    assert rows == slice(None) and src.shape == (n,) and w.shape == (n, 1)
 
     def test_rhs_leaves_its_input_and_fills_out(self):
         p = params()
@@ -651,7 +688,8 @@ class TestTaylorAction:
                                              (0, 5.0, -3.0)):
                 bands = gen.bands(target, amplitude)
                 lvec = gen._lvec(delta)
-                rows = sum(np.abs(np.concatenate([w for _, w in band])) for band in bands)
+                # the bands' largest row sum of |weight|, from the dense H_off
+                rows = np.abs(dense_h_off(p, ops, target, amplitude)).sum(axis=1)
                 summed = (np.abs(lvec[:, None] + lvec.conj()).max() + 2.0 * np.max(rows)
                           + np.sum(gen.jump_scales[:, 0] * gen.jump_rows.max(axis=1) ** 2))
                 assert gen.norm_bound(bands, delta) <= summed * (1.0 + 1e-15)
@@ -779,3 +817,50 @@ class TestPositivityCheck:
         with pytest.raises(IntegrationError) as err:
             st.validate()
         assert err.value.time == 0.7
+
+    @pytest.mark.parametrize("entry", [(1, 2), (0, 1)])
+    def test_off_diagonal_nan_fails_the_block_hermiticity_check(self, entry):
+        # inside a parity block (|0, 1>, |1, 0>) and across the blocks
+        # (|0, 0>, |0, 1>): the trace passes, the block-wise hermiticity
+        # error keeps the NaN
+        st = number_state((2, 2), (0, 0), time=0.7)
+        st.rho[entry] = np.nan
+        assert np.isnan(st.hermiticity_error())
+        with pytest.raises(IntegrationError, match="hermiticity") as err:
+            st.validate()
+        assert err.value.time == 0.7
+
+
+def _dense_checks(st):
+    """(hermiticity error, min eigenvalue) of ``st`` by the d x d formulas the
+    block-wise checks replace."""
+    rho = st.rho
+    herm = 0.5 * (rho + rho.conj().T)
+    odd = np.indices(st.cutoffs).sum(0).ravel() % 2 == 1
+    if np.any(herm[np.ix_(~odd, odd)]):
+        blocks = [herm]
+    else:
+        blocks = [herm[np.ix_(s, s)] for s in (~odd, odd)]
+    return (float(np.max(np.abs(rho - rho.conj().T))),
+            float(min(np.linalg.eigvalsh(b).min() for b in blocks)))
+
+
+@pytest.mark.parametrize("cutoffs", [(3, 3, 2), (3, 4, 3)])
+@pytest.mark.parametrize("case", ["cross blocks", "parity-diagonal", "anti-Hermitian cross"])
+def test_block_checks_bitwise_dense(cutoffs, case):
+    # a Hermitian rho plus an anti-Hermitian part, so that the hermiticity
+    # error is nonzero; in the last case the anti-Hermitian part fills the
+    # cross blocks only: the hermiticity error comes from them alone, and
+    # the positivity check must see the Hermitian part's zero cross blocks
+    d = int(np.prod(cutoffs))
+    herm = random_hermitian(d, 4) + 3.0 * np.eye(d)
+    skew = 1e-12j * random_hermitian(d, 5)
+    rho = {"cross blocks": herm + skew,
+           "parity-diagonal": parity_diagonal(cutoffs, herm + skew),
+           "anti-Hermitian cross": (parity_diagonal(cutoffs, herm) + skew
+                                    - parity_diagonal(cutoffs, skew))}[case]
+    st = FockState(rho=rho / np.trace(rho).real, cutoffs=cutoffs)
+    got = (st.hermiticity_error(), st.min_eigenvalue())
+    want = _dense_checks(st)
+    assert got[0] > 0
+    assert np.array(got).tobytes() == np.array(want).tobytes()
