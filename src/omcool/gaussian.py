@@ -21,9 +21,10 @@ use fourth-order Magnus substeps, at most 1/f_max long for the largest
 frequency scale f_max of the stroke and cut at every knot of a tabulated
 ramp profile, whose kinks would otherwise cap the order.
 
-Error control: each stroke is run with m and 2m substeps per piece (m = 1,
-2, 4, ...); the stroke is accepted once the two agree within 15 tol at
-every sample, and the 2m result is kept.  Maps are built once per stroke
+Error control: each ramp is run with m and 2m substeps per piece (m = 1,
+2, 4, ...); the ramp is accepted once the two agree within 15 tol at every
+sample, and the 2m result is kept.  A constant stroke's maps are exact at
+every m, so it runs at m = 2 alone.  Maps are built once per stroke
 position, sample offset and m inside one ``propagate`` call, so later
 cycles reuse the first cycle's maps while the check still runs on every
 application.  A non-finite drift, map, state or error estimate raises
@@ -47,7 +48,9 @@ from .schedule import CycleSchedule, Samples, StrokeKind, StrokeSpan, span_fmax,
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
 _MAX_REFINE = 14
-_CHUNK = 256
+# substeps per Magnus-4 stack: the Taylor exponential holds a stack's powers
+# X..X^s at once, so the stack length sets their peak memory
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -299,12 +302,15 @@ def propagate(
             return out
 
         # each attempt checks the next level against the last one, so a
-        # refused fine sweep becomes the coarse sweep of the next attempt
-        coarse, level = sweep(1), 1
+        # refused fine sweep becomes the coarse sweep of the next attempt; a
+        # constant stroke's levels would differ by roundoff alone, so its
+        # level-2 sweep is compared with itself, which checks only that it is finite
+        coarse, level = sweep(1) if ramp else None, 1
         for attempt in range(_MAX_REFINE + 1):
             fine = sweep(2 * level)
             # np.max keeps a NaN, where the builtin max() may drop it
-            diffs = [np.abs(f - c).max() for pf, pc in zip(fine, coarse) for f, c in zip(pf, pc)]
+            diffs = [np.abs(f - c).max()
+                     for pf, pc in zip(fine, coarse or fine) for f, c in zip(pf, pc)]
             err = float(np.max([0.0] + diffs)) / 15.0
             if not math.isfinite(err):
                 raise IntegrationError(

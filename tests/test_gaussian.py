@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
-from omcool import gaussian
+from omcool import _kernels, gaussian
 from omcool.errors import IntegrationError, StabilityError
 from omcool.gaussian import (
     GaussianState,
@@ -17,7 +17,8 @@ from omcool.gaussian import (
 from omcool.params import SystemParams
 from omcool.polariton import (bogoliubov_basis, moment_occupations, rabi_populations,
                               symplectic_form)
-from omcool.schedule import CycleSchedule, Stroke, build_default_cycle
+from omcool.schedule import (CycleSchedule, Stroke, StrokeKind, build_default_cycle,
+                             span_fmax)
 
 
 def params(**over):
@@ -283,6 +284,50 @@ class TestPropagateContract:
         attempts = len(levels) - 1
         assert attempts >= 2
         assert len(applied) == (attempts + 1) * segments
+
+    def test_constant_strokes_build_level_two_only(self, fig1_params, monkeypatch):
+        # a hold or exchange map is exact at every level, so only the ramps
+        # compare two levels
+        levels = {}
+        segment_map = gaussian._segment_map
+
+        def recording_map(span, generator, a, b, level, fmax):
+            levels.setdefault(span.kind, set()).add(level)
+            return segment_map(span, generator, a, b, level, fmax)
+
+        monkeypatch.setattr(gaussian, "_segment_map", recording_map)
+        sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
+        propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
+                  tol=1e-10, params=fig1_params, samples_per_stroke=4)
+        assert levels[StrokeKind.HOLD] == levels[StrokeKind.EXCHANGE_PULSE] == {2}
+        assert {1, 2} <= levels[StrokeKind.RAMP_DETUNING]
+
+    def test_chunked_segment_map_matches_one_stack(self, fig1_params, monkeypatch):
+        # an adiabatic ramp cut at its 1023 interior knots holds more substeps
+        # than one chunk; composing chunk by chunk must match one whole stack
+        sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0],
+                                    ramp_shape="adiabatic")
+        span = next(iter(sched.spans()))
+        assert span.shape == "adiabatic"
+        generator = gaussian._stroke_generator(fig1_params, span)
+        fmax = span_fmax(span, fig1_params)
+        stacks = []
+        magnus4 = _kernels.magnus4
+
+        def counting_magnus4(M0, E, C, t, h, delta):
+            stacks.append(h.size)
+            return magnus4(M0, E, C, t, h, delta)
+
+        monkeypatch.setattr(_kernels, "magnus4", counting_magnus4)
+        chunked = gaussian._segment_map(span, generator, 0.0, span.duration, 1, fmax)
+        substeps = sum(stacks)
+        assert len(stacks) > 1 and max(stacks) == gaussian._CHUNK
+        monkeypatch.setattr(gaussian, "_CHUNK", substeps + 1)
+        stacks.clear()
+        whole = gaussian._segment_map(span, generator, 0.0, span.duration, 1, fmax)
+        assert stacks == [substeps]
+        for x, y in zip(chunked, whole):
+            assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
 
     def test_sample_grid_includes_boundaries(self, fig1_params):
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])

@@ -382,3 +382,30 @@ class TestAdiabaticityProbe:
         violations = [nxt - prev for prev, nxt in zip(probes[:-1], probes[1:])
                       if nxt > prev + 1e-3]
         assert not violations, f"non-monotone probe values: {probes}"
+
+    @pytest.mark.parametrize("tau", [0.0125, 0.05])
+    @pytest.mark.parametrize("shape", ["linear", "cosine", "adiabatic"])
+    def test_one_segment_matches_fine_sampled_run(self, fig1_params, monkeypatch, shape, tau):
+        # one output segment, error-checked at the end state, reads the same
+        # transfer within its tol (1e-7) as 64 segments at tol 1e-12
+        probe = adiabaticity_probe(fig1_params, tau, shape)
+
+        def fine_run_protocol(*args, **kwargs):
+            return run_protocol(*args, **{**kwargs, "tol": 1e-12, "samples_per_stroke": 64})
+
+        monkeypatch.setattr("omcool.runner.run_protocol", fine_run_protocol)
+        reference = adiabaticity_probe(fig1_params, tau, shape)
+        assert abs(probe - reference) <= 1e-7
+
+    def test_asks_for_one_output_segment(self, fig1_params, monkeypatch):
+        calls = []
+        propagate = gaussian.propagate
+
+        def spy(*args, **kwargs):
+            run = propagate(*args, **kwargs)
+            calls.append((kwargs["samples_per_stroke"], run.times.size))
+            return run
+
+        monkeypatch.setattr(gaussian, "propagate", spy)
+        adiabaticity_probe(fig1_params, 0.05, "adiabatic")
+        assert calls == [(1, 2)]
