@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -29,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    _positive,
     load_config_file,
     parse_cycle_config,
     parse_limit_config,
@@ -46,7 +46,6 @@ from .polariton import (
     CoolingMapParams,
     bogoliubov_basis,
     cooling_limit,
-    polariton_spectrum,
     survival_factor,
 )
 from .runner import ENGINES, analyze_cycles, run_protocol
@@ -100,10 +99,9 @@ def cmd_spectrum(args) -> int:
     cfg = parse_spectrum_config(raw)
     deltas = np.linspace(cfg.delta_start, cfg.delta_stop, cfg.samples)
 
-    om_a, om_b = polariton_spectrum(deltas, cfg.omega_b, cfg.g)
-    u = bogoliubov_basis(deltas, cfg.omega_b, cfg.g).u
-    _write_csv(args.out, _metadata("spectrum", raw),
-               ["delta", "omega_A", "omega_B", "u"], np.column_stack((deltas, om_a, om_b, u)))
+    basis = bogoliubov_basis(deltas, cfg.omega_b, cfg.g)
+    _write_csv(args.out, _metadata("spectrum", raw), ["delta", "omega_A", "omega_B", "u"],
+               np.column_stack((deltas, basis.omega_A, basis.omega_B, basis.u)))
     print(f"wrote {cfg.samples} spectrum rows to {args.out}")
     return EXIT_OK
 
@@ -172,11 +170,7 @@ def _print_report(report) -> None:
 
 
 def _resolve_tol(args, cfg) -> float:
-    if args.tol is None:
-        return cfg.tol
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
-    return args.tol
+    return cfg.tol if args.tol is None else _positive({"--tol": args.tol}, "--tol", "")
 
 
 def cmd_cycle(args) -> int:

@@ -6,9 +6,10 @@ The two-mode quadratic Hamiltonian
 
 is diagonalized by a real symplectic (Bogoliubov) transformation of the
 quadratures ``z = (x_a, p_a, x_b, p_b)`` into polariton quadratures
-``w = S z``.  Branch 'A' is always the upper branch (larger frequency); which
-bare mode it resembles is encoded in the overlap coefficient ``u`` rather
-than in any relabeling.
+``w = S z``, in closed form: a canonical rescaling and one rotation of the
+pair, whose branch frequencies are ``polariton_spectrum``'s.  Branch 'A' is
+always the upper branch (larger frequency); which bare mode it resembles is
+encoded in the overlap coefficient ``u`` rather than in any relabeling.
 
 This module also carries the closed-form results built on that picture: the
 two-mode exchange (Rabi) populations, the per-pulse exchange efficiency, the
@@ -152,71 +153,62 @@ class PolaritonBasis:
         return -J @ np.swapaxes(self.S, -1, -2) @ J
 
 
-def _coupled_modes(d: np.ndarray, omega_b: float, g: float):
-    """(S, u, omega_A, omega_B) over the stack of detunings ``d``, after
-    checking each entry's normal-mode extraction and residuals."""
+def bogoliubov_basis(delta, omega_b: float, g: float) -> PolaritonBasis:
+    """Symplectic diagonalization of the pair Hamiltonian, in closed form.
+
+    With w_a = -delta, the canonical rescaling x_j = sqrt(w_j) y_j,
+    p_j = q_j / sqrt(w_j) turns H into |q|^2 / 2 + y^T K y / 2 with
+    K = [[w_a^2, 2 g sqrt(w_a omega_b)], [., omega_b^2]].  One rotation,
+    cos 2theta = (w_a^2 - omega_b^2) / hypot(w_a^2 - omega_b^2,
+    4 g sqrt(w_a omega_b)), turns K into diag(omega_A^2, omega_B^2), and
+    rescaling each normal coordinate by its frequency gives S.  The branch
+    frequencies are ``polariton_spectrum``'s, bit for bit.  cos theta and
+    sin theta are half-angle square roots, so at g = 0 S is exactly eye(4)
+    (also at |delta| = omega_b) or the label swap whenever the spectrum is
+    exact there.  Each mode's sign makes its dominant bare coefficient
+    positive, hence u >= 0 for g >= 0; on a tie (delta = -omega_b exactly)
+    the cavity coefficient is taken as the dominant one.
+
+    A delta array of length K gives a stacked basis; a scalar delta is the
+    K = 1 case.  The first entry that fails a check raises the error its
+    scalar call raises; a lower branch at omega_B <= 1e-12 max(|delta|,
+    omega_b) is refused as marginally stable.
+    """
+    om_a, om_b = polariton_spectrum(delta, omega_b, g)  # checks stability first
+    d, om_a, om_b = (np.asarray(x, dtype=float).reshape(-1) for x in (delta, om_a, om_b))
+    split = d * d - omega_b * omega_b
+    hyp = np.hypot(split, 4.0 * g * np.sqrt(-d * omega_b))
+    # hyp = 0 only at g = 0 on the crossing, where S is eye(4)
+    cos2 = np.divide(split, hyp, out=np.ones_like(hyp), where=hyp > 0)
+    c, s = np.sqrt(0.5 * (1.0 + cos2)), np.copysign(np.sqrt(0.5 * (1.0 - cos2)), g)
+    V = np.stack((np.stack((c, s), -1), np.stack((-s, c), -1)), -2)  # rows A, B over (a, b)
+    dominant = np.where(np.abs(V[..., 1]) > np.abs(V[..., 0]), V[..., 1], V[..., 0])
+    V *= np.sign(dominant)[..., None]
+    om = np.stack((om_a, om_b), -1)
+    S = np.zeros((d.size, 4, 4))
     J = symplectic_form(2)
     M = hamiltonian_matrix(0.0, omega_b, g) - d[:, None, None] * np.diag([1.0, 1.0, 0.0, 0.0])
-    evals, evecs = np.linalg.eig(M @ J)
-    scale = np.maximum(np.abs(d), omega_b)
-    n_pos = np.count_nonzero(evals.imag > 1e-12 * scale[:, None], axis=-1)
-    # the two positive frequencies lead, upper branch first
-    top, rows = np.argsort(-evals.imag, axis=-1, kind="stable")[:, :2], np.arange(d.size)[:, None]
-    freqs, w = evals.imag[rows, top], evecs[rows, :, top]  # w[k, i] is mode i's eigenvector
     with np.errstate(invalid="ignore", divide="ignore"):  # a failing entry raises below
-        norm = (1j * w[..., None, :] @ J @ w.conj()[..., None]).real[..., 0, 0]
-        w = w / np.sqrt(norm)[..., None]
-        u_b = (w[..., 2] - 1j * w[..., 3]) / np.sqrt(2.0)  # [A, b^dag]
-        u_a = (w[..., 0] - 1j * w[..., 1]) / np.sqrt(2.0)  # [A, a^dag]
-        ref = np.where(np.abs(u_b) > np.abs(u_a), u_b, u_a)
-        w = w * (ref.conj() / np.abs(ref))[..., None]
-    S = np.sqrt(2.0) * np.stack((w.real, w.imag), axis=-2).reshape(-1, 4, 4)
-    u = ((w[:, 0, 2] - 1j * w[:, 0, 3]) / np.sqrt(2.0)).real
-
-    # guard the construction itself; the tight tolerances live in the tests
-    St = np.swapaxes(S, -1, -2)
-    Sinv = -J @ St @ J
-    resid = np.swapaxes(Sinv, -1, -2) @ M @ Sinv
-    off = np.where(np.eye(4, dtype=bool), 0.0, resid)
+        ratio = np.sqrt(om[:, :, None] / np.stack((-d, np.full_like(d, omega_b)), -1)[:, None])
+        S[:, 0::2, 0::2], S[:, 1::2, 1::2] = V * ratio, V / ratio
+        # guard the construction itself; the tight tolerances live in the tests
+        St = np.swapaxes(S, -1, -2)
+        Sinv = -J @ St @ J
+        resid = np.swapaxes(Sinv, -1, -2) @ M @ Sinv - np.repeat(om, 2, -1)[:, None] * np.eye(4)
+        symp = np.abs(S @ J @ St - J).max(axis=(-2, -1))
+    scale = np.maximum(np.abs(d), omega_b)
     failures = (
-        (n_pos != 2, "normal-mode extraction failed at delta={} (marginally stable?)"),
-        (~np.all(norm > 0, axis=-1), "non-positive symplectic norm at delta={}"),
-        (~(np.abs(S @ J @ St - J).max(axis=(-2, -1)) <= 1e-8),
-         "symplectic construction failed at delta={}"),
-        (~(np.abs(off).max(axis=(-2, -1)) <= 1e-6 * scale), "diagonalization failed at delta={}"),
+        (~(om_b > 1e-12 * scale), "marginally stable at delta={}: omega_B vanishes"),
+        (~(symp <= 1e-8), "symplectic construction failed at delta={}"),
+        (~(np.abs(resid).max(axis=(-2, -1)) <= 1e-6 * scale), "diagonalization failed at delta={}"),
     )
     bad = np.any([mask for mask, _ in failures], axis=0)
     if bad.any():
         k = int(np.argmax(bad))
         text = next(text for mask, text in failures if mask[k])
         raise StabilityError(text.format(d[k]), delta=float(d[k]))
-    return S, u, freqs[:, 0], freqs[:, 1]
-
-
-def bogoliubov_basis(delta, omega_b: float, g: float) -> PolaritonBasis:
-    """Numerically construct the symplectic diagonalization of the pair Hamiltonian.
-
-    Normal modes are extracted from the eigenvectors of M J: a row vector w
-    with (M J) w = i omega w defines an annihilation operator A = w . z once
-    normalized to [A, A^dag] = i w^T J w* = 1.  The free phase of each mode
-    is fixed so that the dominant bare-mode overlap is real and positive,
-    which makes S real and u >= 0.
-
-    A delta array of length K gives a stacked basis from one stacked
-    eigendecomposition; a scalar delta is the K = 1 case.  The first entry
-    that fails a check raises the error its scalar call raises.
-    """
-    check_stability(delta, omega_b, g)
-    d = np.asarray(delta, dtype=float).reshape(-1)
-    if g == 0.0:
-        # the branches are the bare modes; 'A' is whichever has the larger
-        # frequency (|delta| for the cavity, omega_b for the mechanics)
-        u = np.where(np.abs(d) >= omega_b, 0.0, 1.0)
-        S = np.where(u[:, None, None] == 0.0, np.eye(4), np.eye(4)[[2, 3, 0, 1]])
-        om_a, om_b = np.maximum(np.abs(d), omega_b), np.minimum(np.abs(d), omega_b)
-    else:
-        S, u, om_a, om_b = _coupled_modes(d, omega_b, g)
-    out = dict(delta=d, omega_A=om_a, omega_B=om_b, S=S, u=u, u_x=S[:, 0, 2], u_p=S[:, 1, 3])
+    out = dict(delta=d, omega_A=om_a, omega_B=om_b, S=S, u=0.5 * (S[:, 0, 2] + S[:, 1, 3]),
+               u_x=S[:, 0, 2], u_p=S[:, 1, 3])
     if np.ndim(delta) == 0:
         out = {k: v[0] if k == "S" else float(v[0]) for k, v in out.items()}
     return PolaritonBasis(omega_b=omega_b, g=g, **out)

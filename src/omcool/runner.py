@@ -183,10 +183,7 @@ def run_protocol(
     delta = schedule.delta_at(times)
     # a span's amplitude is zero outside exchange strokes
     omega0 = np.array([spans[i].amplitude for i in idx], dtype=float)
-    # delta repeats every cycle and holds still through exchange and hold
-    # strokes, so only its distinct values need a basis
-    distinct = np.array(sorted(set(delta.tolist())))
-    bases = bogoliubov_basis(distinct, params.omega_b, params.g)[np.searchsorted(distinct, delta)]
+    bases = bogoliubov_basis(delta, params.omega_b, params.g)
     n_pol = np.column_stack(pair_occupations(run.means[:, :4], run.covs[:, :4, :4], bases))
     return Trajectory(
         times=times,

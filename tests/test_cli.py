@@ -175,7 +175,9 @@ class TestConfigErrors:
             fock={"cutoffs": [4, 4, 4]}))
         assert run_cli(command, "--config", path, "--out", str(tmp_path / "x.out"),
                        "--tol", tol) == 2
-        assert "--tol" in capsys.readouterr().err
+        # config's rule for a positive number, under the flag's name
+        rule = "must be positive" if tol in ("-1", "0") else "must be a finite number"
+        assert f"'--tol' {rule}" in capsys.readouterr().err
 
 
 DROP = object()
@@ -248,7 +250,7 @@ BAD_CONFIGS = [
     ("cycle", "run", {"initial.targets": []},
      "initial.targets must list one occupation per target mode (1 expected)"),
     ("cycle", "run", {"initial.pair": [-0.1, 0.2]}, "occupations must be non-negative"),
-    ("cycle", "run", {"engine": "exact"}, "'engine' must be one of"),
+    ("cycle", "run", {"engine": "exact"}, "unknown engine 'exact'; choose from"),
     ("cycle", "run", {"integrator.tol": 0.0}, "'integrator.tol' must be positive"),
     ("cycle", "run", {"integrator.samples_per_stroke": 0},
      "'integrator.samples_per_stroke' must be positive"),

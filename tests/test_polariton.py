@@ -15,6 +15,7 @@ from omcool.polariton import (
     pair_occupations,
     polariton_spectrum,
     rabi_populations,
+    stability_limit,
     survival_factor,
     symplectic_form,
 )
@@ -142,6 +143,13 @@ class TestBogoliubovBasis:
         assert np.array_equal(basis.S, expected)
         assert basis.u == 1.0
 
+    def test_tie_at_the_crossing_takes_the_cavity_coefficient(self):
+        # at delta = -omega_b both bare coefficients of a mode are equal in
+        # size; the cavity's decides the sign, also for the lower branch
+        basis = bogoliubov_basis(-OMEGA_B, OMEGA_B, G)
+        assert basis.S[0, 0] == basis.S[0, 2] > 0
+        assert basis.S[2, 0] == -basis.S[2, 2] > 0
+
     def test_overlap_photon_like_regime(self):
         assert bogoliubov_basis(-6000.0, OMEGA_B, G).u < 0.1
 
@@ -160,26 +168,27 @@ class TestBogoliubovBasis:
         assert basis.u == pytest.approx(0.5 * (basis.u_x + basis.u_p), rel=1e-12)
 
 
-_eig = np.linalg.eig  # the unpatched one
+_spectrum = polariton_spectrum  # the unpatched one
 
 
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def other_modes(a, evals, evecs):
-    """The normal modes of the pair 500 closer to zero detuning: a valid
-    symplectic basis that does not diagonalize this pair."""
-    delta = -a[0, 1] + 500.0
-    return _eig(hamiltonian_matrix(delta, OMEGA_B, G) @ symplectic_form(2))
+def spectrum_corrupted_at(bad, corrupt):
+    """polariton_spectrum with ``corrupt`` applied to the branches of the
+    detunings listed in ``bad``, scalar or stacked."""
+    def spectrum(delta, omega_b, g):
+        om_a, om_b = _spectrum(delta, omega_b, g)
+        hit = np.isin(delta, bad)
+        bad_a, bad_b = corrupt(om_a, om_b)
+        return np.where(hit, bad_a, om_a), np.where(hit, bad_b, om_b)
+    return spectrum
 
 
-def mixed_modes(a, evals, evecs):
-    """Half of the lower positive-frequency mode added to the upper one."""
-    pos = np.argsort(-evals.imag)[:2]
-    evecs = evecs.copy()
-    evecs[:, pos[0]] += 0.5 * evecs[:, pos[1]]
-    return evals, evecs
+#: (delta, omega_b) pairs whose lower branch closes at g = stability_limit
+MARGINAL = [(-600.0, 10.0), (-2000.0, 2000.0), (-2000.0, 10.0), (-1.7, 10.0), (-3.0, 2000.0),
+            (-3.0, 10.0), (-600.0, 2000.0), (-1.7, 2000.0), (-6000.0, 10.0), (-6000.0, 2000.0)]
 
 
 class TestArrayBasis:
@@ -224,24 +233,27 @@ class TestArrayBasis:
             assert all(type(n) is float for n in pair)
             assert pair == (n_a[k], n_b[k])
 
+    def test_branches_are_the_spectrum_and_diagonalize_the_hamiltonian(self):
+        deltas = np.concatenate((np.linspace(-6000.0, -200.0, 291),
+                                 np.linspace(-2100.0, -1900.0, 41)))
+        basis = bogoliubov_basis(deltas, OMEGA_B, G)
+        om_a, om_b = polariton_spectrum(deltas, OMEGA_B, G)
+        assert bits(basis.omega_A) == bits(om_a) and bits(basis.omega_B) == bits(om_b)
+        s_inv = basis.inverse()
+        for k, delta in enumerate(deltas):
+            transformed = s_inv[k].T @ hamiltonian_matrix(delta, OMEGA_B, G) @ s_inv[k]
+            diag = np.diag(np.repeat([om_a[k], om_b[k]], 2))
+            assert np.abs(transformed - diag).max() <= 1e-12 * om_a[k], delta
+
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda a, evals, evecs: (evals.real + 0j, evecs),
-         "normal-mode extraction failed at delta={} (marginally stable?)"),
-        (lambda a, evals, evecs: (evals, evecs.conj()), "non-positive symplectic norm at delta={}"),
-        (mixed_modes, "symplectic construction failed at delta={}"),
-        (other_modes, "diagonalization failed at delta={}"),
-    ])
+        (lambda om_a, om_b: (om_a, 0.0 * om_b), "marginally stable at delta={}: omega_B vanishes"),
+        (lambda om_a, om_b: (math.nan * om_a, om_b), "symplectic construction failed at delta={}"),
+        (lambda om_a, om_b: (1.01 * om_a, om_b), "diagonalization failed at delta={}"),
+    ], ids=["marginal", "symplectic", "diagonal"])
     def test_each_check_names_the_first_failing_entry(self, monkeypatch, corrupt, message):
         bad = (-2500.0, -1000.0)
-
-        def corrupted(a):
-            evals, evecs = _eig(a)
-            for k in range(len(a)):
-                if -a[k, 0, 1] in bad:
-                    evals[k], evecs[k] = corrupt(a[k], evals[k], evecs[k])
-            return evals, evecs
-
-        monkeypatch.setattr(np.linalg, "eig", corrupted)
+        monkeypatch.setattr("omcool.polariton.polariton_spectrum",
+                            spectrum_corrupted_at(bad, corrupt))
         deltas = np.linspace(-6000.0, -200.0, 11)
         assert bits(bogoliubov_basis(deltas, OMEGA_B, G).S) == bits(
             [bogoliubov_basis(d, OMEGA_B, G).S for d in deltas])
@@ -251,6 +263,17 @@ class TestArrayBasis:
                 bogoliubov_basis(delta, OMEGA_B, G)
             assert str(err.value) == message.format(bad[0])
             assert err.value.delta == bad[0]
+
+    @pytest.mark.parametrize("delta, omega_b", MARGINAL)
+    def test_marginal_stability_is_refused(self, delta, omega_b):
+        g = stability_limit(delta, omega_b)
+        assert polariton_spectrum(delta, omega_b, g)[1] == 0.0
+        # alone and stacked between stable entries, the first to fail
+        for call in (delta, np.array([2.0 * delta, delta, 4.0 * delta])):
+            with pytest.raises(StabilityError) as err:
+                bogoliubov_basis(call, omega_b, g)
+            assert str(err.value) == f"marginally stable at delta={delta}: omega_B vanishes"
+            assert err.value.delta == delta
 
 
 class TestRabiPopulations:
