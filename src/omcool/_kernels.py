@@ -10,8 +10,8 @@ Stockmeyer, SIAM J. Comput. 2, 60 (1973)); a larger norm takes Higham's
 Pade-13 scaling and squaring (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)),
 the only branch with a linear solve.  ``magnus4`` gives the fourth-order
 Magnus propagators (Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151 (2009)) of
-dZ/dt = (M0 + delta(t) E) Z over a batch of substeps, from delta at the two
-Gauss-Legendre nodes of each.
+dZ/dt = (M0 + delta(t) E) Z over a batch of substeps, from one evaluation of
+delta at both Gauss-Legendre nodes of all of them and one matrix product.
 """
 
 from __future__ import annotations
@@ -114,16 +114,15 @@ def magnus4(M0, E, C, t, h, delta):
     """Fourth-order Magnus propagators of dZ/dt = (M0 + delta(t) E) Z.
 
     Substep k runs from ``t[k]`` over ``h[k]``; ``delta`` is a vectorized
-    function of time and ``C = [M0, E]``.  With M_k = M0 + delta(t_k) E at
-    the lower and upper Gauss-Legendre nodes, the Magnus exponent
-    h/2 (M_lo + M_hi) + sqrt(3)/12 h^2 [M_hi, M_lo] reduces to a sum of three
-    fixed matrices, since [M_hi, M_lo] = (d_lo - d_hi) C.  Returns the stack
-    of propagators minus the identity.
+    function of time, called once for both Gauss-Legendre nodes of every
+    substep, and ``C = [M0, E]``.  With M_k = M0 + delta(t_k) E at the two
+    nodes, the Magnus exponent h/2 (M_lo + M_hi) + sqrt(3)/12 h^2 [M_hi, M_lo]
+    is a weighted sum of M0, E and C, since [M_hi, M_lo] = (d_lo - d_hi) C:
+    one (K, 3) @ (3, n^2) product for the stack.  Returns the stack of
+    propagators minus the identity.
     """
     h = np.asarray(h, dtype=float)
-    d_lo = delta(t + (0.5 - _GL_SHIFT) * h)[:, None, None]
-    d_hi = delta(t + (0.5 + _GL_SHIFT) * h)[:, None, None]
-    h = h[:, None, None]
-    omega = (h * M0 + (0.5 * h * (d_lo + d_hi)) * E
-             + (0.5 * _GL_SHIFT * h**2 * (d_lo - d_hi)) * C)
-    return expm1(omega)
+    nodes = t + np.multiply.outer((0.5 - _GL_SHIFT, 0.5 + _GL_SHIFT), h)
+    d_lo, d_hi = delta(nodes.ravel()).reshape(nodes.shape)
+    w = np.stack((h, 0.5 * h * (d_lo + d_hi), 0.5 * _GL_SHIFT * h**2 * (d_lo - d_hi)), axis=-1)
+    return expm1((w @ np.stack((M0, E, C)).reshape(3, -1)).reshape(h.shape + M0.shape))

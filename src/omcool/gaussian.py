@@ -15,11 +15,12 @@ Being linear, each stretch of a stroke is an affine map on the moments,
 <z> -> Phi <z> and sigma -> Phi sigma Phi^T + Q.  Both come from the
 propagator Z of Van Loan's block generator M = [[A, D], [0, -A^T]]
 (C. Van Loan, IEEE TAC 23, 395 (1978)): Phi = Z_11 and Q = Z_12 Z_11^T,
-which holds for time-dependent A as well.  Exchange and hold strokes have a
-constant generator, so one exponential per sample segment is exact.  Ramps
-use fourth-order Magnus substeps, at most 1/f_max long for the largest
-frequency scale f_max of the stroke and cut at every knot of a tabulated
-ramp profile, whose kinks would otherwise cap the order.
+which holds for time-dependent A as well; a dissipation-free stroke has
+D = 0, Q = 0 and Phi from the n x n drift A alone.  Exchange and hold
+strokes have a constant generator, so one exponential per sample segment is
+exact.  Ramps use fourth-order Magnus substeps, at most 1/f_max long for the
+largest frequency scale f_max of the stroke and cut at every knot of a
+tabulated ramp profile, whose kinks would otherwise cap the order.
 
 Error control: each ramp is run with m and 2m substeps per piece (m = 1,
 2, 4, ...); the ramp is accepted once the two agree within 15 tol at every
@@ -75,19 +76,16 @@ class GaussianState:
     def n_modes(self) -> int:
         return self.mean.size // 2
 
-    def uncertainty_min_eig(self) -> float:
-        """Smallest eigenvalue of cov + i J / 2 (>= 0 for a physical state)."""
-        J = symplectic_form(self.n_modes)
-        return float(np.linalg.eigvalsh(self.cov + 0.5j * J).min())
-
     def validate(self) -> float:
-        """``check_samples`` of this state alone: its ``uncertainty_min_eig``, once checked."""
+        """``check_samples`` of this state alone: the smallest eigenvalue of
+        cov + i J / 2 (>= 0 for a physical state), once checked."""
         return float(check_samples([self.time], self.mean[None], self.cov[None])[1][0])
 
 
 def check_samples(times, means: np.ndarray, covs: np.ndarray):
-    """Bare-mode occupations and ``uncertainty_min_eig`` of stacked samples,
-    once every sample passes the checks of ``GaussianState.validate``.
+    """Bare-mode occupations and the smallest eigenvalue of cov + i J / 2 of
+    stacked samples, once every sample passes the checks of
+    ``GaussianState.validate``.
 
     The first failing sample raises IntegrationError for the first check it
     fails, at its time.  A NaN fails every check (each check passes only on
@@ -210,10 +208,13 @@ def _segment_map(span: StrokeSpan, generator, a: float, b: float, level: int,
     The interval is cut at the ramp-table knots inside it and each piece
     into ``level`` times ceil(width * fmax) Magnus-4 substeps (``level``
     alone for fmax = 0), composed in chunks of ``_CHUNK`` so that no whole
-    stroke's propagators are held at once.
+    stroke's propagators are held at once.  A dissipation-free stroke (D = 0)
+    has Q = 0 exactly, and its substeps take the n x n drift block alone.
     """
     M0, E, C = generator
     n = M0.shape[0] // 2
+    closed = not M0[:n, n:].any()
+    M0, E, C = (X[:n, :n] if closed else X for X in generator)
     knots = np.empty(0)
     if span.kind is StrokeKind.RAMP_DETUNING and span.shape == "adiabatic":
         knots = span.duration * span.knots[0][1:-1]
@@ -229,7 +230,7 @@ def _segment_map(span: StrokeSpan, generator, a: float, b: float, level: int,
         Y = _compose(_chain(_kernels.magnus4(M0, E, C, t_lo[part], h[part],
                                              span.delta_values_local)), Y)
     phi = np.eye(n) + Y[:n, :n]
-    q = Y[:n, n:] @ phi.T
+    q = np.zeros((n, n)) if closed else Y[:n, n:] @ phi.T
     return phi, 0.5 * (q + q.T)
 
 

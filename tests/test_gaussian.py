@@ -17,8 +17,8 @@ from omcool.gaussian import (
 from omcool.params import SystemParams
 from omcool.polariton import (bogoliubov_basis, moment_occupations, rabi_populations,
                               symplectic_form)
-from omcool.schedule import (CycleSchedule, Stroke, StrokeKind, build_default_cycle,
-                             span_fmax)
+from omcool.schedule import (CycleSchedule, Stroke, StrokeKind, adiabatic_ramp_profile,
+                             build_default_cycle, span_fmax)
 
 
 def params(**over):
@@ -205,7 +205,7 @@ class TestPropagateContract:
         traj = propagate(state, sched, sched.total_duration, tol=1e-7,
                          params=fig1_params)
         for m, c in zip(traj.means, traj.covs):
-            assert GaussianState(mean=m, cov=c).uncertainty_min_eig() > -1e-9
+            assert GaussianState(mean=m, cov=c).validate() > -1e-9
 
     def test_deterministic(self, fig1_params):
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
@@ -345,6 +345,67 @@ class TestPropagateContract:
         tight = propagate(state, sched, 0.052, tol=1e-9, params=fig1_params)
         dev = np.abs(loose.final_state.cov - tight.final_state.cov).max()
         assert dev < 1e-4
+
+
+class TestDissipationFreeMaps:
+    """kappa = gamma = 0 leaves D = 0: the Van Loan generator is block
+    diagonal, Q vanishes and Phi comes from the n x n drift alone."""
+
+    STROKES = {
+        "linear": Stroke.ramp(-6000.0, -600.0, 0.04, "linear"),
+        "cosine": Stroke.ramp(-6000.0, -600.0, 0.04, "cosine"),
+        "adiabatic": Stroke.ramp(-6000.0, -600.0, 0.04, "adiabatic",
+                                 adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 200.0)),
+        "hold": Stroke.hold(0.01),
+    }
+
+    @pytest.mark.parametrize("name", STROKES)
+    def test_q_is_zero_and_phi_is_the_full_generators_block(self, name, monkeypatch):
+        p = params(kappa=0.0, gamma=0.0)
+        span = CycleSchedule(strokes=(self.STROKES[name],), cycle_count=1,
+                             delta_start=-6000.0).spans()[0]
+        generator = gaussian._stroke_generator(p, span)
+        n = generator[0].shape[0] // 2
+        fmax = span_fmax(span, p) if span.kind is StrokeKind.RAMP_DETUNING else 0.0
+        substeps, magnus4 = [], _kernels.magnus4
+
+        def spy(M0, E, C, t, h, delta):
+            # each n x n propagator is the top-left block of the full generator's
+            full = magnus4(*generator, t, h, delta)
+            closed = magnus4(M0, E, C, t, h, delta)
+            assert closed.shape[1:] == (n, n) and not full[:, :n, n:].any()
+            assert np.abs(closed - full[:, :n, :n]).max() <= 1e-15 * np.abs(full).max()
+            substeps.append(full)
+            return closed
+
+        monkeypatch.setattr(_kernels, "magnus4", spy)
+        phi, q = gaussian._segment_map(span, generator, 0.0, span.duration, 2, fmax)
+        assert q.shape == (n, n) and not q.any()
+        Y = np.zeros_like(generator[0])
+        for full in substeps:
+            Y = gaussian._compose(gaussian._chain(full), Y)
+        reference = np.eye(n) + Y[:n, :n]
+        # Pade-13's linear solve rounds differently at n and 2n (<= 6e-17 per
+        # substep on fig1's fastest substeps); composing ~500 of them adds up
+        assert np.abs(phi - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("kappa, gamma", [(0.0, 0.0), (40.0, 0.0), (0.0, 1.0),
+                                              (40.0, 1.0)])
+    def test_magnus_stacks_are_n_by_n_only_without_dissipation(self, kappa, gamma,
+                                                               monkeypatch):
+        p = params(kappa=kappa, gamma=gamma)
+        shapes, magnus4 = set(), _kernels.magnus4
+
+        def spy(M0, E, C, t, h, delta):
+            shapes.add(M0.shape)
+            return magnus4(M0, E, C, t, h, delta)
+
+        monkeypatch.setattr(_kernels, "magnus4", spy)
+        sched = build_default_cycle(p, 0.04, 0.008, 0.04, 0.1, targets=[0])
+        propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
+                  tol=1e-7, params=p, samples_per_stroke=2)
+        n = 2 * p.n_modes
+        assert shapes == ({(n, n)} if kappa == gamma == 0.0 else {(2 * n, 2 * n)})
 
 
 class TestPolaritonObservables:

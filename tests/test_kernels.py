@@ -180,6 +180,31 @@ class TestBackends:
         X = 1e-12 * np.random.default_rng(9).standard_normal((6, 6))
         assert np.max(np.abs(_kernels.expm1(X) - (X + 0.5 * X @ X))) < 1e-26
 
+    @pytest.mark.parametrize("size", [12, 16])
+    @pytest.mark.parametrize("K", [1, 7, 128])
+    def test_magnus4_exponent_is_the_three_term_sum(self, size, K, monkeypatch):
+        # one delta call for both Gauss nodes of every substep, and one
+        # weight-table product for the exponents
+        rng = np.random.default_rng(size + K)
+        M0, E, C = rng.standard_normal((3, size, size))
+        t, h = rng.uniform(0.0, 1.0, K), rng.uniform(1e-3, 1e-2, K)
+        calls, exponents = [], []
+
+        def delta(times):
+            calls.append(times.size)
+            return 300.0 * np.cos(7.0 * times)
+
+        monkeypatch.setattr(_kernels, "expm1", lambda X: exponents.append(X) or X)
+        _kernels.magnus4(M0, E, C, t, h, delta)
+        assert calls == [2 * K]
+        shift = math.sqrt(3.0) / 6.0
+        d_lo, d_hi = (delta(t + (0.5 + s) * h)[:, None, None] for s in (-shift, shift))
+        h = h[:, None, None]
+        want = (h * M0 + (0.5 * h * (d_lo + d_hi)) * E
+                + (0.5 * shift * h**2 * (d_lo - d_hi)) * C)
+        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(exponents[0] - want) <= 1e-15 * scale)
+
     def test_numpy_path_deterministic(self):
         m1, c1 = _run_span(50)
         m2, c2 = _run_span(50)

@@ -89,7 +89,7 @@ class TestRunProtocol:
 
     def test_physicality_is_each_samples_uncertainty_eigenvalue(self, fig1_params):
         traj, gtraj = self._gaussian_pair(fig1_params)
-        expected = [gaussian.GaussianState(mean=m, cov=c).uncertainty_min_eig()
+        expected = [gaussian.GaussianState(mean=m, cov=c).validate()
                     for m, c in zip(gtraj.means, gtraj.covs)]
         assert traj.physicality.tobytes() == np.array(expected).tobytes()
 
@@ -382,6 +382,22 @@ class TestAdiabaticityProbe:
         violations = [nxt - prev for prev, nxt in zip(probes[:-1], probes[1:])
                       if nxt > prev + 1e-3]
         assert not violations, f"non-monotone probe values: {probes}"
+
+    def test_linear_ramp_transfer_is_landau_zener(self):
+        # a linear sweep across the anticrossing leaves the diabatic branch
+        # with P_LZ = exp(-2 pi g^2 / v), v = |delta_f - delta_i| / tau, and
+        # takes that share of n_b - n_a into polariton A; the counter-rotating
+        # terms' correction falls with g / omega_b
+        residuals = {}
+        for ratio, taus in ((0.025, (0.2, 0.4)), (0.01, (1.0, 2.0))):
+            p = params(g=ratio * 2000.0)
+            for tau in taus:
+                v = abs(p.delta_f - p.delta_i) / tau
+                p_lz = math.exp(-2.0 * math.pi * p.g**2 / v)
+                probe = adiabaticity_probe(p, tau, "linear")
+                residuals.setdefault(ratio, []).append(abs(probe / (p_lz * (p.n_b - p.n_a)) - 1))
+        assert max(max(r) for r in residuals.values()) <= 5e-3, residuals
+        assert max(residuals[0.01]) < max(residuals[0.025]), residuals
 
     @pytest.mark.parametrize("tau", [0.0125, 0.05])
     @pytest.mark.parametrize("shape", ["linear", "cosine", "adiabatic"])
