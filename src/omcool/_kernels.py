@@ -63,7 +63,11 @@ def _taylor(X, m):
     ident = np.eye(X.shape[-1])
 
     def block(j):
-        return (coef[j, 1:] @ P.reshape(s, -1)).reshape(X.shape) + coef[j, 0] * ident
+        # the identity goes in place: with one more stack temporary, the heap a
+        # chunk frees can pass malloc's trim threshold and refault every chunk
+        B = (coef[j, 1:] @ P.reshape(s, -1)).reshape(X.shape)
+        B += coef[j, 0] * ident
+        return B
 
     Y = block(len(coef) - 1)
     for j in range(len(coef) - 2, -1, -1):
@@ -110,19 +114,19 @@ def expm1(X):
 _GL_SHIFT = math.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at t + h (1/2 -+ sqrt(3)/6)
 
 
-def magnus4(M0, E, C, t, h, delta):
+def magnus4(G, t, h, delta):
     """Fourth-order Magnus propagators of dZ/dt = (M0 + delta(t) E) Z.
 
-    Substep k runs from ``t[k]`` over ``h[k]``; ``delta`` is a vectorized
-    function of time, called once for both Gauss-Legendre nodes of every
-    substep, and ``C = [M0, E]``.  With M_k = M0 + delta(t_k) E at the two
-    nodes, the Magnus exponent h/2 (M_lo + M_hi) + sqrt(3)/12 h^2 [M_hi, M_lo]
-    is a weighted sum of M0, E and C, since [M_hi, M_lo] = (d_lo - d_hi) C:
-    one (K, 3) @ (3, n^2) product for the stack.  Returns the stack of
-    propagators minus the identity.
+    ``G`` is the stack (M0, E, C = [M0, E]).  Substep k runs from ``t[k]``
+    over ``h[k]``; ``delta`` is a vectorized function of time, called once
+    for both Gauss-Legendre nodes of every substep.  With M_k = M0 +
+    delta(t_k) E at the two nodes, the Magnus exponent h/2 (M_lo + M_hi) +
+    sqrt(3)/12 h^2 [M_hi, M_lo] is a weighted sum of G's three matrices,
+    since [M_hi, M_lo] = (d_lo - d_hi) C: one (K, 3) @ (3, n^2) product for
+    the stack.  Returns the stack of propagators minus the identity.
     """
     h = np.asarray(h, dtype=float)
     nodes = t + np.multiply.outer((0.5 - _GL_SHIFT, 0.5 + _GL_SHIFT), h)
     d_lo, d_hi = delta(nodes.ravel()).reshape(nodes.shape)
     w = np.stack((h, 0.5 * h * (d_lo + d_hi), 0.5 * _GL_SHIFT * h**2 * (d_lo - d_hi)), axis=-1)
-    return expm1((w @ np.stack((M0, E, C)).reshape(3, -1)).reshape(h.shape + M0.shape))
+    return expm1((w @ G.reshape(3, -1)).reshape(h.shape + G.shape[1:]))

@@ -63,24 +63,34 @@ def config_fingerprint(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _write_csv(path: str, metadata: dict, header: list[str], table: np.ndarray) -> None:
-    """Write CSV atomically: metadata lines, header, then the rows of the
-    float ``table``, each number as %.12g (an integer below 1e12 prints as one)."""
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` atomically, by a temporary file beside ``path`` that
+    then replaces it; the directory is created, and the mode follows the
+    umask as for a plain open().  A failed write raises ConfigError."""
     out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=out.name, suffix=".tmp")
-    row = ",".join(["%.12g"] * len(header)) + "\n"
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            for key, value in metadata.items():
-                fh.write(f"# {key}={value}\n")
-            fh.write(",".join(header) + "\n")
-            fh.writelines(row % tuple(r) for r in table.tolist())
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=out.name, suffix=".tmp")
+        try:
+            os.umask(umask := os.umask(0))  # read the umask, then restore it
+            os.fchmod(fd, 0o666 & ~umask)
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_csv(path: str, metadata: dict, header: list[str], table: np.ndarray) -> None:
+    """Write CSV: metadata lines, header, then the rows of the float
+    ``table``, each number as %.12g (an integer below 1e12 prints as one)."""
+    row = ",".join(["%.12g"] * len(header)) + "\n"
+    lines = [f"# {key}={value}\n" for key, value in metadata.items()]
+    lines.append(",".join(header) + "\n")
+    _write_file(path, "".join(lines + [row % tuple(r) for r in table.tolist()]))
 
 
 def _metadata(command: str, cfg: dict, engine: str | None = None) -> dict:
@@ -201,7 +211,7 @@ def cmd_cycle(args) -> int:
             "engine": engine,
             "reports": [r.as_dict() for r in reports],
         }
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_file(args.report, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote cycle report to {args.report}")
     return EXIT_OK
 
@@ -253,7 +263,7 @@ def cmd_validate(args) -> int:
             "max_leakage": None if np.isnan(max_leak) else max_leak,
             "threshold": cfg.threshold,
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_file(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote validation report to {args.out}")
     return EXIT_OK if status != "FAIL" else EXIT_NUMERICS
 

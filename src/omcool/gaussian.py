@@ -156,7 +156,8 @@ def polariton_occupations(state: GaussianState, basis: PolaritonBasis) -> tuple[
 
 
 def _stroke_generator(params: SystemParams, span: StrokeSpan):
-    """(M0, E, [M0, E]) of the stroke's Van Loan generator M0 + delta E.
+    """The (3, 2n, 2n) stack (M0, E, [M0, E]) of the stroke's Van Loan
+    generator M0 + delta E.
 
     M(delta) = [[A(delta), D], [0, -A(delta)^T]].  Each mode (a, b,
     targets...) rotates at its frequency and damps at -rate/2 in A, and
@@ -185,7 +186,7 @@ def _stroke_generator(params: SystemParams, span: StrokeSpan):
     E = np.zeros_like(M0)
     E[0, 1] = E[n, n + 1] = -1.0
     E[1, 0] = E[n + 1, n] = 1.0
-    return M0, E, M0 @ E - E @ M0
+    return np.stack((M0, E, M0 @ E - E @ M0))
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -211,10 +212,9 @@ def _segment_map(span: StrokeSpan, generator, a: float, b: float, level: int,
     stroke's propagators are held at once.  A dissipation-free stroke (D = 0)
     has Q = 0 exactly, and its substeps take the n x n drift block alone.
     """
-    M0, E, C = generator
-    n = M0.shape[0] // 2
-    closed = not M0[:n, n:].any()
-    M0, E, C = (X[:n, :n] if closed else X for X in generator)
+    n = generator.shape[-1] // 2
+    closed = not generator[0, :n, n:].any()
+    G = np.ascontiguousarray(generator[:, :n, :n]) if closed else generator
     knots = np.empty(0)
     if span.kind is StrokeKind.RAMP_DETUNING and span.shape == "adiabatic":
         knots = span.duration * span.knots[0][1:-1]
@@ -224,10 +224,10 @@ def _segment_map(span: StrokeSpan, generator, a: float, b: float, level: int,
     h = np.repeat(widths / counts, counts)
     k = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
     t_lo = np.repeat(edges[:-1], counts) + k * h
-    Y = np.zeros_like(M0)
+    Y = np.zeros_like(G[0])
     for i in range(0, h.size, _CHUNK):
         part = slice(i, i + _CHUNK)
-        Y = _compose(_chain(_kernels.magnus4(M0, E, C, t_lo[part], h[part],
+        Y = _compose(_chain(_kernels.magnus4(G, t_lo[part], h[part],
                                              span.delta_values_local)), Y)
     phi = np.eye(n) + Y[:n, :n]
     q = np.zeros((n, n)) if closed else Y[:n, n:] @ phi.T

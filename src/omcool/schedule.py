@@ -187,7 +187,9 @@ class StrokeSpan:
 @dataclass(frozen=True)
 class CycleSchedule:
     """A cycle of strokes starting at detuning ``delta_start``, replayed
-    ``cycle_count`` times."""
+    ``cycle_count`` times.  Its spans are its one time axis and tile it
+    exactly: each span starts where the previous one ends, and ends at
+    ``cycle * period`` plus the stroke's end within the cycle."""
 
     strokes: tuple[Stroke, ...]
     cycle_count: int
@@ -227,25 +229,14 @@ class CycleSchedule:
         period = float(edges[-1])
         spans = []
         for cycle in range(self.cycle_count):
-            base = cycle * period
             for pos, stroke in enumerate(self.strokes):
-                spans.append(
-                    StrokeSpan(
-                        index=cycle * len(self.strokes) + pos,
-                        cycle=cycle,
-                        position=pos,
-                        kind=stroke.kind,
-                        t_start=base + edges[pos],
-                        t_end=base + edges[pos + 1],
-                        duration=stroke.duration,
-                        delta0=d0s[pos],
-                        delta1=d1s[pos],
-                        shape=stroke.shape,
-                        target=stroke.target,
-                        amplitude=stroke.amplitude if stroke.kind is StrokeKind.EXCHANGE_PULSE else 0.0,
-                        knots=stroke.knots,
-                    )
-                )
+                pulse = stroke.kind is StrokeKind.EXCHANGE_PULSE
+                spans.append(StrokeSpan(
+                    index=len(spans), cycle=cycle, position=pos, kind=stroke.kind,
+                    t_start=spans[-1].t_end if spans else 0.0,
+                    t_end=cycle * period + edges[pos + 1], duration=stroke.duration,
+                    delta0=d0s[pos], delta1=d1s[pos], shape=stroke.shape, target=stroke.target,
+                    amplitude=stroke.amplitude if pulse else 0.0, knots=stroke.knots))
         object.__setattr__(self, "_period", period)
         object.__setattr__(self, "_spans", tuple(spans))
         object.__setattr__(self, "_starts", np.array([s.t_start for s in spans]))
@@ -256,7 +247,7 @@ class CycleSchedule:
 
     @property
     def total_duration(self) -> float:
-        return self.cycle_count * self.period
+        return self._spans[-1].t_end
 
     def stroke_index(self, times):
         """Index into ``spans()`` of the stroke that owns each time.
@@ -316,9 +307,10 @@ def stroke_walk(
 
     Returns one ``(span, seg_start, ends)`` per stroke the window overlaps:
     the run enters the stroke at ``seg_start`` and records a sample at each
-    of ``ends``, the last of which is where it leaves the stroke.  The
-    samples are every stroke boundary plus ``samples_per_stroke - 1``
-    uniform interior points per stroke.
+    of ``ends``, the last of which is where it leaves the stroke.  Each
+    stroke is sampled on its own part of the window alone, at
+    ``samples_per_stroke`` uniform points; linspace ends them exactly on the
+    part's end, so, as the spans tile, a run's samples strictly increase.
     """
     if samples_per_stroke < 1:
         raise ValueError(f"samples_per_stroke must be at least 1, got {samples_per_stroke}")
@@ -330,18 +322,10 @@ def stroke_walk(
         raise ValueError(
             f"t_end={t_end} exceeds the schedule duration {schedule.total_duration}"
         )
-    segments = []
-    for span in schedule.spans():
-        lo, hi = max(span.t_start, t_start), min(span.t_end, t_end)
-        if lo < hi:
-            segments.append((span, lo, hi))
-    pts = [np.array([t_start, t_end])]
-    for _, lo, hi in segments:
-        pts.append(np.array([lo, hi]))
-        pts.append(np.linspace(lo, hi, samples_per_stroke + 1)[1:-1])
-    grid = np.sort(np.concatenate(pts))
-    grid = grid[np.append(True, grid[1:] != grid[:-1])]
-    return [(span, lo, grid[(grid > lo) & (grid <= hi)]) for span, lo, hi in segments]
+    parts = [(span, max(span.t_start, t_start), min(span.t_end, t_end))
+             for span in schedule.spans()]
+    return [(span, lo, np.linspace(lo, hi, samples_per_stroke + 1)[1:])
+            for span, lo, hi in parts if lo < hi]
 
 
 @dataclass(frozen=True)

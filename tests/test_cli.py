@@ -447,6 +447,29 @@ class TestCycleCommand:
         text = capsys.readouterr().out
         assert "asymptote" in text
 
+    def test_outputs_create_new_directories(self, tmp_path):
+        path = write_config(tmp_path, "cyc.json", small_cycle_config())
+        out, report = tmp_path / "runs" / "traj.csv", tmp_path / "reports" / "a" / "cyc.json"
+        assert run_cli("cycle", "--config", path, "--out", str(out),
+                       "--report", str(report)) == 0
+        assert read_csv(out)[2] and json.loads(report.read_text())["reports"]
+        # written as a plain open() would: the mode follows the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        for written in (out, report):
+            assert written.stat().st_mode & 0o777 == 0o666 & ~umask
+            assert os.listdir(written.parent) == [written.name]
+
+    def test_report_naming_a_directory_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "cyc.json", small_cycle_config())
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert run_cli("cycle", "--config", path, "--out", str(tmp_path / "t.csv"),
+                       "--report", str(taken)) == 2
+        assert f"cannot write {taken}: Is a directory" in capsys.readouterr().err
+        assert taken.is_dir() and not any(taken.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cyc.json", "t.csv", "taken"]
+
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, "cyc.json", small_cycle_config())
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -509,6 +532,18 @@ class TestValidateCommand:
         payload = json.loads(report.read_text())
         assert payload["status"] == "PASS"
         assert payload["max_deviation"] < 1e-4
+
+    def test_report_into_a_new_directory(self, tmp_path):
+        report = tmp_path / "reports" / "a" / "val.json"
+        assert run_cli("validate", "--config", self.swap_config(tmp_path),
+                       "--out", str(report)) == 0
+        assert json.loads(report.read_text())["status"] == "PASS"
+
+    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys):
+        path = self.swap_config(tmp_path)
+        assert run_cli("validate", "--config", path, "--out", str(tmp_path)) == 2
+        assert f"cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["swap.json"]
 
     def test_tiny_cutoffs_inconclusive(self, tmp_path, capsys, monkeypatch):
         # the Fock initial state's tail check settles it: no engine runs

@@ -314,9 +314,9 @@ class TestPropagateContract:
         stacks = []
         magnus4 = _kernels.magnus4
 
-        def counting_magnus4(M0, E, C, t, h, delta):
+        def counting_magnus4(G, t, h, delta):
             stacks.append(h.size)
-            return magnus4(M0, E, C, t, h, delta)
+            return magnus4(G, t, h, delta)
 
         monkeypatch.setattr(_kernels, "magnus4", counting_magnus4)
         chunked = gaussian._segment_map(span, generator, 0.0, span.duration, 1, fmax)
@@ -369,10 +369,10 @@ class TestDissipationFreeMaps:
         fmax = span_fmax(span, p) if span.kind is StrokeKind.RAMP_DETUNING else 0.0
         substeps, magnus4 = [], _kernels.magnus4
 
-        def spy(M0, E, C, t, h, delta):
+        def spy(G, t, h, delta):
             # each n x n propagator is the top-left block of the full generator's
-            full = magnus4(*generator, t, h, delta)
-            closed = magnus4(M0, E, C, t, h, delta)
+            full = magnus4(generator, t, h, delta)
+            closed = magnus4(G, t, h, delta)
             assert closed.shape[1:] == (n, n) and not full[:, :n, n:].any()
             assert np.abs(closed - full[:, :n, :n]).max() <= 1e-15 * np.abs(full).max()
             substeps.append(full)
@@ -396,16 +396,16 @@ class TestDissipationFreeMaps:
         p = params(kappa=kappa, gamma=gamma)
         shapes, magnus4 = set(), _kernels.magnus4
 
-        def spy(M0, E, C, t, h, delta):
-            shapes.add(M0.shape)
-            return magnus4(M0, E, C, t, h, delta)
+        def spy(G, t, h, delta):
+            shapes.add(G.shape)
+            return magnus4(G, t, h, delta)
 
         monkeypatch.setattr(_kernels, "magnus4", spy)
         sched = build_default_cycle(p, 0.04, 0.008, 0.04, 0.1, targets=[0])
         propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
                   tol=1e-7, params=p, samples_per_stroke=2)
         n = 2 * p.n_modes
-        assert shapes == ({(n, n)} if kappa == gamma == 0.0 else {(2 * n, 2 * n)})
+        assert shapes == ({(3, n, n)} if kappa == gamma == 0.0 else {(3, 2 * n, 2 * n)})
 
 
 class TestPolaritonObservables:

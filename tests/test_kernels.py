@@ -96,10 +96,10 @@ def _run_span(nsteps):
     """Moments after a linear fig1-scale ramp, in nsteps uniform Magnus-4 steps."""
     p = fig1_like()
     span = _ramp_schedule(p, RAMP_T, "linear").spans()[0]
-    M0, E, C = _stroke_generator(p, span)
+    G = _stroke_generator(p, span)
     h = np.full(nsteps, RAMP_T / nsteps)
     Z = np.eye(12)
-    for step in _kernels.magnus4(M0, E, C, h * np.arange(nsteps), h, span.delta_values_local):
+    for step in _kernels.magnus4(G, h * np.arange(nsteps), h, span.delta_values_local):
         Z = (np.eye(12) + step) @ Z
     phi = Z[:6, :6]
     mean = np.array([0.3, -0.1, 0.2, 0.0, 0.05, -0.2])
@@ -186,7 +186,8 @@ class TestBackends:
         # one delta call for both Gauss nodes of every substep, and one
         # weight-table product for the exponents
         rng = np.random.default_rng(size + K)
-        M0, E, C = rng.standard_normal((3, size, size))
+        G = rng.standard_normal((3, size, size))
+        M0, E, C = G
         t, h = rng.uniform(0.0, 1.0, K), rng.uniform(1e-3, 1e-2, K)
         calls, exponents = [], []
 
@@ -195,7 +196,7 @@ class TestBackends:
             return 300.0 * np.cos(7.0 * times)
 
         monkeypatch.setattr(_kernels, "expm1", lambda X: exponents.append(X) or X)
-        _kernels.magnus4(M0, E, C, t, h, delta)
+        _kernels.magnus4(G, t, h, delta)
         assert calls == [2 * K]
         shift = math.sqrt(3.0) / 6.0
         d_lo, d_hi = (delta(t + (0.5 + s) * h)[:, None, None] for s in (-shift, shift))

@@ -1,5 +1,6 @@
-"""Property tests: config files round-trip exactly, and the detuning of any
-valid schedule is continuous across its stroke boundaries."""
+"""Property tests: config files round-trip exactly, and the stroke spans of
+any valid schedule tile its time axis, with the detuning continuous across
+their boundaries."""
 
 import json
 import math
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omcool.config import load_config_file, parse_cycle_config
-from omcool.schedule import CycleSchedule, Stroke, StrokeKind, adiabatic_ramp_profile
+from omcool.schedule import (CycleSchedule, Stroke, StrokeKind, adiabatic_ramp_profile,
+                             stroke_walk)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -145,7 +147,7 @@ def schedule(draw):
             strokes.append(Stroke.exchange(s["target"], s["amplitude"], s["duration"]))
         else:
             strokes.append(Stroke.hold(s["duration"]))
-    return CycleSchedule(strokes=tuple(strokes), cycle_count=draw(st.integers(1, 3)),
+    return CycleSchedule(strokes=tuple(strokes), cycle_count=draw(st.integers(1, 64)),
                          delta_start=params["delta_i"])
 
 
@@ -174,3 +176,18 @@ def test_vectorized_delta_matches_scalar(sched, fractions):
         assert span.t_start <= t and (t < span.t_end or k == len(spans) - 1)
         assert d == span.delta_values_local(np.array([t - span.t_start]))[0]
         assert sched.delta_at(float(t)) == d
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule(), st.integers(1, 8))
+def test_spans_tile_and_every_walk_strictly_increases(sched, samples):
+    spans = sched.spans()
+    for left, right in zip(spans[:-1], spans[1:]):
+        assert right.t_start == left.t_end
+    assert sched.total_duration == spans[-1].t_end
+    walk = stroke_walk(sched, 0.0, sched.total_duration, samples)
+    assert [span.index for span, _, _ in walk] == list(range(len(spans)))
+    times = np.concatenate([[0.0]] + [ends for _, _, ends in walk])
+    assert np.all(np.diff(times) > 0)
+    for span, seg_start, ends in walk:
+        assert seg_start == span.t_start and ends.size == samples and ends[-1] == span.t_end

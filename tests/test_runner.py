@@ -161,6 +161,37 @@ class TestRunProtocol:
             )
 
 
+class TestManyCycles:
+    """Runs past the bundled cycle counts, toward the periodic steady state:
+    they sample every stroke boundary on one strictly increasing time axis,
+    and their leading cycles are the bundled runs, bitwise."""
+
+    @staticmethod
+    def run(cfg):
+        return run_protocol(cfg.params, cfg.schedule, cfg.engine, cfg.initial, tol=cfg.tol,
+                            samples_per_stroke=cfg.samples_per_stroke)
+
+    @pytest.mark.parametrize("name, cycles, rows", [("fig1", 14, 2241), ("fig2", 8, 2561)])
+    def test_long_run_extends_the_bundled_run(self, name, cycles, rows):
+        raw = load_config_file(name)
+        bundled = parse_cycle_config(raw)
+        cfg = parse_cycle_config({**raw, "schedule": {**raw["schedule"], "cycles": cycles}})
+        long = self.run(cfg)
+        per_cycle = len(cfg.schedule.strokes) * cfg.samples_per_stroke
+        assert long.times.size == 1 + cycles * per_cycle == rows
+        assert np.all(np.isin(cfg.schedule.boundaries(), long.times))
+        short = self.run(bundled)
+        n = short.times.size
+        assert n == 1 + bundled.schedule.cycle_count * per_cycle
+        for field in ("times", "occupations", "n_polariton", "delta", "omega0_active",
+                      "physicality"):
+            assert np.array_equal(getattr(long, field)[:n], getattr(short, field)), field
+        # the bundled run's final instant stays in its last stroke; the long
+        # run's sample there starts the next cycle
+        assert np.array_equal(long.stroke_index[:n - 1], short.stroke_index[:-1])
+        assert long.stroke_index[n - 1] == short.stroke_index[-1] + 1
+
+
 class TestEngineRecord:
     def test_both_engines_return_one_record(self, monkeypatch):
         cfg = parse_cycle_config(load_config_file("smalltest"), for_validate=True)

@@ -261,6 +261,19 @@ class TestStrokeWalk:
             assert np.allclose(ends, span.t_start + span.duration * np.arange(1, 5) / 4,
                                rtol=0, atol=1e-15)
 
+    def test_fifty_fig1_cycles_tile_exactly(self):
+        # spans placed at cycle * period + edge left a +2.2e-16 gap after span
+        # 23 and -4.4e-16 overlaps after spans 51 and 59, where a walk gave one
+        # boundary time to two strokes
+        sched = build_default_cycle(fig1_like(), 0.04, 0.008, 0.04, 0.1,
+                                    targets=[0], cycles=50)
+        spans = sched.spans()
+        assert all(r.t_start == l.t_end for l, r in zip(spans[:-1], spans[1:]))
+        assert sched.total_duration == spans[-1].t_end
+        walk = stroke_walk(sched, 0.0, sched.total_duration, 4)
+        times = np.concatenate([[0.0]] + [ends for _, _, ends in walk])
+        assert times.size == 1 + 4 * len(spans) and np.all(np.diff(times) > 0)
+
     def test_empty_window_has_no_segments(self):
         assert stroke_walk(self.make(), 0.05, 0.05, 4) == []
 
