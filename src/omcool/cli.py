@@ -17,6 +17,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -82,6 +83,16 @@ def _write_file(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Refuse, as a failed write would, a path that names a directory or lies in no
+    writable one: its nearest existing ancestor must be a writable directory."""
+    up = next(p for p in Path(path).absolute().parents if p.exists())
+    code = (errno.EISDIR if Path(path).is_dir() else errno.ENOTDIR if not up.is_dir()
+            else None if os.access(up, os.W_OK | os.X_OK) else errno.EACCES)
+    if code:
+        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_csv(path: str, metadata: dict, header: list[str], table: np.ndarray) -> None:
@@ -306,6 +317,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in filter(None, map(vars(args).get, ("out", "report"))):  # before any run
+            _check_writable(path)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

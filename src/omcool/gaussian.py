@@ -15,21 +15,21 @@ Being linear, each stretch of a stroke is an affine map on the moments,
 <z> -> Phi <z> and sigma -> Phi sigma Phi^T + Q.  Both come from the
 propagator Z of Van Loan's block generator M = [[A, D], [0, -A^T]]
 (C. Van Loan, IEEE TAC 23, 395 (1978)): Phi = Z_11 and Q = Z_12 Z_11^T,
-which holds for time-dependent A as well; a dissipation-free stroke has
-D = 0, Q = 0 and Phi from the n x n drift A alone.  Exchange and hold
-strokes have a constant generator, so one exponential per sample segment is
-exact.  Ramps use fourth-order Magnus substeps, at most 1/f_max long for the
-largest frequency scale f_max of the stroke and cut at every knot of a
-tabulated ramp profile, whose kinks would otherwise cap the order.
+which holds for time-dependent A as well.  The modes a stroke couples, the
+pair (a, b) and an exchange's pulsed target, take fourth-order Magnus
+substeps, at most 1/f_max long for the stroke's largest frequency scale f_max
+and cut at every knot of a tabulated ramp profile, whose kinks would otherwise
+cap the order; every other target is mapped exactly by one exponential per
+segment width.  A block without diffusion has Q = 0 and takes its drift alone.
 
 Error control: each ramp is run with m and 2m substeps per piece (m = 1,
 2, 4, ...); the ramp is accepted once the two agree within 15 tol at every
 sample, and the 2m result is kept.  A constant stroke's maps are exact at
-every m, so it runs at m = 2 alone.  Maps are built once per stroke
-position, sample offset and m inside one ``propagate`` call, so later
-cycles reuse the first cycle's maps while the check still runs on every
-application.  A non-finite drift, map, state or error estimate raises
-IntegrationError.
+every m, so it runs at m = 2 alone.  A stroke's maps at each m are built in
+one pass, kept by stroke position, sample offset and m inside one
+``propagate`` call, so later cycles reuse the first cycle's maps while the
+check still runs on every application.  A non-finite drift, map, state or
+error estimate raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from .schedule import CycleSchedule, Samples, StrokeKind, StrokeSpan, span_fmax,
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
 _MAX_REFINE = 14
-# substeps per Magnus-4 stack: the Taylor exponential holds a stack's powers
-# X..X^s at once, so the stack length sets their peak memory
+# substeps per Magnus-4 stack, which a stroke's segments share: the Taylor
+# exponential holds a stack's powers X..X^s at once, so it sets their peak memory
 _CHUNK = 128
 
 
@@ -195,43 +195,66 @@ def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
 
 
 def _chain(Y: np.ndarray) -> np.ndarray:
-    """Time-ordered product of the propagators I + Y[k], minus I, by pairwise reduction."""
-    while Y.shape[0] > 1:
-        half = Y.shape[0] // 2
-        Y = np.concatenate((_compose(Y[1:2 * half:2], Y[0:2 * half:2]), Y[2 * half:]))
-    return Y[0]
+    """Time-ordered products of the propagators I + Y[:, k] over a power-of-two
+    count of k, minus I, by pairwise reduction; trailing identities (Y = 0)
+    change them in no bit, so they pad any count."""
+    while Y.shape[1] > 1:
+        Y = _compose(Y[:, 1::2], Y[:, ::2])
+    return Y[:, 0]
 
 
-def _segment_map(span: StrokeSpan, generator, a: float, b: float, level: int,
-                 fmax: float) -> tuple:
-    """(Phi, Q) of the stroke over local times [a, b].
-
-    The interval is cut at the ramp-table knots inside it and each piece
-    into ``level`` times ceil(width * fmax) Magnus-4 substeps (``level``
-    alone for fmax = 0), composed in chunks of ``_CHUNK`` so that no whole
-    stroke's propagators are held at once.  A dissipation-free stroke (D = 0)
-    has Q = 0 exactly, and its substeps take the n x n drift block alone.
-    """
+def _stroke_maps(span: StrokeSpan, generator, segments, level: int, fmax: float) -> tuple:
+    """Stacked (Phi, Q) of the stroke over each of the disjoint, time-ordered
+    local intervals (a, b) of ``segments``.  Each is cut at the ramp-table
+    knots inside it and each piece into ``level`` times ceil(width * fmax)
+    Magnus-4 substeps (``level`` alone for fmax = 0) of the coupled block;
+    all intervals share stacks of at most ``_CHUNK``, and each product is
+    chained from its slices of them."""
     n = generator.shape[-1] // 2
-    closed = not generator[0, :n, n:].any()
-    G = np.ascontiguousarray(generator[:, :n, :n]) if closed else generator
-    knots = np.empty(0)
-    if span.kind is StrokeKind.RAMP_DETUNING and span.shape == "adiabatic":
-        knots = span.duration * span.knots[0][1:-1]
-    edges = np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
-    widths = np.diff(edges)
+    a, b = np.array(segments).T
+    knots = np.empty(0) if span.knots is None else span.duration * span.knots[0][1:-1]
+    # the first interval ending at or after a knot is the only one that can hold it
+    seg = np.minimum(np.searchsorted(b, knots), b.size - 1)
+    inner = (a[seg] < knots) & (knots < b[seg])
+    starts = np.sort(np.concatenate((a, knots[inner])))
+    widths = np.sort(np.concatenate((knots[inner], b))) - starts
     counts = level * np.maximum(1, np.ceil(widths * fmax - 1e-9)).astype(np.int64)
-    h = np.repeat(widths / counts, counts)
-    k = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    t_lo = np.repeat(edges[:-1], counts) + k * h
-    Y = np.zeros_like(G[0])
-    for i in range(0, h.size, _CHUNK):
-        part = slice(i, i + _CHUNK)
-        Y = _compose(_chain(_kernels.magnus4(G, t_lo[part], h[part],
-                                             span.delta_values_local)), Y)
-    phi = np.eye(n) + Y[:n, :n]
-    q = np.zeros((n, n)) if closed else Y[:n, n:] @ phi.T
-    return phi, 0.5 * (q + q.T)
+    last = np.cumsum(counts)  # one past each piece's last substep
+    owner = np.searchsorted(b, starts, "right")  # each piece's interval
+
+    pulsed = span.target is not None and span.amplitude != 0.0
+    coupled = [0, 1] + ([2 + span.target] if pulsed else [])
+    free = [mode for mode in range(2, n // 2) if mode not in coupled]
+    phi, noise = np.zeros((2, b.size, n, n))
+    for modes in filter(None, (coupled, free)):
+        q = (2 * np.array(modes)[:, None] + (0, 1)).ravel()
+        # a block without diffusion has Q = 0 and takes its drift alone
+        closed = not generator[0][np.ix_(q, n + q)].any()
+        rows = q if closed else np.concatenate((q, n + q))
+        G = generator[:, rows[:, None], rows]
+        if modes is free:
+            # a free target's block is constant: one exponential per width is exact
+            width, which = np.unique(b - a, return_inverse=True)
+            Y = _kernels.expm1(width[:, None, None] * G[0])[which]
+        else:
+            Y = np.zeros((b.size,) + G.shape[1:])
+            # the grid is formed a stack at a time, so its memory does not grow with level
+            for i in range(0, last[-1], _CHUNK):
+                k = np.arange(i, min(i + _CHUNK, last[-1]))
+                p = np.searchsorted(last, k, "right")  # each substep's piece
+                h = widths[p] / counts[p]
+                Z = _kernels.magnus4(G, starts[p] + (k - last[p] + counts[p]) * h, h,
+                                     span.delta_values_local)
+                # each interval's substeps in the stack as one row, padded with identities
+                s = owner[p]
+                col = np.arange(s.size) - np.searchsorted(s, s)
+                pad = np.zeros((s[-1] - s[0] + 1, 1 << int(col.max()).bit_length()) + Z.shape[1:])
+                pad[s - s[0], col] = Z
+                Y[s[0]:s[-1] + 1] = _compose(_chain(pad), Y[s[0]:s[-1] + 1])
+        phi[:, q[:, None], q] = block = np.eye(q.size) + Y[:, :q.size, :q.size]
+        if not closed:
+            noise[:, q[:, None], q] = Y[:, :q.size, q.size:] @ np.swapaxes(block, -1, -2)
+    return phi, 0.5 * (noise + np.swapaxes(noise, -1, -2))
 
 
 def _apply(phi: np.ndarray, q: np.ndarray, mean: np.ndarray, cov: np.ndarray):
@@ -289,15 +312,19 @@ def propagate(
 
         def sweep(level):
             """(mean, cov) at each of the stroke's samples, reached by its maps at ``level``."""
-            out, m, c = [], mean, cov
-            for a, b, offset in zip(local[:-1], local[1:], offsets):
-                key = (span.position, level, *offset)
+            keys = [(span.position, level, *offset) for offset in offsets]
+            todo = {}
+            for key, a, b in zip(keys, local[:-1], local[1:]):
                 if key not in maps:
-                    phi, q = _segment_map(span, generator, a, b, level, fmax)
-                    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(q))):
-                        raise IntegrationError(
-                            f"non-finite stroke map in stroke {span.index}", time=seg_start)
-                    maps[key] = phi, q
+                    todo.setdefault(key, (a, b))
+            if todo:
+                phis, qs = _stroke_maps(span, generator, list(todo.values()), level, fmax)
+                if not (np.all(np.isfinite(phis)) and np.all(np.isfinite(qs))):
+                    raise IntegrationError(
+                        f"non-finite stroke map in stroke {span.index}", time=seg_start)
+                maps.update(zip(todo, zip(phis, qs)))
+            out, m, c = [], mean, cov
+            for key in keys:
                 m, c = _apply(*maps[key], m, c)
                 out.append((m, c))
             return out

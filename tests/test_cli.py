@@ -320,6 +320,41 @@ def test_bad_config_exits_2_naming_its_key(tmp_path, capsys, monkeypatch,
     assert expected in capsys.readouterr().err
 
 
+UNWRITABLE = [("cycle", "--out"), ("cycle", "--report"), ("validate", "--out"),
+              ("spectrum", "--out"), ("limit", "--out")]
+
+
+@pytest.mark.parametrize("reason", ["Is a directory", "Not a directory", "Permission denied"])
+@pytest.mark.parametrize("command, flag", UNWRITABLE)
+def test_unwritable_output_exits_2_before_any_engine(tmp_path, capsys, monkeypatch,
+                                                     command, flag, reason):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the output path was refused")
+
+    monkeypatch.setattr("omcool.cli.run_protocol", no_engine)
+    bases = {"cycle": small_cycle_config(), "validate": small_cycle_config(),
+             "spectrum": SPECTRUM_BASE, "limit": LIMIT_BASE}
+    config = write_config(tmp_path, "cfg.json", bases[command])
+    if reason == "Is a directory":
+        bad = tmp_path / "taken"
+        bad.mkdir()
+    elif reason == "Not a directory":
+        # an ancestor that exists as a file cannot be created as a directory
+        bad = Path(config) / "runs" / "out.csv"
+    else:
+        # the nearest existing ancestor is refused write access
+        bad = tmp_path / "locked" / "out.csv"
+        (tmp_path / "locked").mkdir()
+        access = os.access
+        monkeypatch.setattr("omcool.cli.os.access",
+                            lambda p, mode: Path(p).name != "locked" and access(p, mode))
+    paths = {"--out": str(tmp_path / "ok.csv"), flag: str(bad)}
+    argv = [command, "--config", config] + [x for item in paths.items() for x in item]
+    assert run_cli(*argv) == 2
+    assert f"cannot write {bad}: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "ok.csv").exists()
+
+
 def test_strokes_schedule_with_adiabatic_ramps_matches_default_cycle():
     # the custom-stroke path builds each adiabatic profile from the params,
     # the return ramp's as the reverse of the outward one, so spelling out
@@ -468,7 +503,8 @@ class TestCycleCommand:
                        "--report", str(taken)) == 2
         assert f"cannot write {taken}: Is a directory" in capsys.readouterr().err
         assert taken.is_dir() and not any(taken.iterdir())
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cyc.json", "t.csv", "taken"]
+        # refused before the run, so the trajectory is not written either
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cyc.json", "taken"]
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, "cyc.json", small_cycle_config())

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 from scipy.linalg import solve_continuous_lyapunov
 
 from omcool import _kernels, gaussian
+from omcool.config import load_config_file, parse_cycle_config
 from omcool.errors import IntegrationError, StabilityError
 from omcool.gaussian import (
     GaussianState,
@@ -123,18 +125,18 @@ class TestStackedChecks:
     def test_propagate_raises_the_first_failing_samples_error(self, fig1_params, monkeypatch):
         # a stroke map that removes noise drives the state below the
         # uncertainty bound partway through the second stroke
-        segment_map, check_samples = gaussian._segment_map, gaussian.check_samples
+        stroke_maps, check_samples = gaussian._stroke_maps, gaussian.check_samples
         seen = []
 
         def drained(span, *args):
-            phi, q = segment_map(span, *args)
+            phi, q = stroke_maps(span, *args)
             return phi, -30.0 * q if span.index == 1 else q
 
         def recorded(*samples):
             seen.append(samples)
             return check_samples(*samples)
 
-        monkeypatch.setattr(gaussian, "_segment_map", drained)
+        monkeypatch.setattr(gaussian, "_stroke_maps", drained)
         monkeypatch.setattr(gaussian, "check_samples", recorded)
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
         with pytest.raises(IntegrationError, match="uncertainty relation violated") as err:
@@ -194,6 +196,18 @@ class TestSteadyState:
                          tol=1e-10, params=p)
         total = traj.occupations[:, 1:].sum(axis=1)
         assert np.max(np.abs(total - 14.0)) < 1e-8
+
+
+def spy_stacks(monkeypatch):
+    """The (t, h) of every Magnus stack built from here on, in order."""
+    stacks, magnus4 = [], _kernels.magnus4
+
+    def spy(G, t, h, delta):
+        stacks.append((np.array(t), np.array(h)))
+        return magnus4(G, t, h, delta)
+
+    monkeypatch.setattr(_kernels, "magnus4", spy)
+    return stacks
 
 
 class TestPropagateContract:
@@ -264,17 +278,17 @@ class TestPropagateContract:
         # a refused attempt's fine sweep is the next attempt's coarse sweep,
         # so accepting level 2^k applies the maps of k + 1 levels, not 2k
         levels, applied = set(), []
-        segment_map, apply = gaussian._segment_map, gaussian._apply
+        stroke_maps, apply = gaussian._stroke_maps, gaussian._apply
 
-        def counting_map(span, generator, a, b, level, fmax):
+        def counting_maps(span, generator, segments, level, fmax):
             levels.add(level)
-            return segment_map(span, generator, a, b, level, fmax)
+            return stroke_maps(span, generator, segments, level, fmax)
 
         def counting_apply(*args):
             applied.append(None)
             return apply(*args)
 
-        monkeypatch.setattr(gaussian, "_segment_map", counting_map)
+        monkeypatch.setattr(gaussian, "_stroke_maps", counting_maps)
         monkeypatch.setattr(gaussian, "_apply", counting_apply)
         sched = CycleSchedule(strokes=(Stroke.ramp(-6000.0, -600.0, 0.04),),
                               cycle_count=1, delta_start=-6000.0)
@@ -289,13 +303,13 @@ class TestPropagateContract:
         # a hold or exchange map is exact at every level, so only the ramps
         # compare two levels
         levels = {}
-        segment_map = gaussian._segment_map
+        stroke_maps = gaussian._stroke_maps
 
-        def recording_map(span, generator, a, b, level, fmax):
+        def recording_maps(span, generator, segments, level, fmax):
             levels.setdefault(span.kind, set()).add(level)
-            return segment_map(span, generator, a, b, level, fmax)
+            return stroke_maps(span, generator, segments, level, fmax)
 
-        monkeypatch.setattr(gaussian, "_segment_map", recording_map)
+        monkeypatch.setattr(gaussian, "_stroke_maps", recording_maps)
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
         propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
                   tol=1e-10, params=fig1_params, samples_per_stroke=4)
@@ -311,23 +325,96 @@ class TestPropagateContract:
         assert span.shape == "adiabatic"
         generator = gaussian._stroke_generator(fig1_params, span)
         fmax = span_fmax(span, fig1_params)
-        stacks = []
-        magnus4 = _kernels.magnus4
-
-        def counting_magnus4(G, t, h, delta):
-            stacks.append(h.size)
-            return magnus4(G, t, h, delta)
-
-        monkeypatch.setattr(_kernels, "magnus4", counting_magnus4)
-        chunked = gaussian._segment_map(span, generator, 0.0, span.duration, 1, fmax)
-        substeps = sum(stacks)
-        assert len(stacks) > 1 and max(stacks) == gaussian._CHUNK
+        stacks = spy_stacks(monkeypatch)
+        whole_ramp = [(0.0, span.duration)]
+        chunked = gaussian._stroke_maps(span, generator, whole_ramp, 1, fmax)
+        substeps = sum(h.size for _, h in stacks)
+        assert len(stacks) > 1 and max(h.size for _, h in stacks) == gaussian._CHUNK
         monkeypatch.setattr(gaussian, "_CHUNK", substeps + 1)
         stacks.clear()
-        whole = gaussian._segment_map(span, generator, 0.0, span.duration, 1, fmax)
-        assert stacks == [substeps]
+        whole = gaussian._stroke_maps(span, generator, whole_ramp, 1, fmax)
+        assert [h.size for _, h in stacks] == [substeps]
         for x, y in zip(chunked, whole):
             assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
+
+    @pytest.mark.filterwarnings("ignore::omcool.errors.AdiabaticityWarning")
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("case", ["fig1-adiabatic", "smalltest-cosine"])
+    def test_batched_maps_match_one_stack_per_segment(self, case, level, fig1_params,
+                                                     small_params, monkeypatch):
+        # the maps of all a stroke's segments come from shared stacks; each
+        # must match its segment built alone in one stack.  smalltest's ramp
+        # holds few substeps, so its chunks are shortened to cut its segments
+        if case == "fig1-adiabatic":
+            p, taus, shape, segments, chunk = fig1_params, (0.04, 0.008, 0.04, 0.1), \
+                "adiabatic", 40, gaussian._CHUNK
+        else:
+            p, taus, shape, segments, chunk = small_params, (0.3, 0.32, 0.3, 0.5), \
+                "cosine", 4, 5
+        span = build_default_cycle(p, *taus, targets=[0], ramp_shape=shape).spans()[0]
+        generator = gaussian._stroke_generator(p, span)
+        fmax = span_fmax(span, p)
+        edges = np.linspace(0.0, span.duration, segments + 1)
+        intervals = list(zip(edges[:-1], edges[1:]))
+        stacks = spy_stacks(monkeypatch)
+        monkeypatch.setattr(gaussian, "_CHUNK", chunk)
+        phi, q = gaussian._stroke_maps(span, generator, intervals, level, fmax)
+        assert phi.shape == q.shape == (segments, 6, 6)
+        assert max(h.size for _, h in stacks) <= chunk
+        cuts = [t[0] for t, _ in stacks[1:]]
+        assert any(a < cut < b for cut in cuts for a, b in intervals)
+        monkeypatch.setattr(gaussian, "_CHUNK", 10**6)
+        for k, interval in enumerate(intervals):
+            stacks.clear()
+            alone = gaussian._stroke_maps(span, generator, [interval], level, fmax)
+            assert len(stacks) == 1
+            for batched, single in zip((phi[k], q[k]), alone):
+                assert np.abs(batched - single[0]).max() <= 1e-14 * np.abs(single[0]).max()
+
+    @pytest.mark.parametrize("position", [4, 5])
+    def test_fig2_maps_match_the_full_generators_expm(self, position, monkeypatch):
+        # fig2's second sub-cycle: a ramp leaves both targets free, the
+        # exchange couples target 1 and leaves target 0 free.  Each map must
+        # match scipy's expm of the whole 16 x 16 Van Loan generator, over the
+        # Magnus exponents of _stroke_maps's own substeps on the ramp
+        cfg = parse_cycle_config(load_config_file("fig2"))
+        p, span = cfg.params, cfg.schedule.spans()[position]
+        ramp = span.kind is StrokeKind.RAMP_DETUNING
+        assert ramp or (span.kind is StrokeKind.EXCHANGE_PULSE and span.target == 1)
+        generator = gaussian._stroke_generator(p, span)
+        n = generator.shape[-1] // 2
+        edges = np.linspace(0.0, span.duration, 5)
+        intervals = list(zip(edges[:-1], edges[1:]))
+        stacks = spy_stacks(monkeypatch)
+        phi, q = gaussian._stroke_maps(span, generator, intervals, 1 if ramp else 2,
+                                       span_fmax(span, p) if ramp else 0.0)
+        assert n == 8
+        M0, E, C = generator
+        t, h = (np.concatenate(x) for x in zip(*stacks))
+        shift = math.sqrt(3.0) / 6.0
+        d_lo, d_hi = (span.delta_values_local(t + (0.5 + s) * h) for s in (-shift, shift))
+        for k, (a, b) in enumerate(intervals):
+            if ramp:
+                Z = np.eye(2 * n)
+                for i in np.flatnonzero((t >= a) & (t < b)):
+                    Z = scipy_expm(h[i] * M0 + 0.5 * h[i] * (d_lo[i] + d_hi[i]) * E
+                                   + 0.5 * shift * h[i]**2 * (d_lo[i] - d_hi[i]) * C) @ Z
+            else:
+                Z = scipy_expm((b - a) * (M0 + span.delta0 * E))
+            ref_phi, ref_q = Z[:n, :n], Z[:n, n:] @ Z[:n, :n].T
+            assert np.abs(phi[k] - ref_phi).max() <= 1e-12 * np.abs(ref_phi).max()
+            assert np.abs(q[k] - ref_q).max() <= 1e-12 * np.abs(ref_q).max()
+
+    @pytest.mark.filterwarnings("ignore::omcool.errors.AdiabaticityWarning")
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_no_magnus_stack_exceeds_a_chunk(self, name, monkeypatch):
+        cfg = parse_cycle_config(load_config_file(name))
+        stacks = spy_stacks(monkeypatch)
+        propagate(thermal_state([0.5, 2.0, *cfg.params.n_targets]), cfg.schedule,
+                  cfg.schedule.total_duration, tol=cfg.tol, params=cfg.params,
+                  samples_per_stroke=cfg.samples_per_stroke)
+        sizes = [h.size for _, h in stacks]
+        assert max(sizes) == gaussian._CHUNK and sum(sizes) > 10 * gaussian._CHUNK
 
     def test_sample_grid_includes_boundaries(self, fig1_params):
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
@@ -348,8 +435,8 @@ class TestPropagateContract:
 
 
 class TestDissipationFreeMaps:
-    """kappa = gamma = 0 leaves D = 0: the Van Loan generator is block
-    diagonal, Q vanishes and Phi comes from the n x n drift alone."""
+    """kappa = gamma = 0 leaves D = 0: every block of the Van Loan generator
+    is block diagonal, Q vanishes and Phi comes from the drift alone."""
 
     STROKES = {
         "linear": Stroke.ramp(-6000.0, -600.0, 0.04, "linear"),
@@ -370,29 +457,38 @@ class TestDissipationFreeMaps:
         substeps, magnus4 = [], _kernels.magnus4
 
         def spy(G, t, h, delta):
-            # each n x n propagator is the top-left block of the full generator's
+            # each pair propagator is the pair's block of the full generator's
             full = magnus4(generator, t, h, delta)
             closed = magnus4(G, t, h, delta)
-            assert closed.shape[1:] == (n, n) and not full[:, :n, n:].any()
-            assert np.abs(closed - full[:, :n, :n]).max() <= 1e-15 * np.abs(full).max()
+            assert closed.shape[1:] == (4, 4) and not full[:, :n, n:].any()
+            assert np.abs(closed - full[:, :4, :4]).max() <= 1e-15 * np.abs(full).max()
             substeps.append(full)
             return closed
 
         monkeypatch.setattr(_kernels, "magnus4", spy)
-        phi, q = gaussian._segment_map(span, generator, 0.0, span.duration, 2, fmax)
-        assert q.shape == (n, n) and not q.any()
+        phi, q = gaussian._stroke_maps(span, generator, [(0.0, span.duration)], 2, fmax)
+        assert q.shape == (1, n, n) and not q.any()
         Y = np.zeros_like(generator[0])
         for full in substeps:
-            Y = gaussian._compose(gaussian._chain(full), Y)
+            for step in full:
+                Y = gaussian._compose(step, Y)
+        # the pair's block is the full walk's; the free target's is its exact
+        # rotation, which the walk's ~500 substeps miss by ~2e-14
         reference = np.eye(n) + Y[:n, :n]
-        # Pade-13's linear solve rounds differently at n and 2n (<= 6e-17 per
+        angle = p.delta_targets[0] * span.duration
+        reference[4:, 4:] = [[math.cos(angle), math.sin(angle)],
+                             [-math.sin(angle), math.cos(angle)]]
+        assert not reference[:4, 4:].any() and not reference[4:, :4].any()
+        # Pade-13's linear solves round differently at n and 2n (<= 6e-17 per
         # substep on fig1's fastest substeps); composing ~500 of them adds up
-        assert np.abs(phi - reference).max() <= 1e-14 * np.abs(reference).max()
+        assert np.abs(phi[0] - reference).max() <= 1e-14 * np.abs(reference).max()
 
     @pytest.mark.parametrize("kappa, gamma", [(0.0, 0.0), (40.0, 0.0), (0.0, 1.0),
                                               (40.0, 1.0)])
     def test_magnus_stacks_are_n_by_n_only_without_dissipation(self, kappa, gamma,
                                                                monkeypatch):
+        # the pair's Magnus stacks, and the pulsed exchange's, take the drift
+        # alone exactly when their modes have no diffusion
         p = params(kappa=kappa, gamma=gamma)
         shapes, magnus4 = set(), _kernels.magnus4
 
@@ -404,8 +500,9 @@ class TestDissipationFreeMaps:
         sched = build_default_cycle(p, 0.04, 0.008, 0.04, 0.1, targets=[0])
         propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
                   tol=1e-7, params=p, samples_per_stroke=2)
-        n = 2 * p.n_modes
-        assert shapes == ({(3, n, n)} if kappa == gamma == 0.0 else {(3, 2 * n, 2 * n)})
+        # the pair (a, b), and the exchange's (a, b, c)
+        sizes = (4, 6) if kappa == gamma == 0.0 else (8, 12)
+        assert shapes == {(3, m, m) for m in sizes}
 
 
 class TestPolaritonObservables:

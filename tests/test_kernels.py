@@ -246,9 +246,13 @@ class TestBackends:
 
     def test_three_cycles_reuse_the_first_cycle_maps(self, fig1_params, monkeypatch):
         built = []
-        segment_map = gaussian._segment_map
-        monkeypatch.setattr(gaussian, "_segment_map",
-                            lambda *args: built.append(args) or segment_map(*args))
+        stroke_maps = gaussian._stroke_maps
+
+        def counting_maps(span, generator, segments, *args):
+            built.extend(segments)
+            return stroke_maps(span, generator, segments, *args)
+
+        monkeypatch.setattr(gaussian, "_stroke_maps", counting_maps)
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0],
                                     cycles=3, ramp_shape="adiabatic")
         state = thermal_state([0.5, 2.0, 12.0])

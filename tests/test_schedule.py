@@ -282,7 +282,7 @@ class TestStrokeWalk:
         def no_step(*args, **kwargs):
             raise AssertionError("an engine stepped")
 
-        for module, name in ((gaussian, "_segment_map"), (fock, "_rk4_step"),
+        for module, name in ((gaussian, "_stroke_maps"), (fock, "_rk4_step"),
                              (fock, "_taylor_step")):
             monkeypatch.setattr(module, name, no_step)
         sched, p = self.make(), fig1_like()
