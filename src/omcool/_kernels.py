@@ -10,8 +10,8 @@ Stockmeyer, SIAM J. Comput. 2, 60 (1973)); a larger norm takes Higham's
 Pade-13 scaling and squaring (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)),
 the only branch with a linear solve.  ``magnus4`` gives the fourth-order
 Magnus propagators (Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151 (2009)) of
-dZ/dt = (M0 + delta(t) E) Z over a batch of substeps, from one evaluation of
-delta at both Gauss-Legendre nodes of all of them and one matrix product.
+dZ/dt = (M0 + delta(t) E) Z over a batch of substeps, from one call for the
+two moments of delta over all of them and one matrix product.
 """
 
 from __future__ import annotations
@@ -111,22 +111,18 @@ def expm1(X):
     return Y
 
 
-_GL_SHIFT = math.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at t + h (1/2 -+ sqrt(3)/6)
-
-
-def magnus4(G, t, h, delta):
+def magnus4(G, t, h, moments):
     """Fourth-order Magnus propagators of dZ/dt = (M0 + delta(t) E) Z.
 
     ``G`` is the stack (M0, E, C = [M0, E]).  Substep k runs from ``t[k]``
-    over ``h[k]``; ``delta`` is a vectorized function of time, called once
-    for both Gauss-Legendre nodes of every substep.  With M_k = M0 +
-    delta(t_k) E at the two nodes, the Magnus exponent h/2 (M_lo + M_hi) +
-    sqrt(3)/12 h^2 [M_hi, M_lo] is a weighted sum of G's three matrices,
-    since [M_hi, M_lo] = (d_lo - d_hi) C: one (K, 3) @ (3, n^2) product for
-    the stack.  Returns the stack of propagators minus the identity.
+    over ``h[k]``; ``moments(t, h)`` gives, for every substep at once, mu0 =
+    int_0^h delta(t + s) ds and mu1 = int_0^h (s - h/2) delta(t + s) ds.  For
+    a generator linear in delta, the first two Magnus terms depend on delta
+    through these alone: Omega_1 + Omega_2 = h M0 + mu0 E - mu1 C, one
+    (K, 3) @ (3, n^2) product for the stack.  Returns the stack of
+    propagators minus the identity.
     """
     h = np.asarray(h, dtype=float)
-    nodes = t + np.multiply.outer((0.5 - _GL_SHIFT, 0.5 + _GL_SHIFT), h)
-    d_lo, d_hi = delta(nodes.ravel()).reshape(nodes.shape)
-    w = np.stack((h, 0.5 * h * (d_lo + d_hi), 0.5 * _GL_SHIFT * h**2 * (d_lo - d_hi)), axis=-1)
+    mu0, mu1 = moments(t, h)
+    w = np.stack((h, mu0, -mu1), axis=-1)
     return expm1((w @ G.reshape(3, -1)).reshape(h.shape + G.shape[1:]))

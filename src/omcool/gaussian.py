@@ -17,13 +17,15 @@ propagator Z of Van Loan's block generator M = [[A, D], [0, -A^T]]
 (C. Van Loan, IEEE TAC 23, 395 (1978)): Phi = Z_11 and Q = Z_12 Z_11^T,
 which holds for time-dependent A as well.  The modes a stroke couples, the
 pair (a, b) and an exchange's pulsed target, take fourth-order Magnus
-substeps, at most 1/f_max long for the stroke's largest frequency scale f_max
-and cut at every knot of a tabulated ramp profile, whose kinks would otherwise
-cap the order; every other target is mapped exactly by one exponential per
+substeps, at most 1/f_max long for the stroke's largest frequency scale
+f_max.  A substep's exponent needs delta only through its two moments
+(``StrokeSpan.delta_moments``), which a tabulated ramp profile gives exactly
+over the linear pieces between its knots, so its kinks cap no order and cut
+no substep.  Every other target is mapped exactly by one exponential per
 segment width.  A block without diffusion has Q = 0 and takes its drift alone.
 
-Error control: each ramp is run with m and 2m substeps per piece (m = 1,
-2, 4, ...); the ramp is accepted once the two agree within 15 tol at every
+Error control: each ramp is run with m and 2m substeps per segment (m = 2,
+4, 8, ...); the ramp is accepted once the two agree within 15 tol at every
 sample, and the 2m result is kept.  A constant stroke's maps are exact at
 every m, so it runs at m = 2 alone.  A stroke's maps at each m are built in
 one pass, kept by stroke position, sample offset and m inside one
@@ -48,7 +50,7 @@ from .schedule import CycleSchedule, Samples, StrokeKind, StrokeSpan, span_fmax,
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
-_MAX_REFINE = 14
+_MAX_REFINE = 13  # the finest level is 2^15
 # substeps per Magnus-4 stack, which a stroke's segments share: the Taylor
 # exponential holds a stack's powers X..X^s at once, so it sets their peak memory
 _CHUNK = 128
@@ -205,22 +207,16 @@ def _chain(Y: np.ndarray) -> np.ndarray:
 
 def _stroke_maps(span: StrokeSpan, generator, segments, level: int, fmax: float) -> tuple:
     """Stacked (Phi, Q) of the stroke over each of the disjoint, time-ordered
-    local intervals (a, b) of ``segments``.  Each is cut at the ramp-table
-    knots inside it and each piece into ``level`` times ceil(width * fmax)
-    Magnus-4 substeps (``level`` alone for fmax = 0) of the coupled block;
-    all intervals share stacks of at most ``_CHUNK``, and each product is
-    chained from its slices of them."""
+    local intervals (a, b) of ``segments``.  Each is cut into ``level`` times
+    ceil(width * fmax) equal Magnus-4 substeps (``level`` alone for fmax = 0)
+    of the coupled block, whatever ramp-table knots it holds; all intervals
+    share stacks of at most ``_CHUNK``, and each product is chained from its
+    slices of them."""
     n = generator.shape[-1] // 2
     a, b = np.array(segments).T
-    knots = np.empty(0) if span.knots is None else span.duration * span.knots[0][1:-1]
-    # the first interval ending at or after a knot is the only one that can hold it
-    seg = np.minimum(np.searchsorted(b, knots), b.size - 1)
-    inner = (a[seg] < knots) & (knots < b[seg])
-    starts = np.sort(np.concatenate((a, knots[inner])))
-    widths = np.sort(np.concatenate((knots[inner], b))) - starts
-    counts = level * np.maximum(1, np.ceil(widths * fmax - 1e-9)).astype(np.int64)
-    last = np.cumsum(counts)  # one past each piece's last substep
-    owner = np.searchsorted(b, starts, "right")  # each piece's interval
+    width = b - a
+    counts = level * np.maximum(1, np.ceil(width * fmax - 1e-9)).astype(np.int64)
+    last = np.cumsum(counts)  # one past each interval's last substep
 
     pulsed = span.target is not None and span.amplitude != 0.0
     coupled = [0, 1] + ([2 + span.target] if pulsed else [])
@@ -234,19 +230,18 @@ def _stroke_maps(span: StrokeSpan, generator, segments, level: int, fmax: float)
         G = generator[:, rows[:, None], rows]
         if modes is free:
             # a free target's block is constant: one exponential per width is exact
-            width, which = np.unique(b - a, return_inverse=True)
-            Y = _kernels.expm1(width[:, None, None] * G[0])[which]
+            widths, which = np.unique(width, return_inverse=True)
+            Y = _kernels.expm1(widths[:, None, None] * G[0])[which]
         else:
             Y = np.zeros((b.size,) + G.shape[1:])
             # the grid is formed a stack at a time, so its memory does not grow with level
             for i in range(0, last[-1], _CHUNK):
                 k = np.arange(i, min(i + _CHUNK, last[-1]))
-                p = np.searchsorted(last, k, "right")  # each substep's piece
-                h = widths[p] / counts[p]
-                Z = _kernels.magnus4(G, starts[p] + (k - last[p] + counts[p]) * h, h,
-                                     span.delta_values_local)
+                s = np.searchsorted(last, k, "right")  # each substep's interval
+                h = width[s] / counts[s]
+                Z = _kernels.magnus4(G, a[s] + (k - last[s] + counts[s]) * h, h,
+                                     span.delta_moments)
                 # each interval's substeps in the stack as one row, padded with identities
-                s = owner[p]
                 col = np.arange(s.size) - np.searchsorted(s, s)
                 pad = np.zeros((s[-1] - s[0] + 1, 1 << int(col.max()).bit_length()) + Z.shape[1:])
                 pad[s - s[0], col] = Z
@@ -330,10 +325,13 @@ def propagate(
             return out
 
         # each attempt checks the next level against the last one, so a
-        # refused fine sweep becomes the coarse sweep of the next attempt; a
-        # constant stroke's levels would differ by roundoff alone, so its
-        # level-2 sweep is compared with itself, which checks only that it is finite
-        coarse, level = sweep(1) if ramp else None, 1
+        # refused fine sweep becomes the coarse sweep of the next attempt.  A
+        # ramp starts at (2, 4): (1, 2), one substep per 1/fmax, passed no ramp
+        # of the bundled configs or the design pool.  A constant stroke's
+        # levels would differ by roundoff alone, so its level-2 sweep is
+        # compared with itself, which checks only that it is finite
+        level = 2 if ramp else 1
+        coarse = sweep(level) if ramp else None
         for attempt in range(_MAX_REFINE + 1):
             fine = sweep(2 * level)
             # np.max keeps a NaN, where the builtin max() may drop it

@@ -46,6 +46,7 @@ if TYPE_CHECKING:
     from .params import SystemParams
 
 RAMP_SHAPES = ("linear", "cosine", "adiabatic")
+_GL_SHIFT = math.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at t + h (1/2 -+ sqrt(3)/6)
 
 
 class StrokeKind(Enum):
@@ -182,6 +183,39 @@ class StrokeSpan:
             return np.full(np.shape(t_local), self.delta0)
         return ramp_values(self.delta0, self.delta1, self.shape,
                            np.asarray(t_local) / self.duration, self.knots)
+
+    def delta_moments(self, t: np.ndarray, h: np.ndarray):
+        """(mu0, mu1), the integrals of delta(t + s) and (s - h/2) delta(t + s)
+        over s in [0, h], for each substep (t, h) in local time.
+
+        A smooth shape takes both from delta at the two Gauss-Legendre nodes,
+        exact to the order of a Magnus-4 step.  A tabulated profile is linear
+        between its knots, so its moments are exact sums over the linear
+        pieces of each substep, whatever knots the substep holds.
+        """
+        if self.knots is None:
+            nodes = t + np.multiply.outer((0.5 - _GL_SHIFT, 0.5 + _GL_SHIFT), h)
+            d_lo, d_hi = self.delta_values_local(nodes.ravel()).reshape(nodes.shape)
+            return 0.5 * h * (d_lo + d_hi), 0.5 * _GL_SHIFT * h**2 * (d_hi - d_lo)
+        # each substep's pieces, cut at the knots strictly inside it, measured
+        # from the substep's start with the last ending at h exactly: pieces in
+        # absolute time carry the roundoff of t into mu1 and stall refinement
+        tau = self.duration * self.knots[0][1:-1]
+        lo = np.searchsorted(tau, t, "right")
+        count = np.searchsorted(tau, t + h, "left") - lo + 1
+        first = np.cumsum(count) - count
+        sub = np.repeat(np.arange(t.size), count)
+        end = np.append(tau, 0.0)[lo[sub] + np.arange(sub.size) - first[sub]] - t[sub]
+        end[first + count - 1] = h
+        start = np.concatenate(([0.0], end[:-1]))
+        start[first] = 0.0
+        f0, f1 = self.delta_values_local(t[sub] + np.stack((start, end)))
+        # delta is linear over a piece of width w, mean fm and midpoint c = s - h/2
+        # at cm: int delta = w fm and int c delta = w (cm fm + w (f1 - f0) / 12)
+        w, fm = end - start, 0.5 * (f0 + f1)
+        cm = 0.5 * (start + end - h[sub])
+        return (np.add.reduceat(w * fm, first),
+                np.add.reduceat(w * (cm * fm + w * (f1 - f0) / 12.0), first))
 
 
 @dataclass(frozen=True)

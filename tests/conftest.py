@@ -58,6 +58,26 @@ def small_params():
 
 
 @pytest.fixture
+def quad_moments():
+    """(mu0, mu1) = the integrals of delta(t + s) and (s - h/2) delta(t + s)
+    over s in [0, h], for a span's substep (t, h) in local time, by scipy's
+    quad, with the ramp-table knots inside the substep as break points."""
+    from scipy.integrate import quad
+
+    def moments(span, t, h):
+        def delta(s):
+            return float(span.delta_values_local(np.array([t + s]))[0])
+
+        knots = () if span.knots is None else span.duration * span.knots[0][1:-1] - t
+        points = [k for k in knots if 0.0 < k < h]
+        opts = dict(points=points or None, limit=2 * len(points) + 50, epsabs=0.0, epsrel=1e-13)
+        return (quad(delta, 0.0, h, **opts)[0],
+                quad(lambda s: (s - 0.5 * h) * delta(s), 0.0, h, **opts)[0])
+
+    return moments
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240711)
 

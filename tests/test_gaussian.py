@@ -202,9 +202,9 @@ def spy_stacks(monkeypatch):
     """The (t, h) of every Magnus stack built from here on, in order."""
     stacks, magnus4 = [], _kernels.magnus4
 
-    def spy(G, t, h, delta):
+    def spy(G, t, h, moments):
         stacks.append((np.array(t), np.array(h)))
-        return magnus4(G, t, h, delta)
+        return magnus4(G, t, h, moments)
 
     monkeypatch.setattr(_kernels, "magnus4", spy)
     return stacks
@@ -301,7 +301,7 @@ class TestPropagateContract:
 
     def test_constant_strokes_build_level_two_only(self, fig1_params, monkeypatch):
         # a hold or exchange map is exact at every level, so only the ramps
-        # compare two levels
+        # compare two levels, starting from (2, 4)
         levels = {}
         stroke_maps = gaussian._stroke_maps
 
@@ -314,11 +314,12 @@ class TestPropagateContract:
         propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
                   tol=1e-10, params=fig1_params, samples_per_stroke=4)
         assert levels[StrokeKind.HOLD] == levels[StrokeKind.EXCHANGE_PULSE] == {2}
-        assert {1, 2} <= levels[StrokeKind.RAMP_DETUNING]
+        assert {2, 4} <= levels[StrokeKind.RAMP_DETUNING]
+        assert min(levels[StrokeKind.RAMP_DETUNING]) == 2
 
     def test_chunked_segment_map_matches_one_stack(self, fig1_params, monkeypatch):
-        # an adiabatic ramp cut at its 1023 interior knots holds more substeps
-        # than one chunk; composing chunk by chunk must match one whole stack
+        # a whole fig1 ramp at level 2 holds more substeps than one chunk;
+        # composing chunk by chunk must match one whole stack
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0],
                                     ramp_shape="adiabatic")
         span = next(iter(sched.spans()))
@@ -327,12 +328,13 @@ class TestPropagateContract:
         fmax = span_fmax(span, fig1_params)
         stacks = spy_stacks(monkeypatch)
         whole_ramp = [(0.0, span.duration)]
-        chunked = gaussian._stroke_maps(span, generator, whole_ramp, 1, fmax)
+        chunked = gaussian._stroke_maps(span, generator, whole_ramp, 2, fmax)
         substeps = sum(h.size for _, h in stacks)
+        assert substeps > gaussian._CHUNK
         assert len(stacks) > 1 and max(h.size for _, h in stacks) == gaussian._CHUNK
         monkeypatch.setattr(gaussian, "_CHUNK", substeps + 1)
         stacks.clear()
-        whole = gaussian._stroke_maps(span, generator, whole_ramp, 1, fmax)
+        whole = gaussian._stroke_maps(span, generator, whole_ramp, 2, fmax)
         assert [h.size for _, h in stacks] == [substeps]
         for x, y in zip(chunked, whole):
             assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
@@ -371,12 +373,29 @@ class TestPropagateContract:
             for batched, single in zip((phi[k], q[k]), alone):
                 assert np.abs(batched - single[0]).max() <= 1e-14 * np.abs(single[0]).max()
 
+    def test_adiabatic_map_converges_at_fourth_order_to_level_64(self):
+        # fig1's second ramp, substeps across its table's knots: each level
+        # doubling cuts the map's change ~16x.  Moments taken in absolute time
+        # flatten the fall by level 64 and stall this ramp's refinement at tol 1e-12
+        cfg = parse_cycle_config(load_config_file("fig1"))
+        span = cfg.schedule.spans()[2]
+        assert span.kind is StrokeKind.RAMP_DETUNING and span.shape == "adiabatic"
+        generator = gaussian._stroke_generator(cfg.params, span)
+        fmax = span_fmax(span, cfg.params)
+        maps = [np.concatenate(gaussian._stroke_maps(span, generator, [(0.0, span.duration)],
+                                                     level, fmax))
+                for level in (2, 4, 8, 16, 32, 64)]
+        diffs = [np.abs(fine - coarse).max() for coarse, fine in zip(maps, maps[1:])]
+        assert all(d > 10.0 * e for d, e in zip(diffs, diffs[1:])), diffs
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("position", [4, 5])
-    def test_fig2_maps_match_the_full_generators_expm(self, position, monkeypatch):
+    def test_fig2_maps_match_the_full_generators_expm(self, position, quad_moments, monkeypatch):
         # fig2's second sub-cycle: a ramp leaves both targets free, the
         # exchange couples target 1 and leaves target 0 free.  Each map must
         # match scipy's expm of the whole 16 x 16 Van Loan generator, over the
-        # Magnus exponents of _stroke_maps's own substeps on the ramp
+        # Magnus exponents of _stroke_maps's own substeps on the ramp, whose
+        # moments of delta come from quad over the ramp table's linear pieces
         cfg = parse_cycle_config(load_config_file("fig2"))
         p, span = cfg.params, cfg.schedule.spans()[position]
         ramp = span.kind is StrokeKind.RAMP_DETUNING
@@ -388,17 +407,15 @@ class TestPropagateContract:
         stacks = spy_stacks(monkeypatch)
         phi, q = gaussian._stroke_maps(span, generator, intervals, 1 if ramp else 2,
                                        span_fmax(span, p) if ramp else 0.0)
-        assert n == 8
+        assert n == 8 and (span.shape == "adiabatic" or not ramp)
         M0, E, C = generator
         t, h = (np.concatenate(x) for x in zip(*stacks))
-        shift = math.sqrt(3.0) / 6.0
-        d_lo, d_hi = (span.delta_values_local(t + (0.5 + s) * h) for s in (-shift, shift))
         for k, (a, b) in enumerate(intervals):
             if ramp:
                 Z = np.eye(2 * n)
                 for i in np.flatnonzero((t >= a) & (t < b)):
-                    Z = scipy_expm(h[i] * M0 + 0.5 * h[i] * (d_lo[i] + d_hi[i]) * E
-                                   + 0.5 * shift * h[i]**2 * (d_lo[i] - d_hi[i]) * C) @ Z
+                    mu0, mu1 = quad_moments(span, t[i], h[i])
+                    Z = scipy_expm(h[i] * M0 + mu0 * E - mu1 * C) @ Z
             else:
                 Z = scipy_expm((b - a) * (M0 + span.delta0 * E))
             ref_phi, ref_q = Z[:n, :n], Z[:n, n:] @ Z[:n, :n].T
@@ -456,10 +473,10 @@ class TestDissipationFreeMaps:
         fmax = span_fmax(span, p) if span.kind is StrokeKind.RAMP_DETUNING else 0.0
         substeps, magnus4 = [], _kernels.magnus4
 
-        def spy(G, t, h, delta):
+        def spy(G, t, h, moments):
             # each pair propagator is the pair's block of the full generator's
-            full = magnus4(generator, t, h, delta)
-            closed = magnus4(G, t, h, delta)
+            full = magnus4(generator, t, h, moments)
+            closed = magnus4(G, t, h, moments)
             assert closed.shape[1:] == (4, 4) and not full[:, :n, n:].any()
             assert np.abs(closed - full[:, :4, :4]).max() <= 1e-15 * np.abs(full).max()
             substeps.append(full)
@@ -492,9 +509,9 @@ class TestDissipationFreeMaps:
         p = params(kappa=kappa, gamma=gamma)
         shapes, magnus4 = set(), _kernels.magnus4
 
-        def spy(G, t, h, delta):
+        def spy(G, t, h, moments):
             shapes.add(G.shape)
-            return magnus4(G, t, h, delta)
+            return magnus4(G, t, h, moments)
 
         monkeypatch.setattr(_kernels, "magnus4", spy)
         sched = build_default_cycle(p, 0.04, 0.008, 0.04, 0.1, targets=[0])

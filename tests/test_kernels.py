@@ -10,7 +10,7 @@ from omcool import _kernels, gaussian
 from omcool.config import load_config_file, parse_cycle_config
 from omcool.gaussian import GaussianState, _stroke_generator, propagate, thermal_state
 from omcool.params import SystemParams
-from omcool.schedule import CycleSchedule, Stroke, build_default_cycle
+from omcool.schedule import CycleSchedule, Stroke, StrokeKind, build_default_cycle
 
 
 def fig1_like(**over):
@@ -99,7 +99,7 @@ def _run_span(nsteps):
     G = _stroke_generator(p, span)
     h = np.full(nsteps, RAMP_T / nsteps)
     Z = np.eye(12)
-    for step in _kernels.magnus4(G, h * np.arange(nsteps), h, span.delta_values_local):
+    for step in _kernels.magnus4(G, h * np.arange(nsteps), h, span.delta_moments):
         Z = (np.eye(12) + step) @ Z
     phi = Z[:6, :6]
     mean = np.array([0.3, -0.1, 0.2, 0.0, 0.05, -0.2])
@@ -183,26 +183,24 @@ class TestBackends:
     @pytest.mark.parametrize("size", [12, 16])
     @pytest.mark.parametrize("K", [1, 7, 128])
     def test_magnus4_exponent_is_the_three_term_sum(self, size, K, monkeypatch):
-        # one delta call for both Gauss nodes of every substep, and one
-        # weight-table product for the exponents
+        # one moments call for every substep, and one weight-table product
+        # for the exponents h M0 + mu0 E - mu1 C
         rng = np.random.default_rng(size + K)
         G = rng.standard_normal((3, size, size))
         M0, E, C = G
         t, h = rng.uniform(0.0, 1.0, K), rng.uniform(1e-3, 1e-2, K)
         calls, exponents = [], []
 
-        def delta(times):
-            calls.append(times.size)
-            return 300.0 * np.cos(7.0 * times)
+        def moments(times, steps):
+            calls.append((times, steps))
+            return -300.0 * steps * np.cos(7.0 * times), 40.0 * steps**3 * np.sin(times)
 
         monkeypatch.setattr(_kernels, "expm1", lambda X: exponents.append(X) or X)
-        _kernels.magnus4(G, t, h, delta)
-        assert calls == [2 * K]
-        shift = math.sqrt(3.0) / 6.0
-        d_lo, d_hi = (delta(t + (0.5 + s) * h)[:, None, None] for s in (-shift, shift))
+        _kernels.magnus4(G, t, h, moments)
+        assert len(calls) == 1 and calls[0][0] is t and np.array_equal(calls[0][1], h)
+        mu0, mu1 = (m[:, None, None] for m in moments(t, h))
         h = h[:, None, None]
-        want = (h * M0 + (0.5 * h * (d_lo + d_hi)) * E
-                + (0.5 * shift * h**2 * (d_lo - d_hi)) * C)
+        want = h * M0 + mu0 * E - mu1 * C
         scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(exponents[0] - want) <= 1e-15 * scale)
 
@@ -245,12 +243,18 @@ class TestBackends:
         assert np.max(np.abs(traj.covs.reshape(-1, 36) - ref.y[6:].T)) < 1e-10
 
     def test_three_cycles_reuse_the_first_cycle_maps(self, fig1_params, monkeypatch):
+        # the accepted levels depend on the state each cycle starts from, so
+        # a later cycle may build levels the first did not; it never builds a
+        # map its call already holds
         built = []
         stroke_maps = gaussian._stroke_maps
 
-        def counting_maps(span, generator, segments, *args):
-            built.extend(segments)
-            return stroke_maps(span, generator, segments, *args)
+        def counting_maps(span, generator, segments, level, fmax):
+            # propagate's map key: a constant stroke's map depends on its width alone
+            ramp = span.kind is StrokeKind.RAMP_DETUNING
+            built.extend((span.position, level, round(a / span.duration, 12) if ramp else None,
+                          round((b - a) / span.duration, 12)) for a, b in segments)
+            return stroke_maps(span, generator, segments, level, fmax)
 
         monkeypatch.setattr(gaussian, "_stroke_maps", counting_maps)
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0],
@@ -258,13 +262,17 @@ class TestBackends:
         state = thermal_state([0.5, 2.0, 12.0])
         full = propagate(state, sched, sched.total_duration, tol=1e-7,
                          params=fig1_params, samples_per_stroke=8)
-        per_run = len(built)
+        calls = [built.copy()]
         for cycle in range(3):
+            built.clear()
             part = propagate(state, sched, (cycle + 1) * sched.period, tol=1e-7,
                              params=fig1_params, samples_per_stroke=8)
             rows = np.isin(full.times, part.times)
             assert np.max(np.abs(full.means[rows] - part.means)) < 1e-12
             assert np.max(np.abs(full.covs[rows] - part.covs)) < 1e-12
             state = part.final_state
-        # every call builds one cycle's maps; the full run reuses them twice
-        assert len(built) == 4 * per_run
+            calls.append(built.copy())
+        assert all(len(set(keys)) == len(keys) for keys in calls)
+        # the full run reuses its first cycle's maps: it builds fewer than the
+        # three one-cycle calls together
+        assert len(calls[0]) < sum(map(len, calls[1:]))

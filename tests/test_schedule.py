@@ -229,6 +229,66 @@ class TestAdiabaticProfile:
         assert sched.strokes[2].profile == down[::-1]
 
 
+class TestDeltaMoments:
+    """``StrokeSpan.delta_moments`` against quad.  A tabulated ramp's moments
+    are exact sums over its linear pieces: mu0 holds to 1e-12 of itself, and
+    mu1 to 1e-12 of its bound h |mu0| / 2.  A short substep's mu1 ~ h^3
+    delta' / 12 is a difference of delta values, each rounded to eps |delta|
+    by the evaluation that quad integrates as well, so neither side holds it
+    to more digits of itself."""
+
+    T = 0.0625  # the knots at T j / 1024 are exact, so a substep can end on one
+    PROFILE = adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 200.0)
+
+    def span(self, profile):
+        stroke = Stroke.ramp(profile[0], profile[-1], self.T, "adiabatic", profile)
+        return CycleSchedule(strokes=(stroke,), cycle_count=1,
+                             delta_start=profile[0]).spans()[0]
+
+    def substeps(self):
+        """(t, h, knots strictly inside) of substeps of every kind a map cuts."""
+        tau = self.T * np.linspace(0.0, 1.0, len(self.PROFILE))
+        gap, tiny = tau[1], 1e-7 * self.T
+        cases = [
+            (0.3 * self.T, tiny, 0), (0.3 * self.T, 0.4 * gap, 0),  # no knot
+            (tau[100] + 0.25 * gap, gap, 1), (tau[700] - 0.5 * tiny, tiny, 1),  # one knot
+            (0.1 * self.T, 0.5 * self.T, 512), (0.0, self.T, 1023),  # hundreds
+            (tau[5], gap, 0), (tau[5], 3 * gap, 2), (tau[9] - gap, gap, 0),  # on knots
+            (tau[9], tiny, 0), (tau[9] - tiny, tiny, 0), (self.T - tiny, tiny, 0),
+        ]
+        return cases, tau
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_tabulated_moments_match_quad(self, quad_moments):
+        span = self.span(self.PROFILE)
+        cases, tau = self.substeps()
+        t, h = (np.array(x) for x in list(zip(*cases))[:2])
+        mu0, mu1 = span.delta_moments(t, h)
+        for (a, w, inside), m0, m1 in zip(cases, mu0, mu1):
+            assert np.count_nonzero((a < tau) & (tau < a + w)) == inside
+            r0, r1 = quad_moments(span, a, w)
+            assert abs(m0 - r0) <= 1e-12 * abs(r0)
+            assert abs(m1 - r1) <= 1e-12 * 0.5 * w * abs(r0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_two_knot_table_is_the_linear_ramp(self, quad_moments):
+        # a table of its endpoints alone is linear, where Gauss-Legendre is exact
+        span = self.span((-6000.0, -600.0))
+        linear = CycleSchedule(strokes=(Stroke.ramp(-6000.0, -600.0, self.T),),
+                               cycle_count=1, delta_start=-6000.0).spans()[0]
+        t, h = np.array([0.0, 0.3 * self.T, self.T - 1e-7]), np.array([self.T, 1e-3, 1e-7])
+        (m0, m1), (l0, l1) = span.delta_moments(t, h), linear.delta_moments(t, h)
+        assert np.all(np.abs(m0 - l0) <= 1e-12 * np.abs(l0))
+        assert np.all(np.abs(m1 - l1) <= 1e-12 * 0.5 * h * np.abs(l0))
+
+    def test_constant_stroke_moments(self):
+        span = CycleSchedule(strokes=(Stroke.hold(0.1),), cycle_count=1,
+                             delta_start=-2000.0).spans()[0]
+        h = np.array([1e-3, 0.1])
+        mu0, mu1 = span.delta_moments(np.array([0.0, 0.0]), h)
+        assert np.array_equal(mu0, -2000.0 * h) and not mu1.any()
+
+
 class TestStrokeWalk:
     def make(self):
         return build_default_cycle(fig1_like(), 0.04, 0.008, 0.04, 0.1,
