@@ -6,12 +6,13 @@ the identity, and keeping them as I + Y holds their small part to full
 precision through long products.  A stack whose largest 1-norm is at most
 theta_12 = 0.3066 takes the Taylor polynomial of degree 7 (up to theta_7 =
 0.0239) or 12, evaluated with matrix products alone (Paterson and
-Stockmeyer, SIAM J. Comput. 2, 60 (1973)); a larger norm takes Higham's
-Pade-13 scaling and squaring (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)),
-the only branch with a linear solve.  ``magnus4`` gives the fourth-order
-Magnus propagators (Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151 (2009)) of
-dZ/dt = (M0 + delta(t) E) Z over a batch of substeps, from one call for the
-two moments of delta over all of them and one matrix product.
+Stockmeyer, SIAM J. Comput. 2, 60 (1973)); a larger norm is scaled by 2^-s
+into theta_12, takes degree 12 and is squared s times (Bader, Blanes, Casas,
+Mathematics 7, 1174 (2019)), so no branch solves a linear system.
+``magnus4`` gives the fourth-order Magnus propagators (Blanes, Casas, Oteo,
+Ros, Phys. Rep. 470, 151 (2009)) of dZ/dt = (M0 + delta(t) E) Z over a batch
+of substeps, from one call for the two moments of delta over all of them and
+one matrix product; only a ramp's pair (a, b) takes them.
 """
 
 from __future__ import annotations
@@ -28,12 +29,6 @@ BACKEND = "magnus4"
 # 0.0239 and theta_12 = 0.3066.  Degree 7 saves degree 12 one product on the
 # small norms of most design-sweep substeps.
 _TAYLOR = tuple((m, (math.factorial(m + 1) * 2.0**-53) ** (1.0 / m)) for m in (7, 12))
-# Pade-13 is exact to double precision for ||X||_1 <= theta_13.
-_THETA13 = 5.371920351148152e0
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-           16380.0, 182.0, 1.0)
 
 
 @cache
@@ -76,25 +71,13 @@ def _taylor(X, m):
     return Y
 
 
-def _pade13(X):
-    b = _PADE13
-    ident = np.eye(X.shape[-1])
-    X2 = X @ X
-    X4 = X2 @ X2
-    X6 = X4 @ X2
-    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
-             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * ident)
-    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
-         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident)
-    # r_13(X) = (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U
-    return 2.0 * np.linalg.solve(V - U, U)
-
-
 def expm1(X):
     """exp(X) - I for X, or for each matrix in a stack X[..., n, n].
 
     One degree (and scaling) serves the whole stack, chosen from its largest
-    1-norm.  A non-finite input gives an all-NaN result.
+    1-norm: above theta_12, the stack is scaled by 2^-s into theta_12 and its
+    degree-12 polynomial squared s times.  A non-finite input gives an
+    all-NaN result.
     """
     X = np.asarray(X, dtype=float)
     # column sums by einsum: faster than .sum(axis=-2) on these small stacks
@@ -104,8 +87,9 @@ def expm1(X):
     for m, theta in _TAYLOR:
         if norm <= theta:
             return _taylor(X, m)
-    s = max(0, math.ceil(math.log2(norm / _THETA13)))
-    Y = _pade13(X / 2.0**s)
+    # past the loop, (m, theta) is degree 12's: scale into theta_12, then square
+    s = math.ceil(math.log2(norm / theta))
+    Y = _taylor(X / 2.0**s, m)
     for _ in range(s):
         Y = 2.0 * Y + Y @ Y  # (I + Y)^2 - I
     return Y

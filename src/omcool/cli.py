@@ -131,10 +131,10 @@ def _limit_rows(cfg):
     def resolve(eta, r, tau):
         if r is None:
             r = survival_factor(cfg.gamma, tau)
-        degenerate = eta == 0.0 and r == 1.0
-        if degenerate:
+        try:
+            n_inf = cooling_limit(CoolingMapParams(eta=eta, r=r, n_a=cfg.n_a, n_c=cfg.n_c))
+        except PhysicsError:  # a map without contraction: a flagged row
             return (eta, r, cfg.n_a, cfg.n_c, float("nan"), 1)
-        n_inf = cooling_limit(CoolingMapParams(eta=eta, r=r, n_a=cfg.n_a, n_c=cfg.n_c))
         return (eta, r, cfg.n_a, cfg.n_c, n_inf, 0)
 
     if cfg.sweep_variable is None:

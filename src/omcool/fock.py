@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import IntegrationError, TruncationError
 from .params import SystemParams
-from .schedule import (CycleSchedule, Samples, StrokeKind, StrokeSpan, span_fmax,
+from .schedule import (CycleSchedule, Samples, StrokeKind, StrokeSpan, _is_integer, span_fmax,
                        stroke_walk)
 
 TRACE_TOL = 1e-9
@@ -125,11 +125,6 @@ def _one_blas_thread():
         yield
     finally:
         set_(before)
-
-
-def _is_integer(x) -> bool:
-    """A Python or numpy integer: a bool or a float such as 3.0 is refused, not truncated."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _cutoffs(cutoffs) -> tuple[int, ...]:

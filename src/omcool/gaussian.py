@@ -15,23 +15,24 @@ Being linear, each stretch of a stroke is an affine map on the moments,
 <z> -> Phi <z> and sigma -> Phi sigma Phi^T + Q.  Both come from the
 propagator Z of Van Loan's block generator M = [[A, D], [0, -A^T]]
 (C. Van Loan, IEEE TAC 23, 395 (1978)): Phi = Z_11 and Q = Z_12 Z_11^T,
-which holds for time-dependent A as well.  The modes a stroke couples, the
-pair (a, b) and an exchange's pulsed target, take fourth-order Magnus
-substeps, at most 1/f_max long for the stroke's largest frequency scale
-f_max.  A substep's exponent needs delta only through its two moments
+which holds for time-dependent A as well.  A block whose generator is
+constant over the stroke (every block of a hold or exchange, and each target
+a ramp leaves free) is mapped exactly by one exponential per segment width.
+Only a ramp's pair (a, b) takes fourth-order Magnus substeps, at most
+1/f_max long for the stroke's largest frequency scale f_max.  A substep's
+exponent needs delta only through its two moments
 (``StrokeSpan.delta_moments``), which a tabulated ramp profile gives exactly
 over the linear pieces between its knots, so its kinks cap no order and cut
-no substep.  Every other target is mapped exactly by one exponential per
-segment width.  A block without diffusion has Q = 0 and takes its drift alone.
+no substep.  A block without diffusion has Q = 0 and takes its drift alone.
 
 Error control: each ramp is run with m and 2m substeps per segment (m = 2,
 4, 8, ...); the ramp is accepted once the two agree within 15 tol at every
-sample, and the 2m result is kept.  A constant stroke's maps are exact at
-every m, so it runs at m = 2 alone.  A stroke's maps at each m are built in
-one pass, kept by stroke position, sample offset and m inside one
-``propagate`` call, so later cycles reuse the first cycle's maps while the
-check still runs on every application.  A non-finite drift, map, state or
-error estimate raises IntegrationError.
+sample, and the 2m result is kept.  A hold or exchange takes no substeps,
+so its maps are the same at every m and it runs at m = 2 alone.  A
+stroke's maps at each m are built in one pass, kept by stroke position,
+sample offset and m inside one ``propagate`` call, so later cycles reuse the
+first cycle's maps while the check still runs on every application.  A
+non-finite drift, map, state or error estimate raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -207,16 +208,16 @@ def _chain(Y: np.ndarray) -> np.ndarray:
 
 def _stroke_maps(span: StrokeSpan, generator, segments, level: int, fmax: float) -> tuple:
     """Stacked (Phi, Q) of the stroke over each of the disjoint, time-ordered
-    local intervals (a, b) of ``segments``.  Each is cut into ``level`` times
-    ceil(width * fmax) equal Magnus-4 substeps (``level`` alone for fmax = 0)
-    of the coupled block, whatever ramp-table knots it holds; all intervals
-    share stacks of at most ``_CHUNK``, and each product is chained from its
-    slices of them."""
+    local intervals (a, b) of ``segments``.  A block whose generator is
+    constant over the stroke (every block of a hold or exchange, and each
+    free target) takes one exponential of width (M0 + delta0 E) per distinct
+    width, exact at any ``level``.  A ramp's coupled block cuts each interval
+    into ``level`` times ceil(width * fmax) equal Magnus-4 substeps, whatever
+    ramp-table knots it holds; all intervals share stacks of at most
+    ``_CHUNK``, and each product is chained from its slices of them."""
     n = generator.shape[-1] // 2
     a, b = np.array(segments).T
     width = b - a
-    counts = level * np.maximum(1, np.ceil(width * fmax - 1e-9)).astype(np.int64)
-    last = np.cumsum(counts)  # one past each interval's last substep
 
     pulsed = span.target is not None and span.amplitude != 0.0
     coupled = [0, 1] + ([2 + span.target] if pulsed else [])
@@ -228,11 +229,13 @@ def _stroke_maps(span: StrokeSpan, generator, segments, level: int, fmax: float)
         closed = not generator[0][np.ix_(q, n + q)].any()
         rows = q if closed else np.concatenate((q, n + q))
         G = generator[:, rows[:, None], rows]
-        if modes is free:
-            # a free target's block is constant: one exponential per width is exact
+        if modes is free or span.kind is not StrokeKind.RAMP_DETUNING:
+            # a constant generator, delta at delta0 (E is zero on a free target's block)
             widths, which = np.unique(width, return_inverse=True)
-            Y = _kernels.expm1(widths[:, None, None] * G[0])[which]
+            Y = _kernels.expm1(widths[:, None, None] * (G[0] + span.delta0 * G[1]))[which]
         else:
+            counts = level * np.maximum(1, np.ceil(width * fmax - 1e-9)).astype(np.int64)
+            last = np.cumsum(counts)  # one past each interval's last substep
             Y = np.zeros((b.size,) + G.shape[1:])
             # the grid is formed a stack at a time, so its memory does not grow with level
             for i in range(0, last[-1], _CHUNK):
@@ -328,8 +331,8 @@ def propagate(
         # refused fine sweep becomes the coarse sweep of the next attempt.  A
         # ramp starts at (2, 4): (1, 2), one substep per 1/fmax, passed no ramp
         # of the bundled configs or the design pool.  A constant stroke's
-        # levels would differ by roundoff alone, so its level-2 sweep is
-        # compared with itself, which checks only that it is finite
+        # maps are the same at every level, so its level-2 sweep is compared
+        # with itself, which checks only that it is finite
         level = 2 if ramp else 1
         coarse = sweep(level) if ramp else None
         for attempt in range(_MAX_REFINE + 1):

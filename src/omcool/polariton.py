@@ -309,11 +309,13 @@ class CoolingMapParams:
 def cooling_limit(params: CoolingMapParams) -> float:
     """Asymptotic post-exchange occupation of the target mode,
 
-        N_inf = [eta n_a + (1 - r)(1 - eta) n_c] / [1 - r (1 - eta)].
+        N_inf = [eta n_a + (1 - r)(1 - eta) n_c] / [(1 - r) + r eta].
 
-    For eta = 1 this reduces to n_a exactly.
+    The denominator, 1 - r (1 - eta), is a sum of two non-negative terms, so
+    it takes no cancellation and vanishes only for eta = 0 with r = 1.  For
+    eta = 1 the limit is n_a exactly.
     """
-    denom = 1.0 - params.r * (1.0 - params.eta)
+    denom = (1.0 - params.r) + params.r * params.eta
     if denom == 0.0:
         raise PhysicsError("eta = 0 with r = 1: the map has no contraction (no cooling)")
     return (params.eta * params.n_a + (1.0 - params.r) * (1.0 - params.eta) * params.n_c) / denom

@@ -49,6 +49,11 @@ RAMP_SHAPES = ("linear", "cosine", "adiabatic")
 _GL_SHIFT = math.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at t + h (1/2 -+ sqrt(3)/6)
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer: a bool or a float such as 3.0 is refused, not truncated."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class StrokeKind(Enum):
     RAMP_DETUNING = "ramp_detuning"
     EXCHANGE_PULSE = "exchange_pulse"
@@ -233,8 +238,8 @@ class CycleSchedule:
         object.__setattr__(self, "strokes", tuple(self.strokes))
         if not self.strokes:
             raise ValueError("schedule needs at least one stroke")
-        if self.cycle_count < 1:
-            raise ValueError("cycle_count must be >= 1")
+        if not (_is_integer(self.cycle_count) and self.cycle_count >= 1):
+            raise ValueError(f"cycle_count must be an integer >= 1, got {self.cycle_count!r}")
         if self.delta_start >= 0:
             raise ValueError("delta_start must be negative (red-detuned)")
         # walk the cycle once to pin per-stroke detuning endpoints and check continuity

@@ -462,6 +462,22 @@ class TestLimitCommand:
         _, _, rows = read_csv(out)
         assert rows[0][5] == "1"
         assert rows[0][4] == "nan"
+        # any eta > 0 contracts the map at r = 1, however small: the limit is
+        # the fluid's n_a, and only eta = 0 itself is flagged
+        cfg = write_config(tmp_path, "tiny.json", {
+            "schema_version": 1, "n_a": 0.5, "n_c": 12.0, "eta": 1e-17, "r": 1.0,
+        })
+        assert run_cli("limit", "--config", cfg, "--out", str(out)) == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0][4]) == 0.5 and rows[0][5] == "0"
+        cfg = write_config(tmp_path, "sweep.json", {
+            "schema_version": 1, "n_a": 0.5, "n_c": 12.0, "r": 1.0,
+            "sweep": {"variable": "eta", "start": 0.0, "stop": 1e-17, "samples": 5},
+        })
+        assert run_cli("limit", "--config", cfg, "--out", str(out)) == 0
+        _, _, rows = read_csv(out)
+        assert [row[5] for row in rows] == ["1", "0", "0", "0", "0"]
+        assert rows[0][4] == "nan" and all(float(row[4]) == 0.5 for row in rows[1:])
 
 
 class TestCycleCommand:

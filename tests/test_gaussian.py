@@ -393,9 +393,10 @@ class TestPropagateContract:
     def test_fig2_maps_match_the_full_generators_expm(self, position, quad_moments, monkeypatch):
         # fig2's second sub-cycle: a ramp leaves both targets free, the
         # exchange couples target 1 and leaves target 0 free.  Each map must
-        # match scipy's expm of the whole 16 x 16 Van Loan generator, over the
+        # match scipy's expm of the whole 16 x 16 Van Loan generator: over the
         # Magnus exponents of _stroke_maps's own substeps on the ramp, whose
-        # moments of delta come from quad over the ramp table's linear pieces
+        # moments of delta come from quad over the ramp table's linear pieces,
+        # and over each whole interval on the exchange, which takes no substeps
         cfg = parse_cycle_config(load_config_file("fig2"))
         p, span = cfg.params, cfg.schedule.spans()[position]
         ramp = span.kind is StrokeKind.RAMP_DETUNING
@@ -408,8 +409,9 @@ class TestPropagateContract:
         phi, q = gaussian._stroke_maps(span, generator, intervals, 1 if ramp else 2,
                                        span_fmax(span, p) if ramp else 0.0)
         assert n == 8 and (span.shape == "adiabatic" or not ramp)
+        assert bool(stacks) == ramp
         M0, E, C = generator
-        t, h = (np.concatenate(x) for x in zip(*stacks))
+        t, h = (np.concatenate(x) for x in zip(*stacks)) if ramp else (None, None)
         for k, (a, b) in enumerate(intervals):
             if ramp:
                 Z = np.eye(2 * n)
@@ -470,7 +472,8 @@ class TestDissipationFreeMaps:
                              delta_start=-6000.0).spans()[0]
         generator = gaussian._stroke_generator(p, span)
         n = generator[0].shape[0] // 2
-        fmax = span_fmax(span, p) if span.kind is StrokeKind.RAMP_DETUNING else 0.0
+        ramp = span.kind is StrokeKind.RAMP_DETUNING
+        fmax = span_fmax(span, p) if ramp else 0.0
         substeps, magnus4 = [], _kernels.magnus4
 
         def spy(G, t, h, moments):
@@ -485,6 +488,19 @@ class TestDissipationFreeMaps:
         monkeypatch.setattr(_kernels, "magnus4", spy)
         phi, q = gaussian._stroke_maps(span, generator, [(0.0, span.duration)], 2, fmax)
         assert q.shape == (1, n, n) and not q.any()
+        if not ramp:
+            # a hold takes no substeps: each closed block, the pair's and the
+            # target's, exponentiates its n x n drift over the whole stroke
+            assert not substeps
+            sizes, expm1 = [], _kernels.expm1
+            monkeypatch.setattr(_kernels, "expm1", lambda X: sizes.append(X.shape) or expm1(X))
+            gaussian._stroke_maps(span, generator, [(0.0, span.duration)], 2, fmax)
+            assert sizes == [(1, 4, 4), (1, 2, 2)]
+            M0, E, _ = generator
+            reference = scipy_expm(span.duration * (M0 + span.delta0 * E))[:n, :n]
+            # scipy's expm of the 12 x 12 generator is itself ~4e-13 off here
+            assert np.abs(phi[0] - reference).max() <= 1e-12 * np.abs(reference).max()
+            return
         Y = np.zeros_like(generator[0])
         for full in substeps:
             for step in full:
@@ -496,30 +512,56 @@ class TestDissipationFreeMaps:
         reference[4:, 4:] = [[math.cos(angle), math.sin(angle)],
                              [-math.sin(angle), math.cos(angle)]]
         assert not reference[:4, 4:].any() and not reference[4:, :4].any()
-        # Pade-13's linear solves round differently at n and 2n (<= 6e-17 per
-        # substep on fig1's fastest substeps); composing ~500 of them adds up
+        # the n x n and 2n x 2n substeps agree bit for bit (products alone),
+        # but the maps chain ~500 of them pairwise and the walk in time order
         assert np.abs(phi[0] - reference).max() <= 1e-14 * np.abs(reference).max()
 
     @pytest.mark.parametrize("kappa, gamma", [(0.0, 0.0), (40.0, 0.0), (0.0, 1.0),
                                               (40.0, 1.0)])
     def test_magnus_stacks_are_n_by_n_only_without_dissipation(self, kappa, gamma,
                                                                monkeypatch):
-        # the pair's Magnus stacks, and the pulsed exchange's, take the drift
-        # alone exactly when their modes have no diffusion
+        # only the ramps' pair (a, b) takes Magnus stacks; a hold or exchange
+        # exponentiates each block whole.  Each stack or exponent takes the
+        # drift alone exactly when its modes have no diffusion
         p = params(kappa=kappa, gamma=gamma)
-        shapes, magnus4 = set(), _kernels.magnus4
+        kind, calls, maps = [None], set(), []
+        magnus4, expm1, stroke_maps = _kernels.magnus4, _kernels.expm1, gaussian._stroke_maps
 
-        def spy(G, t, h, moments):
-            shapes.add(G.shape)
-            return magnus4(G, t, h, moments)
+        def maps_spy(span, *args):
+            kind[0] = span.kind
+            built = stroke_maps(span, *args)
+            maps.append((span, args[0], args[1], built))
+            return built
 
-        monkeypatch.setattr(_kernels, "magnus4", spy)
+        def spy(name, func):
+            def call(X, *args):
+                calls.add((name, kind[0], X.shape[-1]))
+                return func(X, *args)
+            return call
+
+        monkeypatch.setattr(gaussian, "_stroke_maps", maps_spy)
+        monkeypatch.setattr(_kernels, "magnus4", spy("magnus4", magnus4))
+        monkeypatch.setattr(_kernels, "expm1", spy("expm1", expm1))
         sched = build_default_cycle(p, 0.04, 0.008, 0.04, 0.1, targets=[0])
         propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
                   tol=1e-7, params=p, samples_per_stroke=2)
-        # the pair (a, b), and the exchange's (a, b, c)
-        sizes = (4, 6) if kappa == gamma == 0.0 else (8, 12)
-        assert shapes == {(3, m, m) for m in sizes}
+        pair, target, exchange = ((4, 2, 6) if kappa == gamma == 0.0 else
+                                  (8, 2 if gamma == 0.0 else 4, 12))
+        ramp, hold, pulse = (StrokeKind.RAMP_DETUNING, StrokeKind.HOLD,
+                             StrokeKind.EXCHANGE_PULSE)
+        # magnus4's own exponentials are the ramps' pair's
+        assert calls == {("magnus4", ramp, pair), ("expm1", ramp, pair), ("expm1", ramp, target),
+                         ("expm1", hold, pair), ("expm1", hold, target),
+                         ("expm1", pulse, exchange)}
+        for span, (M0, E, _), segments, (phi, q) in maps:
+            if span.kind is ramp:
+                continue
+            n = M0.shape[0] // 2
+            for (a, b), phi_k, q_k in zip(segments, phi, q):
+                Z = scipy_expm((b - a) * (M0 + span.delta0 * E))
+                ref_phi, ref_q = Z[:n, :n], Z[:n, n:] @ Z[:n, :n].T
+                assert np.abs(phi_k - ref_phi).max() <= 1e-12 * np.abs(ref_phi).max()
+                assert np.abs(q_k - ref_q).max() <= 1e-12 * np.abs(ref_q).max()
 
 
 class TestPolaritonObservables:

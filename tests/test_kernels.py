@@ -117,16 +117,38 @@ def _moment_rhs(p, span, reference):
     return rhs
 
 
+# the norms at which expm1 is checked against scipy, across its degree thresholds
+SCIPY_NORMS = [0.01, 0.0239, 0.024, 0.2, 0.3066, 0.3067, 0.9, 2.0, 5.0, 6.0, 50.0, 400.0]
+
+
+def forbid_solve(*args):
+    raise AssertionError("np.linalg.solve called")
+
+
+def expm1_without_solve(norm, monkeypatch):
+    """expm1 of a 5-stack of 12 x 12 matrices of largest 1-norm ``norm``, with
+    np.linalg.solve forbidden: its largest deviation from scipy's expm, the
+    reference stack, and the norm and degree of the one Taylor call it made."""
+    taken, taylor = [], _kernels._taylor
+    monkeypatch.setattr(_kernels, "_taylor", lambda X, m: taken.append(
+        (float(np.abs(X).sum(axis=-2).max()), m)) or taylor(X, m))
+    X = np.random.default_rng(10).standard_normal((5, 12, 12))
+    X *= norm / np.abs(X).sum(axis=-2).max()
+    ref = np.stack([scipy_expm(x) for x in X])
+    monkeypatch.setattr(np.linalg, "solve", forbid_solve)
+    err = np.max(np.abs(_kernels.expm1(X) - (ref - np.eye(12))))
+    (scaled, degree), = taken
+    return err, ref, scaled, degree
+
+
 class TestBackends:
     def test_backend_selected(self):
         assert _kernels.BACKEND == "magnus4"
 
-    @pytest.mark.parametrize("norm", [0.01, 0.0239, 0.024, 0.2, 0.3066, 0.3067, 0.9, 2.0,
-                                      5.0, 6.0, 50.0, 400.0])
+    @pytest.mark.parametrize("norm", SCIPY_NORMS)
     def test_expm_matches_scipy_across_scaling_threshold(self, norm):
         # Taylor degree 7 up to theta_7 = 0.0239, degree 12 up to theta_12 =
-        # 0.3066, then Pade-13 alone up to theta_13 = 5.37 and scaling and
-        # squaring above it
+        # 0.3066, and degree 12 with scaling and squaring above it
         X = np.random.default_rng(7).standard_normal((12, 12))
         X *= norm / np.abs(X).sum(axis=0).max()
         ref = scipy_expm(X)
@@ -140,16 +162,31 @@ class TestBackends:
 
     @pytest.mark.parametrize("norm", [1e-9, 0.02, 0.0239, 0.024, 0.2, 0.3066])
     def test_no_linear_solve_up_to_theta_12(self, norm, monkeypatch):
-        def solve(*args):
-            raise AssertionError("np.linalg.solve called")
+        err, _, scaled, degree = expm1_without_solve(norm, monkeypatch)
+        theta_7 = _kernels._TAYLOR[0][1]
+        assert err < 1e-15 and scaled == pytest.approx(norm, rel=1e-12)
+        assert degree == (7 if norm <= theta_7 else 12)
 
-        X = np.random.default_rng(10).standard_normal((5, 12, 12))
-        X *= norm / np.abs(X).sum(axis=-2).max()
-        want = np.stack([scipy_expm(x) for x in X]) - np.eye(12)
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        assert np.max(np.abs(_kernels.expm1(X) - want)) < 1e-15
-        with pytest.raises(AssertionError, match="solve"):
-            _kernels.expm1(X * (0.31 / norm))
+    @pytest.mark.parametrize("norm", [n for n in SCIPY_NORMS if n > 0.3066])
+    def test_no_linear_solve_above_theta_12(self, norm, monkeypatch):
+        # the stack is scaled by 2^-s into theta_12, takes degree 12 and is
+        # squared s times
+        err, ref, scaled, degree = expm1_without_solve(norm, monkeypatch)
+        theta_12 = _kernels._TAYLOR[-1][1]
+        assert err < 1e-13 * np.abs(ref).max()
+        assert degree == 12 and theta_12 / 2 < scaled <= theta_12
+
+    def test_no_linear_solve_in_a_fig1_propagate(self, monkeypatch):
+        # fig1's exchange and hold blocks are exponentiated whole, past theta_12
+        norms, expm1 = [], _kernels.expm1
+        monkeypatch.setattr(_kernels, "expm1", lambda X: norms.append(
+            float(np.abs(X).sum(axis=-2).max())) or expm1(X))
+        monkeypatch.setattr(np.linalg, "solve", forbid_solve)
+        cfg = parse_cycle_config(load_config_file("fig1"))
+        propagate(thermal_state([0.5, 2.0, *cfg.params.n_targets]), cfg.schedule,
+                  cfg.schedule.total_duration, tol=cfg.tol, params=cfg.params,
+                  samples_per_stroke=cfg.samples_per_stroke)
+        assert max(norms) > 10 * _kernels._TAYLOR[-1][1]
 
     def test_mixed_stack_takes_the_degree_of_its_largest_norm(self, monkeypatch):
         taken = []

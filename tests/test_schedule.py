@@ -185,6 +185,17 @@ class TestScheduleEvaluation:
                 cycle_count=1, delta_start=-6000.0,
             )
 
+    @pytest.mark.parametrize("count", [0, -1, 2.5, 2.0, True, "2", None])
+    def test_cycle_count_must_be_a_positive_integer(self, count):
+        # a float or bool is refused, not truncated or taken as 1
+        with pytest.raises(ValueError, match="cycle_count must be an integer"):
+            CycleSchedule(strokes=(Stroke.hold(0.1),), cycle_count=count, delta_start=-6000.0)
+
+    def test_numpy_integer_cycle_count_accepted(self):
+        sched = CycleSchedule(strokes=(Stroke.hold(0.1),), cycle_count=np.int64(3),
+                              delta_start=-6000.0)
+        assert len(sched.spans()) == 3
+
     def test_multi_cycle_must_close(self):
         with pytest.raises(ValueError, match="close"):
             CycleSchedule(
