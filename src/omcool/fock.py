@@ -30,26 +30,22 @@ and of the column together.  With the basis sorted by parity, rho is four
 blocks rho_pq, and the cross blocks (p != q) are never fed from the
 diagonal ones.  The step loop therefore carries rho as its two diagonal
 blocks, plus the cross blocks only when the initial rho has a nonzero entry
-there, in one flat buffer; a thermal start carries d^2/2 entries for an
-even d.  In the generator the Hamiltonian acts through weighted row slices
-or row gathers inside each block and the jump terms through weighted flat
-gathers between blocks, so no d x d operator product (nor a multi-threaded
-BLAS call) runs in the step loop.  The jump sum is Hermitian, so it is
-gathered only on one triangle of rho (about d^2/4 entries for a thermal start) and completed by
-the same Hermitian mirror sum that builds the rest of the slope; a diagonal
-block's slope is bitwise the same whether or not the cross blocks are
-carried.  The memory is O(d^2) rather than the O(d^4) of a full
-Liouvillian: three work buffers, the generator's three scratch buffers, and
-an index and a complex weight per gathered entry for each jump term (about
-7 MB at cutoffs (6, 6, 8)).  Each output sample reassembles the
-natural-order d x d rho for the observables and the checks; the quadrature
-moments are traces along its diagonals, again with no d x d operator.  The
-checks read rho's parity blocks.  The positivity check is the engine's only
-LAPACK call: an ``eigvalsh`` of each parity block of rho (of the whole rho
-when its cross blocks are nonzero), run on one BLAS thread, since
-OpenBLAS's idle workers would spin on a second core after every call.  As
-an independent oracle it shares only the schedule with the Gaussian engine (its stroke walk, sample grid
-and step-size scale), never the Gaussian engine's code.
+there, in one flat buffer (``_Blocks``); a thermal start carries d^2/2
+entries for an even d.  The generator (``_Generator``) acts on that buffer
+by weighted row slices, row gathers and flat gathers, so no d x d operator
+product (nor a multi-threaded BLAS call) runs in the step loop.  Every
+output sample is read off the buffer too: occupations, quadrature moments
+and leakage from precomputed positions of the entries they weigh, and the
+checks from the blocks themselves.  No sample builds a d x d array unless
+rho's cross blocks are nonzero, and the natural-order rho is assembled once,
+for the final state.  The memory is O(d^2): three work buffers, the
+generator's three scratch buffers, and an index and a complex weight per
+gathered entry for each jump term (about 7 MB at cutoffs (6, 6, 8)).  The
+positivity check's ``eigvalsh`` is the engine's only LAPACK call, run on
+one BLAS thread, since OpenBLAS's idle workers would spin on a second core
+after every call.  As an independent oracle the engine shares only the
+schedule with the Gaussian engine (its stroke walk, sample grid and
+step-size scale), never its code.
 
 Truncation is monitored continuously: the population of the top retained
 Fock level of each mode is tracked at every step and a TruncationError is
@@ -135,13 +131,6 @@ def _cutoffs(cutoffs) -> tuple[int, ...]:
     return tuple(int(c) for c in cutoffs)
 
 
-def _parity_indices(cutoffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The natural indices of the even and of the odd states of total
-    excitation parity, each in natural order."""
-    odd = np.indices(cutoffs).sum(0).ravel() % 2 == 1
-    return np.flatnonzero(~odd), np.flatnonzero(odd)
-
-
 def _check_leakage_threshold(threshold: float) -> None:
     if not 0 < threshold < 1:  # NaN fails too
         raise ValueError(f"leakage_threshold must lie in (0, 1), got {threshold}")
@@ -164,53 +153,18 @@ class FockState:
         object.__setattr__(self, "rho", rho)
 
     def trace_error(self) -> float:
-        tr = np.trace(self.rho)
-        return abs(float(tr.real) - 1.0) + abs(float(tr.imag))
-
-    def _parity_blocks(self) -> list:
-        """rho's blocks ``b[p][q]``: the rows of parity p, the columns of parity q."""
-        idx = _parity_indices(self.cutoffs)
-        return [[rows.take(cols, 1) for cols in idx] for rows in (self.rho.take(i, 0) for i in idx)]
+        return _Blocks.trace_error(*_split(self))
 
     def hermiticity_error(self) -> float:
-        """max |rho - rho^H|, taken block by block: rho_pq against rho_qp^H."""
-        b = self._parity_blocks()
-        # np.max keeps a NaN, where the builtin max() may drop it
-        return float(np.max([np.abs(b[p][q] - b[q][p].conj().T).max()
-                             for p, q in ((0, 0), (1, 1), (0, 1))]))
+        return _Blocks.hermiticity_error(*_split(self))
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the Hermitian part of rho: the smaller of
-        its two parity blocks' minima when its cross-parity blocks are exactly
-        0 (as for every thermal start, see the module docstring), else the
-        full matrix's.  The ``eigvalsh`` runs on one BLAS thread."""
-        b = self._parity_blocks()
-        if np.any(0.5 * (b[0][1] + b[1][0].conj().T)):
-            blocks = [0.5 * (self.rho + self.rho.conj().T)]
-        else:
-            blocks = [0.5 * (b[p][p] + b[p][p].conj().T) for p in (0, 1)]
-        with _one_blas_thread():
-            return float(min(np.linalg.eigvalsh(h).min() for h in blocks))
+        return _Blocks.min_eigenvalue(*_split(self))
 
     def validate(self) -> float:
-        """Check trace, hermiticity and positivity; return the
-        ``min_eigenvalue`` the positivity check computed.  A NaN fails every
-        check (each check passes only on a true comparison)."""
-        terr = self.trace_error()
-        if not terr <= TRACE_TOL:
-            raise IntegrationError(f"trace deviates by {terr:.3e} at t={self.time}", time=self.time)
-        herr = self.hermiticity_error()
-        if not herr <= HERMITICITY_TOL:
-            raise IntegrationError(
-                f"hermiticity deviates by {herr:.3e} at t={self.time}", time=self.time
-            )
-        mineig = self.min_eigenvalue()
-        if not mineig >= -POSITIVITY_TOL:
-            raise IntegrationError(
-                f"negative eigenvalue {mineig:.3e} at t={self.time}; reduce the step size",
-                time=self.time,
-            )
-        return mineig
+        """Check trace, hermiticity and positivity on parity blocks taken out
+        once (``_Blocks.checks``); return the ``min_eigenvalue`` it computed."""
+        return _Blocks.checks(*_split(self), self.time)[2]
 
 
 class ModeOperators:
@@ -263,12 +217,6 @@ def _compose(x, y):
     return ox + oy, wx * wy_at
 
 
-def _expect(rho: np.ndarray, op) -> complex:
-    """tr(O rho) of a shift O = (offset, weight): sum_i w[i] rho[i + o, i]."""
-    o, w = op
-    return complex(np.dot(w[max(0, -o): w.size - max(0, o)], np.diagonal(rho, -o)))
-
-
 def thermal_state(cutoffs, occupations, time: float = 0.0,
                   leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD) -> FockState:
     """Product of truncated, renormalized thermal (geometric) states.
@@ -281,25 +229,20 @@ def thermal_state(cutoffs, occupations, time: float = 0.0,
     occupations = [float(n) for n in occupations]
     if len(occupations) != len(cutoffs):
         raise ValueError("need one occupation per mode")
+    if not all(0 <= n < np.inf for n in occupations):  # NaN fails too
+        raise ValueError(f"occupations must be finite and non-negative, got {occupations}")
     diags = []
     for c, n in zip(cutoffs, occupations):
-        if n < 0:
-            raise ValueError("occupations must be non-negative")
-        if n == 0:
-            w = np.zeros(c)
-            w[0] = 1.0
-        else:
-            q = n / (n + 1.0)
-            tail = q**c
-            if tail > leakage_threshold:
-                raise TruncationError(
-                    f"thermal occupation {n} needs more than {c} levels "
-                    f"(tail mass {tail:.3e} > {leakage_threshold:.1e})",
-                    mode=len(diags), leakage=tail,
-                )
-            w = (1.0 - q) * q ** np.arange(c)
-            w /= w.sum()
-        diags.append(w)
+        q = n / (n + 1.0)  # n = 0 gives the vacuum, since 0^0 = 1
+        tail = q**c
+        if tail > leakage_threshold:
+            raise TruncationError(
+                f"thermal occupation {n} needs more than {c} levels "
+                f"(tail mass {tail:.3e} > {leakage_threshold:.1e})",
+                mode=len(diags), leakage=tail,
+            )
+        w = (1.0 - q) * q ** np.arange(c)
+        diags.append(w / w.sum())
     rho = np.diag(reduce(np.kron, diags).astype(complex))
     return FockState(rho=rho, cutoffs=cutoffs, time=time)
 
@@ -324,12 +267,15 @@ def number_state(cutoffs, levels, time: float = 0.0) -> FockState:
     return FockState(rho=rho, cutoffs=cutoffs, time=time)
 
 
+def _split(state: FockState, ops: ModeOperators | None = None, modes=()) -> tuple:
+    """The ``_Blocks`` of ``state.rho`` and its carried blocks, taken out once."""
+    blocks = _Blocks(ModeOperators(state.cutoffs) if ops is None else ops, state.rho, modes)
+    return blocks, blocks.split(state.rho)
+
+
 def mode_occupations(state: FockState, ops: ModeOperators | None = None) -> np.ndarray:
     """Mean occupation <a^dag a> per mode."""
-    if ops is None:
-        ops = ModeOperators(state.cutoffs)
-    diag = np.real(np.einsum("ii->i", state.rho))
-    return np.array([float(np.dot(nv, diag)) for nv in ops.number_diag])
+    return _Blocks.occupations(*_split(state, ops))
 
 
 def quadrature_moments(state: FockState, ops: ModeOperators, modes=(0, 1)):
@@ -339,39 +285,155 @@ def quadrature_moments(state: FockState, ops: ModeOperators, modes=(0, 1)):
     symmetrized second moment, matching the Gaussian-engine convention, so
     polariton observables can be computed identically for both engines.
     Every moment is built from traces tr(O rho) of ladder products O, each a
-    weighted sum along one diagonal of rho, with <a_m> = (<x> + i <p>)/sqrt(2).
+    weighted sum of entries of rho's parity blocks, with <a_m> = (<x> + i <p>)/sqrt(2).
     """
-    rho = state.rho
-    diag = np.real(np.einsum("ii->i", rho))
-    low = [ops.lowering[m] for m in modes]
-    firsts = [_expect(rho, x) for x in low]
-    mean = np.sqrt(2.0) * np.array([(z.real, z.imag) for z in firsts]).reshape(-1)
-    second = np.empty((2 * len(modes), 2 * len(modes)))
-    for i, m in enumerate(modes):
-        sq = _expect(rho, _compose(low[i], low[i]))
-        # a^dag a + a a^dag, diagonal; a a^dag lacks the top level when truncated
-        half = 0.5 * float(np.dot(ops.number_diag[m] + ops.lower_diag[m], diag))
-        second[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[half + sq.real, sq.imag],
-                                                    [sq.imag, half - sq.real]]
-        for j in range(i + 1, len(modes)):
-            aa = _expect(rho, _compose(low[i], low[j]))  # <a_i a_j>
-            da = _expect(rho, _compose(ops.raising[m], low[j]))  # <a_i^dag a_j>
-            block = np.array([[aa.real + da.real, aa.imag + da.imag],
-                              [aa.imag - da.imag, da.real - aa.real]])
-            second[2 * i:2 * i + 2, 2 * j:2 * j + 2] = block
-            second[2 * j:2 * j + 2, 2 * i:2 * i + 2] = block.T
-    return mean, second - np.outer(mean, mean)
+    return _Blocks.moments(*_split(state, ops, modes))
 
 
-class _Generator:
-    """Pieces of the master-equation right-hand side, precomputed per run.
+class _Blocks:
+    """rho as its total-parity blocks in one flat buffer (module docstring),
+    and every observable and check read off that buffer.  Block (p, q) holds
+    the rows of parity p and the columns of parity q, each in natural order
+    and row-major; the cross blocks are carried only if ``rho`` has a
+    nonzero entry there.  ``diagonal`` is the buffer position of each rho_ii,
+    and ``traces`` the positions and weights of the carried entries
+    rho[i + o, i] of each ladder product (o, w) whose trace the quadrature
+    moments of ``modes`` read."""
 
-    rho is carried as its parity blocks (see the module docstring): block
-    (p, q) holds the rows of parity p and the columns of parity q, each in
-    natural order, and the carried blocks lie one after the other in one flat
-    buffer, each in row-major order (``split``/``join`` convert to and from
-    the natural d x d matrix).  The right-hand side is evaluated block by
-    block as (Y + U) + (Y + U)^dag, with
+    def __init__(self, ops: ModeOperators, rho: np.ndarray, modes=()):
+        d = self.dim = ops.dim
+        self.ops, self.modes = ops, tuple(modes)
+        # the natural indices of each parity, and each index's place among them
+        odd = np.add.reduce(ops.number_diag) % 2 == 1
+        natural = self.natural = [np.flatnonzero(~odd), np.flatnonzero(odd)]
+        self.order = np.concatenate(natural)  # parity-sorted: even states, then odd
+        local = self.local = np.empty(d, dtype=np.intp)
+        for nat in natural:
+            local[nat] = np.arange(nat.size)
+        sizes = [nat.size for nat in natural]
+        self.rows = [slice(0, sizes[0]), slice(sizes[0], d)]  # of each parity in order
+        cross = any(np.any(rho[np.ix_(a, b)]) for a, b in (natural, natural[::-1]))
+        self.blocks = [(0, 0), (1, 1)] + ([(0, 1), (1, 0)] if cross else [])
+        self.shapes = [(sizes[p], sizes[q]) for p, q in self.blocks]
+        ends = np.cumsum([a * b for a, b in self.shapes])
+        self.spans = [slice(int(e) - a * b, int(e)) for e, (a, b) in zip(ends, self.shapes)]
+        self.size = int(ends[-1])
+        self.mirror = [self.blocks.index((q, p)) for p, q in self.blocks]
+        # natural flat index (row * d + column) of every carried entry
+        self.flat_index = np.concatenate(
+            [(natural[p][:, None] * d + natural[q][None, :]).reshape(-1)
+             for p, q in self.blocks])
+        # buffer position of each natural flat index, -1 where not carried
+        where = np.full(d * d, -1, dtype=np.intp)
+        where[self.flat_index] = np.arange(self.size)
+        self.diagonal = where[:: d + 1].copy()
+        low, self.traces = ops.lowering, {}
+        for k, m in enumerate(self.modes):  # <a_m>, <a_m a_n> and <a_m^dag a_n>
+            products = {("a", m): low[m]}
+            products.update({("aa", m, n): _compose(low[m], low[n]) for n in self.modes[k:]})
+            products.update({("da", m, n): _compose(ops.raising[m], low[n])
+                             for n in self.modes[k + 1:]})
+            for key, (o, w) in products.items():
+                i = np.flatnonzero(w)
+                pos = where[(i + o) * d + i]
+                self.traces[key] = pos[pos >= 0], w[i][pos >= 0]
+
+    def split(self, rho: np.ndarray) -> np.ndarray:
+        """The carried blocks of a natural-order d x d ``rho``, as one flat buffer."""
+        return rho.reshape(-1)[self.flat_index]
+
+    def join(self, buf: np.ndarray) -> np.ndarray:
+        """The natural-order d x d matrix of a flat buffer (uncarried blocks 0)."""
+        rho = np.zeros((self.dim, self.dim), dtype=complex)
+        rho.reshape(-1)[self.flat_index] = buf
+        return rho
+
+    def _views(self, buf):
+        return [buf[s].reshape(shape) for s, shape in zip(self.spans, self.shapes)]
+
+    def hermitian(self, buf: np.ndarray) -> np.ndarray:
+        """The carried blocks of (rho + rho^H)/2, block pq from rho_pq and rho_qp^H."""
+        views = self._views(buf)
+        return np.concatenate([(0.5 * (v + views[k].conj().T)).reshape(-1)
+                               for v, k in zip(views, self.mirror)])
+
+    def occupations(self, buf: np.ndarray) -> np.ndarray:
+        """Mean occupation <a^dag a> of every mode."""
+        diag = buf[self.diagonal].real
+        return np.array([float(np.dot(nv, diag)) for nv in self.ops.number_diag])
+
+    def moments(self, buf: np.ndarray):
+        """Mean vector and covariance of the quadratures of ``modes`` (``quadrature_moments``)."""
+        ops, modes = self.ops, self.modes
+        diag = buf[self.diagonal].real
+        tr = {key: complex(np.dot(w, buf[pos])) for key, (pos, w) in self.traces.items()}
+        mean = np.sqrt(2.0) * np.array([(tr["a", m].real, tr["a", m].imag)
+                                        for m in modes]).reshape(-1)
+        second = np.empty((2 * len(modes), 2 * len(modes)))
+        for i, m in enumerate(modes):
+            sq = tr["aa", m, m]
+            # a^dag a + a a^dag, diagonal; a a^dag lacks the top level when truncated
+            half = 0.5 * float(np.dot(ops.number_diag[m] + ops.lower_diag[m], diag))
+            second[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[half + sq.real, sq.imag],
+                                                        [sq.imag, half - sq.real]]
+            for j, n in enumerate(modes[i + 1:], i + 1):
+                aa, da = tr["aa", m, n], tr["da", m, n]  # <a_m a_n>, <a_m^dag a_n>
+                block = np.array([[aa.real + da.real, aa.imag + da.imag],
+                                  [aa.imag - da.imag, da.real - aa.real]])
+                second[2 * i:2 * i + 2, 2 * j:2 * j + 2] = block
+                second[2 * j:2 * j + 2, 2 * i:2 * i + 2] = block.T
+        return mean, second - np.outer(mean, mean)
+
+    def trace_error(self, buf: np.ndarray) -> float:
+        tr = buf[self.diagonal].sum()
+        return abs(float(tr.real) - 1.0) + abs(float(tr.imag))
+
+    def hermiticity_error(self, buf: np.ndarray) -> float:
+        """max |rho - rho^H|, taken block by block: rho_pq against rho_qp^H."""
+        views = self._views(buf)
+        # np.max keeps a NaN, where the builtin max() may drop it
+        return float(np.max([np.abs(v - views[k].conj().T).max()
+                             for v, k, (p, q) in zip(views, self.mirror, self.blocks) if p <= q]))
+
+    def min_eigenvalue(self, buf: np.ndarray) -> float:
+        """Smallest eigenvalue of the Hermitian part of rho: the smaller of
+        its two parity blocks' minima when its cross-parity blocks are exactly
+        0 (as for every thermal start, see the module docstring), else the
+        natural-order matrix's.  The ``eigvalsh`` runs on one BLAS thread."""
+        views = self._views(buf)
+        if len(views) > 2 and np.any(0.5 * (views[2] + views[3].conj().T)):
+            herm = [self.join(self.hermitian(buf))]
+        else:
+            herm = (0.5 * (v + v.conj().T) for v in views[:2])
+        with _one_blas_thread():
+            return float(min(np.linalg.eigvalsh(h).min() for h in herm))
+
+    def checks(self, buf: np.ndarray, time: float) -> tuple[float, float, float]:
+        """(trace error, hermiticity error, min eigenvalue) of ``buf``, or an
+        IntegrationError at ``time`` when a check fails.  A NaN fails every
+        check (each check passes only on a true comparison)."""
+        terr = self.trace_error(buf)
+        if not terr <= TRACE_TOL:
+            raise IntegrationError(f"trace deviates by {terr:.3e} at t={time}", time=time)
+        herr = self.hermiticity_error(buf)
+        if not herr <= HERMITICITY_TOL:
+            raise IntegrationError(f"hermiticity deviates by {herr:.3e} at t={time}", time=time)
+        mineig = self.min_eigenvalue(buf)
+        if not mineig >= -POSITIVITY_TOL:
+            raise IntegrationError(
+                f"negative eigenvalue {mineig:.3e} at t={time}; reduce the step size", time=time)
+        return terr, herr, mineig
+
+    def observe(self, buf: np.ndarray, time: float) -> tuple:
+        """One output sample of ``buf`` at ``time``: (occupations, mean, cov, ``checks``)."""
+        return (self.occupations(buf), *self.moments(buf), self.checks(buf, time))
+
+
+class _Generator(_Blocks):
+    """Pieces of the master-equation right-hand side, precomputed per run,
+    on the parity blocks of ``_Blocks`` (the observables of every mode).
+    The right-hand side is evaluated block by block as (Y + U) + (Y + U)^dag,
+    with
 
         Y = -i H_off rho + L[:, None] * rho,
         L = damp_diag - i h_diag(t),
@@ -400,34 +462,10 @@ class _Generator:
             raise ValueError(
                 f"cutoffs describe {len(ops.cutoffs)} modes, params {params.n_modes}"
             )
-        d = self.dim = ops.dim
-        n_modes = params.n_modes
+        super().__init__(ops, rho, range(params.n_modes))
+        d, n_modes = self.dim, params.n_modes
         lower, upper = ops.lowering, ops.raising
-
-        # the natural indices of each parity, and each index's place among them
-        natural = _parity_indices(ops.cutoffs)
-        order = np.concatenate(natural)  # parity-sorted: even states, then odd
-        local = np.empty(d, dtype=np.intp)
-        for nat in natural:
-            local[nat] = np.arange(nat.size)
-        sizes = [nat.size for nat in natural]
-        self.rows = [slice(0, sizes[0]), slice(sizes[0], d)]  # of each parity in order
-        # the cross blocks are carried only if the initial rho has them
-        cross = bool(np.any(rho[np.ix_(natural[0], natural[1])] != 0))
-        self.blocks = [(0, 0), (1, 1)] + ([(0, 1), (1, 0)] if cross else [])
-        self.shapes = [(sizes[p], sizes[q]) for p, q in self.blocks]
-        ends = np.cumsum([a * b for a, b in self.shapes])
-        self.spans = [slice(int(e) - a * b, int(e)) for e, (a, b) in zip(ends, self.shapes)]
-        self.size = int(ends[-1])
-        self.mirror = [self.blocks.index((q, p)) for p, q in self.blocks]
-        # natural flat index (row * d + column) of every carried entry
-        self.flat_index = np.concatenate(
-            [(natural[p][:, None] * d + natural[q][None, :]).reshape(-1)
-             for p, q in self.blocks])
-        # buffer position of each diagonal entry rho_ii, in natural order
-        self.diagonal = np.empty(d, dtype=np.intp)
-        for p, nat in enumerate(natural):
-            self.diagonal[nat] = self.spans[p].start + np.arange(nat.size) * (nat.size + 1)
+        natural, order, local = self.natural, self.order, self.local
 
         def source(offset, weight):
             """Place, among its parity, of each natural index's source i + offset;
@@ -504,16 +542,6 @@ class _Generator:
         self._tmp = np.empty(self.size, dtype=complex)
         self._acc = np.empty(self.upper.size, dtype=complex)
 
-    def split(self, rho: np.ndarray) -> np.ndarray:
-        """The carried blocks of a natural-order d x d ``rho``, as one flat buffer."""
-        return rho.reshape(-1)[self.flat_index]
-
-    def join(self, buf: np.ndarray) -> np.ndarray:
-        """The natural-order d x d matrix of a flat buffer (uncarried blocks 0)."""
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho.reshape(-1)[self.flat_index] = buf
-        return rho
-
     def bands(self, target: int | None, amplitude: float) -> list:
         """The bands of -i H_off for an exchange pulse of ``amplitude`` on
         ``target`` (no pulse when the amplitude is 0): per band, the
@@ -523,9 +551,6 @@ class _Generator:
             bands += [[(rows, src, amplitude * w) for rows, src, w in band]
                       for band in self.exchange[target]]
         return bands
-
-    def _views(self, buf):
-        return [buf[s].reshape(shape) for s, shape in zip(self.spans, self.shapes)]
 
     def _lvec(self, delta_now: float) -> np.ndarray:
         return self.damp_diag - 1j * (self.diag_static - delta_now * self.na_diag)
@@ -550,7 +575,9 @@ class _Generator:
         for band in bands:
             for block, (r, _, w) in zip(self.rows, band):
                 rows[block][r] += np.abs(w)
-        base = np.abs(lvec[:, None] + lvec.conj())
+        # |L[i] + conj(L[j])| with no complex d x d temporary
+        base = np.add.outer(lvec.real, lvec.real)
+        np.hypot(base, np.subtract.outer(lvec.imag, lvec.imag), out=base)
         base += rows
         base += rows.T
         sums = np.empty_like(base)
@@ -700,10 +727,11 @@ def propagate_fock(
     (``span_fmax`` with the detunings at the segment's ends).  ``dt`` caps
     every step further; it must not exceed the stroke-wide bound
     1/(50 f_max), and a coarser ``dt`` raises ValueError.  The samples lie
-    on the ``schedule.stroke_walk`` grid; density matrices are not kept
-    (d^2 complex entries each), only the final state and each sample's
-    occupations, quadrature moments of every mode and leakage.  Top
-    Fock-level population is checked after every step against
+    on the ``schedule.stroke_walk`` grid.  Each sample's occupations,
+    quadrature moments of every mode, leakage and checks are read off the
+    carried parity blocks (``_Blocks.observe``); no density matrix is kept
+    but the final state's, joined once after the work buffers are released.
+    Top Fock-level population is checked after every step against
     ``leakage_threshold``; trace, hermiticity and positivity are checked at
     every output sample.
     """
@@ -714,10 +742,8 @@ def propagate_fock(
     if dt is not None:
         _check_dt(dt, params, [span for span, _, _ in walk])
 
-    rho = np.array(state.rho, dtype=complex)
-    rho = 0.5 * (rho + rho.conj().T)
-    gen = _Generator(params, ops, rho)
-    rho = gen.split(rho)
+    gen = _Generator(params, ops, state.rho)
+    rho = gen.hermitian(gen.split(state.rho))
     # work buffers: the step's result and two scratch buffers (the RK4 stages,
     # or the Taylor terms)
     total, slope, stage = (np.empty_like(rho) for _ in range(3))
@@ -732,12 +758,10 @@ def propagate_fock(
 
     times = [t0]
     records = []
-    modes = tuple(range(len(state.cutoffs)))
 
     def record(r, t):
-        st = FockState(rho=gen.join(r), cutoffs=state.cutoffs, time=t)
-        records.append((mode_occupations(st, ops), *quadrature_moments(st, ops, modes),
-                        st.validate(), leakage(r)))
+        occupations, mean, cov, (_, _, min_eig) = gen.observe(r, t)
+        records.append((occupations, mean, cov, min_eig, leakage(r)))
 
     record(rho, t0)
 
@@ -783,6 +807,7 @@ def propagate_fock(
             times.append(t_now)
             record(rho, t_now)
 
+    del total, slope, stage
     occ, means, covs, min_eigs, leaks = (np.array(x) for x in zip(*records))
     return Samples(
         times=np.asarray(times), occupations=occ, means=means, covs=covs,

@@ -119,8 +119,8 @@ def check_samples(times, means: np.ndarray, covs: np.ndarray):
 def thermal_state(occupations, time: float = 0.0) -> GaussianState:
     """Product thermal state in the bare-mode basis (zero means)."""
     occupations = np.asarray(occupations, dtype=float)
-    if np.any(occupations < 0):
-        raise ValueError("occupations must be non-negative")
+    if not np.all((occupations >= 0) & (occupations < np.inf)):  # NaN fails too
+        raise ValueError(f"occupations must be finite and non-negative, got {occupations.tolist()}")
     diag = np.repeat(occupations + 0.5, 2)
     return GaussianState(
         mean=np.zeros(2 * occupations.size),

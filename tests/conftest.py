@@ -22,20 +22,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def fock_checks(monkeypatch):
-    """(trace error, hermiticity error, min eigenvalue) of every state that
-    ``FockState.validate`` accepts while the test runs, in call order: one row
-    per Fock output sample."""
-    from omcool.fock import FockState
+    """(trace error, hermiticity error, min eigenvalue) of every carried rho
+    whose checks pass in ``_Generator.observe`` while the test runs, in call
+    order: one row per Fock output sample."""
+    from omcool.fock import _Generator
 
     rows = []
-    validate = FockState.validate
+    observe = _Generator.observe
 
-    def recorded(state):
-        min_eig = validate(state)
-        rows.append((state.trace_error(), state.hermiticity_error(), min_eig))
-        return min_eig
+    def recorded(self, buf, time):
+        sample = observe(self, buf, time)
+        rows.append(sample[-1])
+        return sample
 
-    monkeypatch.setattr(FockState, "validate", recorded)
+    monkeypatch.setattr(_Generator, "observe", recorded)
     return rows
 
 

@@ -1,12 +1,15 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy import sparse
 from scipy.linalg import expm as scipy_expm
 
 import omcool.fock as fock_mod
+from omcool.config import load_config_file, parse_cycle_config
 from omcool.errors import IntegrationError, TruncationError
 from omcool.fock import (
     FockState,
@@ -18,6 +21,7 @@ from omcool.fock import (
     quadrature_moments,
     thermal_state,
 )
+from omcool.gaussian import _stroke_generator
 from omcool.params import SystemParams
 from omcool.polariton import rabi_populations
 from omcool.runner import FockOptions
@@ -77,6 +81,12 @@ class TestStates:
         ratios = diag[1:] / diag[:-1]
         assert ratios == pytest.approx(np.full(19, 0.5), rel=1e-12)
         assert mode_occupations(st)[0] == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_occupations_rejected(self, bad):
+        for occupations in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="occupations must be finite"):
+                thermal_state((2, 2), occupations)
 
     def test_heavy_tail_rejected(self):
         with pytest.raises(TruncationError, match="levels"):
@@ -473,12 +483,129 @@ class TestPropagation:
         assert np.array_equal(t1.occupations, t2.occupations)
 
 
+class TestSampleReadout:
+    """Every output sample is read off the carried parity blocks: no sample
+    reassembles the d x d rho, and each reads what the public formulas give
+    on the natural-order matrix."""
+
+    @pytest.mark.parametrize("start", ["thermal", "cross blocks"])
+    def test_last_sample_matches_dense_formulas_on_final_state(self, start, fock_checks):
+        p = params()
+        sched = CycleSchedule(strokes=(Stroke.ramp(-30.0, -3.0, 0.05, shape="cosine"),
+                                       Stroke.exchange(0, 5.0, 0.05)),
+                              cycle_count=1, delta_start=-30.0)
+        cutoffs = (4, 3, 4)
+        st = thermal_state(cutoffs, (0.05, 0.1, 0.1), leakage_threshold=NO_GUARD)
+        if start == "cross blocks":
+            # |0,0,0> + |1,0,0>: number states of opposite parity
+            psi = np.zeros(st.rho.shape[0])
+            psi[[0, 12]] = math.sqrt(0.5)
+            st = FockState(rho=0.8 * np.outer(psi, psi) + 0.2 * st.rho, cutoffs=cutoffs)
+        traj = propagate_fock(st, p, sched, 0.1, samples_per_stroke=3, leakage_threshold=0.5)
+        final, ops = traj.final_state, ModeOperators(cutoffs)
+        parity = np.add.reduce(ops.number_diag) % 2
+        cross = final.rho[np.ix_(parity == 0, parity == 1)]
+        assert np.any(cross) == (start == "cross blocks")
+        mean, cov = quadrature_moments(final, ops, (0, 1, 2))
+        assert np.array_equal(traj.occupations[-1], mode_occupations(final, ops))
+        assert np.array_equal(traj.means[-1], mean)
+        assert np.array_equal(traj.covs[-1], cov)
+        assert len(fock_checks) == traj.times.size
+        assert fock_checks[-1] == (final.trace_error(), final.hermiticity_error(),
+                                   final.min_eigenvalue())
+        dense = np.linalg.eigvalsh(final.rho).min()
+        if start == "thermal":  # the two parity blocks' spectra, not the whole matrix's
+            assert abs(traj.physicality[-1] - dense) < 1e-15
+        else:  # the whole-rho branch: the same d x d matrix, in natural order
+            assert traj.physicality[-1] == dense
+
+    def test_rho_is_joined_once_for_the_final_state(self, monkeypatch):
+        joins, join = [], _Generator.join
+
+        def counted(self, buf):
+            joins.append(buf.size)
+            return join(self, buf)
+
+        monkeypatch.setattr(_Generator, "join", counted)
+        p = params()
+        sched = CycleSchedule(strokes=(Stroke.ramp(-30.0, -3.0, 0.05),
+                                       Stroke.exchange(0, 5.0, 0.05)),
+                              cycle_count=1, delta_start=-30.0)
+        st = thermal_state((4, 3, 4), (0.05, 0.1, 0.1), leakage_threshold=NO_GUARD)
+        for samples in (1, 4, 9):
+            joins.clear()
+            traj = propagate_fock(st, p, sched, 0.1, samples_per_stroke=samples,
+                                  leakage_threshold=0.5)
+            assert traj.times.size == 2 * samples + 1
+            assert joins == [48 * 48 // 2]
+
+
+def sparse_quadratures(cutoffs):
+    """x = (a + a^dag)/sqrt(2) and p = -i (a - a^dag)/sqrt(2) of every mode,
+    in the order (x_a, p_a, x_b, p_b, ...), as sparse d x d matrices."""
+    z = []
+    for m, c in enumerate(cutoffs):
+        factors = [sparse.identity(k, format="csr") for k in cutoffs]
+        factors[m] = sparse.diags(np.sqrt(np.arange(1.0, c)), 1, format="csr")
+        a = reduce(sparse.kron, factors).tocsr()
+        z += [(a + a.T) / math.sqrt(2.0), -1j * (a - a.T) / math.sqrt(2.0)]
+    return z
+
+
+def touched_trace(op, rho):
+    """tr(op rho) of a sparse ``op``, read from the entries of rho it touches."""
+    op = op.tocoo()
+    return complex(np.sum(op.data * rho[op.col, op.row]))
+
+
+@pytest.mark.filterwarnings("ignore::omcool.errors.AdiabaticityWarning")
+@pytest.mark.parametrize("name, cutoffs", [("smalltest", (4, 5, 4)), ("fig1", (5, 4, 4)),
+                                           ("fig2", (4, 4, 4, 4))])
+def test_rhs_moments_follow_the_gaussian_generator(name, cutoffs):
+    # the moment equations of a quadratic Lindbladian close for any state: for
+    # rho on levels <= 1 of every mode, where no term reaches the top level,
+    # Tr(z drho) = A m and Tr({z_i, z_j}/2 drho) = A M + M A^T + D, m and M
+    # the raw first and second moments and (A, D) the Gaussian engine's
+    cfg = parse_cycle_config(load_config_file(name), for_validate=name == "smalltest")
+    p = cfg.params
+    ops = ModeOperators(cutoffs)
+    low = np.flatnonzero(np.all(np.indices(cutoffs).reshape(len(cutoffs), -1) <= 1, axis=0))
+    rng = np.random.default_rng(sum(cutoffs))
+    x = rng.normal(size=(low.size, low.size)) + 1j * rng.normal(size=(low.size, low.size))
+    rho = np.zeros((ops.dim, ops.dim), dtype=complex)
+    rho[np.ix_(low, low)] = x @ x.conj().T
+    rho /= np.trace(rho).real
+    z = sparse_quadratures(cutoffs)
+    sym = [[0.5 * (zi @ zj + zj @ zi) for zj in z] for zi in z]
+
+    def moments(r):
+        return (np.array([touched_trace(zi, r).real for zi in z]),
+                np.array([[touched_trace(s, r).real for s in row] for row in sym]))
+
+    m, M = moments(rho)
+    gen = _Generator(p, ops, rho)
+    n = 2 * p.n_modes
+    sched = CycleSchedule(strokes=(Stroke.hold(0.1), *(Stroke.exchange(k, p.omega_0, 0.1)
+                                                       for k in range(len(p.delta_targets)))),
+                          cycle_count=1, delta_start=p.delta_i)
+    for span in sched.spans():
+        M0, E, _ = _stroke_generator(p, span)
+        for delta in (p.delta_i, 0.5 * (p.delta_i + p.delta_f), p.delta_f):
+            A, D = (M0 + delta * E)[:n, :n], (M0 + delta * E)[:n, n:]
+            first, second = moments(block_rhs(gen, rho, gen.bands(span.target, span.amplitude),
+                                              delta))
+            scale = np.max(np.abs(A))
+            assert np.max(np.abs(first - A @ m)) <= 1e-13 * scale, (span.index, delta)
+            assert np.max(np.abs(second - (A @ M + M @ A.T + D))) <= 1e-13 * scale, \
+                (span.index, delta)
+
+
 def _step_counts(monkeypatch, *args, **kwargs):
     """Run propagate_fock and count its steps between consecutive output
     samples: RK4 steps (four rhs calls each) on ramp segments, Taylor steps
     on hold and exchange segments (0 where the segment takes the other kind)."""
     counts, marks = [0, 0], []  # rhs calls, Taylor steps
-    rhs, taylor, occupations = _Generator.rhs, fock_mod._taylor_step, fock_mod.mode_occupations
+    rhs, taylor, observe = _Generator.rhs, fock_mod._taylor_step, _Generator.observe
 
     def counted_rhs(self, *a):
         counts[0] += 1
@@ -488,13 +615,13 @@ def _step_counts(monkeypatch, *args, **kwargs):
         counts[1] += 1
         return taylor(*a)
 
-    def marked_occupations(*a):
+    def marked_observe(*a):
         marks.append(tuple(counts))
-        return occupations(*a)
+        return observe(*a)
 
     monkeypatch.setattr(_Generator, "rhs", counted_rhs)
     monkeypatch.setattr(fock_mod, "_taylor_step", counted_taylor)
-    monkeypatch.setattr(fock_mod, "mode_occupations", marked_occupations)
+    monkeypatch.setattr(_Generator, "observe", marked_observe)
     traj = propagate_fock(*args, **kwargs)
     monkeypatch.undo()
     calls, taylor_steps = np.diff(np.array(marks), axis=0).T

@@ -60,6 +60,20 @@ class TestStateBasics:
         with pytest.raises(IntegrationError, match="asymmetry"):
             GaussianState(mean=np.zeros(2), cov=cov).validate()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_occupations_rejected(self, bad):
+        with pytest.raises(ValueError, match="occupations must be finite"):
+            thermal_state([bad, 0.0])
+        with pytest.raises(ValueError, match="occupations must be finite"):
+            thermal_state([0.1, 0.2, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_polariton_occupations_rejected(self, bad):
+        basis = bogoliubov_basis(-6000.0, 2000.0, 200.0)
+        for args in ((bad, 0.2, ()), (0.1, bad, ()), (0.1, 0.2, (bad,))):
+            with pytest.raises(ValueError, match="occupations must"):
+                polariton_initial_state(basis, *args)
+
     def test_validate_rejects_nan(self):
         state = thermal_state([0.1, 0.2], time=0.7)
         state.cov[1, 1] = np.nan

@@ -199,12 +199,14 @@ class TestEngineRecord:
         fock_options = FockOptions(cutoffs=(5, 5, 6), leakage_threshold=1e-2)
         ops = fock.ModeOperators(fock_options.cutoffs)
         records, fock_pairs = {}, []
-        validate = fock.FockState.validate
+        observe = fock._Generator.observe
 
-        def check(state):
-            # the sample's (a, b) moments on their own, as contiguous blocks
+        def check(gen, buf, time):
+            # the sample's (a, b) moments on their own, as contiguous blocks,
+            # by the public call on its natural-order rho
+            state = fock.FockState(rho=gen.join(buf), cutoffs=fock_options.cutoffs)
             fock_pairs.append(fock.quadrature_moments(state, ops, (0, 1)))
-            return validate(state)
+            return observe(gen, buf, time)
 
         def kept(engine, propagate):
             def run(*args, **kwargs):
@@ -212,7 +214,7 @@ class TestEngineRecord:
                 return records[engine]
             return run
 
-        monkeypatch.setattr(fock.FockState, "validate", check)
+        monkeypatch.setattr(fock._Generator, "observe", check)
         monkeypatch.setattr(gaussian, "propagate", kept("gaussian", gaussian.propagate))
         monkeypatch.setattr(fock, "propagate_fock", kept("fock", fock.propagate_fock))
         trajs = {engine: run_protocol(cfg.params, cfg.schedule, engine, cfg.initial,
@@ -284,8 +286,8 @@ class TestDeltaColumn:
         # hold or exchange segment takes every Taylor step at its stroke's one
         # detuning, which is also the segment's starting sample
         used = []  # per output sample, the detunings of the segment after it
-        local, taylor, occupations = (StrokeSpan.delta_values_local, fock._taylor_step,
-                                      fock.mode_occupations)
+        local, taylor, observe = (StrokeSpan.delta_values_local, fock._taylor_step,
+                                  fock._Generator.observe)
 
         def spy(span, t_local):
             values = local(span, t_local)
@@ -299,11 +301,11 @@ class TestDeltaColumn:
 
         def mark(*a):
             used.append([])
-            return occupations(*a)
+            return observe(*a)
 
         monkeypatch.setattr(StrokeSpan, "delta_values_local", spy)
         monkeypatch.setattr(fock, "_taylor_step", spy_taylor)
-        monkeypatch.setattr(fock, "mode_occupations", mark)
+        monkeypatch.setattr(fock._Generator, "observe", mark)
         cfg, traj = self.run("smalltest", "fock")
         assert np.array_equal(traj.delta, walk_deltas(cfg.schedule, cfg.samples_per_stroke))
         assert len(used) == traj.delta.size and used[-1] == []
