@@ -37,10 +37,11 @@ product (nor a multi-threaded BLAS call) runs in the step loop.  Every
 output sample is read off the buffer too: occupations, quadrature moments
 and leakage from precomputed positions of the entries they weigh, and the
 checks from the blocks themselves.  No sample builds a d x d array unless
-rho's cross blocks are nonzero, and the natural-order rho is assembled once,
-for the final state.  The memory is O(d^2): three work buffers, the
-generator's three scratch buffers, and an index and a complex weight per
-gathered entry for each jump term (about 7 MB at cutoffs (6, 6, 8)).  The
+rho's cross blocks are nonzero, the norm bound takes its d x d sums a few
+dozen rows at a time, and the natural-order rho is assembled once, for the
+final state.  The memory is O(d^2): three work buffers, the generator's one
+scratch buffer, and an index and a complex weight per gathered entry for
+each jump term (about 6 MB at cutoffs (6, 6, 8)).  The
 positivity check's ``eigvalsh`` is the engine's only LAPACK call, run on
 one BLAS thread, since OpenBLAS's idle workers would spin on a second core
 after every call.  As an independent oracle the engine shares only the
@@ -75,6 +76,7 @@ DEFAULT_LEAKAGE_THRESHOLD = 1e-3
 # exceeds 6^6/6! ~ 65 times ||rho||, so cancellation among terms costs ~1e-14
 TAYLOR_THETA = 6.0
 TAYLOR_EPS = 1e-14
+_ROW_BLOCK = 40  # rows of the d x d sums that ``norm_bound`` forms at a time
 # (get, set) thread-count symbols of OpenBLAS: numpy 2.x wheels, other
 # 64-bit-integer builds, then the plain library
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -453,8 +455,9 @@ class _Generator(_Blocks):
     jump sandwich reads the block of the flipped parities through a flat
     gather index at U's entries, weighted by the rate-scaled outer product
     of the ladder weights (stored complex, since a real-by-complex multiply
-    runs through a cast buffer).  The jumps accumulate in one packed
-    buffer, added into Y before the mirror sum.
+    runs through a cast buffer).  Y is built in the caller's output buffer;
+    U accumulates in one half of the scratch buffer, each jump read into
+    the other, and is added into Y before the mirror sum, done in place.
     """
 
     def __init__(self, params: SystemParams, ops: ModeOperators, rho: np.ndarray):
@@ -538,9 +541,7 @@ class _Generator(_Blocks):
         self.jump_rows = np.array(jump_rows).reshape(-1, d)
         self.jump_cols = np.array(jump_cols).reshape(-1, d)
         self.damp_diag = damp_diag[order]
-        self._y = np.empty(self.size, dtype=complex)
-        self._tmp = np.empty(self.size, dtype=complex)
-        self._acc = np.empty(self.upper.size, dtype=complex)
+        self._tmp = np.empty(max(self.size, 2 * self.upper.size), dtype=complex)
 
     def bands(self, target: int | None, amplitude: float) -> list:
         """The bands of -i H_off for an exchange pulse of ``amplitude`` on
@@ -568,35 +569,39 @@ class _Generator(_Blocks):
         its row sums); each jump s a rho a^dag reads rho[i + o, j + o] with
         weight s w[i] w[j], from the ladder weights before U's diagonal is
         halved.  Column (k, l) holds the same diagonal and band sums, and the
-        jump weights of the row (k - o, l - o) that reads it.
+        jump weights of the row (k - o, l - o) that reads it.  The sums are
+        formed ``_ROW_BLOCK`` rows at a time, each entry by the same operations.
         """
         lvec = self._lvec(delta_now)
         rows = np.zeros((self.dim, 1))
         for band in bands:
             for block, (r, _, w) in zip(self.rows, band):
                 rows[block][r] += np.abs(w)
-        # |L[i] + conj(L[j])| with no complex d x d temporary
-        base = np.add.outer(lvec.real, lvec.real)
-        np.hypot(base, np.subtract.outer(lvec.imag, lvec.imag), out=base)
-        base += rows
-        base += rows.T
-        sums = np.empty_like(base)
+        base, sums = np.empty((2, _ROW_BLOCK, self.dim))
         largest = []
-        for weights in (self.jump_rows, self.jump_cols):
-            # the sum over jumps of s w[i] w[j]; einsum, not a BLAS product,
-            # which would wake BLAS threads and their buffers
-            np.einsum("ji,jk->ik", self.jump_scales * weights, weights, out=sums)
-            sums += base
-            largest.append(sums.max())
-        return float(np.sqrt(largest[0] * largest[1]))
+        for lo in range(0, self.dim, _ROW_BLOCK):
+            i, b, s = slice(lo, lo + _ROW_BLOCK), base[: self.dim - lo], sums[: self.dim - lo]
+            # |L[i] + conj(L[j])| with no complex temporary
+            np.hypot(np.add.outer(lvec.real[i], lvec.real, out=b),
+                     np.subtract.outer(lvec.imag[i], lvec.imag, out=s), out=b)
+            b += rows[i]
+            b += rows.T
+            for weights in (self.jump_rows, self.jump_cols):
+                # the sum over jumps of s w[i] w[j]; einsum, not a BLAS product,
+                # which would wake BLAS threads and their buffers
+                np.einsum("ji,jk->ik", self.jump_scales * weights[:, i], weights, out=s)
+                s += b
+                largest.append(s.max())
+        return float(np.sqrt(np.max(largest[::2]) * np.max(largest[1::2])))
 
     def rhs(self, rho: np.ndarray, bands: list, delta_now: float,
             out: np.ndarray) -> np.ndarray:
         """drho/dt of the flat buffer ``rho`` at detuning ``delta_now``,
-        written into ``out``."""
-        y, tmp = self._y, self._tmp
+        written into ``out``, which must not be ``rho``: Y + U first, then
+        the mirror sum in place."""
+        tmp = self._tmp
         lvec = self._lvec(delta_now)
-        ys = self._views(y)
+        ys = self._views(out)
         # every gather index is in range, and mode="clip" spares the buffered
         # copy of ``out`` that np.take makes under its default mode="raise"
         for (p, _), r, yb in zip(self.blocks, self._views(rho), ys):
@@ -611,17 +616,22 @@ class _Generator(_Blocks):
                     np.take(r, src, axis=0, out=tb, mode="clip")
                     np.multiply(w, tb, out=tb)
                 yb[rows] += tb
-        # Y += U, so the mirror sum below adds J = U + U^dag as well
-        acc, part = self._acc, tmp[: self._acc.size]
-        np.take(y, self.upper, out=acc, mode="clip")
+        # Y += U, so the mirror sum below adds J = U + U^dag as well; U
+        # accumulates in the first half of the scratch, each jump in the second
+        acc, part = tmp[: 2 * self.upper.size].reshape(2, -1)
+        np.take(out, self.upper, out=acc, mode="clip")
         for gather, w in self.jumps:
             np.take(rho, gather, out=part, mode="clip")
             np.multiply(w, part, out=part)
             acc += part
-        y[self.upper] = acc
-        for k, ob in enumerate(self._views(out)):
-            np.conjugate(ys[self.mirror[k]].T, out=ob)
-            ob += ys[k]
+        out[self.upper] = acc
+        # block pq of the slope is Y_pq + Y_qp^dag; block 10 is then the
+        # mirror of the finished block 01
+        for k, (ob, m) in enumerate(zip(ys, self.mirror)):
+            if m < k:
+                np.conjugate(ys[m].T, out=ob)
+            else:
+                ob += np.conjugate(ys[m].T, out=tmp[: ob.size].reshape(ob.shape))
         return out
 
 

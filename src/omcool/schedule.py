@@ -351,8 +351,8 @@ def stroke_walk(
     ``samples_per_stroke`` uniform points; linspace ends them exactly on the
     part's end, so, as the spans tile, a run's samples strictly increase.
     """
-    if samples_per_stroke < 1:
-        raise ValueError(f"samples_per_stroke must be at least 1, got {samples_per_stroke}")
+    if not (_is_integer(samples_per_stroke) and samples_per_stroke >= 1):
+        raise ValueError(f"samples_per_stroke must be an integer >= 1, got {samples_per_stroke!r}")
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError(f"the run window [{t_start}, {t_end}] must be finite")
     if t_end < t_start:

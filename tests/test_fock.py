@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -319,6 +320,9 @@ class TestGenerator:
             square = [name for name, value in vars(gen).items()
                       if isinstance(value, np.ndarray) and value.shape == (ops.dim, ops.dim)]
             assert square == []
+            # the slope is built in ``out``, and U in the halves of one scratch
+            assert not hasattr(gen, "_y") and not hasattr(gen, "_acc")
+            assert gen._tmp.size == max(gen.size, 2 * gen.upper.size)
         # the operators hold per-mode diagonals and (offset, weight) shifts, none d x d
         held = [x for v in vars(ops).values() if isinstance(v, list) for x in v]
         weights = [x[1] if isinstance(x, tuple) else x for x in held]
@@ -820,6 +824,45 @@ class TestTaylorAction:
                 summed = (np.abs(lvec[:, None] + lvec.conj()).max() + 2.0 * np.max(rows)
                           + np.sum(gen.jump_scales[:, 0] * gen.jump_rows.max(axis=1) ** 2))
                 assert gen.norm_bound(bands, delta) <= summed * (1.0 + 1e-15)
+
+    @pytest.mark.parametrize("row_block", [None, 1, 7])
+    @pytest.mark.parametrize("cutoffs", [(3, 3, 3), (3, 4, 5), (6, 6, 8)])
+    def test_norm_bound_is_bitwise_the_whole_matrix_bound(self, monkeypatch, cutoffs, row_block):
+        # B formed row block by row block equals B from whole d x d sums,
+        # each entry going through the same operations (max is exact)
+        if row_block is not None:
+            monkeypatch.setattr(fock_mod, "_ROW_BLOCK", row_block)
+        p = params()
+        ops = ModeOperators(cutoffs)
+        gen = _Generator(p, ops, thermal_state(cutoffs, (0.1, 0.2, 0.25),
+                                               leakage_threshold=NO_GUARD).rho)
+        pulses = [(None, 0.0)] + [(k, 5.0) for k in range(len(p.delta_targets))]
+        for target, amplitude in pulses:
+            bands = gen.bands(target, amplitude)
+            for delta in (p.delta_i, 0.5 * (p.delta_i + p.delta_f), p.delta_f):
+                lvec = gen._lvec(delta)
+                rows = np.zeros((ops.dim, 1))
+                for band in bands:
+                    for block, (r, _, w) in zip(gen.rows, band):
+                        rows[block][r] += np.abs(w)
+                base = np.hypot(np.add.outer(lvec.real, lvec.real),
+                                np.subtract.outer(lvec.imag, lvec.imag)) + rows + rows.T
+                r_inf, r_1 = (np.max(np.einsum("ji,jk->ik", gen.jump_scales * w, w) + base)
+                              for w in (gen.jump_rows, gen.jump_cols))
+                assert gen.norm_bound(bands, delta) == np.sqrt(r_inf * r_1), (target, delta)
+
+    def test_norm_bound_builds_no_square_array(self):
+        ops = ModeOperators((6, 6, 8))
+        gen = _Generator(params(), ops, thermal_state(ops.cutoffs, (0.1, 0.2, 0.25)).rho)
+        bands = gen.bands(0, 5.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gen.norm_bound(bands, -3.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < ops.dim**2 * 8
 
     def test_jump_term_read_before_halving(self):
         # one jump, kappa a rho a^dag at cutoffs (2, 2): on a thermal start its

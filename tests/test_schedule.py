@@ -371,3 +371,24 @@ class TestStrokeWalk:
     def test_samples_per_stroke_below_one_rejected(self, samples):
         with pytest.raises(ValueError, match="samples_per_stroke"):
             stroke_walk(self.make(), 0.0, 0.1, samples)
+
+    @pytest.mark.parametrize("samples", [True, False, 2.5, 2.0, "2", None, np.nan])
+    def test_non_integer_samples_per_stroke_rejected(self, samples):
+        # a bool or float is refused, not taken as 1 or truncated, and no
+        # other value escapes as a TypeError
+        with pytest.raises(ValueError, match="samples_per_stroke must be an integer"):
+            stroke_walk(self.make(), 0.0, 0.1, samples)
+
+    def test_numpy_integer_samples_per_stroke_accepted(self):
+        walk = stroke_walk(self.make(), 0.0, 0.1, np.int64(3))
+        assert walk and all(ends.size == 3 for _, _, ends in walk)
+
+    def test_engines_refuse_non_integer_samples_per_stroke(self):
+        sched, p = self.make(), fig1_like()
+        with pytest.raises(ValueError, match="samples_per_stroke must be an integer"):
+            gaussian.propagate(gaussian.thermal_state([0.1, 0.2, 0.25]), sched, 0.1,
+                               params=p, samples_per_stroke=True)
+        with pytest.raises(ValueError, match="samples_per_stroke must be an integer"):
+            fock.propagate_fock(fock.thermal_state((4, 4, 4), (0.1, 0.2, 0.25),
+                                                   leakage_threshold=0.5),
+                                p, sched, 0.1, samples_per_stroke=2.0)
