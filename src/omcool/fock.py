@@ -36,17 +36,27 @@ by weighted row slices, row gathers and flat gathers, so no d x d operator
 product (nor a multi-threaded BLAS call) runs in the step loop.  Every
 output sample is read off the buffer too: occupations, quadrature moments
 and leakage from precomputed positions of the entries they weigh, and the
-checks from the blocks themselves.  No sample builds a d x d array unless
-rho's cross blocks are nonzero, the norm bound takes its d x d sums a few
-dozen rows at a time, and the natural-order rho is assembled once, for the
-final state.  The memory is O(d^2): three work buffers, the generator's one
-scratch buffer, and an index and a complex weight per gathered entry for
-each jump term (about 6 MB at cutoffs (6, 6, 8)).  The
+checks from the blocks themselves, their temporaries formed in the
+generator's scratch buffer.  A diagonal start (``FockState`` given its
+diagonal, as the runner's thermal start is) is split straight into its
+blocks, buffer positions come from each index's place among its parity,
+and no sample builds a d x d array unless rho's cross blocks are nonzero;
+the norm bound takes its d x d sums a few dozen rows at a time, and the
+natural-order rho is assembled once, for the final state.  The memory is
+O(d^2): the state and three work buffers, the generator's scratch
+buffer, a complex weight per entry of each jump term, and one index of
+those entries that every jump reads at one offset per parity block where
+its offsets allow it (at cutoffs (6, 6, 8), all but the two jumps of the
+last mode, which keep an index each); a smalltest run peaks at 6.4 MB
+under ``tracemalloc``.  The
 positivity check's ``eigvalsh`` is the engine's only LAPACK call, run on
 one BLAS thread, since OpenBLAS's idle workers would spin on a second core
 after every call.  As an independent oracle the engine shares only the
 schedule with the Gaussian engine (its stroke walk, sample grid and
-step-size scale), never its code.
+step-size scale), never its code.  Its step machinery (``_Generator``,
+the RK4 and Taylor steps and the run loop) lives in ``_fock_engine``,
+which ``propagate_fock`` imports on its first call, so a process that
+never runs the Fock engine does not compile it.
 
 Truncation is monitored continuously: the population of the top retained
 Fock level of each mode is tracked at every step and a TruncationError is
@@ -64,19 +74,12 @@ import numpy as np
 
 from .errors import IntegrationError, TruncationError
 from .params import SystemParams
-from .schedule import (CycleSchedule, Samples, StrokeKind, StrokeSpan, _is_integer, span_fmax,
-                       stroke_walk)
+from .schedule import CycleSchedule, Samples, _is_integer, span_fmax
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 DEFAULT_LEAKAGE_THRESHOLD = 1e-3
-# h B of one Taylor step of a constant stroke, and the bound on the trace norm
-# of the series tail that each step drops; at h B = 6 no term of the series
-# exceeds 6^6/6! ~ 65 times ||rho||, so cancellation among terms costs ~1e-14
-TAYLOR_THETA = 6.0
-TAYLOR_EPS = 1e-14
-_ROW_BLOCK = 40  # rows of the d x d sums that ``norm_bound`` forms at a time
 # (get, set) thread-count symbols of OpenBLAS: numpy 2.x wheels, other
 # 64-bit-integer builds, then the plain library
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -140,7 +143,10 @@ def _check_leakage_threshold(threshold: float) -> None:
 
 @dataclass(frozen=True)
 class FockState:
-    """Density matrix on a product of truncated Fock spaces."""
+    """Density matrix on a product of truncated Fock spaces: ``rho`` is the
+    d x d matrix or, for a diagonal state, its diagonal alone (the runner's
+    thermal start), whose parity blocks the engine builds without a d x d
+    array."""
 
     rho: np.ndarray
     cutoffs: tuple[int, ...]
@@ -150,8 +156,8 @@ class FockState:
         object.__setattr__(self, "cutoffs", _cutoffs(self.cutoffs))
         d = int(np.prod(self.cutoffs))
         rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (d, d):
-            raise ValueError(f"rho must be {d} x {d} for cutoffs {self.cutoffs}")
+        if rho.shape not in ((d, d), (d,)):
+            raise ValueError(f"rho must be {d} x {d}, or its diagonal, for cutoffs {self.cutoffs}")
         object.__setattr__(self, "rho", rho)
 
     def trace_error(self) -> float:
@@ -175,15 +181,11 @@ class ModeOperators:
     def __init__(self, cutoffs):
         self.cutoffs = _cutoffs(cutoffs)
         self.dim = int(np.prod(self.cutoffs))
-        # number operators are diagonal; keep the diagonals
-        self.number_diag = []
-        self.lower_diag = []  # diag of a a^dag on the truncated space (top level -> 0)
-        for m, c in enumerate(self.cutoffs):
-            nvec = np.arange(c, dtype=float)
-            self.number_diag.append(self._embed_diag(nvec, m))
-            low = np.arange(1.0, c + 1)
-            low[-1] = 0.0
-            self.lower_diag.append(self._embed_diag(low, m))
+        # number operators are diagonal; keep the diagonals, and those of
+        # a a^dag on the truncated space (top level -> 0)
+        levels = np.indices(self.cutoffs, dtype=float).reshape(len(self.cutoffs), -1)
+        self.number_diag = list(levels)
+        self.lower_diag = [np.where(n < c - 1, n + 1.0, 0.0) for n, c in zip(levels, self.cutoffs)]
         # ladder operators as (offset, weight) shifts of the flat index: for the
         # stride s of mode m, (a rho)[i] = sqrt(n_i + 1) rho[i + s] and
         # (a^dag rho)[i] = sqrt(n_i) rho[i - s], the weights vanishing wherever
@@ -191,11 +193,6 @@ class ModeOperators:
         strides = [int(np.prod(self.cutoffs[m + 1:])) for m in range(len(self.cutoffs))]
         self.lowering = [(s, np.sqrt(w)) for s, w in zip(strides, self.lower_diag)]
         self.raising = [(-s, np.sqrt(n)) for s, n in zip(strides, self.number_diag)]
-
-    def _embed_diag(self, vec, mode):
-        shape = [1] * len(self.cutoffs)
-        shape[mode] = self.cutoffs[mode]
-        return np.broadcast_to(vec.reshape(shape), self.cutoffs).reshape(self.dim).copy()
 
     def number(self, mode: int) -> np.ndarray:
         return np.diag(self.number_diag[mode])
@@ -209,19 +206,24 @@ class ModeOperators:
 
 def _compose(x, y):
     """The shift of the product x y of two shifts (offset, weight):
-    (x y rho)[i] = w_x[i] w_y[i + o_x] rho[i + o_x + o_y]."""
+    (x y rho)[i] = w_x[i] w_y[i + o_x] rho[i + o_x + o_y].  x is a ladder
+    shift, whose weight vanishes wherever i + o_x leaves the space, so the
+    roll's wrapped entries are multiplied by 0."""
     (ox, wx), (oy, wy) = x, y
-    wy_at = np.zeros_like(wy)
-    if ox >= 0:
-        wy_at[: wy.size - ox] = wy[ox:]
-    else:
-        wy_at[-ox:] = wy[: wy.size + ox]
-    return ox + oy, wx * wy_at
+    return ox + oy, wx * np.roll(wy, -ox)
 
 
 def thermal_state(cutoffs, occupations, time: float = 0.0,
                   leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD) -> FockState:
-    """Product of truncated, renormalized thermal (geometric) states.
+    """Product of truncated, renormalized thermal (geometric) states, as a
+    d x d ``rho`` (``_thermal_diagonal`` gives its diagonal alone)."""
+    diagonal = _thermal_diagonal(cutoffs, occupations, leakage_threshold)
+    return FockState(rho=np.diag(diagonal.astype(complex)), cutoffs=cutoffs, time=time)
+
+
+def _thermal_diagonal(cutoffs, occupations, leakage_threshold: float) -> np.ndarray:
+    """The diagonal of ``thermal_state``: the Kronecker product of the
+    per-mode geometric weights.
 
     Rejects occupations whose geometric tail beyond the cutoff exceeds the
     leakage threshold, since the truncated state could not represent them.
@@ -245,8 +247,7 @@ def thermal_state(cutoffs, occupations, time: float = 0.0,
             )
         w = (1.0 - q) * q ** np.arange(c)
         diags.append(w / w.sum())
-    rho = np.diag(reduce(np.kron, diags).astype(complex))
-    return FockState(rho=rho, cutoffs=cutoffs, time=time)
+    return reduce(np.kron, diags)
 
 
 def number_state(cutoffs, levels, time: float = 0.0) -> FockState:
@@ -260,17 +261,14 @@ def number_state(cutoffs, levels, time: float = 0.0) -> FockState:
     for c, n in zip(cutoffs, levels):
         if not 0 <= n < c:
             raise ValueError(f"level {n} outside cutoff {c}")
-    index = 0
-    for c, n in zip(cutoffs, levels):
-        index = index * c + n
     d = int(np.prod(cutoffs))
     rho = np.zeros((d, d), dtype=complex)
-    rho[index, index] = 1.0
+    rho[(np.ravel_multi_index(levels, cutoffs),) * 2] = 1.0
     return FockState(rho=rho, cutoffs=cutoffs, time=time)
 
 
 def _split(state: FockState, ops: ModeOperators | None = None, modes=()) -> tuple:
-    """The ``_Blocks`` of ``state.rho`` and its carried blocks, taken out once."""
+    """The ``_Blocks`` of ``state`` and its carried blocks, taken out once."""
     blocks = _Blocks(ModeOperators(state.cutoffs) if ops is None else ops, state.rho, modes)
     return blocks, blocks.split(state.rho)
 
@@ -314,21 +312,23 @@ class _Blocks:
             local[nat] = np.arange(nat.size)
         sizes = [nat.size for nat in natural]
         self.rows = [slice(0, sizes[0]), slice(sizes[0], d)]  # of each parity in order
-        cross = any(np.any(rho[np.ix_(a, b)]) for a, b in (natural, natural[::-1]))
+        cross = rho.ndim == 2 and any(np.any(rho[np.ix_(a, b)])
+                                      for a, b in (natural, natural[::-1]))
         self.blocks = [(0, 0), (1, 1)] + ([(0, 1), (1, 0)] if cross else [])
         self.shapes = [(sizes[p], sizes[q]) for p, q in self.blocks]
         ends = np.cumsum([a * b for a, b in self.shapes])
         self.spans = [slice(int(e) - a * b, int(e)) for e, (a, b) in zip(ends, self.shapes)]
         self.size = int(ends[-1])
         self.mirror = [self.blocks.index((q, p)) for p, q in self.blocks]
-        # natural flat index (row * d + column) of every carried entry
-        self.flat_index = np.concatenate(
-            [(natural[p][:, None] * d + natural[q][None, :]).reshape(-1)
-             for p, q in self.blocks])
-        # buffer position of each natural flat index, -1 where not carried
-        where = np.full(d * d, -1, dtype=np.intp)
-        where[self.flat_index] = np.arange(self.size)
-        self.diagonal = where[:: d + 1].copy()
+        # one scratch buffer for the checks and, in ``_Generator``, for rhs
+        self._tmp = np.empty(self.size + d, dtype=complex)
+        # buffer position of each row's first entry in the block of each
+        # column parity, -1 where that block is not carried
+        self.row_start = np.full((d, 2), -1)
+        for (p, q), span, (a, b) in zip(self.blocks, self.spans, self.shapes):
+            self.row_start[natural[p], q] = span.start + b * np.arange(a)
+        self.parity = odd * 1
+        self.diagonal = self.position(np.arange(d), np.arange(d))
         low, self.traces = ops.lowering, {}
         for k, m in enumerate(self.modes):  # <a_m>, <a_m a_n> and <a_m^dag a_n>
             products = {("a", m): low[m]}
@@ -337,27 +337,42 @@ class _Blocks:
                              for n in self.modes[k + 1:]})
             for key, (o, w) in products.items():
                 i = np.flatnonzero(w)
-                pos = where[(i + o) * d + i]
+                pos = self.position(i + o, i)
                 self.traces[key] = pos[pos >= 0], w[i][pos >= 0]
 
+    def position(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Buffer position of each entry (i, j) of rho, -1 where not carried."""
+        s = self.row_start[i, self.parity[j]]
+        return np.where(s < 0, -1, s + self.local[j])
+
     def split(self, rho: np.ndarray) -> np.ndarray:
-        """The carried blocks of a natural-order d x d ``rho``, as one flat buffer."""
-        return rho.reshape(-1)[self.flat_index]
+        """The carried blocks of a natural-order d x d ``rho``, or of the
+        diagonal matrix of a length-d ``rho``, as one flat buffer."""
+        if rho.ndim == 2:
+            return np.concatenate([rho[np.ix_(self.natural[p], self.natural[q])].reshape(-1)
+                                   for p, q in self.blocks])
+        buf = np.zeros(self.size, dtype=complex)
+        buf[self.diagonal] = rho
+        return buf
 
     def join(self, buf: np.ndarray) -> np.ndarray:
         """The natural-order d x d matrix of a flat buffer (uncarried blocks 0)."""
         rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho.reshape(-1)[self.flat_index] = buf
+        for (p, q), v in zip(self.blocks, self._views(buf)):
+            rho[np.ix_(self.natural[p], self.natural[q])] = v
         return rho
 
     def _views(self, buf):
         return [buf[s].reshape(shape) for s, shape in zip(self.spans, self.shapes)]
 
-    def hermitian(self, buf: np.ndarray) -> np.ndarray:
-        """The carried blocks of (rho + rho^H)/2, block pq from rho_pq and rho_qp^H."""
-        views = self._views(buf)
-        return np.concatenate([(0.5 * (v + views[k].conj().T)).reshape(-1)
-                               for v, k in zip(views, self.mirror)])
+    def hermitian(self, buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The carried blocks of (rho + rho^H)/2, block pq from rho_pq and
+        rho_qp^H, into ``out`` (by default a new buffer)."""
+        views, out = self._views(buf), np.empty_like(buf) if out is None else out
+        for o, v, k in zip(self._views(out), views, self.mirror):
+            np.add(v, np.conjugate(views[k].T, out=o), out=o)
+            o *= 0.5
+        return out
 
     def occupations(self, buf: np.ndarray) -> np.ndarray:
         """Mean occupation <a^dag a> of every mode."""
@@ -391,24 +406,28 @@ class _Blocks:
         return abs(float(tr.real) - 1.0) + abs(float(tr.imag))
 
     def hermiticity_error(self, buf: np.ndarray) -> float:
-        """max |rho - rho^H|, taken block by block: rho_pq against rho_qp^H."""
-        views = self._views(buf)
-        # np.max keeps a NaN, where the builtin max() may drop it
-        return float(np.max([np.abs(v - views[k].conj().T).max()
-                             for v, k, (p, q) in zip(views, self.mirror, self.blocks) if p <= q]))
+        """max |rho - rho^H|, taken block by block: rho_pq against rho_qp^H,
+        each difference and its modulus formed in the scratch buffer."""
+        views, errors = self._views(buf), []
+        for v, k, (p, q) in zip(views, self.mirror, self.blocks):
+            if p <= q:
+                diff = np.conjugate(views[k].T, out=self._tmp[: v.size].reshape(v.shape))
+                np.subtract(v, diff, out=diff)
+                errors.append(np.abs(diff, out=diff).real.max())
+        return float(np.max(errors))  # np.max keeps a NaN, where max() may drop it
 
     def min_eigenvalue(self, buf: np.ndarray) -> float:
-        """Smallest eigenvalue of the Hermitian part of rho: the smaller of
-        its two parity blocks' minima when its cross-parity blocks are exactly
-        0 (as for every thermal start, see the module docstring), else the
-        natural-order matrix's.  The ``eigvalsh`` runs on one BLAS thread."""
-        views = self._views(buf)
-        if len(views) > 2 and np.any(0.5 * (views[2] + views[3].conj().T)):
-            herm = [self.join(self.hermitian(buf))]
-        else:
-            herm = (0.5 * (v + v.conj().T) for v in views[:2])
+        """Smallest eigenvalue of the Hermitian part of rho, formed in the
+        scratch buffer: the smaller of its two parity blocks' minima when its
+        cross-parity blocks are exactly 0 (as for every thermal start, see
+        the module docstring), else the natural-order matrix's.  The
+        ``eigvalsh`` runs on one BLAS thread."""
+        herm = self.hermitian(buf, self._tmp[: self.size])
+        blocks = self._views(herm)
+        if len(blocks) > 2 and np.any(blocks[2]):
+            blocks = [self.join(herm)]
         with _one_blas_thread():
-            return float(min(np.linalg.eigvalsh(h).min() for h in herm))
+            return float(min(np.linalg.eigvalsh(h).min() for h in blocks[:2]))
 
     def checks(self, buf: np.ndarray, time: float) -> tuple[float, float, float]:
         """(trace error, hermiticity error, min eigenvalue) of ``buf``, or an
@@ -431,291 +450,17 @@ class _Blocks:
         return (self.occupations(buf), *self.moments(buf), self.checks(buf, time))
 
 
-class _Generator(_Blocks):
-    """Pieces of the master-equation right-hand side, precomputed per run,
-    on the parity blocks of ``_Blocks`` (the observables of every mode).
-    The right-hand side is evaluated block by block as (Y + U) + (Y + U)^dag,
-    with
-
-        Y = -i H_off rho + L[:, None] * rho,
-        L = damp_diag - i h_diag(t),
-
-    which folds the diagonal Hamiltonian commutator and every dissipator
-    anticommutator into a single broadcast multiply, and U the jump sum J
-    (the sandwiches a rho a^dag) at the entries ``upper``: the upper
-    triangle of each diagonal block, with its diagonal halved, and all of
-    block (0, 1).  rho stays Hermitian through every RK4 stage and Taylor
-    term, so J is Hermitian, J = U + U^dag, the mirror term of block pq is
-    (Y + U)_qp^dag, and the slope is exactly Hermitian by construction.
-    Nothing here is a d x d operator: H_off = g (a + a^dag)(b + b^dag)
-    + omega_0 (b^dag c + c^dag b) is a few bands inside each block.  A band
-    whose source rows are row + o for one o (as when the cutoffs after its
-    modes multiply to an even number: all four g bands at (6, 6, 8)) reads
-    a slice of rows, and any other band gathers them (``_row_band``).  Each
-    jump sandwich reads the block of the flipped parities through a flat
-    gather index at U's entries, weighted by the rate-scaled outer product
-    of the ladder weights (stored complex, since a real-by-complex multiply
-    runs through a cast buffer).  Y is built in the caller's output buffer;
-    U accumulates in one half of the scratch buffer, each jump read into
-    the other, and is added into Y before the mirror sum, done in place.
-    """
-
-    def __init__(self, params: SystemParams, ops: ModeOperators, rho: np.ndarray):
-        if len(ops.cutoffs) != params.n_modes:
-            raise ValueError(
-                f"cutoffs describe {len(ops.cutoffs)} modes, params {params.n_modes}"
-            )
-        super().__init__(ops, rho, range(params.n_modes))
-        d, n_modes = self.dim, params.n_modes
-        lower, upper = ops.lowering, ops.raising
-        natural, order, local = self.natural, self.order, self.local
-
-        def source(offset, weight):
-            """Place, among its parity, of each natural index's source i + offset;
-            0 where the weight vanishes (the term adds 0 there)."""
-            return local[np.where(weight != 0, np.arange(d) + offset, 0)]
-
-        def bands(scale, pairs):
-            """The nonzero bands of ``scale`` times each product of two ladder
-            shifts, each as one ``_row_band`` per parity block."""
-            shifts = ((o, scale * w) for o, w in (_compose(x, y) for x, y in pairs))
-            return [[_row_band(source(o, w)[order][r], w[order][r]) for r in self.rows]
-                    for o, w in shifts if np.any(w != 0)]
-
-        # -i g (a + a^dag)(b + b^dag), and -i (b^dag c + c^dag b) per target
-        self.couple = bands(-1j * params.g, [(x, y) for x in (lower[0], upper[0])
-                                             for y in (lower[1], upper[1])])
-        self.exchange = [bands(-1j, [(upper[1], lower[k]), (lower[1], upper[k])])
-                         for k in range(2, n_modes)]
-        diag_static = params.omega_b * ops.number_diag[1].copy()
-        for k, dt in enumerate(params.delta_targets):
-            diag_static += dt * ops.number_diag[2 + k]
-        self.diag_static = diag_static[order]
-        self.na_diag = ops.number_diag[0][order]
-
-        # U's entries (see the class docstring): their buffer positions, their
-        # natural rows and columns, and the start and row width of the block
-        # of the flipped parities, which the jumps read
-        pos, rows, cols, starts, widths = [], [], [], [], []
-        for (p, q), span, (a, b) in zip(self.blocks, self.spans, self.shapes):
-            if p > q:
-                continue
-            i, j = np.triu_indices(a) if p == q else np.indices((a, b)).reshape(2, -1)
-            k = self.blocks.index((1 - p, 1 - q))
-            pos.append(span.start + i * b + j)
-            rows.append(natural[p][i])
-            cols.append(natural[q][j])
-            starts.append(np.full(i.size, self.spans[k].start))
-            widths.append(np.full(i.size, self.shapes[k][1]))
-        self.upper = np.concatenate(pos)
-        rows, cols, starts, widths = map(np.concatenate, (rows, cols, starts, widths))
-        half = np.where(rows == cols, 0.5, 1.0)
-
-        rates = [params.kappa, params.gamma] + [params.gamma] * len(params.delta_targets)
-        nbars = [params.n_a, params.n_b, *params.n_targets]
-        damp_diag = np.zeros(d)
-        self.jumps = []
-        jump_scales, jump_rows, jump_cols = [], [], []
-        for m in range(n_modes):
-            rate, nbar = rates[m], nbars[m]
-            if rate == 0.0:
-                continue
-            damp_diag -= 0.5 * rate * (
-                (nbar + 1.0) * ops.number_diag[m] + nbar * ops.lower_diag[m]
-            )
-            for (s, w), scale in ((lower[m], rate * (nbar + 1.0)), (upper[m], rate * nbar)):
-                if scale == 0.0:
-                    continue
-                # entry (i, j) reads the flipped block at row and column i + s, j + s
-                src = source(s, w)
-                weight = scale * (w[rows] * w[cols]) * half
-                self.jumps.append((starts + src[rows] * widths + src[cols],
-                                   weight.astype(complex)))
-                # for norm_bound: the unhalved weight of each row, and of each
-                # column, the row i - s that reads it (w vanishes where i + s
-                # leaves the space, so the roll wraps in zeros)
-                jump_scales.append(scale)
-                jump_rows.append(w[order])
-                jump_cols.append(np.roll(w, s)[order])
-        self.jump_scales = np.array(jump_scales)[:, None]
-        self.jump_rows = np.array(jump_rows).reshape(-1, d)
-        self.jump_cols = np.array(jump_cols).reshape(-1, d)
-        self.damp_diag = damp_diag[order]
-        self._tmp = np.empty(max(self.size, 2 * self.upper.size), dtype=complex)
-
-    def bands(self, target: int | None, amplitude: float) -> list:
-        """The bands of -i H_off for an exchange pulse of ``amplitude`` on
-        ``target`` (no pulse when the amplitude is 0): per band, the
-        ``(rows, source, weight column)`` of each parity block (``_row_band``)."""
-        bands = list(self.couple)
-        if amplitude != 0.0:
-            bands += [[(rows, src, amplitude * w) for rows, src, w in band]
-                      for band in self.exchange[target]]
-        return bands
-
-    def _lvec(self, delta_now: float) -> np.ndarray:
-        return self.damp_diag - 1j * (self.diag_static - delta_now * self.na_diag)
-
-    def norm_bound(self, bands: list, delta_now: float) -> float:
-        """A bound B on the Frobenius operator norm of ``rhs`` at
-        ``delta_now``: Schur's B = sqrt(R_1 R_inf) >= ||L||_2, with R_inf and
-        R_1 the largest absolute row and column sums of L as a d^2 x d^2
-        matrix, taken over all d^2 index pairs so that B does not depend on
-        the carried blocks.
-
-        Row (i, j) of L holds L[i] + conj(L[j]) on its diagonal; the bands
-        give -i [H_off, rho], whose row sum is at most r[i] + r[j], r the row
-        sums of the band weights (H_off is Hermitian, so its column sums are
-        its row sums); each jump s a rho a^dag reads rho[i + o, j + o] with
-        weight s w[i] w[j], from the ladder weights before U's diagonal is
-        halved.  Column (k, l) holds the same diagonal and band sums, and the
-        jump weights of the row (k - o, l - o) that reads it.  The sums are
-        formed ``_ROW_BLOCK`` rows at a time, each entry by the same operations.
-        """
-        lvec = self._lvec(delta_now)
-        rows = np.zeros((self.dim, 1))
-        for band in bands:
-            for block, (r, _, w) in zip(self.rows, band):
-                rows[block][r] += np.abs(w)
-        base, sums = np.empty((2, _ROW_BLOCK, self.dim))
-        largest = []
-        for lo in range(0, self.dim, _ROW_BLOCK):
-            i, b, s = slice(lo, lo + _ROW_BLOCK), base[: self.dim - lo], sums[: self.dim - lo]
-            # |L[i] + conj(L[j])| with no complex temporary
-            np.hypot(np.add.outer(lvec.real[i], lvec.real, out=b),
-                     np.subtract.outer(lvec.imag[i], lvec.imag, out=s), out=b)
-            b += rows[i]
-            b += rows.T
-            for weights in (self.jump_rows, self.jump_cols):
-                # the sum over jumps of s w[i] w[j]; einsum, not a BLAS product,
-                # which would wake BLAS threads and their buffers
-                np.einsum("ji,jk->ik", self.jump_scales * weights[:, i], weights, out=s)
-                s += b
-                largest.append(s.max())
-        return float(np.sqrt(np.max(largest[::2]) * np.max(largest[1::2])))
-
-    def rhs(self, rho: np.ndarray, bands: list, delta_now: float,
-            out: np.ndarray) -> np.ndarray:
-        """drho/dt of the flat buffer ``rho`` at detuning ``delta_now``,
-        written into ``out``, which must not be ``rho``: Y + U first, then
-        the mirror sum in place."""
-        tmp = self._tmp
-        lvec = self._lvec(delta_now)
-        ys = self._views(out)
-        # every gather index is in range, and mode="clip" spares the buffered
-        # copy of ``out`` that np.take makes under its default mode="raise"
-        for (p, _), r, yb in zip(self.blocks, self._views(rho), ys):
-            np.multiply(lvec[self.rows[p], None], r, out=yb)
-            t = tmp[: r.size].reshape(r.shape)
-            for band in bands:
-                rows, src, w = band[p]
-                tb = t[rows]
-                if isinstance(src, slice):  # a row shift reads its rows in place
-                    np.multiply(w, r[src], out=tb)
-                else:
-                    np.take(r, src, axis=0, out=tb, mode="clip")
-                    np.multiply(w, tb, out=tb)
-                yb[rows] += tb
-        # Y += U, so the mirror sum below adds J = U + U^dag as well; U
-        # accumulates in the first half of the scratch, each jump in the second
-        acc, part = tmp[: 2 * self.upper.size].reshape(2, -1)
-        np.take(out, self.upper, out=acc, mode="clip")
-        for gather, w in self.jumps:
-            np.take(rho, gather, out=part, mode="clip")
-            np.multiply(w, part, out=part)
-            acc += part
-        out[self.upper] = acc
-        # block pq of the slope is Y_pq + Y_qp^dag; block 10 is then the
-        # mirror of the finished block 01
-        for k, (ob, m) in enumerate(zip(ys, self.mirror)):
-            if m < k:
-                np.conjugate(ys[m].T, out=ob)
-            else:
-                ob += np.conjugate(ys[m].T, out=tmp[: ob.size].reshape(ob.shape))
-        return out
-
-
-def _row_band(src: np.ndarray, weight: np.ndarray) -> tuple:
-    """One parity block of a band, row i reading row src[i] with weight[i],
-    as ``(rows, source, weight column)``: the slices lo:hi and lo + o:hi + o
-    when every row of nonzero weight reads the row o away, else every row
-    and the gather index ``src``."""
-    nz = np.flatnonzero(weight)
-    offsets = src[nz] - nz
-    if not nz.size or np.any(offsets != offsets[0]):
-        return slice(None), src, weight[:, None]
-    lo, hi, o = int(nz[0]), int(nz[-1]) + 1, int(offsets[0])
-    return slice(lo, hi), slice(lo + o, hi + o), weight[lo:hi, None]
-
-
-def _max_step(span: StrokeSpan, params: SystemParams, deltas=None) -> float:
-    """The RK4 step bound 1/(50 f), for the ``span_fmax`` f of the stroke or,
-    given ``deltas``, of its stretch between those two detunings."""
-    return 1.0 / (50.0 * span_fmax(span, params, deltas))
-
-
 def _check_dt(dt: float, params: SystemParams, spans) -> None:
     """Raise ValueError unless ``dt`` is finite, positive and within the
-    stroke-wide step bound 1/(50 f_max) of every span."""
+    stroke-wide RK4 step bound 1/(50 f_max) of every span (``span_fmax``)."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got dt={dt}")
     for span in spans:
-        dt_max = _max_step(span, params)
+        dt_max = 1.0 / (50.0 * span_fmax(span, params))
         if dt > dt_max * (1.0 + 1e-9):
             raise ValueError(
                 f"dt={dt} too coarse for stroke {span.index}; need dt <= {dt_max:.3e}"
             )
-
-
-def _rk4_step(gen: _Generator, rho, bands, deltas, h: float, total, slope, stage):
-    """One RK4 step of length ``h`` from ``rho``, at the detunings ``deltas``
-    (start, midpoint, end), into ``total``; ``slope`` and ``stage`` are scratch."""
-    d0, dh, d1 = deltas
-    gen.rhs(rho, bands, d0, total)  # k1
-    np.multiply(total, 0.5 * h, out=stage)
-    stage += rho
-    # k2 and k3, both at the midpoint, enter the sum twice
-    for coef in (0.5 * h, h):
-        gen.rhs(stage, bands, dh, slope)
-        np.multiply(slope, coef, out=stage)
-        stage += rho
-        slope *= 2.0
-        total += slope
-    gen.rhs(stage, bands, d1, slope)  # k4
-    total += slope
-    total *= h / 6.0
-    total += rho
-
-
-def _taylor_step(gen: _Generator, rho, bands, delta: float, h: float, hb: float,
-                 total, term, spare):
-    """exp(h L) rho into ``total``, for the constant generator L at ``delta``;
-    ``term`` and ``spare`` are scratch.
-
-    ``hb`` is h B for a bound B >= ||L|| (``_Generator.norm_bound``), so past
-    the term t_k of order k every term shrinks by at least r = h B / (k + 1):
-    once r < 1 the tail is at most ||t_k|| r / (1 - r) in the Frobenius norm,
-    and sqrt(d) times that in the trace norm.  The series stops when that
-    trace-norm bound is at most TAYLOR_EPS.  A Lindblad step does not
-    amplify the trace norm, so these bounds, summed over the steps, bound
-    the drift of every eigenvalue of rho (Weyl).
-    """
-    np.copyto(total, rho)
-    np.copyto(term, rho)
-    k = 0
-    while True:
-        k += 1
-        gen.rhs(term, bands, delta, spare)
-        spare *= h / k
-        total += spare
-        term, spare = spare, term
-        r = hb / (k + 1)
-        if r < 1.0:
-            # d ||t_k||_F^2 by einsum's own loop, not a multi-threaded BLAS dot
-            x = term.view(float)
-            tail = np.sqrt(gen.dim * np.einsum("i,i->", x, x)) * r / (1.0 - r)
-            if not tail > TAYLOR_EPS:  # a NaN tail ends the series too
-                return
 
 
 def propagate_fock(
@@ -745,82 +490,6 @@ def propagate_fock(
     ``leakage_threshold``; trace, hermiticity and positivity are checked at
     every output sample.
     """
-    _check_leakage_threshold(leakage_threshold)
-    ops = ModeOperators(state.cutoffs)
-    t0 = state.time
-    walk = stroke_walk(schedule, t0, t_end, samples_per_stroke)
-    if dt is not None:
-        _check_dt(dt, params, [span for span, _, _ in walk])
+    from ._fock_engine import propagate  # compiled on the first Fock run only
 
-    gen = _Generator(params, ops, state.rho)
-    rho = gen.hermitian(gen.split(state.rho))
-    # work buffers: the step's result and two scratch buffers (the RK4 stages,
-    # or the Taylor terms)
-    total, slope, stage = (np.empty_like(rho) for _ in range(3))
-    # buffer positions of the diagonal entries of each mode's top retained
-    # level, in natural order
-    top_levels = [gen.diagonal[ops.number_diag[m] == c - 1]
-                  for m, c in enumerate(state.cutoffs)]
-
-    def leakage(r):
-        """Population of the top retained Fock level, per mode."""
-        return [float(np.sum(r.real[top])) for top in top_levels]
-
-    times = [t0]
-    records = []
-
-    def record(r, t):
-        occupations, mean, cov, (_, _, min_eig) = gen.observe(r, t)
-        records.append((occupations, mean, cov, min_eig, leakage(r)))
-
-    record(rho, t0)
-
-    for span, seg_start, targets_local in walk:
-        bands = gen.bands(span.target, span.amplitude)
-        # hold and exchange strokes keep one generator, bounded once
-        bound = (None if span.kind is StrokeKind.RAMP_DETUNING
-                 else gen.norm_bound(bands, span.delta0))
-        t_now = seg_start
-        for t_target in targets_local:
-            length = t_target - t_now
-            if bound is None:
-                # the segment's end detunings bound |delta| on it (ramps are monotone)
-                ends = span.delta_values_local(np.array([t_now, t_target]) - span.t_start)
-                dt_target = _max_step(span, params, ends)
-            else:
-                dt_target = TAYLOR_THETA / bound
-            if dt is not None:
-                dt_target = min(dt, dt_target)
-            nsteps = max(1, int(np.ceil(length / dt_target - 1e-12)))
-            h = length / nsteps
-            if bound is None:
-                t_loc = (t_now - span.t_start) + np.arange(nsteps) * h
-                deltas = span.delta_values_local(
-                    np.stack([t_loc, t_loc + 0.5 * h, t_loc + h])).T
-            for k in range(nsteps):
-                if bound is None:
-                    _rk4_step(gen, rho, bands, deltas[k], h, total, slope, stage)
-                else:
-                    _taylor_step(gen, rho, bands, span.delta0, h, h * bound,
-                                 total, slope, stage)
-                # the generator keeps a Hermitian rho exactly Hermitian
-                rho, total = total, rho
-                for m, leak in enumerate(leakage(rho)):
-                    if leak > leakage_threshold:
-                        raise TruncationError(
-                            f"top-level population {leak:.3e} of mode {m} exceeds "
-                            f"{leakage_threshold:.1e} at t={t_now + (k + 1) * h:.6g}; "
-                            "increase the cutoff",
-                            time=t_now + (k + 1) * h, mode=m, leakage=leak,
-                        )
-            t_now = t_target
-            times.append(t_now)
-            record(rho, t_now)
-
-    del total, slope, stage
-    occ, means, covs, min_eigs, leaks = (np.array(x) for x in zip(*records))
-    return Samples(
-        times=np.asarray(times), occupations=occ, means=means, covs=covs,
-        physicality=min_eigs, leakage=leaks,
-        final_state=FockState(rho=gen.join(rho), cutoffs=state.cutoffs, time=times[-1]),
-    )
+    return propagate(state, params, schedule, t_end, dt, samples_per_stroke, leakage_threshold)

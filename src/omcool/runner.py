@@ -163,10 +163,10 @@ def run_protocol(
         propagate = partial(gauss_mod.propagate, state0, schedule, t_end, tol=tol,
                             params=params, samples_per_stroke=samples_per_stroke)
     else:
-        occ0 = list(initial.pair) + list(initial.targets)
-        state0 = fock_mod.thermal_state(
-            fock_options.cutoffs, occ0, leakage_threshold=fock_options.leakage_threshold
-        )
+        # the thermal start as its diagonal: no d x d array before the final state
+        diagonal = fock_mod._thermal_diagonal(fock_options.cutoffs, initial.pair + initial.targets,
+                                              fock_options.leakage_threshold)
+        state0 = fock_mod.FockState(diagonal, fock_options.cutoffs)
         propagate = partial(fock_mod.propagate_fock, state0, params, schedule, t_end,
                             dt=fock_options.dt, samples_per_stroke=samples_per_stroke,
                             leakage_threshold=fock_options.leakage_threshold)

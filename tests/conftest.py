@@ -25,7 +25,7 @@ def fock_checks(monkeypatch):
     """(trace error, hermiticity error, min eigenvalue) of every carried rho
     whose checks pass in ``_Generator.observe`` while the test runs, in call
     order: one row per Fock output sample."""
-    from omcool.fock import _Generator
+    from omcool._fock_engine import _Generator
 
     rows = []
     observe = _Generator.observe

@@ -9,12 +9,13 @@ from hypothesis import strategies as hst
 from scipy import sparse
 from scipy.linalg import expm as scipy_expm
 
+import omcool._fock_engine as engine_mod
 import omcool.fock as fock_mod
 from omcool.config import load_config_file, parse_cycle_config
 from omcool.errors import IntegrationError, TruncationError
+from omcool._fock_engine import _Generator
 from omcool.fock import (
     FockState,
-    _Generator,
     ModeOperators,
     mode_occupations,
     number_state,
@@ -609,7 +610,7 @@ def _step_counts(monkeypatch, *args, **kwargs):
     samples: RK4 steps (four rhs calls each) on ramp segments, Taylor steps
     on hold and exchange segments (0 where the segment takes the other kind)."""
     counts, marks = [0, 0], []  # rhs calls, Taylor steps
-    rhs, taylor, observe = _Generator.rhs, fock_mod._taylor_step, _Generator.observe
+    rhs, taylor, observe = _Generator.rhs, engine_mod._taylor_step, _Generator.observe
 
     def counted_rhs(self, *a):
         counts[0] += 1
@@ -624,7 +625,7 @@ def _step_counts(monkeypatch, *args, **kwargs):
         return observe(*a)
 
     monkeypatch.setattr(_Generator, "rhs", counted_rhs)
-    monkeypatch.setattr(fock_mod, "_taylor_step", counted_taylor)
+    monkeypatch.setattr(engine_mod, "_taylor_step", counted_taylor)
     monkeypatch.setattr(_Generator, "observe", marked_observe)
     traj = propagate_fock(*args, **kwargs)
     monkeypatch.undo()
@@ -663,7 +664,7 @@ class TestStepRule:
         assert rk4_steps[:4].sum() == rk4_steps[8:].sum() < 4 * 79
         gen = _Generator(p, ModeOperators(st.cutoffs), st.rho)
         bound = gen.norm_bound(gen.bands(None, 0.0), -3.0)
-        hold = np.ceil(np.diff(t)[4:8] * bound / fock_mod.TAYLOR_THETA)
+        hold = np.ceil(np.diff(t)[4:8] * bound / engine_mod.TAYLOR_THETA)
         assert taylor_steps.tolist() == [0] * 4 + hold.tolist() + [0] * 4
         assert hold.tolist() == [2, 2, 2, 2]
         assert np.all(rk4_steps[4:8] == 0)
@@ -831,7 +832,7 @@ class TestTaylorAction:
         # B formed row block by row block equals B from whole d x d sums,
         # each entry going through the same operations (max is exact)
         if row_block is not None:
-            monkeypatch.setattr(fock_mod, "_ROW_BLOCK", row_block)
+            monkeypatch.setattr(engine_mod, "_ROW_BLOCK", row_block)
         p = params()
         ops = ModeOperators(cutoffs)
         gen = _Generator(p, ops, thermal_state(cutoffs, (0.1, 0.2, 0.25),
@@ -917,6 +918,133 @@ def _one_block_negative():
     i, j = 1, 2  # |0, 1> and |1, 0>, both odd
     rho[i, j] = rho[j, i] = 1.5 * np.sqrt(rho[i, i].real * rho[j, j].real)
     return FockState(rho=rho, cutoffs=st.cutoffs, time=0.4)
+
+
+def jump_steps(p, ops):
+    """(offset, ladder weight) of each jump term of ``_Generator``, in its
+    order: the lowering then the raising jump of every damped mode."""
+    nbars = [p.n_a, p.n_b, *p.n_targets]
+    rates = [p.kappa, p.gamma] + [p.gamma] * len(p.delta_targets)
+    return [step for m, (rate, nbar) in enumerate(zip(rates, nbars)) if rate
+            for step, scale in ((ops.lowering[m], nbar + 1.0), (ops.raising[m], nbar)) if scale]
+
+
+class TestSharedIndexJumps:
+    """Every jump reads through ``upper`` plus one offset per block of U
+    where the offsets allow it; the slope must be bitwise the one of one
+    explicit gather index per jump at U's entries."""
+
+    @pytest.mark.parametrize("cutoffs", [(3, 3, 3), (3, 4, 5), (5, 6, 7), (6, 6, 8),
+                                         (3, 3, 3, 3)])
+    @pytest.mark.parametrize("start", ["thermal", "cross blocks"])
+    def test_slope_is_bitwise_the_per_entry_gather_one(self, cutoffs, start):
+        n = len(cutoffs)
+        p = params(delta_targets=(10.0, 7.0)[:n - 2], n_targets=(0.25, 0.4)[:n - 2])
+        ops = ModeOperators(cutoffs)
+        d = ops.dim
+        rho = (thermal_state(cutoffs, (0.3, 0.2, 0.25, 0.4)[:n], leakage_threshold=NO_GUARD).rho
+               if start == "thermal" else random_hermitian(d, 7))
+        gen, ref = _Generator(p, ops, rho), _Generator(p, ops, rho)
+        # the natural row and column of every U entry, then each jump's
+        # source position as one flat gather index: rho[i + s, j + s] where
+        # the weight is nonzero, the entry itself elsewhere
+        flat = gen.split(np.arange(d * d).reshape(d, d)).real.astype(np.intp)[gen.upper]
+        rows, cols = np.divmod(flat, d)
+        where = np.full(d * d, -1)
+        where[gen.split(np.arange(d * d).reshape(d, d)).real.astype(np.intp)] = np.arange(gen.size)
+        steps = jump_steps(p, ops)
+        assert len(steps) == len(gen.jumps)
+        ref.jumps = []
+        for (s, _), (_, weight) in zip(steps, gen.jumps):
+            valid = weight != 0
+            gather = np.where(valid, where[np.where(valid, (rows + s) * d + cols + s, 0)],
+                              gen.upper)
+            assert np.all(gather >= 0)
+            ref.jumps.append(([(slice(None), gather, slice(None))], weight))
+        shared = [np.shares_memory(index, gen.upper)
+                  for reads, _ in gen.jumps for _, index, _ in reads]
+        # an even d reads every jump of a mode whose stride is even through
+        # ``upper``; an odd d (parity blocks of two widths) keeps every index
+        assert any(shared) == (d % 2 == 0)
+        buf = gen.hermitian(gen.split(rho))
+        for target, amplitude in [(0, 0.0)] + [(k, 5.0) for k in range(n - 2)]:
+            bands = gen.bands(target, amplitude)
+            for delta in (p.delta_i, 0.5 * (p.delta_i + p.delta_f), p.delta_f):
+                got = gen.rhs(buf, bands, delta, np.empty_like(buf))
+                want = ref.rhs(buf, bands, delta, np.empty_like(buf))
+                assert got.tobytes() == want.tobytes(), (target, amplitude, delta)
+
+    def test_shared_reads_hold_one_index_per_odd_stride_jump(self):
+        # at (6, 6, 8) the four jumps of modes a and b read ``upper``, one
+        # view per parity block, and only the two jumps of mode c keep an index
+        ops = ModeOperators((6, 6, 8))
+        gen = _Generator(params(), ops, thermal_state(ops.cutoffs, (0.1, 0.2, 0.25)).rho)
+        kinds = [[np.shares_memory(index, gen.upper) for _, index, _ in reads]
+                 for reads, _ in gen.jumps]
+        assert kinds == [[True, True]] * 4 + [[False]] * 2
+
+
+class TestStart:
+    def hold(self):
+        return CycleSchedule(strokes=(Stroke.hold(0.05),), cycle_count=1, delta_start=-30.0)
+
+    def test_diagonal_start_is_bitwise_the_split_thermal_rho(self):
+        cutoffs, occ = (6, 6, 8), (0.1, 0.2, 0.25)
+        diagonal = fock_mod._thermal_diagonal(cutoffs, occ, fock_mod.DEFAULT_LEAKAGE_THRESHOLD)
+        rho = thermal_state(cutoffs, occ).rho
+        ops = ModeOperators(cutoffs)
+        from_diagonal, from_rho = _Generator(params(), ops, diagonal), _Generator(params(), ops, rho)
+        assert from_diagonal.blocks == from_rho.blocks == [(0, 0), (1, 1)]
+        assert from_diagonal.split(diagonal).tobytes() == from_rho.split(rho).tobytes()
+        assert np.array_equal(np.diag(rho), diagonal)
+
+    def test_diagonal_state_runs_bitwise_the_d_by_d_one(self):
+        cutoffs = (3, 4, 3)
+        st = thermal_state(cutoffs, (0.1, 0.2, 0.25), leakage_threshold=NO_GUARD)
+        diag = FockState(rho=np.diag(st.rho), cutoffs=cutoffs)
+        assert diag.rho.shape == (36,) and st.rho.shape == (36, 36)
+        assert diag.validate() == st.validate()
+        runs = [propagate_fock(x, params(), self.hold(), 0.05, samples_per_stroke=3,
+                               leakage_threshold=0.5) for x in (st, diag)]
+        for field in ("times", "occupations", "means", "covs", "physicality", "leakage"):
+            assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+        assert runs[0].final_state.rho.tobytes() == runs[1].final_state.rho.tobytes()
+        with pytest.raises(ValueError, match="or its diagonal"):
+            FockState(rho=np.ones(35), cutoffs=cutoffs)
+
+    @pytest.mark.parametrize("bad, message", [("hermiticity", "hermiticity deviates"),
+                                              ("trace", "trace deviates"),
+                                              ("positivity", "negative eigenvalue")])
+    def test_bad_start_fails_at_t0(self, bad, message):
+        cutoffs = (3, 3, 3)
+        rho = thermal_state(cutoffs, (0.3, 0.2, 0.25), leakage_threshold=NO_GUARD).rho.copy()
+        if bad == "hermiticity":
+            rho[0, 2] = 0.304  # rho[2, 0] stays 0, in the same parity block
+        elif bad == "trace":
+            rho[0, 0] += 1e-6j  # the Hermitian part alone would keep the trace 1
+        else:
+            rho[0, 0], rho[1, 1] = rho[0, 0] + rho[1, 1] + 0.01, -0.01
+        st = FockState(rho=rho, cutoffs=cutoffs, time=0.0)
+        with pytest.raises(IntegrationError, match=message):
+            st.validate()
+        with pytest.raises(IntegrationError, match=message) as err:
+            propagate_fock(st, params(), self.hold(), 0.05, samples_per_stroke=2,
+                           leakage_threshold=0.5)
+        assert err.value.time == 0.0
+
+    def test_near_hermitian_start_runs_on_its_hermitian_part(self, fock_checks):
+        # a start within the hermiticity tolerance passes and runs as before:
+        # on its exact Hermitian part, from the first sample on
+        cutoffs = (3, 3, 3)
+        st = thermal_state(cutoffs, (0.3, 0.2, 0.25), leakage_threshold=NO_GUARD)
+        rho = st.rho + 1e-12j * random_hermitian(27, 9)
+        herm = FockState(rho=0.5 * (rho + rho.conj().T), cutoffs=cutoffs)
+        runs = [propagate_fock(x, params(), self.hold(), 0.05, samples_per_stroke=2,
+                               leakage_threshold=0.5)
+                for x in (FockState(rho=rho, cutoffs=cutoffs), herm)]
+        assert fock_checks[0][1] == 0.0  # the first sample reads the projection
+        for field in ("occupations", "means", "covs", "physicality"):
+            assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
 
 
 class TestPositivityCheck:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from omcool import _fock_engine as fock_engine
 from omcool import fock, gaussian
 from omcool.config import load_config_file, parse_cycle_config
 from omcool.errors import TruncationError
@@ -161,6 +163,58 @@ class TestRunProtocol:
             )
 
 
+def held_bytes(obj) -> int:
+    """Bytes of the distinct array buffers that ``obj`` holds, through its
+    attributes, lists, tuples and dicts (a view counts its base once)."""
+    seen, stack = {}, [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, np.ndarray):
+            base = x if x.base is None else x.base
+            seen[id(base)] = base.nbytes
+        elif isinstance(x, dict):
+            stack += x.values()
+        elif isinstance(x, (list, tuple)):
+            stack += x
+        elif hasattr(x, "__dict__") and not isinstance(x, type):
+            stack += vars(x).values()
+    return sum(seen.values())
+
+
+class TestFockMemory:
+    @pytest.mark.filterwarnings("ignore::omcool.errors.AdiabaticityWarning")
+    def test_thermal_start_run_allocates_no_square_array(self, monkeypatch):
+        # the smalltest run with short strokes: what a run holds does not
+        # depend on their length.  The start reaches the engine as its
+        # diagonal, and no d x d complex array is allocated while the run's
+        # buffers are held, so the peak stays below them plus d^2 * 16 B
+        raw = load_config_file("smalltest")
+        raw["schedule"].update(tau1=0.02, tau2=0.02, tau3=0.02, tau4=0.02)
+        cfg = parse_cycle_config(raw, for_validate=True)
+        gens, starts = [], []
+        init = fock_engine._Generator.__init__
+
+        def kept(self, params, ops, rho):
+            starts.append(rho.shape)
+            init(self, params, ops, rho)
+            gens.append(self)
+
+        monkeypatch.setattr(fock_engine._Generator, "__init__", kept)
+        tracemalloc.start()
+        try:
+            run_protocol(cfg.params, cfg.schedule, "fock", cfg.initial, samples_per_stroke=2,
+                         fock_options=cfg.fock)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (gen,) = gens
+        d = gen.dim
+        assert starts == [(d,)]
+        # the generator's arrays and the run's four work buffers
+        resident = held_bytes(gen) + 4 * gen.size * 16
+        assert peak < resident + d * d * 16, (peak, resident)
+
+
 class TestManyCycles:
     """Runs past the bundled cycle counts, toward the periodic steady state:
     they sample every stroke boundary on one strictly increasing time axis,
@@ -199,7 +253,7 @@ class TestEngineRecord:
         fock_options = FockOptions(cutoffs=(5, 5, 6), leakage_threshold=1e-2)
         ops = fock.ModeOperators(fock_options.cutoffs)
         records, fock_pairs = {}, []
-        observe = fock._Generator.observe
+        observe = fock_engine._Generator.observe
 
         def check(gen, buf, time):
             # the sample's (a, b) moments on their own, as contiguous blocks,
@@ -214,7 +268,7 @@ class TestEngineRecord:
                 return records[engine]
             return run
 
-        monkeypatch.setattr(fock._Generator, "observe", check)
+        monkeypatch.setattr(fock_engine._Generator, "observe", check)
         monkeypatch.setattr(gaussian, "propagate", kept("gaussian", gaussian.propagate))
         monkeypatch.setattr(fock, "propagate_fock", kept("fock", fock.propagate_fock))
         trajs = {engine: run_protocol(cfg.params, cfg.schedule, engine, cfg.initial,
@@ -286,8 +340,8 @@ class TestDeltaColumn:
         # hold or exchange segment takes every Taylor step at its stroke's one
         # detuning, which is also the segment's starting sample
         used = []  # per output sample, the detunings of the segment after it
-        local, taylor, observe = (StrokeSpan.delta_values_local, fock._taylor_step,
-                                  fock._Generator.observe)
+        local, taylor, observe = (StrokeSpan.delta_values_local, fock_engine._taylor_step,
+                                  fock_engine._Generator.observe)
 
         def spy(span, t_local):
             values = local(span, t_local)
@@ -304,8 +358,8 @@ class TestDeltaColumn:
             return observe(*a)
 
         monkeypatch.setattr(StrokeSpan, "delta_values_local", spy)
-        monkeypatch.setattr(fock, "_taylor_step", spy_taylor)
-        monkeypatch.setattr(fock._Generator, "observe", mark)
+        monkeypatch.setattr(fock_engine, "_taylor_step", spy_taylor)
+        monkeypatch.setattr(fock_engine._Generator, "observe", mark)
         cfg, traj = self.run("smalltest", "fock")
         assert np.array_equal(traj.delta, walk_deltas(cfg.schedule, cfg.samples_per_stroke))
         assert len(used) == traj.delta.size and used[-1] == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omcool import fock, gaussian
+from omcool import _fock_engine, fock, gaussian
 from omcool.errors import AdiabaticityWarning, ThermalizationWarning
 from omcool.params import SystemParams
 from omcool.schedule import (
@@ -353,8 +353,8 @@ class TestStrokeWalk:
         def no_step(*args, **kwargs):
             raise AssertionError("an engine stepped")
 
-        for module, name in ((gaussian, "_stroke_maps"), (fock, "_rk4_step"),
-                             (fock, "_taylor_step")):
+        for module, name in ((gaussian, "_stroke_maps"), (_fock_engine, "_rk4_step"),
+                             (_fock_engine, "_taylor_step")):
             monkeypatch.setattr(module, name, no_step)
         sched, p = self.make(), fig1_like()
         g_state = gaussian.thermal_state([0.1, 0.2, 0.25], time=t_start)
