@@ -172,17 +172,20 @@ class _Generator(_Blocks):
         weight s w[i] w[j], from the ladder weights before U's diagonal is
         halved.  Column (k, l) holds the same diagonal and band sums, and the
         jump weights of the row (k - o, l - o) that reads it.  The sums are
-        formed ``_ROW_BLOCK`` rows at a time, each entry by the same operations.
+        formed ``_ROW_BLOCK`` rows at a time (fewer if the scratch buffer holds
+        fewer), each entry by the same operations.
         """
         lvec = self._lvec(delta_now)
         rows = np.zeros((self.dim, 1))
         for band in bands:
             for block, (r, _, w) in zip(self.rows, band):
                 rows[block][r] += np.abs(w)
-        base, sums = np.empty((2, _ROW_BLOCK, self.dim))
+        # the row blocks fill the scratch buffer, which is idle between steps
+        height = min(_ROW_BLOCK, self._tmp.size // self.dim)
+        base, sums = self._tmp.view(float)[: 2 * height * self.dim].reshape(2, height, self.dim)
         largest = []
-        for lo in range(0, self.dim, _ROW_BLOCK):
-            i, b, s = slice(lo, lo + _ROW_BLOCK), base[: self.dim - lo], sums[: self.dim - lo]
+        for lo in range(0, self.dim, height):
+            i, b, s = slice(lo, lo + height), base[: self.dim - lo], sums[: self.dim - lo]
             # |L[i] + conj(L[j])| with no complex temporary
             np.hypot(np.add.outer(lvec.real[i], lvec.real, out=b),
                      np.subtract.outer(lvec.imag[i], lvec.imag, out=s), out=b)

@@ -11,28 +11,28 @@ convention x = (a + a^dag)/sqrt(2), p = -i(a - a^dag)/sqrt(2) and vacuum
 variance 1/2.  A carries the symplectic Hamiltonian flow plus -rate/2
 damping, D = diag(rate * (2 n_bath + 1) / 2) per quadrature.
 
-Being linear, each stretch of a stroke is an affine map on the moments,
-<z> -> Phi <z> and sigma -> Phi sigma Phi^T + Q.  Both come from the
-propagator Z of Van Loan's block generator M = [[A, D], [0, -A^T]]
-(C. Van Loan, IEEE TAC 23, 395 (1978)): Phi = Z_11 and Q = Z_12 Z_11^T,
-which holds for time-dependent A as well.  A block whose generator is
-constant over the stroke (every block of a hold or exchange, and each target
-a ramp leaves free) is mapped exactly by one exponential per segment width.
-Only a ramp's pair (a, b) takes fourth-order Magnus substeps, at most
-1/f_max long for the stroke's largest frequency scale f_max.  A substep's
-exponent needs delta only through its two moments
-(``StrokeSpan.delta_moments``), which a tabulated ramp profile gives exactly
-over the linear pieces between its knots, so its kinks cap no order and cut
-no substep.  A block without diffusion has Q = 0 and takes its drift alone.
+Being linear, each stretch of a stroke is an affine map on the moments, <z> ->
+Phi <z> and sigma -> Phi sigma Phi^T + Q.  Both come from the propagator Z of
+Van Loan's block generator M = [[A, D], [0, -A^T]] (C. Van Loan, IEEE TAC 23,
+395 (1978)): Phi = Z_11 and Q = Z_12 Z_11^T, which holds for time-dependent A
+as well.  A block whose generator is constant over the stroke (every block of
+a hold or exchange, and each target a ramp leaves free) is mapped exactly by
+one exponential per distinct segment width, the one map segments share.  Only
+a ramp's pair (a, b) takes fourth-order Magnus substeps, at most 1/f_max long
+for the stroke's largest frequency scale f_max.  A substep's exponent needs
+delta only through its two moments (``StrokeSpan.delta_moments``), which a
+tabulated ramp profile gives exactly over the linear pieces between its knots,
+so its kinks cap no order and cut no substep.  A block without diffusion has
+Q = 0 and takes its drift alone.
 
-Error control: each ramp is run with m and 2m substeps per segment (m = 2,
-4, 8, ...); the ramp is accepted once the two agree within 15 tol at every
-sample, and the 2m result is kept.  A hold or exchange takes no substeps,
-so its maps are the same at every m and it runs at m = 2 alone.  A
-stroke's maps at each m are built in one pass, kept by stroke position,
-sample offset and m inside one ``propagate`` call, so later cycles reuse the
-first cycle's maps while the check still runs on every application.  A
-non-finite drift, map, state or error estimate raises IntegrationError.
+Error control: each ramp is run with m and 2m substeps per segment (m = 2, 4,
+8, ...); the ramp is accepted once the two agree within 15 tol at every
+sample, and the 2m result is kept.  A hold or exchange takes no substeps, so
+its maps are the same at every m and it runs at m = 2 alone.  A stroke's maps
+at each m are one stack over its samples, built with its generator in one pass
+and kept in one ``propagate`` call by its place in the cycle, the local ends
+of the run's part of it and m, so later cycles reuse the first cycle's stacks.
+A non-finite drift, map, state or error estimate raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -211,10 +211,10 @@ def _stroke_maps(span: StrokeSpan, generator, segments, level: int, fmax: float)
     local intervals (a, b) of ``segments``.  A block whose generator is
     constant over the stroke (every block of a hold or exchange, and each
     free target) takes one exponential of width (M0 + delta0 E) per distinct
-    width, exact at any ``level``.  A ramp's coupled block cuts each interval
-    into ``level`` times ceil(width * fmax) equal Magnus-4 substeps, whatever
-    ramp-table knots it holds; all intervals share stacks of at most
-    ``_CHUNK``, and each product is chained from its slices of them."""
+    width, exact at any ``level``, the one map intervals share.  A ramp's
+    coupled block cuts each interval into ``level`` times ceil(width * fmax)
+    equal Magnus-4 substeps, whatever ramp-table knots it holds; all share
+    stacks of at most ``_CHUNK``, each product chained from its slices."""
     n = generator.shape[-1] // 2
     a, b = np.array(segments).T
     width = b - a
@@ -288,44 +288,36 @@ def propagate(
         check_stability(span.delta1, params.omega_b, params.g)
 
     mean, cov = state.mean, state.cov
-    times_out = [t0]
-    samples = [(mean, cov)]
-
-    # Maps depend only on the stroke's place in the cycle and the local
-    # sample offsets, so later cycles reuse the first cycle's maps.
+    times, means, covs = [[t0]], [mean[None]], [cov[None]]
+    # each stroke's maps, stacked over its samples, keyed by its place in the
+    # cycle, the part of it the run crosses and the level: later cycles reuse
+    # the first cycle's stacks, and a partial stroke builds its own
     maps = {}
 
     for span, seg_start, ends in walk:
-        generator = _stroke_generator(params, span)
-        if not np.all(np.isfinite(generator[0])):
-            raise IntegrationError(f"non-finite drift in stroke {span.index}", time=seg_start)
-
         local = np.concatenate(([seg_start], ends)) - span.t_start
-        # constant strokes need no substeps, and their maps depend on length only
+        part = (span.position, *(round(x / span.duration, 12) for x in local[[0, -1]]))
         ramp = span.kind is StrokeKind.RAMP_DETUNING
-        fmax = span_fmax(span, params) if ramp else 0.0
-        # each segment's offsets in its map keys, the same at every level
-        offsets = [(round(a / span.duration, 12) if ramp else None,
-                    round((b - a) / span.duration, 12)) for a, b in zip(local[:-1], local[1:])]
 
         def sweep(level):
-            """(mean, cov) at each of the stroke's samples, reached by its maps at ``level``."""
-            keys = [(span.position, level, *offset) for offset in offsets]
-            todo = {}
-            for key, a, b in zip(keys, local[:-1], local[1:]):
-                if key not in maps:
-                    todo.setdefault(key, (a, b))
-            if todo:
-                phis, qs = _stroke_maps(span, generator, list(todo.values()), level, fmax)
+            """The stroke's samples, stacked (means, covs), reached by its maps at ``level``."""
+            if (part, level) not in maps:
+                generator = _stroke_generator(params, span)
+                if not np.all(np.isfinite(generator[0])):
+                    raise IntegrationError(f"non-finite drift in stroke {span.index}",
+                                           time=seg_start)
+                phis, qs = maps[part, level] = _stroke_maps(
+                    span, generator, np.column_stack((local[:-1], local[1:])), level,
+                    span_fmax(span, params) if ramp else 0.0)
                 if not (np.all(np.isfinite(phis)) and np.all(np.isfinite(qs))):
                     raise IntegrationError(
                         f"non-finite stroke map in stroke {span.index}", time=seg_start)
-                maps.update(zip(todo, zip(phis, qs)))
-            out, m, c = [], mean, cov
-            for key in keys:
-                m, c = _apply(*maps[key], m, c)
-                out.append((m, c))
-            return out
+            phis, qs = maps[part, level]
+            ms, cs = np.empty((len(phis),) + mean.shape), np.empty(phis.shape)
+            m, c = mean, cov
+            for k in range(len(phis)):
+                m, c = ms[k], cs[k] = _apply(phis[k], qs[k], m, c)
+            return ms, cs
 
         # each attempt checks the next level against the last one, so a
         # refused fine sweep becomes the coarse sweep of the next attempt.  A
@@ -338,14 +330,10 @@ def propagate(
         for attempt in range(_MAX_REFINE + 1):
             fine = sweep(2 * level)
             # np.max keeps a NaN, where the builtin max() may drop it
-            diffs = [np.abs(f - c).max()
-                     for pf, pc in zip(fine, coarse or fine) for f, c in zip(pf, pc)]
-            err = float(np.max([0.0] + diffs)) / 15.0
+            err = np.max([np.abs(f - c).max() for f, c in zip(fine, coarse or fine)]) / 15.0
             if not math.isfinite(err):
-                raise IntegrationError(
-                    f"non-finite state or error estimate in stroke {span.index}",
-                    time=seg_start,
-                )
+                raise IntegrationError(f"non-finite state or error estimate in stroke "
+                                       f"{span.index}", time=seg_start)
             if err <= tol:
                 break
             # a fourth-order estimate falls ~16x per doubling; one that does
@@ -360,12 +348,12 @@ def propagate(
             prev_err = err
             coarse, level = fine, 2 * level
 
-        mean, cov = fine[-1]
-        times_out.extend(ends.tolist())
-        samples.extend(fine)
+        mean, cov = fine[0][-1], fine[1][-1]
+        times.append(ends)
+        means.append(fine[0])
+        covs.append(fine[1])
 
-    times = np.asarray(times_out)
-    means, covs = (np.asarray(x) for x in zip(*samples))
+    times, means, covs = (np.concatenate(x) for x in (times, means, covs))
     occupations, min_eigs = check_samples(times, means, covs)
     return Samples(
         times=times, occupations=occupations, means=means, covs=covs,

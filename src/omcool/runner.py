@@ -21,7 +21,7 @@ from .polariton import (
     pair_occupations,
     survival_factor,
 )
-from .schedule import CycleSchedule, StrokeKind, StrokeSpan, _check_targets
+from .schedule import CycleSchedule, Samples, StrokeKind, StrokeSpan, _check_targets
 
 ENGINES = ("gaussian", "fock")
 
@@ -69,19 +69,15 @@ class FockOptions:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Engine-agnostic protocol record.
+class Trajectory(Samples):
+    """Engine-agnostic protocol record: the engine's ``Samples`` and what
+    ``run_protocol`` reads off them.
 
     ``stroke_index`` and ``delta`` are ``CycleSchedule.stroke_index`` and
     ``CycleSchedule.delta_at`` of each sample time; ``markers`` are the exact
     stroke boundary times.
-    ``physicality`` holds the per-sample invariant metric of the engine that
-    produced the run: min eig of (cov + iJ/2) for the Gaussian engine, min
-    eigenvalue of rho for the Fock engine.
     """
 
-    times: np.ndarray
-    occupations: np.ndarray
     n_polariton: np.ndarray
     delta: np.ndarray
     omega0_active: np.ndarray
@@ -90,8 +86,6 @@ class Trajectory:
     spans: tuple[StrokeSpan, ...]
     engine: str
     mode_labels: tuple[str, ...]
-    physicality: np.ndarray
-    leakage: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -185,20 +179,9 @@ def run_protocol(
     omega0 = np.array([spans[i].amplitude for i in idx], dtype=float)
     bases = bogoliubov_basis(delta, params.omega_b, params.g)
     n_pol = np.column_stack(pair_occupations(run.means[:, :4], run.covs[:, :4, :4], bases))
-    return Trajectory(
-        times=times,
-        occupations=run.occupations,
-        n_polariton=n_pol,
-        delta=delta,
-        omega0_active=omega0,
-        stroke_index=idx,
-        markers=schedule.boundaries(),
-        spans=spans,
-        engine=engine,
-        mode_labels=params.mode_labels,
-        physicality=run.physicality,
-        leakage=run.leakage,
-    )
+    return Trajectory(**vars(run), n_polariton=n_pol, delta=delta, omega0_active=omega0,
+                      stroke_index=idx, markers=schedule.boundaries(), spans=spans,
+                      engine=engine, mode_labels=params.mode_labels)
 
 
 @dataclass(frozen=True)

@@ -865,6 +865,23 @@ class TestTaylorAction:
             tracemalloc.stop()
         assert peak < ops.dim**2 * 8
 
+    def test_norm_bound_takes_its_row_blocks_from_the_scratch(self):
+        # base and sums, two row blocks of d reals each, live in the idle
+        # scratch buffer; what one call allocates is below the pair (NumPy's
+        # own iteration buffers for a broadcast, 128 kB, exceed one block)
+        ops = ModeOperators((6, 6, 8))
+        gen = _Generator(params(), ops, thermal_state(ops.cutoffs, (0.1, 0.2, 0.25)).rho)
+        bands = gen.bands(0, 5.0)
+        gen.norm_bound(bands, -3.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gen.norm_bound(bands, -3.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * engine_mod._ROW_BLOCK * ops.dim * 8
+
     def test_jump_term_read_before_halving(self):
         # one jump, kappa a rho a^dag at cutoffs (2, 2): on a thermal start its
         # largest weight, kappa, sits only on the diagonal of the parity

@@ -280,26 +280,31 @@ class TestBackends:
         assert np.max(np.abs(traj.covs.reshape(-1, 36) - ref.y[6:].T)) < 1e-10
 
     def test_three_cycles_reuse_the_first_cycle_maps(self, fig1_params, monkeypatch):
-        # the accepted levels depend on the state each cycle starts from, so
-        # a later cycle may build levels the first did not; it never builds a
-        # map its call already holds
-        built = []
-        stroke_maps = gaussian._stroke_maps
+        # each stroke part (its place in the cycle and the local start and end
+        # of the window's part of it) is built at most once per level and
+        # call, and the full run builds no map and no generator after cycle 0
+        built, generators = [], []
+        stroke_maps, stroke_generator = gaussian._stroke_maps, gaussian._stroke_generator
 
         def counting_maps(span, generator, segments, level, fmax):
-            # propagate's map key: a constant stroke's map depends on its width alone
-            ramp = span.kind is StrokeKind.RAMP_DETUNING
-            built.extend((span.position, level, round(a / span.duration, 12) if ramp else None,
-                          round((b - a) / span.duration, 12)) for a, b in segments)
+            a, b = np.array(segments).T
+            built.append((span.cycle, span.position, round(a[0] / span.duration, 12),
+                          round(b[-1] / span.duration, 12), level))
             return stroke_maps(span, generator, segments, level, fmax)
 
+        def counting_generator(params, span):
+            generators.append(span.cycle)
+            return stroke_generator(params, span)
+
         monkeypatch.setattr(gaussian, "_stroke_maps", counting_maps)
+        monkeypatch.setattr(gaussian, "_stroke_generator", counting_generator)
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0],
                                     cycles=3, ramp_shape="adiabatic")
         state = thermal_state([0.5, 2.0, 12.0])
         full = propagate(state, sched, sched.total_duration, tol=1e-7,
                          params=fig1_params, samples_per_stroke=8)
         calls = [built.copy()]
+        assert built and {key[0] for key in built} == set(generators) == {0}
         for cycle in range(3):
             built.clear()
             part = propagate(state, sched, (cycle + 1) * sched.period, tol=1e-7,
@@ -309,7 +314,26 @@ class TestBackends:
             assert np.max(np.abs(full.covs[rows] - part.covs)) < 1e-12
             state = part.final_state
             calls.append(built.copy())
-        assert all(len(set(keys)) == len(keys) for keys in calls)
-        # the full run reuses its first cycle's maps: it builds fewer than the
-        # three one-cycle calls together
-        assert len(calls[0]) < sum(map(len, calls[1:]))
+        for keys in calls:
+            parts = [key[1:] for key in keys]
+            assert len(set(parts)) == len(parts)
+
+    def test_a_partial_stroke_builds_its_own_maps(self, fig1_params):
+        # a run from a mid-ramp sample of a full run to a mid-ramp sample two
+        # cycles on crosses both ramps partly and whole: had a partial stroke
+        # shared the whole stroke's stack at its place, the samples would part
+        sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0],
+                                    cycles=3, ramp_shape="adiabatic")
+        full = propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
+                         tol=1e-12, params=fig1_params, samples_per_stroke=8)
+        start, stop = 19, 67  # of the compression ramp in cycle 0, the expansion in cycle 2
+        kinds = {sched.spans()[sched.stroke_index(full.times[k])].kind for k in (start, stop)}
+        assert kinds == {StrokeKind.RAMP_DETUNING}
+        state = GaussianState(mean=full.means[start], cov=full.covs[start],
+                              time=float(full.times[start]))
+        part = propagate(state, sched, full.times[stop], tol=1e-12, params=fig1_params,
+                         samples_per_stroke=8)
+        rows, common = np.isin(full.times, part.times), np.isin(part.times, full.times)
+        assert rows.sum() == common.sum() > 40
+        assert np.max(np.abs(full.means[rows] - part.means[common])) < 1e-12
+        assert np.max(np.abs(full.covs[rows] - part.covs[common])) < 1e-12

@@ -156,10 +156,12 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="increasing"):
             Trajectory(
                 times=np.array([0.0, 0.0]), occupations=np.zeros((2, 3)),
+                means=np.zeros((2, 6)), covs=np.zeros((2, 6, 6)), physicality=np.zeros(2),
+                leakage=None, final_state=None,
                 n_polariton=np.zeros((2, 2)), delta=np.zeros(2),
                 omega0_active=np.zeros(2), stroke_index=np.zeros(2, dtype=int),
                 markers=np.zeros(1), spans=(), engine="gaussian",
-                mode_labels=("a", "b", "c"), physicality=np.zeros(2),
+                mode_labels=("a", "b", "c"),
             )
 
 
@@ -393,12 +395,14 @@ class TestAnalyzeCycles:
                                        np.full_like(times, p.n_b), n_c])
         return Trajectory(
             times=times, occupations=occupations,
+            means=np.zeros((times.size, 6)), covs=np.zeros((times.size, 6, 6)),
+            physicality=np.zeros_like(times), leakage=None, final_state=None,
             n_polariton=np.zeros((times.size, 2)),
             delta=sched.delta_at(times),
             omega0_active=np.zeros_like(times),
             stroke_index=np.zeros(times.size, dtype=int),
             markers=times, spans=spans, engine="synthetic",
-            mode_labels=("a", "b", "c"), physicality=np.zeros_like(times),
+            mode_labels=("a", "b", "c"),
         ), cmp_params
 
     def test_synthetic_map_reproduced_exactly(self, fig1_params):
