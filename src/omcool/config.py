@@ -23,7 +23,7 @@ from .schedule import (
     RAMP_SHAPES,
     CycleSchedule,
     Stroke,
-    adiabatic_ramp_profile,
+    adiabatic_ramp_profile,  # unused here: perfbench/tracer.py patches it by this name
     build_default_cycle,
 )
 
@@ -167,10 +167,8 @@ def _parse_stroke(obj: dict, params: SystemParams, path: str) -> Stroke:
             "kind": (None, _REQUIRED), "shape": (_string, "linear", RAMP_SHAPES),
             "delta_start": (_number, _REQUIRED), "delta_end": (_number, _REQUIRED),
             "duration": (_number, _REQUIRED)}).values()
-        profile = None
-        if shape == "adiabatic":
-            profile = adiabatic_ramp_profile(d0, d1, params.omega_b, params.g)
-        return Stroke.ramp(d0, d1, duration, shape=shape, profile=profile)
+        pair = (params.omega_b, params.g) if shape == "adiabatic" else None
+        return Stroke.ramp(d0, d1, duration, shape=shape, pair=pair)
     if kind == "exchange":
         return Stroke.exchange(**_read(obj, path, {
             "kind": (None, _REQUIRED), "target": (_integer, _REQUIRED),

@@ -21,7 +21,7 @@ from .polariton import (
     pair_occupations,
     survival_factor,
 )
-from .schedule import CycleSchedule, Samples, StrokeKind, StrokeSpan, _check_targets
+from .schedule import CycleSchedule, Samples, Stroke, StrokeKind, StrokeSpan, _check_targets
 
 ENGINES = ("gaussian", "fock")
 
@@ -280,16 +280,11 @@ def adiabaticity_probe(params: SystemParams, tau_ramp: float,
     an energy transfer.  The ramp runs as one output segment, error-checked at
     the end state the probe reads, so that wiggle is not sampled at all.
     """
-    from .schedule import Stroke, adiabatic_ramp_profile
-
     free = replace(params, kappa=0.0, gamma=0.0)
-    profile = None
-    if ramp_shape == "adiabatic":
-        profile = adiabatic_ramp_profile(params.delta_i, params.delta_f,
-                                         params.omega_b, params.g)
+    pair = (params.omega_b, params.g) if ramp_shape == "adiabatic" else None
     sched = CycleSchedule(
         strokes=(Stroke.ramp(params.delta_i, params.delta_f, tau_ramp,
-                             shape=ramp_shape, profile=profile),),
+                             shape=ramp_shape, pair=pair),),
         cycle_count=1,
         delta_start=params.delta_i,
     )

@@ -16,7 +16,7 @@ otherwise occur.  For a crossing with half-gap g the residual transition
 probability scales as exp(-2 pi g^2 / rate_at_crossing); a uniform-rate
 ramp spends too little time at the crossing even when the total duration
 comfortably satisfies tau >> 1/(2g).  The adiabatic profile depends on
-omega_b and g, so it is stored with the stroke as a sampled table.
+omega_b and g: a stroke builds its sampled table from its pair (omega_b, g).
 
 Evaluation conventions: one ownership rule and one evaluator.
 ``CycleSchedule.stroke_index`` bins a time that falls exactly on a stroke
@@ -35,6 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,7 +63,7 @@ class StrokeKind(Enum):
 
 def adiabatic_ramp_profile(
     delta_start: float, delta_end: float, omega_b: float, g: float, knots: int = 1025
-) -> tuple[float, ...]:
+) -> np.ndarray:
     """Detuning profile of a rate-limited passage, sampled on a uniform u grid.
 
     The profile follows d(delta)/du proportional to (omega_A - omega_B)^2, so
@@ -71,6 +72,8 @@ def adiabatic_ramp_profile(
     use a linear ramp instead).  A decreasing ramp is the increasing one
     reversed, so a ramp and its return pass through the same detunings.
     """
+    if not (_is_integer(knots) and knots >= 2):
+        raise ValueError(f"knots must be an integer >= 2, got {knots!r}")
     if g <= 0:
         raise ValueError("adiabatic ramp profile needs g > 0; use shape='linear' for g = 0")
     if delta_start > delta_end:
@@ -86,7 +89,9 @@ def adiabatic_ramp_profile(
     profile = np.interp(u_grid, u_of_delta, dense)
     profile[0] = delta_start
     profile[-1] = delta_end
-    return tuple(profile)
+    if not np.all(np.isfinite(profile)):
+        raise ValueError(f"adiabatic ramp profile must be finite: g={g} is too small for omega_b")
+    return profile
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class Stroke:
     shape: str = "linear"
     target: int | None = None
     amplitude: float = 0.0
-    profile: tuple[float, ...] | None = None
+    pair: tuple[float, float] | None = None
     knots: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -119,16 +124,16 @@ class Stroke:
                 raise ValueError("ramp endpoints must stay red-detuned (delta < 0)")
             if self.shape not in RAMP_SHAPES:
                 raise ValueError(f"unknown ramp shape {self.shape!r}; use one of {RAMP_SHAPES}")
-            if self.shape == "adiabatic":
-                if self.profile is None or len(self.profile) < 2:
-                    raise ValueError("adiabatic ramp needs a sampled detuning profile")
-                if self.profile[0] != self.delta_start or self.profile[-1] != self.delta_end:
-                    raise ValueError("profile endpoints must match the ramp endpoints")
-                if not all(map(math.isfinite, self.profile)):
-                    raise ValueError("adiabatic ramp profile must be finite")
-                object.__setattr__(self, "profile", tuple(self.profile))
+            if (self.shape == "adiabatic") != (self.pair is not None):
+                raise ValueError("adiabatic ramps, and they alone, take pair=(omega_b, g)")
+            if self.pair is not None:
+                if not (np.shape(self.pair) == (2,) and all(
+                        isinstance(x, Real) and 0 < x < math.inf for x in self.pair)):
+                    raise ValueError("adiabatic ramp pair must be two finite numbers "
+                                     f"omega_b > 0 and g > 0, got {self.pair!r}")
+                object.__setattr__(self, "pair", tuple(self.pair))
                 # the (progress, detuning) table ramp_values interpolates
-                table = np.asarray(self.profile)
+                table = adiabatic_ramp_profile(self.delta_start, self.delta_end, *self.pair)
                 object.__setattr__(self, "knots", (np.linspace(0.0, 1.0, table.size), table))
         elif self.kind is StrokeKind.EXCHANGE_PULSE:
             if self.target is None or self.target < 0:
@@ -138,9 +143,9 @@ class Stroke:
 
     @classmethod
     def ramp(cls, delta_start: float, delta_end: float, duration: float,
-             shape: str = "linear", profile=None) -> "Stroke":
+             shape: str = "linear", pair=None) -> "Stroke":
         return cls(StrokeKind.RAMP_DETUNING, duration, delta_start=delta_start,
-                   delta_end=delta_end, shape=shape, profile=profile)
+                   delta_end=delta_end, shape=shape, pair=pair)
 
     @classmethod
     def exchange(cls, target: int, amplitude: float, duration: float) -> "Stroke":
@@ -444,17 +449,14 @@ def build_default_cycle(
             stacklevel=2,
         )
 
-    down = up = None
-    if ramp_shape == "adiabatic":
-        down = adiabatic_ramp_profile(params.delta_i, params.delta_f, params.omega_b, params.g)
-        up = tuple(reversed(down))
+    pair = (params.omega_b, params.g) if ramp_shape == "adiabatic" else None
     strokes = []
     for target in targets:
         strokes.extend(
             [
-                Stroke.ramp(params.delta_i, params.delta_f, tau1, shape=ramp_shape, profile=down),
+                Stroke.ramp(params.delta_i, params.delta_f, tau1, shape=ramp_shape, pair=pair),
                 Stroke.exchange(target, params.omega_0, tau2),
-                Stroke.ramp(params.delta_f, params.delta_i, tau3, shape=ramp_shape, profile=up),
+                Stroke.ramp(params.delta_f, params.delta_i, tau3, shape=ramp_shape, pair=pair),
                 Stroke.hold(tau4),
             ]
         )

@@ -356,9 +356,9 @@ def test_unwritable_output_exits_2_before_any_engine(tmp_path, capsys, monkeypat
 
 
 def test_strokes_schedule_with_adiabatic_ramps_matches_default_cycle():
-    # the custom-stroke path builds each adiabatic profile from the params,
-    # the return ramp's as the reverse of the outward one, so spelling out
-    # the default cycle stroke by stroke gives its trajectory bit for bit
+    # the custom-stroke path gives each adiabatic ramp the params' pair, and
+    # the return ramp's table is the reverse of the outward one, so spelling
+    # out the default cycle stroke by stroke gives its trajectory bit for bit
     default = small_cycle_config()
     default["schedule"]["ramp_shape"] = "adiabatic"
     strokes = _edited(default, {"schedule": {"type": "strokes", "strokes": [
@@ -368,8 +368,12 @@ def test_strokes_schedule_with_adiabatic_ramps_matches_default_cycle():
         {"kind": "hold", "duration": 0.5},
     ]}})
     parsed = [parse_cycle_config(cfg) for cfg in (default, strokes)]
-    profiles = [[s.profile for s in p.schedule.strokes] for p in parsed]
-    assert profiles[0] == profiles[1]
+    assert parsed[0].schedule.strokes == parsed[1].schedule.strokes
+    for default_stroke, stroke in zip(*(p.schedule.strokes for p in parsed)):
+        assert stroke.pair == default_stroke.pair
+        assert (stroke.knots is None) == (default_stroke.knots is None)
+        if stroke.knots is not None:
+            assert stroke.knots[1].tobytes() == default_stroke.knots[1].tobytes()
     runs = [run_protocol(p.params, p.schedule, initial=p.initial, tol=p.tol,
                          samples_per_stroke=p.samples_per_stroke) for p in parsed]
     for name in ("times", "occupations", "n_polariton", "delta", "physicality"):

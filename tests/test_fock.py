@@ -27,7 +27,7 @@ from omcool.gaussian import _stroke_generator
 from omcool.params import SystemParams
 from omcool.polariton import rabi_populations
 from omcool.runner import FockOptions
-from omcool.schedule import CycleSchedule, Stroke, adiabatic_ramp_profile
+from omcool.schedule import CycleSchedule, Stroke
 
 
 # the largest leakage threshold in (0, 1): no truncation guard on these tiny
@@ -671,11 +671,10 @@ class TestStepRule:
 
     def test_adiabatic_ramps_agree_with_stroke_wide_steps(self, monkeypatch):
         p = params()
-        down = adiabatic_ramp_profile(-30.0, -3.0, p.omega_b, p.g)
+        pair = (p.omega_b, p.g)
         sched = CycleSchedule(
-            strokes=(Stroke.ramp(-30.0, -3.0, 0.31, shape="adiabatic", profile=down),
-                     Stroke.ramp(-3.0, -30.0, 0.31, shape="adiabatic",
-                                 profile=tuple(reversed(down)))),
+            strokes=(Stroke.ramp(-30.0, -3.0, 0.31, shape="adiabatic", pair=pair),
+                     Stroke.ramp(-3.0, -30.0, 0.31, shape="adiabatic", pair=pair)),
             cycle_count=1, delta_start=-30.0)
         st = thermal_state((3, 4, 2), (0.05, 0.1, 0.0))
         kwargs = dict(samples_per_stroke=6, leakage_threshold=0.5)

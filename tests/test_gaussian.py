@@ -19,8 +19,8 @@ from omcool.gaussian import (
 from omcool.params import SystemParams
 from omcool.polariton import (bogoliubov_basis, moment_occupations, rabi_populations,
                               symplectic_form)
-from omcool.schedule import (CycleSchedule, Stroke, StrokeKind, adiabatic_ramp_profile,
-                             build_default_cycle, span_fmax)
+from omcool.schedule import (CycleSchedule, Stroke, StrokeKind, build_default_cycle,
+                             span_fmax)
 
 
 def params(**over):
@@ -474,8 +474,7 @@ class TestDissipationFreeMaps:
     STROKES = {
         "linear": Stroke.ramp(-6000.0, -600.0, 0.04, "linear"),
         "cosine": Stroke.ramp(-6000.0, -600.0, 0.04, "cosine"),
-        "adiabatic": Stroke.ramp(-6000.0, -600.0, 0.04, "adiabatic",
-                                 adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 200.0)),
+        "adiabatic": Stroke.ramp(-6000.0, -600.0, 0.04, "adiabatic", pair=(2000.0, 200.0)),
         "hold": Stroke.hold(0.01),
     }
 

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omcool.config import load_config_file, parse_cycle_config
-from omcool.schedule import (CycleSchedule, Stroke, StrokeKind, adiabatic_ramp_profile,
-                             stroke_walk)
+from omcool.schedule import CycleSchedule, Stroke, StrokeKind, stroke_walk
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -137,12 +136,9 @@ def schedule(draw):
     strokes = []
     for s in draw(stroke_list(params, shapes)):
         if s["kind"] == "ramp":
-            profile = None
-            if s["shape"] == "adiabatic":
-                profile = adiabatic_ramp_profile(s["delta_start"], s["delta_end"],
-                                                 params["omega_b"], params["g"], knots=65)
+            pair = (params["omega_b"], params["g"]) if s["shape"] == "adiabatic" else None
             strokes.append(Stroke.ramp(s["delta_start"], s["delta_end"], s["duration"],
-                                       shape=s["shape"], profile=profile))
+                                       shape=s["shape"], pair=pair))
         elif s["kind"] == "exchange":
             strokes.append(Stroke.exchange(s["target"], s["amplitude"], s["duration"]))
         else:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,18 +37,35 @@ class TestStroke:
         with pytest.raises(ValueError, match="shape"):
             Stroke.ramp(-6000.0, -600.0, 0.04, shape="spline")
 
-    def test_adiabatic_shape_needs_profile(self):
-        with pytest.raises(ValueError, match="profile"):
+    def test_pair_only_and_always_on_an_adiabatic_ramp(self):
+        with pytest.raises(ValueError, match=r"take pair=\(omega_b, g\)"):
             Stroke.ramp(-6000.0, -600.0, 0.04, shape="adiabatic")
+        # a pair on another shape was once kept and ignored
+        for shape in ("linear", "cosine"):
+            with pytest.raises(ValueError, match=r"take pair=\(omega_b, g\)"):
+                Stroke.ramp(-6000.0, -600.0, 0.04, shape=shape, pair=(2000.0, 200.0))
 
-    def test_non_finite_profile_rejected(self):
+    @pytest.mark.parametrize("pair", [
+        (2000.0,), (2000.0, 200.0, 1.0), 200.0, "ab", (2000.0, None), (2000.0, "200"),
+        (float("nan"), 200.0), (2000.0, float("inf")), (0.0, 200.0), (2000.0, 0.0),
+        (2000.0, -200.0), (-2000.0, 200.0)])
+    def test_bad_pair_rejected(self, pair):
+        with pytest.raises(ValueError, match="pair must be two finite numbers"):
+            Stroke.ramp(-6000.0, -600.0, 0.04, shape="adiabatic", pair=pair)
+
+    def test_pair_builds_the_table(self):
+        stroke = Stroke.ramp(-6000.0, -600.0, 0.04, "adiabatic", pair=[2000, np.float64(200.0)])
+        assert stroke.pair == (2000, 200.0)
+        u, table = stroke.knots
+        assert np.array_equal(table, adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 200.0))
+        assert np.array_equal(u, np.linspace(0.0, 1.0, 1025))
+
+    def test_non_finite_table_rejected(self):
         # a ramp through the exact crossing with g too small for a
-        # representable gap gives a NaN profile; it must not be accepted
+        # representable gap gives a NaN table; it must not be accepted
         with np.errstate(divide="ignore", invalid="ignore"):
-            profile = adiabatic_ramp_profile(-1.0, -2.0, 1.0, 1e-100, knots=65)
-        assert not np.all(np.isfinite(profile))
-        with pytest.raises(ValueError, match="finite"):
-            Stroke.ramp(-1.0, -2.0, 0.04, shape="adiabatic", profile=profile)
+            with pytest.raises(ValueError, match="finite"):
+                Stroke.ramp(-1.0, -2.0, 0.04, shape="adiabatic", pair=(1.0, 1e-100))
 
     def test_exchange_needs_target(self):
         with pytest.raises(ValueError, match="target"):
@@ -230,14 +249,25 @@ class TestAdiabaticProfile:
         with pytest.raises(ValueError, match="g > 0"):
             adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 0.0)
 
+    @pytest.mark.parametrize("knots", [1, 0, -3, True, 2.0, 65.0, None])
+    def test_needs_an_integer_count_of_at_least_two_knots(self, knots):
+        # one knot once returned (delta_end,) alone, and zero knots a divide warning
+        with pytest.raises(ValueError, match="knots must be an integer >= 2"):
+            adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 200.0, knots=knots)
+
+    def test_two_knots_are_the_endpoints(self):
+        prof = adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 200.0, knots=np.int64(2))
+        assert isinstance(prof, np.ndarray) and prof.tolist() == [-6000.0, -600.0]
+
     def test_decreasing_ramp_is_the_reversed_increasing_one(self):
         # bit for bit, so a hand-built return ramp equals build_default_cycle's
         down = adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 200.0)
-        assert adiabatic_ramp_profile(-600.0, -6000.0, 2000.0, 200.0) == down[::-1]
+        assert np.array_equal(adiabatic_ramp_profile(-600.0, -6000.0, 2000.0, 200.0), down[::-1])
         sched = build_default_cycle(fig1_like(), 0.04, 0.008, 0.04, 0.1, targets=[0],
                                     ramp_shape="adiabatic")
-        assert sched.strokes[0].profile == down
-        assert sched.strokes[2].profile == down[::-1]
+        assert sched.strokes[0].pair == sched.strokes[2].pair == (2000.0, 200.0)
+        assert np.array_equal(sched.strokes[0].knots[1], down)
+        assert np.array_equal(sched.strokes[2].knots[1], down[::-1])
 
 
 class TestDeltaMoments:
@@ -249,16 +279,14 @@ class TestDeltaMoments:
     to more digits of itself."""
 
     T = 0.0625  # the knots at T j / 1024 are exact, so a substep can end on one
-    PROFILE = adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 200.0)
 
-    def span(self, profile):
-        stroke = Stroke.ramp(profile[0], profile[-1], self.T, "adiabatic", profile)
-        return CycleSchedule(strokes=(stroke,), cycle_count=1,
-                             delta_start=profile[0]).spans()[0]
+    def span(self):
+        stroke = Stroke.ramp(-6000.0, -600.0, self.T, "adiabatic", pair=(2000.0, 200.0))
+        return CycleSchedule(strokes=(stroke,), cycle_count=1, delta_start=-6000.0).spans()[0]
 
     def substeps(self):
         """(t, h, knots strictly inside) of substeps of every kind a map cuts."""
-        tau = self.T * np.linspace(0.0, 1.0, len(self.PROFILE))
+        tau = self.T * np.linspace(0.0, 1.0, 1025)
         gap, tiny = tau[1], 1e-7 * self.T
         cases = [
             (0.3 * self.T, tiny, 0), (0.3 * self.T, 0.4 * gap, 0),  # no knot
@@ -271,7 +299,7 @@ class TestDeltaMoments:
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_tabulated_moments_match_quad(self, quad_moments):
-        span = self.span(self.PROFILE)
+        span = self.span()
         cases, tau = self.substeps()
         t, h = (np.array(x) for x in list(zip(*cases))[:2])
         mu0, mu1 = span.delta_moments(t, h)
@@ -284,9 +312,10 @@ class TestDeltaMoments:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_two_knot_table_is_the_linear_ramp(self, quad_moments):
         # a table of its endpoints alone is linear, where Gauss-Legendre is exact
-        span = self.span((-6000.0, -600.0))
         linear = CycleSchedule(strokes=(Stroke.ramp(-6000.0, -600.0, self.T),),
                                cycle_count=1, delta_start=-6000.0).spans()[0]
+        span = dataclasses.replace(linear, shape="adiabatic", knots=(
+            np.array([0.0, 1.0]), np.array([-6000.0, -600.0])))
         t, h = np.array([0.0, 0.3 * self.T, self.T - 1e-7]), np.array([self.T, 1e-3, 1e-7])
         (m0, m1), (l0, l1) = span.delta_moments(t, h), linear.delta_moments(t, h)
         assert np.all(np.abs(m0 - l0) <= 1e-12 * np.abs(l0))
