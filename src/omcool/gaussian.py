@@ -15,10 +15,11 @@ Being linear, each stretch of a stroke is an affine map on the moments, <z> ->
 Phi <z> and sigma -> Phi sigma Phi^T + Q.  Both come from the propagator Z of
 Van Loan's block generator M = [[A, D], [0, -A^T]] (C. Van Loan, IEEE TAC 23,
 395 (1978)): Phi = Z_11 and Q = Z_12 Z_11^T, which holds for time-dependent A
-as well.  A block whose generator is constant over the stroke (every block of
+as well.  A run cuts each stroke it crosses into equal segments, one per
+sample.  A block whose generator is constant over the stroke (every block of
 a hold or exchange, and each target a ramp leaves free) is mapped exactly by
-one exponential per distinct segment width, the one map segments share.  Only
-a ramp's pair (a, b) takes fourth-order Magnus substeps, at most 1/f_max long
+one exponential over that width, the one map all its segments share.  Only a
+ramp's pair (a, b) takes fourth-order Magnus substeps, at most 1/f_max long
 for the stroke's largest frequency scale f_max.  A substep's exponent needs
 delta only through its two moments (``StrokeSpan.delta_moments``), which a
 tabulated ramp profile gives exactly over the linear pieces between its knots,
@@ -206,23 +207,22 @@ def _chain(Y: np.ndarray) -> np.ndarray:
     return Y[:, 0]
 
 
-def _stroke_maps(span: StrokeSpan, generator, segments, level: int, fmax: float) -> tuple:
-    """Stacked (Phi, Q) of the stroke over each of the disjoint, time-ordered
-    local intervals (a, b) of ``segments``.  A block whose generator is
-    constant over the stroke (every block of a hold or exchange, and each
-    free target) takes one exponential of width (M0 + delta0 E) per distinct
-    width, exact at any ``level``, the one map intervals share.  A ramp's
-    coupled block cuts each interval into ``level`` times ceil(width * fmax)
-    equal Magnus-4 substeps, whatever ramp-table knots it holds; all share
-    stacks of at most ``_CHUNK``, each product chained from its slices."""
+def _stroke_maps(span: StrokeSpan, generator, start, stop, count, level: int, fmax: float):
+    """Stacked (Phi, Q) of the stroke over the ``count`` equal intervals from
+    local time ``start`` to ``stop``.  A block whose generator is constant over
+    the stroke (every block of a hold or exchange, and each free target) takes
+    one exponential, exact at any ``level``, the one map all intervals share.
+    A ramp's coupled block cuts them into m = ``level`` times ceil(width * fmax)
+    Magnus-4 substeps each, whatever ramp-table knots they hold, substep k at
+    start + k h for h = width / m; all share stacks of at most ``_CHUNK``,
+    each product chained from its slices."""
     n = generator.shape[-1] // 2
-    a, b = np.array(segments).T
-    width = b - a
+    width = (stop - start) / count
 
     pulsed = span.target is not None and span.amplitude != 0.0
     coupled = [0, 1] + ([2 + span.target] if pulsed else [])
     free = [mode for mode in range(2, n // 2) if mode not in coupled]
-    phi, noise = np.zeros((2, b.size, n, n))
+    phi, noise = np.zeros((2, count, n, n))
     for modes in filter(None, (coupled, free)):
         q = (2 * np.array(modes)[:, None] + (0, 1)).ravel()
         # a block without diffusion has Q = 0 and takes its drift alone
@@ -231,21 +231,18 @@ def _stroke_maps(span: StrokeSpan, generator, segments, level: int, fmax: float)
         G = generator[:, rows[:, None], rows]
         if modes is free or span.kind is not StrokeKind.RAMP_DETUNING:
             # a constant generator, delta at delta0 (E is zero on a free target's block)
-            widths, which = np.unique(width, return_inverse=True)
-            Y = _kernels.expm1(widths[:, None, None] * (G[0] + span.delta0 * G[1]))[which]
+            Y = _kernels.expm1(width * (G[0] + span.delta0 * G[1])[None])
         else:
-            counts = level * np.maximum(1, np.ceil(width * fmax - 1e-9)).astype(np.int64)
-            last = np.cumsum(counts)  # one past each interval's last substep
-            Y = np.zeros((b.size,) + G.shape[1:])
+            m = level * max(1, math.ceil(width * fmax - 1e-9))
+            h = width / m
+            Y = np.zeros((count,) + G.shape[1:])
             # the grid is formed a stack at a time, so its memory does not grow with level
-            for i in range(0, last[-1], _CHUNK):
-                k = np.arange(i, min(i + _CHUNK, last[-1]))
-                s = np.searchsorted(last, k, "right")  # each substep's interval
-                h = width[s] / counts[s]
-                Z = _kernels.magnus4(G, a[s] + (k - last[s] + counts[s]) * h, h,
-                                     span.delta_moments)
+            for i in range(0, count * m, _CHUNK):
+                k = np.arange(i, min(i + _CHUNK, count * m))
+                Z = _kernels.magnus4(G, start + k * h, np.full(k.size, h), span.delta_moments)
                 # each interval's substeps in the stack as one row, padded with identities
-                col = np.arange(s.size) - np.searchsorted(s, s)
+                s = k // m
+                col = k - np.maximum(s * m, i)
                 pad = np.zeros((s[-1] - s[0] + 1, 1 << int(col.max()).bit_length()) + Z.shape[1:])
                 pad[s - s[0], col] = Z
                 Y[s[0]:s[-1] + 1] = _compose(_chain(pad), Y[s[0]:s[-1] + 1])
@@ -295,8 +292,8 @@ def propagate(
     maps = {}
 
     for span, seg_start, ends in walk:
-        local = np.concatenate(([seg_start], ends)) - span.t_start
-        part = (span.position, *(round(x / span.duration, 12) for x in local[[0, -1]]))
+        start, stop = seg_start - span.t_start, ends[-1] - span.t_start
+        part = (span.position, *(round(x / span.duration, 12) for x in (start, stop)))
         ramp = span.kind is StrokeKind.RAMP_DETUNING
 
         def sweep(level):
@@ -307,7 +304,7 @@ def propagate(
                     raise IntegrationError(f"non-finite drift in stroke {span.index}",
                                            time=seg_start)
                 phis, qs = maps[part, level] = _stroke_maps(
-                    span, generator, np.column_stack((local[:-1], local[1:])), level,
+                    span, generator, start, stop, ends.size, level,
                     span_fmax(span, params) if ramp else 0.0)
                 if not (np.all(np.isfinite(phis)) and np.all(np.isfinite(qs))):
                     raise IntegrationError(

@@ -294,9 +294,9 @@ class TestPropagateContract:
         levels, applied = set(), []
         stroke_maps, apply = gaussian._stroke_maps, gaussian._apply
 
-        def counting_maps(span, generator, segments, level, fmax):
+        def counting_maps(span, generator, start, stop, count, level, fmax):
             levels.add(level)
-            return stroke_maps(span, generator, segments, level, fmax)
+            return stroke_maps(span, generator, start, stop, count, level, fmax)
 
         def counting_apply(*args):
             applied.append(None)
@@ -319,9 +319,9 @@ class TestPropagateContract:
         levels = {}
         stroke_maps = gaussian._stroke_maps
 
-        def recording_maps(span, generator, segments, level, fmax):
+        def recording_maps(span, generator, start, stop, count, level, fmax):
             levels.setdefault(span.kind, set()).add(level)
-            return stroke_maps(span, generator, segments, level, fmax)
+            return stroke_maps(span, generator, start, stop, count, level, fmax)
 
         monkeypatch.setattr(gaussian, "_stroke_maps", recording_maps)
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
@@ -341,14 +341,14 @@ class TestPropagateContract:
         generator = gaussian._stroke_generator(fig1_params, span)
         fmax = span_fmax(span, fig1_params)
         stacks = spy_stacks(monkeypatch)
-        whole_ramp = [(0.0, span.duration)]
-        chunked = gaussian._stroke_maps(span, generator, whole_ramp, 2, fmax)
+        whole_ramp = (0.0, span.duration, 1)
+        chunked = gaussian._stroke_maps(span, generator, *whole_ramp, 2, fmax)
         substeps = sum(h.size for _, h in stacks)
         assert substeps > gaussian._CHUNK
         assert len(stacks) > 1 and max(h.size for _, h in stacks) == gaussian._CHUNK
         monkeypatch.setattr(gaussian, "_CHUNK", substeps + 1)
         stacks.clear()
-        whole = gaussian._stroke_maps(span, generator, whole_ramp, 2, fmax)
+        whole = gaussian._stroke_maps(span, generator, *whole_ramp, 2, fmax)
         assert [h.size for _, h in stacks] == [substeps]
         for x, y in zip(chunked, whole):
             assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
@@ -360,10 +360,12 @@ class TestPropagateContract:
                                                      small_params, monkeypatch):
         # the maps of all a stroke's segments come from shared stacks; each
         # must match its segment built alone in one stack.  smalltest's ramp
-        # holds few substeps, so its chunks are shortened to cut its segments
+        # holds few substeps, so its chunks are shortened to cut its segments.
+        # The fig1 ramp is stretched to 2^-4 so that its 32 edges are exact and
+        # a segment built alone has the part's segment width bit for bit
         if case == "fig1-adiabatic":
-            p, taus, shape, segments, chunk = fig1_params, (0.04, 0.008, 0.04, 0.1), \
-                "adiabatic", 40, gaussian._CHUNK
+            p, taus, shape, segments, chunk = fig1_params, (0.0625, 0.008, 0.0625, 0.1), \
+                "adiabatic", 32, gaussian._CHUNK
         else:
             p, taus, shape, segments, chunk = small_params, (0.3, 0.32, 0.3, 0.5), \
                 "cosine", 4, 5
@@ -372,9 +374,11 @@ class TestPropagateContract:
         fmax = span_fmax(span, p)
         edges = np.linspace(0.0, span.duration, segments + 1)
         intervals = list(zip(edges[:-1], edges[1:]))
+        assert case != "fig1-adiabatic" or np.all(np.diff(edges) == span.duration / segments)
         stacks = spy_stacks(monkeypatch)
         monkeypatch.setattr(gaussian, "_CHUNK", chunk)
-        phi, q = gaussian._stroke_maps(span, generator, intervals, level, fmax)
+        phi, q = gaussian._stroke_maps(span, generator, 0.0, span.duration, segments, level,
+                                       fmax)
         assert phi.shape == q.shape == (segments, 6, 6)
         assert max(h.size for _, h in stacks) <= chunk
         cuts = [t[0] for t, _ in stacks[1:]]
@@ -382,7 +386,7 @@ class TestPropagateContract:
         monkeypatch.setattr(gaussian, "_CHUNK", 10**6)
         for k, interval in enumerate(intervals):
             stacks.clear()
-            alone = gaussian._stroke_maps(span, generator, [interval], level, fmax)
+            alone = gaussian._stroke_maps(span, generator, *interval, 1, level, fmax)
             assert len(stacks) == 1
             for batched, single in zip((phi[k], q[k]), alone):
                 assert np.abs(batched - single[0]).max() <= 1e-14 * np.abs(single[0]).max()
@@ -396,7 +400,7 @@ class TestPropagateContract:
         assert span.kind is StrokeKind.RAMP_DETUNING and span.shape == "adiabatic"
         generator = gaussian._stroke_generator(cfg.params, span)
         fmax = span_fmax(span, cfg.params)
-        maps = [np.concatenate(gaussian._stroke_maps(span, generator, [(0.0, span.duration)],
+        maps = [np.concatenate(gaussian._stroke_maps(span, generator, 0.0, span.duration, 1,
                                                      level, fmax))
                 for level in (2, 4, 8, 16, 32, 64)]
         diffs = [np.abs(fine - coarse).max() for coarse, fine in zip(maps, maps[1:])]
@@ -420,16 +424,22 @@ class TestPropagateContract:
         edges = np.linspace(0.0, span.duration, 5)
         intervals = list(zip(edges[:-1], edges[1:]))
         stacks = spy_stacks(monkeypatch)
-        phi, q = gaussian._stroke_maps(span, generator, intervals, 1 if ramp else 2,
-                                       span_fmax(span, p) if ramp else 0.0)
+        phi, q = gaussian._stroke_maps(span, generator, 0.0, span.duration, 4,
+                                       1 if ramp else 2, span_fmax(span, p) if ramp else 0.0)
         assert n == 8 and (span.shape == "adiabatic" or not ramp)
         assert bool(stacks) == ramp
         M0, E, C = generator
         t, h = (np.concatenate(x) for x in zip(*stacks)) if ramp else (None, None)
+        if ramp:
+            # m equal substeps per interval, substep k at k h from the part's start
+            m = t.size // 4
+            assert t.size == 4 * m and np.all(h == h[0])
+            assert np.array_equal(t, np.arange(t.size) * h[0])
         for k, (a, b) in enumerate(intervals):
             if ramp:
                 Z = np.eye(2 * n)
-                for i in np.flatnonzero((t >= a) & (t < b)):
+                assert abs(t[k * m] - a) <= 1e-15 * span.duration
+                for i in range(k * m, (k + 1) * m):
                     mu0, mu1 = quad_moments(span, t[i], h[i])
                     Z = scipy_expm(h[i] * M0 + mu0 * E - mu1 * C) @ Z
             else:
@@ -499,7 +509,7 @@ class TestDissipationFreeMaps:
             return closed
 
         monkeypatch.setattr(_kernels, "magnus4", spy)
-        phi, q = gaussian._stroke_maps(span, generator, [(0.0, span.duration)], 2, fmax)
+        phi, q = gaussian._stroke_maps(span, generator, 0.0, span.duration, 1, 2, fmax)
         assert q.shape == (1, n, n) and not q.any()
         if not ramp:
             # a hold takes no substeps: each closed block, the pair's and the
@@ -507,7 +517,7 @@ class TestDissipationFreeMaps:
             assert not substeps
             sizes, expm1 = [], _kernels.expm1
             monkeypatch.setattr(_kernels, "expm1", lambda X: sizes.append(X.shape) or expm1(X))
-            gaussian._stroke_maps(span, generator, [(0.0, span.duration)], 2, fmax)
+            gaussian._stroke_maps(span, generator, 0.0, span.duration, 1, 2, fmax)
             assert sizes == [(1, 4, 4), (1, 2, 2)]
             M0, E, _ = generator
             reference = scipy_expm(span.duration * (M0 + span.delta0 * E))[:n, :n]
@@ -543,7 +553,7 @@ class TestDissipationFreeMaps:
         def maps_spy(span, *args):
             kind[0] = span.kind
             built = stroke_maps(span, *args)
-            maps.append((span, args[0], args[1], built))
+            maps.append((span, *args[:4], built))
             return built
 
         def spy(name, func):
@@ -566,13 +576,16 @@ class TestDissipationFreeMaps:
         assert calls == {("magnus4", ramp, pair), ("expm1", ramp, pair), ("expm1", ramp, target),
                          ("expm1", hold, pair), ("expm1", hold, target),
                          ("expm1", pulse, exchange)}
-        for span, (M0, E, _), segments, (phi, q) in maps:
+        for span, (M0, E, _), start, stop, count, (phi, q) in maps:
             if span.kind is ramp:
                 continue
             n = M0.shape[0] // 2
-            for (a, b), phi_k, q_k in zip(segments, phi, q):
-                Z = scipy_expm((b - a) * (M0 + span.delta0 * E))
-                ref_phi, ref_q = Z[:n, :n], Z[:n, n:] @ Z[:n, :n].T
+            assert phi.shape == (count, n, n)
+            Z = scipy_expm((stop - start) / count * (M0 + span.delta0 * E))
+            ref_phi, ref_q = Z[:n, :n], Z[:n, n:] @ Z[:n, :n].T
+            for phi_k, q_k in zip(phi, q):
+                # one exponential serves every interval of a constant stroke
+                assert np.array_equal(phi_k, phi[0]) and np.array_equal(q_k, q[0])
                 assert np.abs(phi_k - ref_phi).max() <= 1e-12 * np.abs(ref_phi).max()
                 assert np.abs(q_k - ref_q).max() <= 1e-12 * np.abs(ref_q).max()
 

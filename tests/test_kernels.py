@@ -286,11 +286,10 @@ class TestBackends:
         built, generators = [], []
         stroke_maps, stroke_generator = gaussian._stroke_maps, gaussian._stroke_generator
 
-        def counting_maps(span, generator, segments, level, fmax):
-            a, b = np.array(segments).T
-            built.append((span.cycle, span.position, round(a[0] / span.duration, 12),
-                          round(b[-1] / span.duration, 12), level))
-            return stroke_maps(span, generator, segments, level, fmax)
+        def counting_maps(span, generator, start, stop, count, level, fmax):
+            built.append((span.cycle, span.position, round(start / span.duration, 12),
+                          round(stop / span.duration, 12), level))
+            return stroke_maps(span, generator, start, stop, count, level, fmax)
 
         def counting_generator(params, span):
             generators.append(span.cycle)
