@@ -2,12 +2,14 @@
 
 Usage: python .github/base_diff.py BASE_SHA
 
-Checks the base out in a temporary git worktree, runs ``cycle fig1``,
-``cycle fig2`` and ``validate smalltest`` on both trees, and prints, per
-output, the largest absolute difference and the count of rows that differ
-(a CSV row, or a numeric field of the validate report).  The lines are also
-appended to $GITHUB_STEP_SUMMARY when it is set.  There is no gate: the
-script exits 0 whatever it finds.
+Checks the base out in a temporary git worktree, runs ``cycle fig1`` and
+``cycle fig2`` (each with ``--report``) and ``validate smalltest`` on both
+trees, and prints, per output, the largest absolute difference and the count
+of rows that differ: a CSV row, or a numeric leaf of a JSON report, at any
+depth (a cycle report's per-cycle records, ``asymptote_estimate`` and
+``limit_deviation`` among them).  The lines are also appended to
+$GITHUB_STEP_SUMMARY when it is set.  There is no gate: the script exits 0
+whatever it finds.
 """
 
 import json
@@ -18,18 +20,29 @@ import tempfile
 from pathlib import Path
 
 HEAD = Path(__file__).resolve().parent.parent
-RUNS = (("cycle fig1", ["cycle", "--config", "fig1"], "out.csv"),
-        ("cycle fig2", ["cycle", "--config", "fig2"], "out.csv"),
-        ("validate smalltest", ["validate", "--config", "smalltest"], "out.json"))
+# each run's outputs: the flag that names a file, and the file
+CYCLE = (("--out", "out.csv"), ("--report", "report.json"))
+RUNS = (("cycle fig1", ["cycle", "--config", "fig1"], CYCLE),
+        ("cycle fig2", ["cycle", "--config", "fig2"], CYCLE),
+        ("validate smalltest", ["validate", "--config", "smalltest"], (("--out", "out.json"),)))
 # runs the CLI of the tree whose src/ is first on the path, whatever is installed
 CLI = "import sys; sys.path.insert(0, sys.argv.pop(1)); from omcool.cli import main; sys.exit(main())"
 
 
+def leaves(node, key: str = "") -> list:
+    """(key path, value) of every numeric leaf of a JSON value, in order."""
+    if isinstance(node, dict):
+        return [leaf for k, v in sorted(node.items()) for leaf in leaves(v, f"{key}.{k}")]
+    if isinstance(node, list):
+        return [leaf for i, v in enumerate(node) for leaf in leaves(v, f"{key}[{i}]")]
+    numeric = isinstance(node, (int, float)) and not isinstance(node, bool)
+    return [(key, node)] if numeric else []
+
+
 def rows(path: Path) -> list:
-    """A CSV's data rows as float tuples, or a report's numeric fields."""
+    """A CSV's data rows as float tuples, or a report's numeric leaves."""
     if path.suffix == ".json":
-        return [(k, v) for k, v in sorted(json.loads(path.read_text()).items())
-                if isinstance(v, float)]
+        return leaves(json.loads(path.read_text()))
     lines = [line.split(",") for line in path.read_text().splitlines() if line[:1] != "#"]
     return [tuple(map(float, line)) for line in lines[1:]]
 
@@ -37,6 +50,9 @@ def rows(path: Path) -> list:
 def compare(base: list, head: list) -> str:
     if len(base) != len(head):
         return f"row counts differ ({len(base)} at the base, {len(head)} here)"
+    if [r[0] for r in base if isinstance(r[0], str)] != [r[0] for r in head
+                                                         if isinstance(r[0], str)]:
+        return "the reports' fields differ"
     diffs = [max((abs(a - b) for a, b in zip(r, s) if not isinstance(a, str)), default=0.0)
              for r, s in zip(base, head)]
     return (f"largest absolute difference {max(diffs, default=0.0):.3g}, "
@@ -50,13 +66,18 @@ def main(base_sha: str) -> None:
                         base_sha], check=True, capture_output=True)
         try:
             lines = [f"outputs against the base {base_sha[:12]} (no gate):"]
-            for name, argv, out in RUNS:
-                paths = [Path(tmp) / f"{side}-{out}" for side in ("base", "head")]
-                codes = [subprocess.run([sys.executable, "-c", CLI, str(tree / "src"), *argv,
-                                         "--out", str(path)], capture_output=True).returncode
-                         for tree, path in zip((base, HEAD), paths)]
-                lines.append(f"- {name}: " + (compare(*map(rows, paths)) if codes == [0, 0] else
-                                              f"exit {codes[0]} at the base, {codes[1]} here"))
+            sides = (("base", base), ("head", HEAD))
+            for name, argv, outputs in RUNS:
+                codes = [subprocess.run(
+                    [sys.executable, "-c", CLI, str(tree / "src"), *argv,
+                     *(x for flag, out in outputs for x in (flag, f"{tmp}/{side}-{out}"))],
+                    capture_output=True).returncode for side, tree in sides]
+                if codes != [0, 0]:
+                    lines.append(f"- {name}: exit {codes[0]} at the base, {codes[1]} here")
+                    continue
+                for _, out in outputs:
+                    lines.append(f"- {name} {out}: " + compare(
+                        *(rows(Path(tmp) / f"{side}-{out}") for side, _ in sides)))
         finally:
             subprocess.run(["git", "-C", str(HEAD), "worktree", "remove", "--force", str(base)],
                            capture_output=True)

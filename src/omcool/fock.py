@@ -47,8 +47,8 @@ O(d^2): the state and three work buffers, the generator's scratch
 buffer, a complex weight per entry of each jump term, and one index of
 those entries that every jump reads at one offset per parity block where
 its offsets allow it (at cutoffs (6, 6, 8), all but the two jumps of the
-last mode, which keep an index each); a smalltest run peaks at 6.4 MB
-under ``tracemalloc``.  The
+last mode, which keep an index each); a smalltest run peaks at 6.21 MB
+under ``tracemalloc`` (6.28 MB as a process's first Fock run).  The
 positivity check's ``eigvalsh`` is the engine's only LAPACK call, run on
 one BLAS thread, since OpenBLAS's idle workers would spin on a second core
 after every call.  As an independent oracle the engine shares only the

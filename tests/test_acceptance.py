@@ -221,6 +221,18 @@ def test_c6_engine_equivalence():
             f"{max_leak:.2e} (<1e-3), runtime {elapsed:.1f}s (budget 30s)")
 
 
+def test_c6_engines_agree_on_every_covariance():
+    # beside C6, on its cached runs: the occupations C6 bounds are blind to a
+    # sign flip of a coupling (b -> -b leaves them unchanged), while the
+    # cross-covariances flip with it, so every 2N x 2N entry is compared
+    missing = [k for k in ("c6_gauss", "c6_fock") if k not in _CACHE]
+    assert not missing, f"C6 runs missing from cache: {missing}"
+    traj_g, traj_f = _CACHE["c6_gauss"], _CACHE["c6_fock"]
+    assert traj_g.covs.shape == traj_f.covs.shape
+    max_dev = float(np.max(np.abs(traj_g.covs - traj_f.covs)))
+    assert max_dev <= 2e-2, f"largest covariance deviation {max_dev:.3e} (<=2e-2)"
+
+
 def test_c7_analytic_map_consistency():
     rng = np.random.default_rng(987654321)
     worst = 0.0
