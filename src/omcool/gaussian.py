@@ -15,16 +15,15 @@ Being linear, each stretch of a stroke is an affine map on the moments, <z> ->
 Phi <z> and sigma -> Phi sigma Phi^T + Q.  Both come from the propagator Z of
 Van Loan's block generator M = [[A, D], [0, -A^T]] (C. Van Loan, IEEE TAC 23,
 395 (1978)): Phi = Z_11 and Q = Z_12 Z_11^T, which holds for time-dependent A
-as well.  A run cuts each stroke it crosses into equal segments, one per
-sample.  A block whose generator is constant over the stroke (every block of
-a hold or exchange, and each target a ramp leaves free) is mapped exactly by
-one exponential over that width, the one map all its segments share.  Only a
-ramp's pair (a, b) takes fourth-order Magnus substeps, at most 1/f_max long
-for the stroke's largest frequency scale f_max.  A substep's exponent needs
-delta only through its two moments (``StrokeSpan.delta_moments``), which a
-tabulated ramp profile gives exactly over the linear pieces between its knots,
-so its kinks cap no order and cut no substep.  A block without diffusion has
-Q = 0 and takes its drift alone.
+as well.  A run cuts a stroke into equal segments, one per sample.  A block
+whose generator is constant over the stroke (every block of a hold or exchange,
+and each target a ramp leaves free) is mapped exactly by one exponential over
+that width, the one map all segments share.  Only a ramp's pair (a, b) takes
+fourth-order Magnus substeps, at most 1/f_max long for the stroke's largest
+frequency scale f_max.  A substep's exponent needs delta only through its two
+moments (``StrokeSpan.delta_moments``), which a tabulated ramp profile gives
+exactly over the linear pieces between its knots, so its kinks cap no order and
+cut no substep.  A block without diffusion has Q = 0 and takes its drift alone.
 
 Error control: each ramp is run with m and 2m substeps per segment (m = 2, 4,
 8, ...); the ramp is accepted once the two agree within 15 tol at every
@@ -212,10 +211,9 @@ def _stroke_maps(span: StrokeSpan, generator, start, stop, count, level: int, fm
     local time ``start`` to ``stop``.  A block whose generator is constant over
     the stroke (every block of a hold or exchange, and each free target) takes
     one exponential, exact at any ``level``, the one map all intervals share.
-    A ramp's coupled block cuts them into m = ``level`` times ceil(width * fmax)
-    Magnus-4 substeps each, whatever ramp-table knots they hold, substep k at
-    start + k h for h = width / m; all share stacks of at most ``_CHUNK``,
-    each product chained from its slices."""
+    A ramp's coupled block cuts each into m = ``level`` times ceil(width * fmax)
+    Magnus-4 substeps whatever ramp-table knots they hold, substep k at k h past
+    start, h = width / m, in stacks of at most ``_CHUNK`` chained slice by slice."""
     n = generator.shape[-1] // 2
     width = (stop - start) / count
 

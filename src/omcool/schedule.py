@@ -35,7 +35,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -127,8 +126,9 @@ class Stroke:
             if (self.shape == "adiabatic") != (self.pair is not None):
                 raise ValueError("adiabatic ramps, and they alone, take pair=(omega_b, g)")
             if self.pair is not None:
-                if not (np.shape(self.pair) == (2,) and all(
-                        isinstance(x, Real) and 0 < x < math.inf for x in self.pair)):
+                pair = np.asarray(self.pair)  # a str, None or complex entry: no int or float kind
+                if not (pair.shape == (2,) and pair.dtype.kind in "iuf"
+                        and np.all((0 < pair) & (pair < math.inf))):
                     raise ValueError("adiabatic ramp pair must be two finite numbers "
                                      f"omega_b > 0 and g > 0, got {self.pair!r}")
                 object.__setattr__(self, "pair", tuple(self.pair))

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from omcool import gaussian
 from omcool.config import load_config_file, parse_cycle_config
 from omcool.fock import number_state, propagate_fock
 from omcool.gaussian import propagate, thermal_state
@@ -231,6 +232,30 @@ def test_c6_engines_agree_on_every_covariance():
     assert traj_g.covs.shape == traj_f.covs.shape
     max_dev = float(np.max(np.abs(traj_g.covs - traj_f.covs)))
     assert max_dev <= 2e-2, f"largest covariance deviation {max_dev:.3e} (<=2e-2)"
+
+
+@pytest.mark.parametrize("mode", [0, 2], ids=["g-flipped", "exchange-flipped"])
+def test_c6_covariance_check_fails_a_flipped_coupling(mode, monkeypatch):
+    # negating mode a's quadratures (or the target's) in the Gaussian
+    # generator flips the sign of g (or of the exchange) and nothing else:
+    # that mutant keeps C6's occupations but must fail the check above
+    assert "c6_fock" in _CACHE, "C6 run missing from cache"
+    stroke_generator = gaussian._stroke_generator
+
+    def mutant(params, span):
+        G = stroke_generator(params, span)
+        sign = np.ones(G.shape[-1])
+        sign[[2 * mode, 2 * mode + 1, G.shape[-1] // 2 + 2 * mode,
+              G.shape[-1] // 2 + 2 * mode + 1]] = -1.0
+        return G * np.outer(sign, sign)
+
+    monkeypatch.setattr(gaussian, "_stroke_generator", mutant)
+    cfg = parse_cycle_config(load_config_file("smalltest.json"), for_validate=True)
+    traj_g = run_protocol(cfg.params, cfg.schedule, engine="gaussian", initial=cfg.initial,
+                          tol=cfg.tol, samples_per_stroke=cfg.samples_per_stroke)
+    traj_f = _CACHE["c6_fock"]
+    assert np.max(np.abs(traj_g.occupations - traj_f.occupations)) < 5e-2
+    assert np.max(np.abs(traj_g.covs - traj_f.covs)) > 2e-2
 
 
 def test_c7_analytic_map_consistency():
