@@ -224,8 +224,8 @@ def test_c6_engine_equivalence():
 
 def test_c6_engines_agree_on_every_covariance():
     # beside C6, on its cached runs: the occupations C6 bounds are blind to a
-    # sign flip of a coupling (b -> -b leaves them unchanged), while the
-    # cross-covariances flip with it, so every 2N x 2N entry is compared
+    # sign flip of a coupling (negating one mode leaves them unchanged), while
+    # the cross-covariances flip with it, so every 2N x 2N entry is compared
     missing = [k for k in ("c6_gauss", "c6_fock") if k not in _CACHE]
     assert not missing, f"C6 runs missing from cache: {missing}"
     traj_g, traj_f = _CACHE["c6_gauss"], _CACHE["c6_fock"]
@@ -244,9 +244,9 @@ def test_c6_covariance_check_fails_a_flipped_coupling(mode, monkeypatch):
 
     def mutant(params, span):
         G = stroke_generator(params, span)
-        sign = np.ones(G.shape[-1])
-        sign[[2 * mode, 2 * mode + 1, G.shape[-1] // 2 + 2 * mode,
-              G.shape[-1] // 2 + 2 * mode + 1]] = -1.0
+        sign = np.ones(G.shape[-1] // 2)
+        sign[2 * mode:2 * mode + 2] = -1.0
+        sign = np.tile(sign, 2)  # the mode's rows in both halves of the Van Loan generator
         return G * np.outer(sign, sign)
 
     monkeypatch.setattr(gaussian, "_stroke_generator", mutant)

@@ -368,11 +368,10 @@ def test_strokes_schedule_with_adiabatic_ramps_matches_default_cycle():
         {"kind": "hold", "duration": 0.5},
     ]}})
     parsed = [parse_cycle_config(cfg) for cfg in (default, strokes)]
+    # equal strokes have equal shapes and pairs; the tables must match bitwise too
     assert parsed[0].schedule.strokes == parsed[1].schedule.strokes
     for default_stroke, stroke in zip(*(p.schedule.strokes for p in parsed)):
-        assert stroke.pair == default_stroke.pair
-        assert (stroke.knots is None) == (default_stroke.knots is None)
-        if stroke.knots is not None:
+        if stroke.pair is not None:
             assert stroke.knots[1].tobytes() == default_stroke.knots[1].tobytes()
     runs = [run_protocol(p.params, p.schedule, initial=p.initial, tol=p.tol,
                          samples_per_stroke=p.samples_per_stroke) for p in parsed]

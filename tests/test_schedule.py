@@ -40,7 +40,7 @@ class TestStroke:
     def test_pair_only_and_always_on_an_adiabatic_ramp(self):
         with pytest.raises(ValueError, match=r"take pair=\(omega_b, g\)"):
             Stroke.ramp(-6000.0, -600.0, 0.04, shape="adiabatic")
-        # a pair on another shape was once kept and ignored
+        # another shape would ignore a pair, so it refuses one
         for shape in ("linear", "cosine"):
             with pytest.raises(ValueError, match=r"take pair=\(omega_b, g\)"):
                 Stroke.ramp(-6000.0, -600.0, 0.04, shape=shape, pair=(2000.0, 200.0))
@@ -251,7 +251,7 @@ class TestAdiabaticProfile:
 
     @pytest.mark.parametrize("knots", [1, 0, -3, True, 2.0, 65.0, None])
     def test_needs_an_integer_count_of_at_least_two_knots(self, knots):
-        # one knot once returned (delta_end,) alone, and zero knots a divide warning
+        # one knot would drop delta_start, and zero knots divide by zero
         with pytest.raises(ValueError, match="knots must be an integer >= 2"):
             adiabatic_ramp_profile(-6000.0, -600.0, 2000.0, 200.0, knots=knots)
 
