@@ -2,13 +2,13 @@
 
 Usage: python .github/base_diff.py BASE_SHA
 
-Checks the base out in a temporary git worktree, runs ``cycle fig1`` and
-``cycle fig2`` (each with ``--report``) and ``validate smalltest`` on both
-trees, and prints, per output, the largest absolute difference and the count
-of rows that differ: a CSV row, or a numeric leaf of a JSON report, at any
-depth (a cycle report's per-cycle records, ``asymptote_estimate`` and
-``limit_deviation`` among them).  The lines are also appended to
-$GITHUB_STEP_SUMMARY when it is set.  There is no gate: the script exits 0
+Checks the base out in a temporary git worktree, runs ``cycle fig1``,
+``cycle fig2`` and ``cycle fig1 --tol 1e-12`` (each with ``--report``) and
+``validate smalltest`` on both trees, and prints, per output, the largest
+absolute difference and the count of rows that differ: a CSV row, or a
+numeric leaf of a JSON report, at any depth (a cycle report's per-cycle
+records, ``asymptote_estimate`` and ``limit_deviation`` among them).  The
+lines are also appended to $GITHUB_STEP_SUMMARY when it is set.  There is no gate: the script exits 0
 whatever it finds.
 """
 
@@ -24,6 +24,8 @@ HEAD = Path(__file__).resolve().parent.parent
 CYCLE = (("--out", "out.csv"), ("--report", "report.json"))
 RUNS = (("cycle fig1", ["cycle", "--config", "fig1"], CYCLE),
         ("cycle fig2", ["cycle", "--config", "fig2"], CYCLE),
+        # CI's roundoff tolerance: the maps' last bits show here first
+        ("cycle fig1 --tol 1e-12", ["cycle", "--config", "fig1", "--tol", "1e-12"], CYCLE),
         ("validate smalltest", ["validate", "--config", "smalltest"], (("--out", "out.json"),)))
 # runs the CLI of the tree whose src/ is first on the path, whatever is installed
 CLI = "import sys; sys.path.insert(0, sys.argv.pop(1)); from omcool.cli import main; sys.exit(main())"

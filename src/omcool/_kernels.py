@@ -3,12 +3,11 @@
 ``expm1`` is a numpy-only matrix exponential that works on stacks of
 matrices and returns exp(X) - I: propagators of short substeps lie close to
 the identity, and keeping them as I + Y holds their small part to full
-precision through long products.  A stack whose largest 1-norm is at most
-theta_12 = 0.3066 takes the Taylor polynomial of degree 7 (up to theta_7 =
-0.0239) or 12, evaluated with matrix products alone (Paterson and
-Stockmeyer, SIAM J. Comput. 2, 60 (1973)); a larger norm is scaled by 2^-s
-into theta_12, takes degree 12 and is squared s times (Bader, Blanes, Casas,
-Mathematics 7, 1174 (2019)), so no branch solves a linear system.
+precision through long products.  A stack is scaled by 2^-s (s >= 0) into
+theta_12 = 0.3066, takes the Taylor polynomial of degree 12, evaluated with
+matrix products alone (Paterson and Stockmeyer, SIAM J. Comput. 2, 60
+(1973)), and is squared s times (Bader, Blanes, Casas, Mathematics 7, 1174
+(2019)), so no step solves a linear system.
 ``magnus4`` gives the fourth-order Magnus propagators (Blanes, Casas, Oteo,
 Ros, Phys. Rep. 470, 151 (2009)) of dZ/dt = (M0 + delta(t) E) Z over a batch
 of substeps, from one call for the two moments of delta over all of them and
@@ -18,39 +17,28 @@ one matrix product; only a ramp's pair (a, b) takes them.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
 BACKEND = "magnus4"
 
-# Taylor degree m serves ||X||_1 <= theta_m, the largest norm whose dropped
-# tail relative to ||X||, ||X||^m / (m + 1)!, is at most 2^-53: theta_7 =
-# 0.0239 and theta_12 = 0.3066.  Degree 7 saves degree 12 one product on the
-# small norms of most design-sweep substeps.
-_TAYLOR = tuple((m, (math.factorial(m + 1) * 2.0**-53) ** (1.0 / m)) for m in (7, 12))
+# degree 12 serves ||X||_1 <= theta_12 = 0.3066, the largest norm whose dropped
+# tail relative to ||X||, ||X||^12 / 13!, is at most 2^-53
+_THETA = (math.factorial(13) * 2.0**-53) ** (1.0 / 12)
+# Paterson-Stockmeyer table of sum_{k=1}^12 X^k / k! in blocks of s = 4: row j
+# holds the coefficients of I, X, ..., X^4 in block j, the terms X^(4 j + i);
+# the top block runs to X^4 itself, where Horner's rule in X^4 starts
+_COEF = np.zeros((3, 5))
+for _k in range(1, 13):
+    _j = min(_k // 4, 2)
+    _COEF[_j, _k - 4 * _j] = 1.0 / math.factorial(_k)
 
 
-@cache
-def _blocks(m):
-    """Paterson-Stockmeyer table of sum_{k=1}^m X^k / k! for s = ceil(sqrt(m)):
-    row j holds the coefficients of I, X, ..., X^s in block j, the terms
-    X^(s j + i); the top block runs to X^s itself, where Horner's rule in X^s
-    starts."""
-    s = math.isqrt(m - 1) + 1
-    coef = np.zeros(((m - 1) // s + 1, s + 1))
-    for k in range(1, m + 1):
-        j = min(k // s, len(coef) - 1)
-        coef[j, k - s * j] = 1.0 / math.factorial(k)
-    return coef
-
-
-def _taylor(X, m):
-    """sum_{k=1}^m X^k / k! from matrix products alone: the powers X^1..X^s,
-    each block as one weighted sum of them, and Horner's rule in X^s over the
-    blocks (4 matrix products for m = 7, 5 for m = 12)."""
-    coef = _blocks(m)
-    s = coef.shape[1] - 1
+def _taylor(X):
+    """sum_{k=1}^12 X^k / k! from matrix products alone: the powers X^1..X^4,
+    each block as one weighted sum of them, and Horner's rule in X^4 over the
+    blocks (5 matrix products)."""
+    s = _COEF.shape[1] - 1
     P = np.empty((s,) + X.shape)  # X^1 .. X^s
     P[0] = X
     for k in range(2, s + 1):
@@ -60,12 +48,12 @@ def _taylor(X, m):
     def block(j):
         # the identity goes in place: with one more stack temporary, the heap a
         # chunk frees can pass malloc's trim threshold and refault every chunk
-        B = (coef[j, 1:] @ P.reshape(s, -1)).reshape(X.shape)
-        B += coef[j, 0] * ident
+        B = (_COEF[j, 1:] @ P.reshape(s, -1)).reshape(X.shape)
+        B += _COEF[j, 0] * ident
         return B
 
-    Y = block(len(coef) - 1)
-    for j in range(len(coef) - 2, -1, -1):
+    Y = block(len(_COEF) - 1)
+    for j in range(len(_COEF) - 2, -1, -1):
         Y = P[-1] @ Y
         Y += block(j)
     return Y
@@ -74,22 +62,17 @@ def _taylor(X, m):
 def expm1(X):
     """exp(X) - I for X, or for each matrix in a stack X[..., n, n].
 
-    One degree (and scaling) serves the whole stack, chosen from its largest
-    1-norm: above theta_12, the stack is scaled by 2^-s into theta_12 and its
-    degree-12 polynomial squared s times.  A non-finite input gives an
-    all-NaN result.
+    One scaling serves the whole stack, chosen from its largest 1-norm:
+    s = 0 at or below theta_12, and otherwise the least s that scales the
+    stack into theta_12.  A non-finite input gives an all-NaN result.
     """
     X = np.asarray(X, dtype=float)
     # column sums by einsum: faster than .sum(axis=-2) on these small stacks
     norm = float(np.einsum("...ij->...j", np.abs(X)).max()) if X.size else 0.0
     if not math.isfinite(norm):
         return np.full(X.shape, np.nan)
-    for m, theta in _TAYLOR:
-        if norm <= theta:
-            return _taylor(X, m)
-    # past the loop, (m, theta) is degree 12's: scale into theta_12, then square
-    s = math.ceil(math.log2(norm / theta))
-    Y = _taylor(X / 2.0**s, m)
+    s = math.ceil(math.log2(norm / _THETA)) if norm > _THETA else 0
+    Y = _taylor(X / 2.0**s)
     for _ in range(s):
         Y = 2.0 * Y + Y @ Y  # (I + Y)^2 - I
     return Y

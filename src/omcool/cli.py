@@ -137,20 +137,11 @@ def _limit_rows(cfg):
             return (eta, r, cfg.n_a, cfg.n_c, float("nan"), 1)
         return (eta, r, cfg.n_a, cfg.n_c, n_inf, 0)
 
+    point = dict(eta=cfg.eta, r=cfg.r, tau=cfg.tau)
     if cfg.sweep_variable is None:
-        return [resolve(cfg.eta, cfg.r, cfg.tau)]
-    values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_samples)
-    rows = []
-    for v in values:
-        eta, r, tau = cfg.eta, cfg.r, cfg.tau
-        if cfg.sweep_variable == "eta":
-            eta = float(v)
-        elif cfg.sweep_variable == "r":
-            r = float(v)
-        else:
-            tau = float(v)
-        rows.append(resolve(eta, r, tau))
-    return rows
+        return [resolve(**point)]
+    return [resolve(**{**point, cfg.sweep_variable: float(v)})
+            for v in np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_samples)]
 
 
 def cmd_limit(args) -> int:

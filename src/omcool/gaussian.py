@@ -15,15 +15,16 @@ Being linear, each stretch of a stroke is an affine map on the moments, <z> ->
 Phi <z> and sigma -> Phi sigma Phi^T + Q.  Both come from the propagator Z of
 Van Loan's block generator M = [[A, D], [0, -A^T]] (C. Van Loan, IEEE TAC 23,
 395 (1978)): Phi = Z_11 and Q = Z_12 Z_11^T, which holds for time-dependent A
-as well.  A run cuts a stroke into equal segments, one per sample.  A block
-whose generator is constant over the stroke (every block of a hold or exchange,
-and each target a ramp leaves free) is mapped exactly by one exponential over
-that width, the one map all segments share.  Only a ramp's pair (a, b) takes
-fourth-order Magnus substeps, at most 1/f_max long for the stroke's largest
-frequency scale f_max.  A substep's exponent needs delta only through its two
-moments (``StrokeSpan.delta_moments``), which a tabulated ramp profile gives
-exactly over the linear pieces between its knots, so its kinks cap no order and
-cut no substep.  A block without diffusion has Q = 0 and takes its drift alone.
+as well.  Every block of modes is mapped by one rule: its own block of M,
+exponentiated by ``_kernels.expm1``.  A run cuts a stroke into equal segments,
+one per sample.  A block whose generator is constant over the stroke (every
+block of a hold or exchange, and each target a ramp leaves free) is mapped
+exactly by one exponential over that width, the one map all segments share.
+Only a ramp's pair (a, b) takes fourth-order Magnus substeps, at most 1/f_max
+long for the stroke's largest frequency scale f_max.  A substep's exponent
+needs delta only through its two moments (``StrokeSpan.delta_moments``), which
+a tabulated ramp profile gives exactly over the linear pieces between its
+knots, so its kinks cap no order and cut no substep.
 
 Error control: each ramp is run with m and 2m substeps per segment (m = 2, 4,
 8, ...); the ramp is accepted once the two agree within 15 tol at every
@@ -208,9 +209,11 @@ def _chain(Y: np.ndarray) -> np.ndarray:
 
 def _stroke_maps(span: StrokeSpan, generator, start, stop, count, level: int, fmax: float):
     """Stacked (Phi, Q) of the stroke over the ``count`` equal intervals from
-    local time ``start`` to ``stop``.  A block whose generator is constant over
-    the stroke (every block of a hold or exchange, and each free target) takes
-    one exponential, exact at any ``level``, the one map all intervals share.
+    local time ``start`` to ``stop``.  Each block of modes takes its 2n x 2n
+    Van Loan generator, so Phi and Q come from one propagator.  A block whose
+    generator is constant over the stroke (every block of a hold or exchange,
+    and each free target) takes one exponential, exact at any ``level``, the
+    one map all intervals share.
     A ramp's coupled block cuts each into m = ``level`` times ceil(width * fmax)
     Magnus-4 substeps whatever ramp-table knots they hold, substep k at k h past
     start, h = width / m, in stacks of at most ``_CHUNK`` chained slice by slice."""
@@ -223,9 +226,7 @@ def _stroke_maps(span: StrokeSpan, generator, start, stop, count, level: int, fm
     phi, noise = np.zeros((2, count, n, n))
     for modes in filter(None, (coupled, free)):
         q = (2 * np.array(modes)[:, None] + (0, 1)).ravel()
-        # a block without diffusion has Q = 0 and takes its drift alone
-        closed = not generator[0][np.ix_(q, n + q)].any()
-        rows = q if closed else np.concatenate((q, n + q))
+        rows = np.concatenate((q, n + q))
         G = generator[:, rows[:, None], rows]
         if modes is free or span.kind is not StrokeKind.RAMP_DETUNING:
             # a constant generator, delta at delta0 (E is zero on a free target's block)
@@ -245,8 +246,7 @@ def _stroke_maps(span: StrokeSpan, generator, start, stop, count, level: int, fm
                 pad[s - s[0], col] = Z
                 Y[s[0]:s[-1] + 1] = _compose(_chain(pad), Y[s[0]:s[-1] + 1])
         phi[:, q[:, None], q] = block = np.eye(q.size) + Y[:, :q.size, :q.size]
-        if not closed:
-            noise[:, q[:, None], q] = Y[:, :q.size, q.size:] @ np.swapaxes(block, -1, -2)
+        noise[:, q[:, None], q] = Y[:, :q.size, q.size:] @ np.swapaxes(block, -1, -2)
     return phi, 0.5 * (noise + np.swapaxes(noise, -1, -2))
 
 

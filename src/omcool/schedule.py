@@ -75,22 +75,21 @@ def adiabatic_ramp_profile(
         raise ValueError(f"knots must be an integer >= 2, got {knots!r}")
     if g <= 0:
         raise ValueError("adiabatic ramp profile needs g > 0; use shape='linear' for g = 0")
-    if delta_start > delta_end:
-        return adiabatic_ramp_profile(delta_end, delta_start, omega_b, g, knots)[::-1]
-    dense = np.linspace(delta_start, delta_end, 8 * knots)
+    lo, hi = sorted((delta_start, delta_end))
+    dense = np.linspace(lo, hi, 8 * knots)
     om_a, om_b = polariton_spectrum(dense, omega_b, g)
     weight = 1.0 / (om_a - om_b)**2
     # cumulative time along the sweep (trapezoid rule), normalized to u in [0, 1]
-    seg = 0.5 * (weight[1:] + weight[:-1]) * np.abs(np.diff(dense))
+    seg = 0.5 * (weight[1:] + weight[:-1]) * np.diff(dense)
     u_of_delta = np.concatenate(([0.0], np.cumsum(seg)))
     u_of_delta /= u_of_delta[-1]
     u_grid = np.linspace(0.0, 1.0, knots)
     profile = np.interp(u_grid, u_of_delta, dense)
-    profile[0] = delta_start
-    profile[-1] = delta_end
+    profile[0] = lo
+    profile[-1] = hi
     if not np.all(np.isfinite(profile)):
         raise ValueError(f"adiabatic ramp profile must be finite: g={g} is too small for omega_b")
-    return profile
+    return profile[::-1] if delta_start > delta_end else profile
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,17 @@ class Stroke:
                 raise ValueError(f"stroke {name} must be finite, got {value}")
         if self.duration <= 0:
             raise ValueError(f"stroke duration must be positive, got {self.duration}")
+        # each kind refuses the fields it would ignore
+        ignored = []
+        if self.kind is not StrokeKind.EXCHANGE_PULSE:
+            ignored += [("target", self.target is not None), ("amplitude", self.amplitude != 0.0)]
+        if self.kind is not StrokeKind.RAMP_DETUNING:
+            ignored += [("pair", self.pair is not None), ("shape", self.shape != "linear"),
+                        ("delta_start", self.delta_start is not None),
+                        ("delta_end", self.delta_end is not None)]
+        names = [name for name, given in ignored if given]
+        if names:
+            raise ValueError(f"a {self.kind.value} stroke takes no {', '.join(names)}")
         if self.kind is StrokeKind.RAMP_DETUNING:
             if self.delta_start is None or self.delta_end is None:
                 raise ValueError("ramp stroke needs delta_start and delta_end")
@@ -274,13 +284,12 @@ class CycleSchedule:
         spans = []
         for cycle in range(self.cycle_count):
             for pos, stroke in enumerate(self.strokes):
-                pulse = stroke.kind is StrokeKind.EXCHANGE_PULSE
                 spans.append(StrokeSpan(
                     index=len(spans), cycle=cycle, position=pos, kind=stroke.kind,
                     t_start=spans[-1].t_end if spans else 0.0,
                     t_end=cycle * period + edges[pos + 1], duration=stroke.duration,
                     delta0=d0s[pos], delta1=d1s[pos], shape=stroke.shape, target=stroke.target,
-                    amplitude=stroke.amplitude if pulse else 0.0, knots=stroke.knots))
+                    amplitude=stroke.amplitude, knots=stroke.knots))
         object.__setattr__(self, "_period", period)
         object.__setattr__(self, "_spans", tuple(spans))
         object.__setattr__(self, "_starts", np.array([s.t_start for s in spans]))

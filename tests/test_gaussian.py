@@ -478,8 +478,8 @@ class TestPropagateContract:
 
 
 class TestDissipationFreeMaps:
-    """kappa = gamma = 0 leaves D = 0: every block of the Van Loan generator
-    is block diagonal, Q vanishes and Phi comes from the drift alone."""
+    """kappa = gamma = 0 leaves D = 0: every block's Van Loan generator is
+    block diagonal, so the one map rule gives Q exactly zero."""
 
     STROKES = {
         "linear": Stroke.ramp(-6000.0, -600.0, 0.04, "linear"),
@@ -500,25 +500,27 @@ class TestDissipationFreeMaps:
         substeps, magnus4 = [], _kernels.magnus4
 
         def spy(G, t, h, moments):
-            # each pair propagator is the pair's block of the full generator's
+            # each pair propagator is the pair's block of the full generator's,
+            # with no diffusion block in either
             full = magnus4(generator, t, h, moments)
-            closed = magnus4(G, t, h, moments)
-            assert closed.shape[1:] == (4, 4) and not full[:, :n, n:].any()
-            assert np.abs(closed - full[:, :4, :4]).max() <= 1e-15 * np.abs(full).max()
+            pair = magnus4(G, t, h, moments)
+            assert pair.shape[1:] == (8, 8) and not pair[:, :4, 4:].any()
+            assert not full[:, :n, n:].any()
+            assert np.abs(pair[:, :4, :4] - full[:, :4, :4]).max() <= 1e-15 * np.abs(full).max()
             substeps.append(full)
-            return closed
+            return pair
 
         monkeypatch.setattr(_kernels, "magnus4", spy)
         phi, q = gaussian._stroke_maps(span, generator, 0.0, span.duration, 1, 2, fmax)
         assert q.shape == (1, n, n) and not q.any()
         if not ramp:
-            # a hold takes no substeps: each closed block, the pair's and the
-            # target's, exponentiates its n x n drift over the whole stroke
+            # a hold takes no substeps: each block, the pair's and the target's,
+            # exponentiates its 2n x 2n Van Loan generator over the whole stroke
             assert not substeps
             sizes, expm1 = [], _kernels.expm1
             monkeypatch.setattr(_kernels, "expm1", lambda X: sizes.append(X.shape) or expm1(X))
             gaussian._stroke_maps(span, generator, 0.0, span.duration, 1, 2, fmax)
-            assert sizes == [(1, 4, 4), (1, 2, 2)]
+            assert sizes == [(1, 8, 8), (1, 4, 4)]
             M0, E, _ = generator
             reference = scipy_expm(span.duration * (M0 + span.delta0 * E))[:n, :n]
             # scipy's expm of the 12 x 12 generator is itself ~4e-13 off here
@@ -535,17 +537,15 @@ class TestDissipationFreeMaps:
         reference[4:, 4:] = [[math.cos(angle), math.sin(angle)],
                              [-math.sin(angle), math.cos(angle)]]
         assert not reference[:4, 4:].any() and not reference[4:, :4].any()
-        # the n x n and 2n x 2n substeps agree bit for bit (products alone),
-        # but the maps chain ~500 of them pairwise and the walk in time order
+        # the maps chain ~500 substeps pairwise and the walk in time order
         assert np.abs(phi[0] - reference).max() <= 1e-14 * np.abs(reference).max()
 
     @pytest.mark.parametrize("kappa, gamma", [(0.0, 0.0), (40.0, 0.0), (0.0, 1.0),
                                               (40.0, 1.0)])
-    def test_magnus_stacks_are_n_by_n_only_without_dissipation(self, kappa, gamma,
-                                                               monkeypatch):
+    def test_every_block_takes_its_van_loan_generator(self, kappa, gamma, monkeypatch):
         # only the ramps' pair (a, b) takes Magnus stacks; a hold or exchange
-        # exponentiates each block whole.  Each stack or exponent takes the
-        # drift alone exactly when its modes have no diffusion
+        # exponentiates each block whole.  Every stack and exponent is a
+        # block's 2n x 2n Van Loan generator, with or without diffusion
         p = params(kappa=kappa, gamma=gamma)
         kind, calls, maps = [None], set(), []
         magnus4, expm1, stroke_maps = _kernels.magnus4, _kernels.expm1, gaussian._stroke_maps
@@ -568,19 +568,23 @@ class TestDissipationFreeMaps:
         sched = build_default_cycle(p, 0.04, 0.008, 0.04, 0.1, targets=[0])
         propagate(thermal_state([0.5, 2.0, 12.0]), sched, sched.total_duration,
                   tol=1e-7, params=p, samples_per_stroke=2)
-        pair, target, exchange = ((4, 2, 6) if kappa == gamma == 0.0 else
-                                  (8, 2 if gamma == 0.0 else 4, 12))
         ramp, hold, pulse = (StrokeKind.RAMP_DETUNING, StrokeKind.HOLD,
                              StrokeKind.EXCHANGE_PULSE)
         # magnus4's own exponentials are the ramps' pair's
-        assert calls == {("magnus4", ramp, pair), ("expm1", ramp, pair), ("expm1", ramp, target),
-                         ("expm1", hold, pair), ("expm1", hold, target),
-                         ("expm1", pulse, exchange)}
+        assert calls == {("magnus4", ramp, 8), ("expm1", ramp, 8), ("expm1", ramp, 4),
+                         ("expm1", hold, 8), ("expm1", hold, 4), ("expm1", pulse, 12)}
         for span, (M0, E, _), start, stop, count, (phi, q) in maps:
+            n = M0.shape[0] // 2
+            assert phi.shape == q.shape == (count, n, n)
+            # a block without diffusion gets an exactly zero noise map: the
+            # free target's on a ramp or hold when gamma = 0, every block when
+            # kappa = gamma = 0
+            if gamma == 0.0 and span.kind is not pulse:
+                assert not q[:, 4:].any() and not q[:, :, 4:].any()
+            if kappa == gamma == 0.0:
+                assert not q.any()
             if span.kind is ramp:
                 continue
-            n = M0.shape[0] // 2
-            assert phi.shape == (count, n, n)
             Z = scipy_expm((stop - start) / count * (M0 + span.delta0 * E))
             ref_phi, ref_q = Z[:n, :n], Z[:n, n:] @ Z[:n, :n].T
             for phi_k, q_k in zip(phi, q):

@@ -117,7 +117,7 @@ def _moment_rhs(p, span, reference):
     return rhs
 
 
-# the norms at which expm1 is checked against scipy, across its degree thresholds
+# the norms at which expm1 is checked against scipy, across its scaling threshold
 SCIPY_NORMS = [0.01, 0.0239, 0.024, 0.2, 0.3066, 0.3067, 0.9, 2.0, 5.0, 6.0, 50.0, 400.0]
 
 
@@ -128,17 +128,17 @@ def forbid_solve(*args):
 def expm1_without_solve(norm, monkeypatch):
     """expm1 of a 5-stack of 12 x 12 matrices of largest 1-norm ``norm``, with
     np.linalg.solve forbidden: its largest deviation from scipy's expm, the
-    reference stack, and the norm and degree of the one Taylor call it made."""
+    reference stack, and the norm of the one Taylor call it made."""
     taken, taylor = [], _kernels._taylor
-    monkeypatch.setattr(_kernels, "_taylor", lambda X, m: taken.append(
-        (float(np.abs(X).sum(axis=-2).max()), m)) or taylor(X, m))
+    monkeypatch.setattr(_kernels, "_taylor", lambda X: taken.append(
+        float(np.abs(X).sum(axis=-2).max())) or taylor(X))
     X = np.random.default_rng(10).standard_normal((5, 12, 12))
     X *= norm / np.abs(X).sum(axis=-2).max()
     ref = np.stack([scipy_expm(x) for x in X])
     monkeypatch.setattr(np.linalg, "solve", forbid_solve)
     err = np.max(np.abs(_kernels.expm1(X) - (ref - np.eye(12))))
-    (scaled, degree), = taken
-    return err, ref, scaled, degree
+    scaled, = taken
+    return err, ref, scaled
 
 
 class TestBackends:
@@ -147,34 +147,33 @@ class TestBackends:
 
     @pytest.mark.parametrize("norm", SCIPY_NORMS)
     def test_expm_matches_scipy_across_scaling_threshold(self, norm):
-        # Taylor degree 7 up to theta_7 = 0.0239, degree 12 up to theta_12 =
-        # 0.3066, and degree 12 with scaling and squaring above it
+        # Taylor degree 12 up to theta_12 = 0.3066, with scaling and squaring
+        # above it
         X = np.random.default_rng(7).standard_normal((12, 12))
         X *= norm / np.abs(X).sum(axis=0).max()
         ref = scipy_expm(X)
         assert np.max(np.abs(np.eye(12) + _kernels.expm1(X) - ref)) < 1e-13 * np.abs(ref).max()
 
-    def test_taylor_thresholds_follow_the_tail_rule(self):
-        # theta_m is the norm at which ||X||^m / (m + 1)! reaches 2^-53
-        for m, theta in _kernels._TAYLOR:
-            assert theta**m / math.factorial(m + 1) == pytest.approx(2.0**-53, rel=1e-12)
-        assert [(m, round(t, 4)) for m, t in _kernels._TAYLOR] == [(7, 0.0239), (12, 0.3066)]
+    def test_taylor_threshold_follows_the_tail_rule(self):
+        # theta_12 is the norm at which ||X||^12 / 13! reaches 2^-53
+        theta = _kernels._THETA
+        assert theta**12 / math.factorial(13) == pytest.approx(2.0**-53, rel=1e-12)
+        assert round(theta, 4) == 0.3066
 
     @pytest.mark.parametrize("norm", [1e-9, 0.02, 0.0239, 0.024, 0.2, 0.3066])
     def test_no_linear_solve_up_to_theta_12(self, norm, monkeypatch):
-        err, _, scaled, degree = expm1_without_solve(norm, monkeypatch)
-        theta_7 = _kernels._TAYLOR[0][1]
+        # s = 0: the stack takes degree 12 unscaled and is not squared
+        err, _, scaled = expm1_without_solve(norm, monkeypatch)
         assert err < 1e-15 and scaled == pytest.approx(norm, rel=1e-12)
-        assert degree == (7 if norm <= theta_7 else 12)
 
     @pytest.mark.parametrize("norm", [n for n in SCIPY_NORMS if n > 0.3066])
     def test_no_linear_solve_above_theta_12(self, norm, monkeypatch):
         # the stack is scaled by 2^-s into theta_12, takes degree 12 and is
         # squared s times
-        err, ref, scaled, degree = expm1_without_solve(norm, monkeypatch)
-        theta_12 = _kernels._TAYLOR[-1][1]
+        err, ref, scaled = expm1_without_solve(norm, monkeypatch)
+        theta_12 = _kernels._THETA
         assert err < 1e-13 * np.abs(ref).max()
-        assert degree == 12 and theta_12 / 2 < scaled <= theta_12
+        assert theta_12 / 2 < scaled <= theta_12
 
     def test_no_linear_solve_in_a_fig1_propagate(self, monkeypatch):
         # fig1's exchange and hold blocks are exponentiated whole, past theta_12
@@ -186,23 +185,27 @@ class TestBackends:
         propagate(thermal_state([0.5, 2.0, *cfg.params.n_targets]), cfg.schedule,
                   cfg.schedule.total_duration, tol=cfg.tol, params=cfg.params,
                   samples_per_stroke=cfg.samples_per_stroke)
-        assert max(norms) > 10 * _kernels._TAYLOR[-1][1]
+        assert max(norms) > 10 * _kernels._THETA
 
-    def test_mixed_stack_takes_the_degree_of_its_largest_norm(self, monkeypatch):
+    def test_mixed_stack_takes_the_scaling_of_its_largest_norm(self, monkeypatch):
         taken = []
         taylor = _kernels._taylor
-        monkeypatch.setattr(_kernels, "_taylor",
-                            lambda X, m: taken.append((X.shape[0], m)) or taylor(X, m))
+        monkeypatch.setattr(_kernels, "_taylor", lambda X: taken.append(
+            (X.shape[0], float(np.abs(X).sum(axis=-2).max()))) or taylor(X))
         rng = np.random.default_rng(11)
         X = rng.standard_normal((4, 12, 12))
         X /= np.abs(X).sum(axis=-2).max(axis=-1)[:, None, None]
-        for norms, degree in (((1e-6, 0.01, 0.02, 0.023), 7), ((1e-6, 0.01, 0.02, 0.2), 12)):
+        for norms, s in (((1e-6, 0.01, 0.02, 0.2), 0), ((1e-6, 0.01, 0.02, 2.0), 3)):
+            taken.clear()
             stacked = _kernels.expm1(X * np.array(norms)[:, None, None])
             for k, norm in enumerate(norms):
-                # each matrix gets what the same degree gives it alone
-                alone = taylor(X[k:k + 1] * norm, degree)[0]
+                # each matrix gets what the same scaling gives it alone
+                alone = taylor(X[k:k + 1] * norm / 2.0**s)[0]
+                for _ in range(s):
+                    alone = 2.0 * alone + alone @ alone
                 assert np.max(np.abs(stacked[k] - alone)) <= 4e-16 * norm
-            assert taken[-1] == (4, degree)
+            # one Taylor call on the whole stack, at the largest norm scaled by 2^-s
+            assert taken == [(4, pytest.approx(max(norms) / 2.0**s, rel=1e-12))]
 
     def test_expm1_of_stack_and_non_finite_input(self):
         X = np.random.default_rng(8).standard_normal((3, 6, 6))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from omcool import _fock_engine, fock, gaussian
+from omcool import _fock_engine, fock, gaussian, schedule
 from omcool.errors import AdiabaticityWarning, ThermalizationWarning
 from omcool.params import SystemParams
 from omcool.schedule import (
@@ -66,6 +66,23 @@ class TestStroke:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="finite"):
                 Stroke.ramp(-1.0, -2.0, 0.04, shape="adiabatic", pair=(1.0, 1e-100))
+
+    @pytest.mark.parametrize("kind, name, value", [
+        *((kind, name, value) for kind in (StrokeKind.HOLD, StrokeKind.EXCHANGE_PULSE)
+          for name, value in (("pair", (2000.0, 200.0)), ("shape", "adiabatic"),
+                              ("shape", "cosine"), ("delta_start", -6000.0),
+                              ("delta_end", -600.0))),
+        *((kind, name, value) for kind in (StrokeKind.RAMP_DETUNING, StrokeKind.HOLD)
+          for name, value in (("target", 0), ("amplitude", 200.0), ("amplitude", -1.0)))])
+    def test_a_kind_refuses_the_fields_it_ignores(self, kind, name, value):
+        # a stroke keeps no field its kind would ignore: only a ramp reads
+        # delta_start, delta_end, shape and pair, only an exchange target and amplitude
+        fields = {StrokeKind.RAMP_DETUNING: dict(delta_start=-6000.0, delta_end=-600.0),
+                  StrokeKind.EXCHANGE_PULSE: dict(target=0, amplitude=200.0),
+                  StrokeKind.HOLD: {}}[kind]
+        Stroke(kind, 0.01, **fields)
+        with pytest.raises(ValueError, match=f"a {kind.value} stroke takes no {name}"):
+            Stroke(kind, 0.01, **{**fields, name: value})
 
     def test_exchange_needs_target(self):
         with pytest.raises(ValueError, match="target"):
@@ -268,6 +285,22 @@ class TestAdiabaticProfile:
         assert sched.strokes[0].pair == sched.strokes[2].pair == (2000.0, 200.0)
         assert np.array_equal(sched.strokes[0].knots[1], down)
         assert np.array_equal(sched.strokes[2].knots[1], down[::-1])
+
+    def test_decreasing_ramp_builds_its_table_in_one_call(self, monkeypatch):
+        # a wrapper on the module's name, as perfbench's tracer patches it,
+        # sees one call per table, and the decreasing table is bitwise the
+        # reversed increasing one
+        calls, profile = [], schedule.adiabatic_ramp_profile
+        monkeypatch.setattr(schedule, "adiabatic_ramp_profile",
+                            lambda *args: calls.append(args) or profile(*args))
+        up = profile(-6000.0, -600.0, 2000.0, 200.0)
+        down = schedule.adiabatic_ramp_profile(-600.0, -6000.0, 2000.0, 200.0)
+        assert len(calls) == 1 and down.tobytes() == up[::-1].tobytes()
+        calls.clear()
+        sched = build_default_cycle(fig1_like(), 0.04, 0.008, 0.04, 0.1, targets=[0],
+                                    ramp_shape="adiabatic")
+        assert [args[:2] for args in calls] == [(-6000.0, -600.0), (-600.0, -6000.0)]
+        assert sched.strokes[2].knots[1].tobytes() == up[::-1].tobytes()
 
 
 class TestDeltaMoments:
