@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -587,6 +588,7 @@ class TestValidateCommand:
         payload = json.loads(report.read_text())
         assert payload["status"] == "PASS"
         assert payload["max_deviation"] < 1e-4
+        assert payload["max_cov_deviation"] < 1e-4
 
     def test_report_into_a_new_directory(self, tmp_path):
         report = tmp_path / "reports" / "a" / "val.json"
@@ -616,6 +618,7 @@ class TestValidateCommand:
         payload = json.loads(report.read_text())
         assert payload["status"] == "INCONCLUSIVE"
         assert payload["max_deviation"] is None and payload["max_leakage"] is None
+        assert payload["max_cov_deviation"] is None
 
     def test_engine_key_rejected(self, tmp_path, capsys):
         cfg = small_cycle_config(fock={"cutoffs": [6, 6, 8]})
@@ -631,6 +634,22 @@ class TestValidateCommand:
         cfg["comparison"]["threshold"] = 1e-12
         path = write_config(tmp_path, "strict.json", cfg)
         assert run_cli("validate", "--config", path) == 4
+
+    def test_nan_deviation_fails(self, tmp_path, capsys, monkeypatch):
+        # a NaN compares false with the threshold either way: the verdict
+        # must come out FAIL, never PASS with a null deviation
+        def nan_occupations(*args, **kwargs):
+            traj = run_protocol(*args, **kwargs)
+            return dataclasses.replace(traj, occupations=np.full_like(traj.occupations, np.nan))
+
+        monkeypatch.setattr("omcool.cli.run_protocol", nan_occupations)
+        report = tmp_path / "val.json"
+        assert run_cli("validate", "--config", self.swap_config(tmp_path),
+                       "--out", str(report)) == 4
+        assert "validate: FAIL" in capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        assert payload["status"] == "FAIL" and payload["max_deviation"] is None
+        assert payload["max_cov_deviation"] < 1e-4
 
 
 class TestBundledConfigs:
@@ -670,6 +689,28 @@ def test_runtime_imports_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+GC_FREEZE_RUN = """
+import gc
+import omcool
+print(gc.get_freeze_count())
+import omcool.cli
+print(gc.get_freeze_count())
+"""
+
+
+def test_only_the_cli_freezes_the_import_heap():
+    # the console script's module moves its import-time objects out of the
+    # collector's reach; the library must leave a host process's collector alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    out = subprocess.run([sys.executable, "-c", GC_FREEZE_RUN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    library, cli = map(int, out.stdout.split())
+    assert library == 0 and cli > 0
 
 
 NO_NUMPY_MA_RUN = """
