@@ -3,13 +3,17 @@
 Usage: python .github/base_diff.py BASE_SHA
 
 Checks the base out in a temporary git worktree, runs ``cycle fig1``,
-``cycle fig2`` and ``cycle fig1 --tol 1e-12`` (each with ``--report``) and
-``validate smalltest`` on both trees, and prints, per output, the largest
-absolute difference and the count of rows that differ: a CSV row, or a
-numeric leaf of a JSON report, at any depth (a cycle report's per-cycle
-records, ``asymptote_estimate`` and ``limit_deviation`` among them).  The
-lines are also appended to $GITHUB_STEP_SUMMARY when it is set.  There is no gate: the script exits 0
-whatever it finds.
+``cycle fig2``, ``cycle fig1 --tol 1e-12`` and ``cycle --engine fock`` on
+smalltest's config (each with ``--report``) and ``validate smalltest`` on
+both trees, and prints, per output, the largest absolute difference and the
+count of rows that differ: a CSV row, or a numeric leaf of a JSON report, at
+any depth (a cycle report's per-cycle records, ``asymptote_estimate`` and
+``limit_deviation`` among them).  ``cycle`` rejects smalltest's
+``comparison`` section, so this tree's smalltest config without it is
+written once to a temporary file that both trees read; the Fock trajectory
+then shows every sample, where ``validate`` reports three aggregates.  The
+lines are also appended to $GITHUB_STEP_SUMMARY when it is set.  There is
+no gate: the script exits 0 whatever it finds.
 """
 
 import json
@@ -63,13 +67,19 @@ def compare(base: list, head: list) -> str:
 
 def main(base_sha: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
+        config = json.loads((HEAD / "src/omcool/configs/smalltest.json").read_text())
+        del config["comparison"]
+        fock_config = Path(tmp) / "smalltest-cycle.json"
+        fock_config.write_text(json.dumps(config))
+        runs = RUNS + (("cycle smalltest --engine fock",
+                        ["cycle", "--config", str(fock_config), "--engine", "fock"], CYCLE),)
         base = Path(tmp) / "tree"
         subprocess.run(["git", "-C", str(HEAD), "worktree", "add", "--detach", str(base),
                         base_sha], check=True, capture_output=True)
         try:
             lines = [f"outputs against the base {base_sha[:12]} (no gate):"]
             sides = (("base", base), ("head", HEAD))
-            for name, argv, outputs in RUNS:
+            for name, argv, outputs in runs:
                 codes = [subprocess.run(
                     [sys.executable, "-c", CLI, str(tree / "src"), *argv,
                      *(x for flag, out in outputs for x in (flag, f"{tmp}/{side}-{out}"))],

@@ -45,10 +45,9 @@ class _Generator(_Blocks):
     a slice of rows, and any other band gathers them (``_row_band``).  Each
     jump sandwich reads the block of the flipped parities at U's entries,
     weighted by the rate-scaled outer product of the ladder weights (stored
-    complex, since a real-by-complex multiply runs through a cast buffer):
-    through ``upper`` itself, at one offset per parity block, where the
-    entries of nonzero weight allow it (U kept in its row-major order,
-    which the gathers read fastest), else through a gather index of its own.  Y is built in the caller's output buffer;
+    complex, since a real-by-complex multiply runs through a cast buffer),
+    through one gather index per jump (U kept in its row-major order, which
+    the gathers read fastest).  Y is built in the caller's output buffer;
     U accumulates in one half of the scratch buffer, each jump read into
     the other, and is added into Y before the mirror sum, done in place.
     """
@@ -115,25 +114,7 @@ class _Generator(_Blocks):
                 weight = scale * (w[rows] * w[cols]) * half
                 valid = weight != 0
                 gather = self.position(*(np.where(valid, x + s, x) for x in (rows, cols)))
-                # one read per block of U where its valid entries read rho at
-                # I + o for one offset o of their positions I: rho[k:k + L] at
-                # ``upper`` in np.take's wrap mode reads rho[k + I mod L], so
-                # k = o when o >= 0, and k = o + L when o < 0, for I in [L, 2L)
-                # (a block that starts at L >= -o and ends by 2L); otherwise
-                # the jump reads through ``gather`` itself
-                reads = []
-                for span, (p, q) in zip(self.spans, self.blocks):
-                    r = slice(*np.searchsorted(self.upper, (span.start, span.stop)))
-                    i, g = self.upper[r][valid[r]], gather[r][valid[r]]
-                    o = int(g[0] - i[0]) if i.size else 0
-                    L = self.size - o if o >= 0 else max(-o, span.start)
-                    k = o + L * (o < 0)
-                    if k + L > self.size or np.any(k + i % L != g):
-                        reads = [(slice(None), gather, slice(None))]
-                        break
-                    if p <= q:  # U has no entry in block (1, 0)
-                        reads.append((slice(k, k + L), self.upper[r], r))
-                self.jumps.append((reads, weight.astype(complex)))
+                self.jumps.append((gather, weight.astype(complex)))
                 # for norm_bound: the unhalved weight of each row, and of each
                 # column, the row i - s that reads it (w vanishes where i + s
                 # leaves the space, so the roll wraps in zeros)
@@ -207,9 +188,8 @@ class _Generator(_Blocks):
         tmp = self._tmp
         lvec = self._lvec(delta_now)
         ys = self._views(out)
-        # every gather index is in range, and mode="clip" (or the jumps'
-        # "wrap") spares the buffered copy of ``out`` that np.take makes
-        # under its default mode="raise"
+        # every gather index is in range, and mode="clip" spares the buffered
+        # copy of ``out`` that np.take makes under its default mode="raise"
         for (p, _), r, yb in zip(self.blocks, self._views(rho), ys):
             np.multiply(lvec[self.rows[p], None], r, out=yb)
             t = tmp[: r.size].reshape(r.shape)
@@ -226,9 +206,8 @@ class _Generator(_Blocks):
         # accumulates in the first half of the scratch, each jump in the second
         acc, part = tmp[: 2 * self.upper.size].reshape(2, -1)
         np.take(out, self.upper, out=acc, mode="clip")
-        for reads, w in self.jumps:
-            for src, index, r in reads:
-                np.take(rho[src], index, out=part[r], mode="wrap")
+        for index, w in self.jumps:
+            np.take(rho, index, out=part, mode="clip")
             np.multiply(w, part, out=part)
             acc += part
         out[self.upper] = acc

@@ -44,19 +44,16 @@ and no sample builds a d x d array unless rho's cross blocks are nonzero;
 the norm bound takes its d x d sums a few dozen rows at a time, and the
 natural-order rho is assembled once, for the final state.  The memory is
 O(d^2): the state and three work buffers, the generator's scratch
-buffer, a complex weight per entry of each jump term, and one index of
-those entries that every jump reads at one offset per parity block where
-its offsets allow it (at cutoffs (6, 6, 8), all but the two jumps of the
-last mode, which keep an index each); a smalltest run peaks at 6.21 MB
-under ``tracemalloc`` (6.28 MB as a process's first Fock run).  The
-positivity check's ``eigvalsh`` is the engine's only LAPACK call, run on
-one BLAS thread, since OpenBLAS's idle workers would spin on a second core
-after every call.  As an independent oracle the engine shares only the
-schedule with the Gaussian engine (its stroke walk, sample grid and
-step-size scale), never its code.  Its step machinery (``_Generator``,
-the RK4 and Taylor steps and the run loop) lives in ``_fock_engine``,
-which ``propagate_fock`` imports on its first call, so a process that
-never runs the Fock engine does not compile it.
+buffer, and a complex weight and a gather index per entry of each jump
+term; a smalltest run peaks at 6.88 MB under ``tracemalloc`` (6.94 MB as
+a process's first Fock run).  The positivity check's ``eigvalsh`` is the
+engine's only LAPACK call, run on one BLAS thread, since OpenBLAS's idle
+workers would spin on a second core after every call.  As an independent
+oracle the engine shares only the schedule with the Gaussian engine (its
+stroke walk, sample grid and step-size scale), never its code.  Its step
+machinery (``_Generator``, the RK4 and Taylor steps and the run loop)
+lives in ``_fock_engine``, which ``propagate_fock`` imports on its first
+call, so a process that never runs the Fock engine does not compile it.
 
 Truncation is monitored continuously: the population of the top retained
 Fock level of each mode is tracked at every step and a TruncationError is

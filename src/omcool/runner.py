@@ -224,9 +224,10 @@ def analyze_cycles(traj: Trajectory, params: SystemParams, target: int = 0) -> C
     last three cycles (the median is robust against the cycle-to-cycle
     interference wiggle left by the ramps).
     """
+    # an exchange of amplitude 0 exchanges nothing, as in cli's targets_pulsed
     ex_spans = [
         s for s in traj.spans
-        if s.kind is StrokeKind.EXCHANGE_PULSE and s.target == target
+        if s.kind is StrokeKind.EXCHANGE_PULSE and s.target == target and s.amplitude > 0
     ]
     if not ex_spans:
         raise ValueError(f"trajectory contains no exchange stroke for target {target}")

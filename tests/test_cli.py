@@ -11,7 +11,8 @@ import pytest
 
 from omcool.cli import main
 from omcool.config import parse_cycle_config
-from omcool.polariton import CoolingMapParams, cooling_limit
+from omcool.polariton import (CoolingMapParams, bogoliubov_basis, cooling_limit,
+                              exchange_efficiency)
 from omcool.runner import run_protocol
 
 
@@ -545,6 +546,26 @@ class TestCycleCommand:
         meta, _, _ = read_csv(out)
         assert meta["engine"] == "fock"
 
+    def test_zero_amplitude_exchange_is_not_a_cycle_boundary(self, tmp_path):
+        # a silent exchange on the target before its real pulse exchanges
+        # nothing: the report must read the pulse of amplitude 5, once per cycle
+        ramp = {"kind": "ramp", "duration": 0.3, "delta_start": -30.0, "delta_end": -3.0}
+        back = {"kind": "ramp", "duration": 0.3, "delta_start": -3.0, "delta_end": -30.0}
+        pulse = {"kind": "exchange", "duration": 0.32, "target": 0}
+        cfg = small_cycle_config(schedule={
+            "type": "strokes", "cycles": 2, "delta_start": -30.0,
+            "strokes": [ramp, dict(pulse, amplitude=0.0), dict(pulse, amplitude=5.0), back,
+                        {"kind": "hold", "duration": 0.5}]})
+        path = write_config(tmp_path, "silent.json", cfg)
+        report = tmp_path / "report.json"
+        assert run_cli("cycle", "--config", path, "--out", str(tmp_path / "t.csv"),
+                       "--report", str(report)) == 0
+        (got,) = json.loads(report.read_text())["reports"]
+        assert [c["cycle"] for c in got["cycles"]] == [0, 1]
+        basis = bogoliubov_basis(-3.0, 10.0, 2.0)
+        assert got["eta"] == pytest.approx(exchange_efficiency(basis, 10.0, 5.0)[0], rel=1e-12)
+        assert got["eta"] > 0.5
+
     def test_bundled_reference_config_runs(self, tmp_path):
         # resolved by name from the packaged config directory; the target
         # mode must fall from 12 to below 1.5 right after the first exchange
@@ -630,7 +651,7 @@ class TestValidateCommand:
     def test_failed_comparison_exits_with_numerics_code(self, tmp_path):
         # an absurd threshold forces FAIL, which is a numerical-failure exit
         path = self.swap_config(tmp_path)
-        cfg = json.loads(open(path).read())
+        cfg = json.loads(Path(path).read_text())
         cfg["comparison"]["threshold"] = 1e-12
         path = write_config(tmp_path, "strict.json", cfg)
         assert run_cli("validate", "--config", path) == 4

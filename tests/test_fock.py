@@ -946,9 +946,9 @@ def jump_steps(p, ops):
 
 
 class TestSharedIndexJumps:
-    """Every jump reads through ``upper`` plus one offset per block of U
-    where the offsets allow it; the slope must be bitwise the one of one
-    explicit gather index per jump at U's entries."""
+    """Every jump reads rho through one gather index of its own at U's
+    entries, the per-entry formula; the slope must be bitwise the one of a
+    generator given that formula's indices."""
 
     @pytest.mark.parametrize("cutoffs", [(3, 3, 3), (3, 4, 5), (5, 6, 7), (6, 6, 8),
                                          (3, 3, 3, 3)])
@@ -971,17 +971,13 @@ class TestSharedIndexJumps:
         steps = jump_steps(p, ops)
         assert len(steps) == len(gen.jumps)
         ref.jumps = []
-        for (s, _), (_, weight) in zip(steps, gen.jumps):
+        for (s, _), (index, weight) in zip(steps, gen.jumps):
             valid = weight != 0
             gather = np.where(valid, where[np.where(valid, (rows + s) * d + cols + s, 0)],
                               gen.upper)
             assert np.all(gather >= 0)
-            ref.jumps.append(([(slice(None), gather, slice(None))], weight))
-        shared = [np.shares_memory(index, gen.upper)
-                  for reads, _ in gen.jumps for _, index, _ in reads]
-        # an even d reads every jump of a mode whose stride is even through
-        # ``upper``; an odd d (parity blocks of two widths) keeps every index
-        assert any(shared) == (d % 2 == 0)
+            assert index.shape == gen.upper.shape and np.array_equal(index, gather)
+            ref.jumps.append((gather, weight))
         buf = gen.hermitian(gen.split(rho))
         for target, amplitude in [(0, 0.0)] + [(k, 5.0) for k in range(n - 2)]:
             bands = gen.bands(target, amplitude)
@@ -989,15 +985,6 @@ class TestSharedIndexJumps:
                 got = gen.rhs(buf, bands, delta, np.empty_like(buf))
                 want = ref.rhs(buf, bands, delta, np.empty_like(buf))
                 assert got.tobytes() == want.tobytes(), (target, amplitude, delta)
-
-    def test_shared_reads_hold_one_index_per_odd_stride_jump(self):
-        # at (6, 6, 8) the four jumps of modes a and b read ``upper``, one
-        # view per parity block, and only the two jumps of mode c keep an index
-        ops = ModeOperators((6, 6, 8))
-        gen = _Generator(params(), ops, thermal_state(ops.cutoffs, (0.1, 0.2, 0.25)).rho)
-        kinds = [[np.shares_memory(index, gen.upper) for _, index, _ in reads]
-                 for reads, _ in gen.jumps]
-        assert kinds == [[True, True]] * 4 + [[False]] * 2
 
 
 class TestStart:
