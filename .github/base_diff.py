@@ -7,7 +7,7 @@ Checks the base out in a temporary git worktree, runs ``cycle fig1``,
 smalltest's config (each with ``--report``) and ``validate smalltest`` on
 both trees, and prints, per output, the largest absolute difference and the
 count of rows that differ: a CSV row, or a numeric leaf of a JSON report, at
-any depth (a cycle report's per-cycle records, ``asymptote_estimate`` and
+any depth (a cycle report's per-cycle records, ``fixed_point`` and
 ``limit_deviation`` among them).  ``cycle`` rejects smalltest's
 ``comparison`` section, so this tree's smalltest config without it is
 written once to a temporary file that both trees read; the Fock trajectory

@@ -55,7 +55,6 @@ from .polariton import (
     survival_factor,
 )
 from .runner import ENGINES, analyze_cycles, run_protocol
-from .schedule import StrokeKind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,11 +178,9 @@ def _print_report(report) -> None:
             f"  cycle {c.cycle}: N_before={c.n_before:.6g} N_after={c.n_after:.6g} "
             f"predicted={c.predicted_after:.6g} deviation={c.deviation:.3g}"
         )
-    print(
-        f"  asymptote={report.asymptote_estimate:.6g} "
-        f"cooling_limit={report.cooling_limit:.6g} "
-        f"deviation={report.limit_deviation:.3g}"
-    )
+    exact = [(key, getattr(report, key)) for key in
+             ("fixed_point", "cycle_contraction", "cooling_limit", "limit_deviation")]
+    print("  " + " ".join(f"{k}={'null' if v is None else format(v, '.6g')}" for k, v in exact))
 
 
 def _resolve_tol(args, cfg) -> float:
@@ -196,6 +193,8 @@ def cmd_cycle(args) -> int:
     # engine's preconditions; the metadata still fingerprints the file as read
     cfg = parse_cycle_config({**raw, "engine": args.engine} if args.engine else raw)
     engine = cfg.engine
+    if engine == "fock" and args.tol is not None:
+        raise ConfigError("--tol sets the Gaussian engine's tolerance; the fock engine takes none")
     tol = _resolve_tol(args, cfg)
     traj = run_protocol(
         cfg.params, cfg.schedule, engine=engine, initial=cfg.initial, tol=tol,
@@ -205,10 +204,8 @@ def cmd_cycle(args) -> int:
     _write_csv(args.out, _metadata("cycle", raw, engine), header, table)
     print(f"wrote {len(table)} trajectory rows to {args.out}")
 
-    targets_pulsed = sorted(
-        {s.target for s in traj.spans
-         if s.kind is StrokeKind.EXCHANGE_PULSE and s.amplitude > 0}
-    )
+    # only an exchange stroke has an amplitude; one of 0 exchanges nothing
+    targets_pulsed = sorted({s.target for s in traj.spans if s.amplitude > 0})
     reports = [analyze_cycles(traj, cfg.params, target=t) for t in targets_pulsed]
     for report in reports:
         _print_report(report)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -255,6 +256,11 @@ def _apply(phi: np.ndarray, q: np.ndarray, mean: np.ndarray, cov: np.ndarray):
     return phi @ mean, 0.5 * (c + c.T)
 
 
+def _then(a, b):
+    """The affine map ``a`` = (Phi, Q) followed by the map ``b``, as one (Phi, Q)."""
+    return b[0] @ a[0], b[0] @ a[1] @ b[0].T + b[1]
+
+
 def propagate(
     state: GaussianState,
     schedule: CycleSchedule,
@@ -268,7 +274,8 @@ def propagate(
 
     ``params`` supplies the frequencies, couplings and rates.  The returned
     samples lie on the ``schedule.stroke_walk`` grid, and every sample is
-    checked against the state invariants.
+    checked against the state invariants.  A run that crosses each stroke
+    whole composes its first accepted stack of each into ``stroke_maps``.
     """
     if state.n_modes != params.n_modes:
         raise ValueError(
@@ -287,7 +294,7 @@ def propagate(
     # each stroke's maps, stacked over its samples, keyed by its place in the
     # cycle, the part of it the run crosses and the level: later cycles reuse
     # the first cycle's stacks, and a partial stroke builds its own
-    maps = {}
+    maps, accepted = {}, {}
 
     for span, seg_start, ends in walk:
         start, stop = seg_start - span.t_start, ends[-1] - span.t_start
@@ -343,6 +350,7 @@ def propagate(
             prev_err = err
             coarse, level = fine, 2 * level
 
+        accepted.setdefault(part, maps[part, 2 * level])
         mean, cov = fine[0][-1], fine[1][-1]
         times.append(ends)
         means.append(fine[0])
@@ -350,8 +358,10 @@ def propagate(
 
     times, means, covs = (np.concatenate(x) for x in (times, means, covs))
     occupations, min_eigs = check_samples(times, means, covs)
+    stacks = [accepted.get((k, 0.0, 1.0)) for k in range(len(schedule.strokes))]
     return Samples(
         times=times, occupations=occupations, means=means, covs=covs,
         physicality=min_eigs, leakage=None,
         final_state=GaussianState(mean=means[-1], cov=covs[-1], time=float(times[-1])),
+        stroke_maps=None if None in stacks else tuple(reduce(_then, zip(*s)) for s in stacks),
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .polariton import (
     pair_occupations,
     survival_factor,
 )
-from .schedule import CycleSchedule, Samples, Stroke, StrokeKind, StrokeSpan, _check_targets
+from .schedule import CycleSchedule, Samples, Stroke, StrokeSpan, _check_targets
 
 ENGINES = ("gaussian", "fock")
 
@@ -68,7 +68,7 @@ class FockOptions:
         fock_mod._check_leakage_threshold(self.leakage_threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Trajectory(Samples):
     """Engine-agnostic protocol record: the engine's ``Samples`` and what
     ``run_protocol`` reads off them.
@@ -201,9 +201,10 @@ class CycleReport:
     eta: float
     r: float
     cycles: tuple[CycleRecord, ...]
-    asymptote_estimate: float
+    fixed_point: float | None
+    cycle_contraction: float | None
     cooling_limit: float
-    limit_deviation: float
+    limit_deviation: float | None
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -220,15 +221,14 @@ def analyze_cycles(traj: Trajectory, params: SystemParams, target: int = 0) -> C
     """Extract per-cycle exchange boundaries for one target and compare them
     with the analytic heat-exchange map and its asymptotic limit.
 
-    The asymptote estimate is the median of the post-exchange values of the
-    last three cycles (the median is robust against the cycle-to-cycle
-    interference wiggle left by the ramps).
+    ``fixed_point`` is the target's exact post-exchange occupation in the
+    periodic steady state sigma* = Phi_c sigma* Phi_c^T + Q_c of the cycle map
+    composed from ``stroke_maps`` (spectral radius ``cycle_contraction``), or
+    None (the Fock engine, or no contraction).
     """
-    # an exchange of amplitude 0 exchanges nothing, as in cli's targets_pulsed
-    ex_spans = [
-        s for s in traj.spans
-        if s.kind is StrokeKind.EXCHANGE_PULSE and s.target == target and s.amplitude > 0
-    ]
+    # only an exchange has an amplitude; one of 0 exchanges nothing (as in cli)
+    pulses = [s for s in traj.spans if s.amplitude > 0]
+    ex_spans = [s for s in pulses if s.target == target]
     if not ex_spans:
         raise ValueError(f"trajectory contains no exchange stroke for target {target}")
     mode_col = 2 + target
@@ -253,19 +253,31 @@ def analyze_cycles(traj: Trajectory, params: SystemParams, target: int = 0) -> C
                         predicted_after=predicted, deviation=dev)
         )
 
-    last = sorted(c.n_after for c in records[-3:])
-    asymptote = (last[len(last) // 2] + last[~(len(last) // 2)]) / 2
     limit = cooling_limit(
         CoolingMapParams(eta=eta, r=r, n_a=params.n_a, n_c=params.n_targets[target])
     )
+    fixed_point = contraction = deviation = None
+    if traj.stroke_maps is not None:
+        # a, b and the pulsed targets; no other mode enters their block of any map
+        modes = sorted({0, 1, *(2 + s.target for s in pulses)})
+        q = np.ix_(*[(2 * np.array(modes)[:, None] + (0, 1)).ravel()] * 2)
+        maps, k = [(phi[q], noise[q]) for phi, noise in traj.stroke_maps], ex_spans[-1].position + 1
+        phi_c, q_c = reduce(gauss_mod._then, maps[k:] + maps[:k])  # from just after the exchange
+        contraction = float(np.abs(np.linalg.eigvals(phi_c)).max())
+        if contraction < 1.0 - 1e-9:  # beyond roundoff: I - Phi_c x Phi_c is regular
+            sigma = np.linalg.solve(np.eye(q_c.size) - np.kron(phi_c, phi_c), q_c.ravel())
+            x = 2 * modes.index(2 + target)  # the target's quadratures in sigma
+            fixed_point = float(np.trace(sigma.reshape(q_c.shape)[x:x + 2, x:x + 2]) - 1.0) / 2
+            deviation = abs(fixed_point - limit) / max(abs(limit), 1e-12)
     return CycleReport(
         target=target,
         eta=float(eta),
         r=r,
         cycles=tuple(records),
-        asymptote_estimate=asymptote,
+        fixed_point=fixed_point,
+        cycle_contraction=contraction,
         cooling_limit=limit,
-        limit_deviation=abs(asymptote - limit) / max(abs(limit), 1e-12),
+        limit_deviation=deviation,
     )
 
 

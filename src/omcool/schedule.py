@@ -392,7 +392,7 @@ class Samples:
     cov + iJ/2 (Gaussian engine) or of rho (Fock engine).  ``leakage``
     (S, N) is the Fock engine's top-level population per mode, None for the
     Gaussian engine; ``final_state`` is the last sample in the engine's own
-    state type.
+    state type; ``stroke_maps`` (Phi, Q) per stroke of the cycle, or None.
     """
 
     times: np.ndarray
@@ -402,6 +402,7 @@ class Samples:
     physicality: np.ndarray
     leakage: np.ndarray | None
     final_state: object
+    stroke_maps: tuple | None = None
 
 
 def _check_targets(targets, params: "SystemParams") -> None:

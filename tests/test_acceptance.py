@@ -174,14 +174,14 @@ def test_c4_reference_protocol_single_target():
     reheat = float(n_c_hold[-1] - n_c_hold[0])
     assert 0.0 < reheat < 2.0, f"expected slow bath reheat, got {reheat}"
 
-    # (c) post-exchange asymptote vs the analytic cooling limit
+    # (c) the exact post-exchange limit cycle vs the analytic cooling limit
     report = analyze_cycles(traj, cfg.params)
 
     rt = _check_runtime("C4", elapsed, 60.0)
     _report("C4 single-target protocol",
             n_c_after < 1.5 and fluid_dev < 0.15 and report.limit_deviation < 0.20,
             f"N_c after first exchange {n_c_after:.3f} (<1.5), stroke-1 fluid "
-            f"drift {fluid_dev:.3f} (<0.15), asymptote {report.asymptote_estimate:.3f} "
+            f"drift {fluid_dev:.3f} (<0.15), exact N* {report.fixed_point:.3f} "
             f"vs limit {report.cooling_limit:.3f} (dev {report.limit_deviation:.1%} "
             f"< 20%), {rt}")
 

@@ -499,9 +499,13 @@ class TestCycleCommand:
         assert meta["command"] == "cycle"
         assert float(rows[0][0]) == 0.0
         payload = json.loads(report.read_text())
-        assert payload["reports"][0]["cycles"]
+        (got,) = payload["reports"]
+        assert got["cycles"] and 0 < got["cycle_contraction"] < 1
+        assert got["limit_deviation"] == pytest.approx(
+            abs(got["fixed_point"] - got["cooling_limit"]) / got["cooling_limit"], rel=1e-12)
         text = capsys.readouterr().out
-        assert "asymptote" in text
+        assert f"fixed_point={got['fixed_point']:.6g} " in text
+        assert "asymptote" not in text
 
     def test_outputs_create_new_directories(self, tmp_path):
         path = write_config(tmp_path, "cyc.json", small_cycle_config())
@@ -540,11 +544,26 @@ class TestCycleCommand:
         cfg = small_cycle_config(fock={"cutoffs": [5, 5, 6], "leakage_threshold": 1e-2})
         cfg["schedule"]["tau4"] = 0.1
         path = write_config(tmp_path, "cyc.json", cfg)
-        out = tmp_path / "focktraj.csv"
+        out, report = tmp_path / "focktraj.csv", tmp_path / "fock.json"
         assert run_cli("cycle", "--config", path, "--out", str(out),
-                       "--engine", "fock") == 0
+                       "--engine", "fock", "--report", str(report)) == 0
         meta, _, _ = read_csv(out)
         assert meta["engine"] == "fock"
+        # the Fock engine has no stroke maps: its per-cycle records, and no limit cycle
+        (got,) = json.loads(report.read_text())["reports"]
+        assert len(got["cycles"]) == 1 and got["eta"] > 0
+        assert got["fixed_point"] is got["cycle_contraction"] is got["limit_deviation"] is None
+
+    def test_tol_refused_on_the_fock_engine(self, tmp_path, capsys, monkeypatch):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr("omcool.fock.propagate_fock", no_engine)
+        cfg = small_cycle_config(engine="fock", fock={"cutoffs": [5, 5, 6]})
+        path = write_config(tmp_path, "fock.json", cfg)
+        out = tmp_path / "t.csv"
+        assert run_cli("cycle", "--config", path, "--out", str(out), "--tol", "1e-9") == 2
+        assert "--tol" in capsys.readouterr().err and not out.exists()
 
     def test_zero_amplitude_exchange_is_not_a_cycle_boundary(self, tmp_path):
         # a silent exchange on the target before its real pulse exchanges

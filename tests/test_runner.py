@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -427,6 +428,84 @@ class TestAnalyzeCycles:
         traj = run_protocol(fig1_params, sched, "gaussian", samples_per_stroke=4)
         with pytest.raises(ValueError, match="no exchange stroke"):
             analyze_cycles(traj, fig1_params)
+
+
+def bundled_reports(name, cycles=None, tol=None, **over):
+    """(trajectory, one report per pulsed target) of a bundled config run on
+    the Gaussian engine, with ``over`` replacing params keys; a changed
+    ``n_targets`` also sets the initial target occupations."""
+    raw = load_config_file(name)
+    raw = {**raw, "params": {**raw["params"], **over}}
+    if "n_targets" in over:
+        raw["initial"] = {**raw["initial"], "targets": over["n_targets"]}
+    if cycles is not None:
+        raw["schedule"] = {**raw["schedule"], "cycles": cycles}
+    cfg = parse_cycle_config(raw)
+    traj = run_protocol(cfg.params, cfg.schedule, cfg.engine, cfg.initial,
+                        tol=cfg.tol if tol is None else tol,
+                        samples_per_stroke=cfg.samples_per_stroke)
+    return traj, [analyze_cycles(traj, cfg.params, target)
+                  for target in raw["schedule"]["targets"]]
+
+
+class TestFixedPoint:
+    """The exact limit cycle: the fixed point of the cycle map composed from
+    the run's own stroke maps."""
+
+    @pytest.mark.parametrize("name, expected, contraction", [
+        ("fig1", [0.5913499386], 0.37554),
+        ("fig2", [0.0125379971, 0.0116983556], 0.16424),
+    ])
+    def test_bundled_configs(self, name, expected, contraction):
+        _, reports = bundled_reports(name)
+        assert [r.fixed_point for r in reports] == pytest.approx(expected, abs=1e-8)
+        for r in reports:
+            assert r.cycle_contraction == pytest.approx(contraction, abs=1e-5)
+            assert r.limit_deviation == abs(r.fixed_point - r.cooling_limit) / r.cooling_limit
+
+    def test_a_long_run_reaches_it(self):
+        _, (bundled,) = bundled_reports("fig1")
+        _, (long,) = bundled_reports("fig1", cycles=20)
+        # the first cycle's maps, whatever the run's length
+        assert long.fixed_point == bundled.fixed_point
+        assert abs(long.cycles[-1].n_after - long.fixed_point) <= 1e-9
+
+    def test_converges_with_tol(self):
+        _, (coarse,) = bundled_reports("fig1")
+        _, (fine,) = bundled_reports("fig1", tol=1e-11)
+        assert abs(coarse.fixed_point - fine.fixed_point) <= 10 * 1e-7
+
+    def test_a_spectator_target_is_left_out(self):
+        # with gamma = 0 a never-pulsed target keeps its occupation, so the
+        # map over every mode does not contract; over the coupled modes it does
+        over = dict(gamma=0.0, delta_targets=[2000.0, 3100.0], n_targets=[12.0, 5.0])
+        traj, (report,) = bundled_reports("fig1", **over)
+        phi_c, _ = functools.reduce(gaussian._then, traj.stroke_maps)
+        assert abs(np.abs(np.linalg.eigvals(phi_c)).max() - 1) < 1e-12
+        assert report.cycle_contraction == pytest.approx(0.40331, abs=1e-5)
+        assert report.fixed_point == pytest.approx(0.50593, abs=1e-5)
+        _, (long,) = bundled_reports("fig1", cycles=20, **over)
+        assert abs(long.cycles[-1].n_after - report.fixed_point) <= 1e-9
+
+    def test_no_contraction_gives_no_fixed_point(self):
+        _, (report,) = bundled_reports("fig1", kappa=0.0, gamma=0.0)
+        assert abs(report.cycle_contraction - 1) < 1e-9
+        assert report.fixed_point is None and report.limit_deviation is None
+        assert len(report.cycles) == 3
+
+    def test_stroke_maps_need_every_stroke_whole(self, fig1_params):
+        sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0], cycles=2)
+        state = gaussian.thermal_state([0.5, 2.0, 12.0])
+        run = gaussian.propagate(state, sched, 0.05, params=fig1_params, samples_per_stroke=4)
+        assert run.stroke_maps is None
+        run = gaussian.propagate(state, sched, sched.period, params=fig1_params,
+                                 samples_per_stroke=4)
+        assert len(run.stroke_maps) == 4
+        # each map carries the stroke's start to its end sample
+        for span, (phi, q) in zip(sched.spans(), run.stroke_maps):
+            i0, i1 = (np.flatnonzero(run.times == t)[0] for t in (span.t_start, span.t_end))
+            cov = phi @ run.covs[i0] @ phi.T + q
+            assert np.abs(cov - run.covs[i1]).max() < 1e-12 * np.abs(cov).max()
 
 
 class TestEmpiricalMapSlope:
