@@ -204,8 +204,7 @@ def cmd_cycle(args) -> int:
     _write_csv(args.out, _metadata("cycle", raw, engine), header, table)
     print(f"wrote {len(table)} trajectory rows to {args.out}")
 
-    # only an exchange stroke has an amplitude; one of 0 exchanges nothing
-    targets_pulsed = sorted({s.target for s in traj.spans if s.amplitude > 0})
+    targets_pulsed = sorted({s.pulsed for s in traj.spans} - {None})
     reports = [analyze_cycles(traj, cfg.params, target=t) for t in targets_pulsed]
     for report in reports:
         _print_report(report)

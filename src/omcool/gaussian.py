@@ -32,7 +32,8 @@ sample, and the 2m result is kept.  A hold or exchange takes no substeps, so
 its maps are the same at every m and it runs at m = 2 alone.  A stroke's maps
 at each m are one stack over its samples, built with its generator in one pass
 and kept in one ``propagate`` call by its place in the cycle, the local ends
-of the run's part of it and m, so later cycles reuse the first cycle's stacks.
+of the run's part of it and m, so later cycles reuse the first cycle's stacks;
+the run returns the stack it applied to each part as ``Samples.stroke_maps``.
 A non-finite drift, map, state or error estimate raises IntegrationError.
 """
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -179,8 +180,8 @@ def _stroke_generator(params: SystemParams, span: StrokeSpan):
     A[x, x + 1] = freqs
     A[x + 1, x] -= freqs
     A[[1, 3], [2, 0]] -= 2.0 * params.g
-    if span.target is not None and span.amplitude != 0.0:
-        c = 4 + 2 * span.target
+    if span.pulsed is not None:
+        c = 4 + 2 * span.pulsed
         A[[2, c], [c + 1, 3]] = span.amplitude
         A[[3, c + 1], [c, 2]] = -span.amplitude
     n = A.shape[0]
@@ -221,8 +222,7 @@ def _stroke_maps(span: StrokeSpan, generator, start, stop, count, level: int, fm
     n = generator.shape[-1] // 2
     width = (stop - start) / count
 
-    pulsed = span.target is not None and span.amplitude != 0.0
-    coupled = [0, 1] + ([2 + span.target] if pulsed else [])
+    coupled = [0, 1] + ([] if span.pulsed is None else [2 + span.pulsed])
     free = [mode for mode in range(2, n // 2) if mode not in coupled]
     phi, noise = np.zeros((2, count, n, n))
     for modes in filter(None, (coupled, free)):
@@ -251,14 +251,10 @@ def _stroke_maps(span: StrokeSpan, generator, start, stop, count, level: int, fm
     return phi, 0.5 * (noise + np.swapaxes(noise, -1, -2))
 
 
-def _apply(phi: np.ndarray, q: np.ndarray, mean: np.ndarray, cov: np.ndarray):
-    c = phi @ cov @ phi.T + q
-    return phi @ mean, 0.5 * (c + c.T)
-
-
 def _then(a, b):
-    """The affine map ``a`` = (Phi, Q) followed by the map ``b``, as one (Phi, Q)."""
-    return b[0] @ a[0], b[0] @ a[1] @ b[0].T + b[1]
+    """The map ``a`` = (Phi, Q), or the state ``a`` = (mean, cov), followed by ``b``."""
+    c = b[0] @ a[1] @ b[0].T + b[1]
+    return b[0] @ a[0], 0.5 * (c + c.T)
 
 
 def propagate(
@@ -274,8 +270,8 @@ def propagate(
 
     ``params`` supplies the frequencies, couplings and rates.  The returned
     samples lie on the ``schedule.stroke_walk`` grid, and every sample is
-    checked against the state invariants.  A run that crosses each stroke
-    whole composes its first accepted stack of each into ``stroke_maps``.
+    checked against the state invariants.  ``stroke_maps`` holds, in walk order,
+    the accepted (Phi, Q) stack that carried each part's entry to its samples.
     """
     if state.n_modes != params.n_modes:
         raise ValueError(
@@ -290,11 +286,11 @@ def propagate(
         check_stability(span.delta1, params.omega_b, params.g)
 
     mean, cov = state.mean, state.cov
-    times, means, covs = [[t0]], [mean[None]], [cov[None]]
+    times, means, covs, applied = [[t0]], [mean[None]], [cov[None]], []
     # each stroke's maps, stacked over its samples, keyed by its place in the
     # cycle, the part of it the run crosses and the level: later cycles reuse
     # the first cycle's stacks, and a partial stroke builds its own
-    maps, accepted = {}, {}
+    maps = {}
 
     for span, seg_start, ends in walk:
         start, stop = seg_start - span.t_start, ends[-1] - span.t_start
@@ -314,12 +310,8 @@ def propagate(
                 if not (np.all(np.isfinite(phis)) and np.all(np.isfinite(qs))):
                     raise IntegrationError(
                         f"non-finite stroke map in stroke {span.index}", time=seg_start)
-            phis, qs = maps[part, level]
-            ms, cs = np.empty((len(phis),) + mean.shape), np.empty(phis.shape)
-            m, c = mean, cov
-            for k in range(len(phis)):
-                m, c = ms[k], cs[k] = _apply(phis[k], qs[k], m, c)
-            return ms, cs
+            ms, cs = zip(*accumulate(zip(*maps[part, level]), _then, initial=(mean, cov)))
+            return np.stack(ms[1:]), np.stack(cs[1:])
 
         # each attempt checks the next level against the last one, so a
         # refused fine sweep becomes the coarse sweep of the next attempt.  A
@@ -350,7 +342,7 @@ def propagate(
             prev_err = err
             coarse, level = fine, 2 * level
 
-        accepted.setdefault(part, maps[part, 2 * level])
+        applied.append(maps[part, 2 * level])
         mean, cov = fine[0][-1], fine[1][-1]
         times.append(ends)
         means.append(fine[0])
@@ -358,10 +350,9 @@ def propagate(
 
     times, means, covs = (np.concatenate(x) for x in (times, means, covs))
     occupations, min_eigs = check_samples(times, means, covs)
-    stacks = [accepted.get((k, 0.0, 1.0)) for k in range(len(schedule.strokes))]
     return Samples(
         times=times, occupations=occupations, means=means, covs=covs,
         physicality=min_eigs, leakage=None,
         final_state=GaussianState(mean=means[-1], cov=covs[-1], time=float(times[-1])),
-        stroke_maps=None if None in stacks else tuple(reduce(_then, zip(*s)) for s in stacks),
+        stroke_maps=tuple(applied),
     )

@@ -222,13 +222,13 @@ def analyze_cycles(traj: Trajectory, params: SystemParams, target: int = 0) -> C
     with the analytic heat-exchange map and its asymptotic limit.
 
     ``fixed_point`` is the target's exact post-exchange occupation in the
-    periodic steady state sigma* = Phi_c sigma* Phi_c^T + Q_c of the cycle map
-    composed from ``stroke_maps`` (spectral radius ``cycle_contraction``), or
-    None (the Fock engine, or no contraction).
+    periodic steady state sigma* = Phi_c sigma* Phi_c^T + Q_c of the cycle map,
+    the ``stroke_maps`` applied in the cycle of its last exchange (spectral
+    radius ``cycle_contraction``), or None (the Fock engine, a cycle that does
+    not close, or no contraction).  ``eta`` and ``r`` take the first pulse.
     """
-    # only an exchange has an amplitude; one of 0 exchanges nothing (as in cli)
-    pulses = [s for s in traj.spans if s.amplitude > 0]
-    ex_spans = [s for s in pulses if s.target == target]
+    pulses = [s for s in traj.spans if s.pulsed is not None]
+    ex_spans = [s for s in pulses if s.pulsed == target]
     if not ex_spans:
         raise ValueError(f"trajectory contains no exchange stroke for target {target}")
     mode_col = 2 + target
@@ -257,12 +257,15 @@ def analyze_cycles(traj: Trajectory, params: SystemParams, target: int = 0) -> C
         CoolingMapParams(eta=eta, r=r, n_a=params.n_a, n_c=params.n_targets[target])
     )
     fixed_point = contraction = deviation = None
-    if traj.stroke_maps is not None:
+    cycle = [s for s in traj.spans if s.cycle == ex_spans[-1].cycle]
+    if traj.stroke_maps is not None and cycle[-1].delta1 == cycle[0].delta0:
         # a, b and the pulsed targets; no other mode enters their block of any map
-        modes = sorted({0, 1, *(2 + s.target for s in pulses)})
-        q = np.ix_(*[(2 * np.array(modes)[:, None] + (0, 1)).ravel()] * 2)
-        maps, k = [(phi[q], noise[q]) for phi, noise in traj.stroke_maps], ex_spans[-1].position + 1
-        phi_c, q_c = reduce(gauss_mod._then, maps[k:] + maps[:k])  # from just after the exchange
+        modes = sorted({0, 1, *(2 + s.pulsed for s in pulses)})
+        q = (2 * np.array(modes)[:, None] + (0, 1)).ravel()
+        k = ex_spans[-1].position + 1  # composed from just after the exchange
+        phi_c, q_c = reduce(gauss_mod._then, [
+            step for s in cycle[k:] + cycle[:k]
+            for step in zip(*(m[:, q[:, None], q] for m in traj.stroke_maps[s.index]))])
         contraction = float(np.abs(np.linalg.eigvals(phi_c)).max())
         if contraction < 1.0 - 1e-9:  # beyond roundoff: I - Phi_c x Phi_c is regular
             sigma = np.linalg.solve(np.eye(q_c.size) - np.kron(phi_c, phi_c), q_c.ravel())

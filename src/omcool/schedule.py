@@ -198,6 +198,11 @@ class StrokeSpan:
     knots: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
 
+    @property
+    def pulsed(self) -> int | None:
+        """The target an exchange of nonzero amplitude couples, else None."""
+        return self.target if self.amplitude > 0 else None
+
     def delta_values_local(self, t_local: np.ndarray) -> np.ndarray:
         if self.kind is not StrokeKind.RAMP_DETUNING:
             return np.full(np.shape(t_local), self.delta0)
@@ -392,7 +397,7 @@ class Samples:
     cov + iJ/2 (Gaussian engine) or of rho (Fock engine).  ``leakage``
     (S, N) is the Fock engine's top-level population per mode, None for the
     Gaussian engine; ``final_state`` is the last sample in the engine's own
-    state type; ``stroke_maps`` (Phi, Q) per stroke of the cycle, or None.
+    state type; ``stroke_maps`` the Gaussian engine's (Phi, Q) stacks, one per stroke part, or None.
     """
 
     times: np.ndarray

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from omcool.cli import main
-from omcool.config import parse_cycle_config
+from omcool.config import load_config_file, parse_cycle_config
 from omcool.polariton import (CoolingMapParams, bogoliubov_basis, cooling_limit,
                               exchange_efficiency)
 from omcool.runner import run_protocol
@@ -553,6 +553,25 @@ class TestCycleCommand:
         (got,) = json.loads(report.read_text())["reports"]
         assert len(got["cycles"]) == 1 and got["eta"] > 0
         assert got["fixed_point"] is got["cycle_contraction"] is got["limit_deviation"] is None
+
+    def test_a_cycle_that_does_not_close_has_no_limit_cycle(self, tmp_path):
+        # one cycle may end away from its start detuning, and so cannot repeat
+        ramp = {"kind": "ramp", "delta_start": -6000.0, "delta_end": -600.0, "duration": 0.04}
+        strokes = [ramp, {"kind": "exchange", "target": 0, "duration": 0.008},
+                   {"kind": "hold", "duration": 0.1}]
+        back = {**ramp, "delta_start": -600.0, "delta_end": -6000.0}
+        for closed in (False, True):
+            schedule = {"type": "strokes", "cycles": 1,
+                        "strokes": strokes[:2] + [back] * closed + strokes[2:]}
+            path = write_config(tmp_path, "open.json", {**load_config_file("fig1"),
+                                                        "schedule": schedule})
+            report = tmp_path / "open_report.json"
+            assert run_cli("cycle", "--config", path, "--out", str(tmp_path / "open.csv"),
+                           "--report", str(report)) == 0
+            (got,) = json.loads(report.read_text())["reports"]
+            assert len(got["cycles"]) == 1 and got["cooling_limit"] > 0
+            exact = [got[key] for key in ("fixed_point", "cycle_contraction", "limit_deviation")]
+            assert [x is None for x in exact] == [not closed] * 3
 
     def test_tol_refused_on_the_fock_engine(self, tmp_path, capsys, monkeypatch):
         def no_engine(*args, **kwargs):

@@ -292,18 +292,18 @@ class TestPropagateContract:
         # a refused attempt's fine sweep is the next attempt's coarse sweep,
         # so accepting level 2^k applies the maps of k + 1 levels, not 2k
         levels, applied = set(), []
-        stroke_maps, apply = gaussian._stroke_maps, gaussian._apply
+        stroke_maps, then = gaussian._stroke_maps, gaussian._then
 
         def counting_maps(span, generator, start, stop, count, level, fmax):
             levels.add(level)
             return stroke_maps(span, generator, start, stop, count, level, fmax)
 
-        def counting_apply(*args):
+        def counting_then(*args):
             applied.append(None)
-            return apply(*args)
+            return then(*args)
 
         monkeypatch.setattr(gaussian, "_stroke_maps", counting_maps)
-        monkeypatch.setattr(gaussian, "_apply", counting_apply)
+        monkeypatch.setattr(gaussian, "_then", counting_then)
         sched = CycleSchedule(strokes=(Stroke.ramp(-6000.0, -600.0, 0.04),),
                               cycle_count=1, delta_start=-6000.0)
         segments = 8

@@ -466,9 +466,10 @@ class TestFixedPoint:
     def test_a_long_run_reaches_it(self):
         _, (bundled,) = bundled_reports("fig1")
         _, (long,) = bundled_reports("fig1", cycles=20)
-        # the first cycle's maps, whatever the run's length
+        # the maps the last cycle applied, the same after the first cycle
+        # whatever the run's length, so the run settles on them at roundoff
         assert long.fixed_point == bundled.fixed_point
-        assert abs(long.cycles[-1].n_after - long.fixed_point) <= 1e-9
+        assert abs(long.cycles[-1].n_after - long.fixed_point) <= 1e-13
 
     def test_converges_with_tol(self):
         _, (coarse,) = bundled_reports("fig1")
@@ -480,12 +481,14 @@ class TestFixedPoint:
         # map over every mode does not contract; over the coupled modes it does
         over = dict(gamma=0.0, delta_targets=[2000.0, 3100.0], n_targets=[12.0, 5.0])
         traj, (report,) = bundled_reports("fig1", **over)
-        phi_c, _ = functools.reduce(gaussian._then, traj.stroke_maps)
+        phi_c, _ = functools.reduce(gaussian._then, [
+            step for phis, qs in traj.stroke_maps[-4:] for step in zip(phis, qs)])
+        assert phi_c.shape == (8, 8)
         assert abs(np.abs(np.linalg.eigvals(phi_c)).max() - 1) < 1e-12
         assert report.cycle_contraction == pytest.approx(0.40331, abs=1e-5)
         assert report.fixed_point == pytest.approx(0.50593, abs=1e-5)
         _, (long,) = bundled_reports("fig1", cycles=20, **over)
-        assert abs(long.cycles[-1].n_after - report.fixed_point) <= 1e-9
+        assert abs(long.cycles[-1].n_after - report.fixed_point) <= 1e-13
 
     def test_no_contraction_gives_no_fixed_point(self):
         _, (report,) = bundled_reports("fig1", kappa=0.0, gamma=0.0)
@@ -493,19 +496,26 @@ class TestFixedPoint:
         assert report.fixed_point is None and report.limit_deviation is None
         assert len(report.cycles) == 3
 
-    def test_stroke_maps_need_every_stroke_whole(self, fig1_params):
+    @pytest.mark.parametrize("t0, t_end, parts", [(0.0, None, 8), (0.01, 0.05, 3)])
+    def test_stroke_maps_carry_each_part_to_its_samples(self, fig1_params, t0, t_end, parts):
+        # one stack per part of the walk, in its order, partial parts included
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0], cycles=2)
-        state = gaussian.thermal_state([0.5, 2.0, 12.0])
-        run = gaussian.propagate(state, sched, 0.05, params=fig1_params, samples_per_stroke=4)
-        assert run.stroke_maps is None
-        run = gaussian.propagate(state, sched, sched.period, params=fig1_params,
-                                 samples_per_stroke=4)
-        assert len(run.stroke_maps) == 4
-        # each map carries the stroke's start to its end sample
-        for span, (phi, q) in zip(sched.spans(), run.stroke_maps):
-            i0, i1 = (np.flatnonzero(run.times == t)[0] for t in (span.t_start, span.t_end))
-            cov = phi @ run.covs[i0] @ phi.T + q
-            assert np.abs(cov - run.covs[i1]).max() < 1e-12 * np.abs(cov).max()
+        # a displaced start, so that the means are carried too
+        thermal = gaussian.thermal_state([0.5, 2.0, 12.0])
+        state = gaussian.GaussianState(mean=np.linspace(-1.0, 1.5, 6), cov=thermal.cov, time=t0)
+        run = gaussian.propagate(state, sched, t_end or sched.total_duration,
+                                 params=fig1_params, samples_per_stroke=4)
+        assert len(run.stroke_maps) == parts and run.times.size == 1 + 4 * parts
+        # each stack carries the state at its part's entry to each of its samples
+        i = 0
+        for phis, qs in run.stroke_maps:
+            assert len(phis) == len(qs) == 4
+            mean, cov = run.means[i], run.covs[i]
+            for phi, q in zip(phis, qs):
+                i += 1
+                mean, cov = phi @ mean, phi @ cov @ phi.T + q
+                assert np.abs(cov - run.covs[i]).max() < 1e-12 * np.abs(cov).max()
+                assert np.abs(mean - run.means[i]).max() < 1e-12 * np.abs(mean).max()
 
 
 class TestEmpiricalMapSlope:

@@ -204,6 +204,12 @@ class TestScheduleEvaluation:
         assert pulse(0.04) == (0, 200.0)
         assert pulse(0.048) == (-1, 0.0)
 
+    def test_pulsed_names_the_target_of_a_nonzero_exchange_alone(self):
+        strokes = (Stroke.ramp(-6000.0, -600.0, 0.04), Stroke.exchange(1, 200.0, 0.008),
+                   Stroke.exchange(0, 0.0, 0.008), Stroke.hold(0.1))
+        sched = CycleSchedule(strokes=strokes, cycle_count=1, delta_start=-6000.0)
+        assert [s.pulsed for s in sched.spans()] == [None, 1, None, None]
+
     def test_stroke_index_half_open_and_clamped(self):
         _, sched = self.make()
         bounds = sched.boundaries()
