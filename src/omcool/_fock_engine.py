@@ -19,7 +19,6 @@ from .schedule import CycleSchedule, Samples, StrokeKind, span_fmax, stroke_walk
 # exceeds 6^6/6! ~ 65 times ||rho||, so cancellation among terms costs ~1e-14
 TAYLOR_THETA = 6.0
 TAYLOR_EPS = 1e-14
-_ROW_BLOCK = 40  # rows of the d x d sums that ``norm_bound`` forms at a time
 
 
 class _Generator(_Blocks):
@@ -121,7 +120,7 @@ class _Generator(_Blocks):
                 jump_scales.append(scale)
                 jump_rows.append(w[order])
                 jump_cols.append(np.roll(w, s)[order])
-        self.jump_scales = np.array(jump_scales)[:, None]
+        self.jump_scales = np.array(jump_scales)
         self.jump_rows = np.array(jump_rows).reshape(-1, d)
         self.jump_cols = np.array(jump_cols).reshape(-1, d)
         self.damp_diag = damp_diag[order]
@@ -152,33 +151,25 @@ class _Generator(_Blocks):
         its row sums); each jump s a rho a^dag reads rho[i + o, j + o] with
         weight s w[i] w[j], from the ladder weights before U's diagonal is
         halved.  Column (k, l) holds the same diagonal and band sums, and the
-        jump weights of the row (k - o, l - o) that reads it.  The sums are
-        formed ``_ROW_BLOCK`` rows at a time (fewer if the scratch buffer holds
-        fewer), each entry by the same operations.
+        jump weights of the row (k - o, l - o) that reads it.
         """
         lvec = self._lvec(delta_now)
-        rows = np.zeros((self.dim, 1))
+        rows = np.zeros(self.dim)
         for band in bands:
             for block, (r, _, w) in zip(self.rows, band):
-                rows[block][r] += np.abs(w)
-        # the row blocks fill the scratch buffer, which is idle between steps
-        height = min(_ROW_BLOCK, self._tmp.size // self.dim)
-        base, sums = self._tmp.view(float)[: 2 * height * self.dim].reshape(2, height, self.dim)
-        largest = []
-        for lo in range(0, self.dim, height):
-            i, b, s = slice(lo, lo + height), base[: self.dim - lo], sums[: self.dim - lo]
+                rows[block][r] += np.abs(w[:, 0])
+        # row i's largest row and column sums, over j, by O(d) temporaries
+        largest = np.empty((2, self.dim))
+        for i in range(self.dim):
             # |L[i] + conj(L[j])| with no complex temporary
-            np.hypot(np.add.outer(lvec.real[i], lvec.real, out=b),
-                     np.subtract.outer(lvec.imag[i], lvec.imag, out=s), out=b)
-            b += rows[i]
-            b += rows.T
-            for weights in (self.jump_rows, self.jump_cols):
+            b = np.hypot(lvec.real[i] + lvec.real, lvec.imag[i] - lvec.imag) + rows[i] + rows
+            for k, weights in enumerate((self.jump_rows, self.jump_cols)):
                 # the sum over jumps of s w[i] w[j]; einsum, not a BLAS product,
                 # which would wake BLAS threads and their buffers
-                np.einsum("ji,jk->ik", self.jump_scales * weights[:, i], weights, out=s)
-                s += b
-                largest.append(s.max())
-        return float(np.sqrt(np.max(largest[::2]) * np.max(largest[1::2])))
+                s = np.einsum("j,jk->k", self.jump_scales * weights[:, i], weights)
+                largest[k, i] = (s + b).max()
+        # np.max keeps a NaN, where the builtin max() may drop it
+        return float(np.sqrt(np.max(largest[0]) * np.max(largest[1])))
 
     def rhs(self, rho: np.ndarray, bands: list, delta_now: float,
             out: np.ndarray) -> np.ndarray:
@@ -291,7 +282,7 @@ def propagate(state: FockState, params: SystemParams, schedule: CycleSchedule, t
     _check_leakage_threshold(leakage_threshold)
     ops = ModeOperators(state.cutoffs)
     t0 = state.time
-    walk = stroke_walk(schedule, t0, t_end, samples_per_stroke)
+    walk = stroke_walk(schedule, t0, t_end, samples_per_stroke, params=params)
     if dt is not None:
         _check_dt(dt, params, [span for span, _, _ in walk])
 

@@ -479,8 +479,8 @@ def propagate_fock(
     (``span_fmax`` with the detunings at the segment's ends).  ``dt`` caps
     every step further; it must not exceed the stroke-wide bound
     1/(50 f_max), and a coarser ``dt`` raises ValueError.  The samples lie
-    on the ``schedule.stroke_walk`` grid.  Each sample's occupations,
-    quadrature moments of every mode, leakage and checks are read off the
+    on the ``schedule.stroke_walk`` grid (whose walk checks the strokes).
+    Each sample's occupations, moments, leakage and checks are read off the
     carried parity blocks (``_Blocks.observe``); no density matrix is kept
     but the final state's, joined once after the work buffers are released.
     Top Fock-level population is checked after every step against

@@ -21,7 +21,7 @@ from .polariton import (
     pair_occupations,
     survival_factor,
 )
-from .schedule import CycleSchedule, Samples, Stroke, StrokeSpan, _check_targets
+from .schedule import CycleSchedule, Samples, Stroke, StrokeSpan, stroke_walk
 
 ENGINES = ("gaussian", "fock")
 
@@ -97,8 +97,9 @@ def check_run(params: SystemParams, schedule: CycleSchedule, engine: str = "gaus
               fock_options: FockOptions | None = None) -> InitialOccupations:
     """Raise ValueError unless ``run_protocol`` can start this run; return
     its initial occupations (by default, the baths' in the polariton basis).
-    Given ``fock_options`` are checked whatever the engine: one cutoff per
-    mode, and ``dt`` within every stroke's step bound."""
+    One ``stroke_walk`` of the schedule checks its strokes: an unstable one
+    raises StabilityError.  Given ``fock_options`` are checked whatever the
+    engine: one cutoff per mode, and ``dt`` within every stroke's step bound."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if initial is None:
@@ -110,8 +111,8 @@ def check_run(params: SystemParams, schedule: CycleSchedule, engine: str = "gaus
             "initial.targets must list one occupation per target mode "
             f"({len(params.delta_targets)} expected)"
         )
-    spans = schedule.spans()
-    _check_targets([s.target for s in spans if s.target is not None], params)
+    spans = [span for span, _, _ in stroke_walk(schedule, 0.0, schedule.total_duration, 1,
+                                                 params=params)]
     if fock_options is not None:
         if len(fock_options.cutoffs) != params.n_modes:
             raise ValueError(

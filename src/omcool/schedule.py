@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AdiabaticityWarning, ThermalizationWarning
-from .polariton import polariton_spectrum
+from .polariton import check_stability, polariton_spectrum
 
 if TYPE_CHECKING:
     from .params import SystemParams
@@ -359,7 +359,8 @@ def span_fmax(span: StrokeSpan, params: "SystemParams", deltas=None) -> float:
 
 
 def stroke_walk(
-    schedule: CycleSchedule, t_start: float, t_end: float, samples_per_stroke: int
+    schedule: CycleSchedule, t_start: float, t_end: float, samples_per_stroke: int, *,
+    params: "SystemParams",
 ) -> list[tuple[StrokeSpan, float, np.ndarray]]:
     """The strokes a run from ``t_start`` to ``t_end`` crosses, with its samples.
 
@@ -369,6 +370,9 @@ def stroke_walk(
     stroke is sampled on its own part of the window alone, at
     ``samples_per_stroke`` uniform points; linspace ends them exactly on the
     part's end, so, as the spans tile, a run's samples strictly increase.
+    Both engines and ``runner.check_run`` check here that each walked
+    exchange's target exists in ``params`` (ValueError) and that each stroke's
+    ends, which bound a monotone ramp, pass ``check_stability`` (StabilityError).
     """
     if not (_is_integer(samples_per_stroke) and samples_per_stroke >= 1):
         raise ValueError(f"samples_per_stroke must be an integer >= 1, got {samples_per_stroke!r}")
@@ -382,8 +386,13 @@ def stroke_walk(
         )
     parts = [(span, max(span.t_start, t_start), min(span.t_end, t_end))
              for span in schedule.spans()]
-    return [(span, lo, np.linspace(lo, hi, samples_per_stroke + 1)[1:])
+    walk = [(span, lo, np.linspace(lo, hi, samples_per_stroke + 1)[1:])
             for span, lo, hi in parts if lo < hi]
+    for span, _, _ in walk:
+        _check_targets({span.target} - {None}, params)
+        check_stability(span.delta0, params.omega_b, params.g)
+        check_stability(span.delta1, params.omega_b, params.g)
+    return walk
 
 
 @dataclass(frozen=True)

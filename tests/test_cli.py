@@ -9,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from omcool import fock, gaussian
 from omcool.cli import main
-from omcool.config import load_config_file, parse_cycle_config
+from omcool.config import load_config_file, parse_cycle_config, parse_fock_options, parse_params
+from omcool.errors import StabilityError
 from omcool.polariton import (CoolingMapParams, bogoliubov_basis, cooling_limit,
                               exchange_efficiency)
-from omcool.runner import run_protocol
+from omcool.runner import InitialOccupations, check_run, run_protocol
+from omcool.schedule import CycleSchedule, Stroke
 
 
 def run_cli(*argv):
@@ -678,6 +681,31 @@ class TestValidateCommand:
         assert payload["status"] == "INCONCLUSIVE"
         assert payload["max_deviation"] is None and payload["max_leakage"] is None
         assert payload["max_cov_deviation"] is None
+
+    def test_unstable_stroke_exits_3_before_either_engine(self, tmp_path, capsys, monkeypatch):
+        # smalltest's g = 2 exceeds the stability limit 1.118 at delta = -0.5,
+        # which a strokes schedule reaches though params' delta_f is -3
+        calls = []
+        for module, name in ((gaussian, "propagate"), (fock, "propagate_fock")):
+            engine = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, engine=engine, name=name, **k:
+                                calls.append(name) or engine(*a, **k))
+        raw = load_config_file("smalltest")
+        raw["schedule"] = {"type": "strokes", "cycles": 1, "delta_start": -30.0, "strokes": [
+            {"kind": "ramp", "delta_start": -30.0, "delta_end": -0.5, "duration": 0.3},
+            {"kind": "ramp", "delta_start": -0.5, "delta_end": -30.0, "duration": 0.3}]}
+        path = write_config(tmp_path, "unstable.json", raw)
+        assert run_cli("validate", "--config", path) == 3
+        assert "physics error: unstable at delta=-0.5: g=2.0" in capsys.readouterr().err
+        assert calls == []
+        # the config parse refuses it in runner.check_run
+        sched = CycleSchedule(strokes=(Stroke.ramp(-30.0, -0.5, 0.3),
+                                       Stroke.ramp(-0.5, -30.0, 0.3)),
+                              cycle_count=1, delta_start=-30.0)
+        with pytest.raises(StabilityError, match="delta=-0.5"):
+            check_run(parse_params(raw["params"]), sched, "fock",
+                      InitialOccupations(basis="bare", pair=(0.1, 0.2), targets=(0.25,)),
+                      parse_fock_options(raw["fock"]))
 
     def test_engine_key_rejected(self, tmp_path, capsys):
         cfg = small_cycle_config(fock={"cutoffs": [6, 6, 8]})

@@ -822,16 +822,13 @@ class TestTaylorAction:
                 # the bands' largest row sum of |weight|, from the dense H_off
                 rows = np.abs(dense_h_off(p, ops, target, amplitude)).sum(axis=1)
                 summed = (np.abs(lvec[:, None] + lvec.conj()).max() + 2.0 * np.max(rows)
-                          + np.sum(gen.jump_scales[:, 0] * gen.jump_rows.max(axis=1) ** 2))
+                          + np.sum(gen.jump_scales * gen.jump_rows.max(axis=1) ** 2))
                 assert gen.norm_bound(bands, delta) <= summed * (1.0 + 1e-15)
 
-    @pytest.mark.parametrize("row_block", [None, 1, 7])
-    @pytest.mark.parametrize("cutoffs", [(3, 3, 3), (3, 4, 5), (6, 6, 8)])
-    def test_norm_bound_is_bitwise_the_whole_matrix_bound(self, monkeypatch, cutoffs, row_block):
-        # B formed row block by row block equals B from whole d x d sums,
-        # each entry going through the same operations (max is exact)
-        if row_block is not None:
-            monkeypatch.setattr(engine_mod, "_ROW_BLOCK", row_block)
+    @pytest.mark.parametrize("cutoffs", [(3, 3, 3), (3, 4, 5), (6, 6, 8), (8, 8, 10)])
+    def test_norm_bound_is_bitwise_the_whole_matrix_bound(self, cutoffs):
+        # B formed row by row equals B from whole d x d sums, each entry
+        # going through the same operations (max is exact)
         p = params()
         ops = ModeOperators(cutoffs)
         gen = _Generator(p, ops, thermal_state(cutoffs, (0.1, 0.2, 0.25),
@@ -847,7 +844,8 @@ class TestTaylorAction:
                         rows[block][r] += np.abs(w)
                 base = np.hypot(np.add.outer(lvec.real, lvec.real),
                                 np.subtract.outer(lvec.imag, lvec.imag)) + rows + rows.T
-                r_inf, r_1 = (np.max(np.einsum("ji,jk->ik", gen.jump_scales * w, w) + base)
+                r_inf, r_1 = (np.max(np.einsum("ji,jk->ik", gen.jump_scales[:, None] * w, w)
+                                      + base)
                               for w in (gen.jump_rows, gen.jump_cols))
                 assert gen.norm_bound(bands, delta) == np.sqrt(r_inf * r_1), (target, delta)
 
@@ -864,10 +862,10 @@ class TestTaylorAction:
             tracemalloc.stop()
         assert peak < ops.dim**2 * 8
 
-    def test_norm_bound_takes_its_row_blocks_from_the_scratch(self):
-        # base and sums, two row blocks of d reals each, live in the idle
-        # scratch buffer; what one call allocates is below the pair (NumPy's
-        # own iteration buffers for a broadcast, 128 kB, exceed one block)
+    def test_norm_bound_allocates_a_few_rows(self):
+        # one row of the sums at a time, with no broadcast (whose NumPy
+        # iteration buffers took 128 kB): what one call allocates is a few
+        # rows of d reals
         ops = ModeOperators((6, 6, 8))
         gen = _Generator(params(), ops, thermal_state(ops.cutoffs, (0.1, 0.2, 0.25)).rho)
         bands = gen.bands(0, 5.0)
@@ -879,7 +877,7 @@ class TestTaylorAction:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 2 * engine_mod._ROW_BLOCK * ops.dim * 8
+        assert peak < 16 * ops.dim * 8
 
     def test_jump_term_read_before_halving(self):
         # one jump, kappa a rho a^dag at cutoffs (2, 2): on a thermal start its

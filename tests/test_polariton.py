@@ -211,6 +211,19 @@ class TestArrayBasis:
                 assert bits(getattr(stacked, name)[k]) == bits(getattr(scalar, name)), (name, delta)
                 assert bits(getattr(stacked[k], name)) == bits(getattr(scalar, name))
 
+    def test_indexing_selects_entries_of_a_stacked_basis(self):
+        deltas = np.linspace(-6000.0, -200.0, 5)
+        stacked = bogoliubov_basis(deltas, OMEGA_B, G)
+        for k, delta in enumerate(deltas):
+            entry, scalar = stacked[k], bogoliubov_basis(deltas[k], OMEGA_B, G)
+            for name, value in vars(scalar).items():
+                assert bits(getattr(entry, name)) == bits(value), (name, delta)
+                assert np.shape(getattr(entry, name)) == np.shape(value)
+        pair = stacked[1:3]
+        assert pair.S.shape == (2, 4, 4) and (pair.omega_b, pair.g) == (OMEGA_B, G)
+        for name in ("delta",) + self.FIELDS:
+            assert bits(getattr(pair, name)) == bits(getattr(stacked, name)[1:3])
+
     def test_inverse_of_stacked_basis(self):
         deltas = np.linspace(-6000.0, -200.0, 9)
         stacked = bogoliubov_basis(deltas, OMEGA_B, G)

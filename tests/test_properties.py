@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omcool.config import load_config_file, parse_cycle_config
+from omcool.params import SystemParams
 from omcool.schedule import CycleSchedule, Stroke, StrokeKind, stroke_walk
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -130,7 +131,8 @@ def test_config_round_trips_through_a_file(cfg):
 
 
 @st.composite
-def schedule(draw):
+def schedule(draw, with_params=False):
+    """A valid schedule, and with ``with_params`` the SystemParams it was drawn for."""
     params = draw(system())
     shapes = ("linear", "cosine", "adiabatic") if params["g"] > 0 else ("linear", "cosine")
     strokes = []
@@ -143,8 +145,9 @@ def schedule(draw):
             strokes.append(Stroke.exchange(s["target"], s["amplitude"], s["duration"]))
         else:
             strokes.append(Stroke.hold(s["duration"]))
-    return CycleSchedule(strokes=tuple(strokes), cycle_count=draw(st.integers(1, 64)),
-                         delta_start=params["delta_i"])
+    sched = CycleSchedule(strokes=tuple(strokes), cycle_count=draw(st.integers(1, 64)),
+                          delta_start=params["delta_i"])
+    return (sched, SystemParams(**params)) if with_params else sched
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,13 +178,14 @@ def test_vectorized_delta_matches_scalar(sched, fractions):
 
 
 @settings(max_examples=60, deadline=None)
-@given(schedule(), st.integers(1, 8))
-def test_spans_tile_and_every_walk_strictly_increases(sched, samples):
+@given(schedule(with_params=True), st.integers(1, 8))
+def test_spans_tile_and_every_walk_strictly_increases(drawn, samples):
+    sched, params = drawn
     spans = sched.spans()
     for left, right in zip(spans[:-1], spans[1:]):
         assert right.t_start == left.t_end
     assert sched.total_duration == spans[-1].t_end
-    walk = stroke_walk(sched, 0.0, sched.total_duration, samples)
+    walk = stroke_walk(sched, 0.0, sched.total_duration, samples, params=params)
     assert [span.index for span, _, _ in walk] == list(range(len(spans)))
     times = np.concatenate([[0.0]] + [ends for _, _, ends in walk])
     assert np.all(np.diff(times) > 0)

@@ -308,11 +308,14 @@ class TestEngineRecord:
             assert gaussian.polariton_occupations(state, basis) == tuple(n_pol)
 
 
-def walk_deltas(sched, samples_per_stroke):
-    """delta at every sample as the engines form it from the stroke walk: the
-    walked span's ``delta_values_local`` at (sample - span.t_start).  A sample
-    that ends a stroke is where the next stroke's walk starts, except the last."""
-    walk = stroke_walk(sched, 0.0, sched.total_duration, samples_per_stroke)
+def walk_deltas(cfg):
+    """delta at every sample of the config ``cfg``'s run as the engines form
+    it from the stroke walk: the walked span's ``delta_values_local`` at
+    (sample - span.t_start).  A sample that ends a stroke is where the next
+    stroke's walk starts, except the last."""
+    sched = cfg.schedule
+    walk = stroke_walk(sched, 0.0, sched.total_duration, cfg.samples_per_stroke,
+                       params=cfg.params)
     out = []
     for j, (span, seg_start, ends) in enumerate(walk):
         owned = np.concatenate(([seg_start], ends if j == len(walk) - 1 else ends[:-1]))
@@ -335,7 +338,7 @@ class TestDeltaColumn:
     @pytest.mark.parametrize("name", ["fig1", "smalltest"])
     def test_gaussian(self, name):
         cfg, traj = self.run(name, "gaussian")
-        assert np.array_equal(traj.delta, walk_deltas(cfg.schedule, cfg.samples_per_stroke))
+        assert np.array_equal(traj.delta, walk_deltas(cfg))
 
     def test_fock(self, monkeypatch):
         # each ramp segment evaluates its detunings in one call on a (stage,
@@ -364,7 +367,7 @@ class TestDeltaColumn:
         monkeypatch.setattr(fock_engine, "_taylor_step", spy_taylor)
         monkeypatch.setattr(fock_engine._Generator, "observe", mark)
         cfg, traj = self.run("smalltest", "fock")
-        assert np.array_equal(traj.delta, walk_deltas(cfg.schedule, cfg.samples_per_stroke))
+        assert np.array_equal(traj.delta, walk_deltas(cfg))
         assert len(used) == traj.delta.size and used[-1] == []
         for start, seg in zip(traj.delta[:-1], used[:-1]):
             assert seg and np.array_equal(seg, np.full(len(seg), start))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from omcool import _fock_engine, fock, gaussian, schedule
-from omcool.errors import AdiabaticityWarning, ThermalizationWarning
+from omcool.config import load_config_file, parse_params
+from omcool.errors import AdiabaticityWarning, StabilityError, ThermalizationWarning
 from omcool.params import SystemParams
 from omcool.schedule import (
     CycleSchedule,
@@ -376,13 +377,13 @@ class TestStrokeWalk:
     def test_window_checks(self):
         sched = self.make()
         with pytest.raises(ValueError, match="precedes"):
-            stroke_walk(sched, 0.05, 0.01, 4)
+            stroke_walk(sched, 0.05, 0.01, 4, params=fig1_like())
         with pytest.raises(ValueError, match="exceeds"):
-            stroke_walk(sched, 0.0, 2 * sched.total_duration, 4)
+            stroke_walk(sched, 0.0, 2 * sched.total_duration, 4, params=fig1_like())
 
     def test_segments_tile_the_window(self):
         sched = self.make()
-        walk = stroke_walk(sched, 0.02, 0.3, 4)
+        walk = stroke_walk(sched, 0.02, 0.3, 4, params=fig1_like())
         assert walk[0][1] == 0.02
         assert walk[-1][2][-1] == 0.3
         for (_, _, ends), (span, seg_start, _) in zip(walk[:-1], walk[1:]):
@@ -393,7 +394,7 @@ class TestStrokeWalk:
 
     def test_full_strokes_get_uniform_samples(self):
         sched = self.make()
-        walk = stroke_walk(sched, 0.0, sched.total_duration, 4)
+        walk = stroke_walk(sched, 0.0, sched.total_duration, 4, params=fig1_like())
         assert len(walk) == 8
         for span, seg_start, ends in walk:
             assert seg_start == span.t_start
@@ -409,12 +410,12 @@ class TestStrokeWalk:
         spans = sched.spans()
         assert all(r.t_start == l.t_end for l, r in zip(spans[:-1], spans[1:]))
         assert sched.total_duration == spans[-1].t_end
-        walk = stroke_walk(sched, 0.0, sched.total_duration, 4)
+        walk = stroke_walk(sched, 0.0, sched.total_duration, 4, params=fig1_like())
         times = np.concatenate([[0.0]] + [ends for _, _, ends in walk])
         assert times.size == 1 + 4 * len(spans) and np.all(np.diff(times) > 0)
 
     def test_empty_window_has_no_segments(self):
-        assert stroke_walk(self.make(), 0.05, 0.05, 4) == []
+        assert stroke_walk(self.make(), 0.05, 0.05, 4, params=fig1_like()) == []
 
     @pytest.mark.parametrize("t_start", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_time_rejected_before_any_step(self, monkeypatch, t_start):
@@ -433,23 +434,63 @@ class TestStrokeWalk:
         with pytest.raises(ValueError):
             fock.propagate_fock(f_state, p, sched, 0.1)
         with pytest.raises(ValueError, match="must be finite"):
-            stroke_walk(sched, t_start, 0.1, 4)
+            stroke_walk(sched, t_start, 0.1, 4, params=fig1_like())
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_samples_per_stroke_below_one_rejected(self, samples):
         with pytest.raises(ValueError, match="samples_per_stroke"):
-            stroke_walk(self.make(), 0.0, 0.1, samples)
+            stroke_walk(self.make(), 0.0, 0.1, samples, params=fig1_like())
 
     @pytest.mark.parametrize("samples", [True, False, 2.5, 2.0, "2", None, np.nan])
     def test_non_integer_samples_per_stroke_rejected(self, samples):
         # a bool or float is refused, not taken as 1 or truncated, and no
         # other value escapes as a TypeError
         with pytest.raises(ValueError, match="samples_per_stroke must be an integer"):
-            stroke_walk(self.make(), 0.0, 0.1, samples)
+            stroke_walk(self.make(), 0.0, 0.1, samples, params=fig1_like())
 
     def test_numpy_integer_samples_per_stroke_accepted(self):
-        walk = stroke_walk(self.make(), 0.0, 0.1, np.int64(3))
+        walk = stroke_walk(self.make(), 0.0, 0.1, np.int64(3), params=fig1_like())
         assert walk and all(ends.size == 3 for _, _, ends in walk)
+
+    def walk_both_engines(self, monkeypatch, strokes, error, match):
+        """Run each engine on smalltest's params over one cycle of ``strokes``,
+        expecting ``error``; return the steps the engines took."""
+        steps = []
+        for module, name in ((gaussian, "_stroke_maps"), (_fock_engine, "_rk4_step"),
+                             (_fock_engine, "_taylor_step")):
+            step = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, step=step, **k: steps.append(a) or step(*a, **k))
+        p = parse_params(load_config_file("smalltest")["params"])
+        sched = CycleSchedule(strokes=strokes, cycle_count=1, delta_start=-30.0)
+        with pytest.raises(error, match=match):
+            gaussian.propagate(gaussian.thermal_state([0.1, 0.2, 0.25]), sched,
+                               sched.total_duration, params=p)
+        with pytest.raises(error, match=match):
+            fock.propagate_fock(fock.thermal_state((6, 6, 8), (0.1, 0.2, 0.25)), p, sched,
+                                sched.total_duration)
+        return steps
+
+    @pytest.mark.parametrize("amplitude", [5.0, 0.0])
+    def test_engines_refuse_an_exchange_on_a_missing_target(self, monkeypatch, amplitude):
+        # smalltest has one target; a zero amplitude is refused as well
+        assert self.walk_both_engines(
+            monkeypatch, (Stroke.exchange(3, amplitude, 0.1),), ValueError,
+            r"^unknown target index 3; system has 1 target\(s\)$") == []
+
+    def test_engines_refuse_an_unstable_ramp_before_any_step(self, monkeypatch):
+        # g = 2 exceeds the stability limit sqrt(0.5 * 10) / 2 = 1.118 at -0.5
+        assert self.walk_both_engines(
+            monkeypatch, (Stroke.ramp(-30.0, -0.5, 0.3),), StabilityError,
+            "unstable at delta=-0.5: g=2.0") == []
+
+    def test_walk_checks_only_the_strokes_it_crosses(self):
+        p = parse_params(load_config_file("smalltest")["params"])
+        sched = CycleSchedule(strokes=(Stroke.hold(0.1), Stroke.exchange(3, 5.0, 0.1)),
+                              cycle_count=1, delta_start=-30.0)
+        assert len(stroke_walk(sched, 0.0, 0.1, 4, params=p)) == 1
+        with pytest.raises(ValueError, match="unknown target index 3"):
+            stroke_walk(sched, 0.05, 0.15, 4, params=p)
 
     def test_engines_refuse_non_integer_samples_per_stroke(self):
         sched, p = self.make(), fig1_like()
