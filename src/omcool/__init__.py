@@ -31,13 +31,8 @@ from .polariton import (
     survival_factor,
 )
 from .schedule import CycleSchedule, Samples, Stroke, StrokeKind, build_default_cycle
-from .gaussian import (
-    GaussianState,
-    mode_occupations,
-    polariton_occupations,
-    propagate,
-)
-from .fock import FockState, ModeOperators, number_state, propagate_fock
+from .gaussian import GaussianState, propagate
+from .fock import FockState, ModeOperators, propagate_fock
 from .runner import (
     CycleReport,
     FockOptions,
@@ -81,9 +76,6 @@ __all__ = [
     "exchange_efficiency",
     "iterate_cooling_map",
     "mean_field_reduce",
-    "mode_occupations",
-    "number_state",
-    "polariton_occupations",
     "polariton_spectrum",
     "propagate",
     "propagate_fock",

@@ -41,7 +41,7 @@ generator's scratch buffer.  A diagonal start (``FockState`` given its
 diagonal, as the runner's thermal start is) is split straight into its
 blocks, buffer positions come from each index's place among its parity,
 and no sample builds a d x d array unless rho's cross blocks are nonzero;
-the norm bound takes its d x d sums a few dozen rows at a time, and the
+the norm bound takes its d x d sums one row at a time, and the
 natural-order rho is assembled once, for the final state.  The memory is
 O(d^2): the state and three work buffers, the generator's scratch
 buffer, and a complex weight and a gather index per entry of each jump
@@ -157,15 +157,6 @@ class FockState:
             raise ValueError(f"rho must be {d} x {d}, or its diagonal, for cutoffs {self.cutoffs}")
         object.__setattr__(self, "rho", rho)
 
-    def trace_error(self) -> float:
-        return _Blocks.trace_error(*_split(self))
-
-    def hermiticity_error(self) -> float:
-        return _Blocks.hermiticity_error(*_split(self))
-
-    def min_eigenvalue(self) -> float:
-        return _Blocks.min_eigenvalue(*_split(self))
-
     def validate(self) -> float:
         """Check trace, hermiticity and positivity on parity blocks taken out
         once (``_Blocks.checks``); return the ``min_eigenvalue`` it computed."""
@@ -191,15 +182,6 @@ class ModeOperators:
         self.lowering = [(s, np.sqrt(w)) for s, w in zip(strides, self.lower_diag)]
         self.raising = [(-s, np.sqrt(n)) for s, n in zip(strides, self.number_diag)]
 
-    def number(self, mode: int) -> np.ndarray:
-        return np.diag(self.number_diag[mode])
-
-    def annihilation(self, mode: int) -> np.ndarray:
-        """Dense d x d annihilation operator of ``mode``, built on demand."""
-        factors = [np.eye(c) for c in self.cutoffs]
-        factors[mode] = np.diag(np.sqrt(np.arange(1.0, self.cutoffs[mode])), k=1)
-        return reduce(np.kron, factors)
-
 
 def _compose(x, y):
     """The shift of the product x y of two shifts (offset, weight):
@@ -210,17 +192,9 @@ def _compose(x, y):
     return ox + oy, wx * np.roll(wy, -ox)
 
 
-def thermal_state(cutoffs, occupations, time: float = 0.0,
-                  leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD) -> FockState:
-    """Product of truncated, renormalized thermal (geometric) states, as a
-    d x d ``rho`` (``_thermal_diagonal`` gives its diagonal alone)."""
-    diagonal = _thermal_diagonal(cutoffs, occupations, leakage_threshold)
-    return FockState(rho=np.diag(diagonal.astype(complex)), cutoffs=cutoffs, time=time)
-
-
 def _thermal_diagonal(cutoffs, occupations, leakage_threshold: float) -> np.ndarray:
-    """The diagonal of ``thermal_state``: the Kronecker product of the
-    per-mode geometric weights.
+    """The diagonal of a product of truncated, renormalized thermal
+    (geometric) states: the Kronecker product of the per-mode weights.
 
     Rejects occupations whose geometric tail beyond the cutoff exceeds the
     leakage threshold, since the truncated state could not represent them.
@@ -245,23 +219,6 @@ def _thermal_diagonal(cutoffs, occupations, leakage_threshold: float) -> np.ndar
         w = (1.0 - q) * q ** np.arange(c)
         diags.append(w / w.sum())
     return reduce(np.kron, diags)
-
-
-def number_state(cutoffs, levels, time: float = 0.0) -> FockState:
-    """Product Fock number state |n1, n2, ...><...|."""
-    cutoffs = _cutoffs(cutoffs)
-    levels = tuple(levels)
-    if not all(_is_integer(n) for n in levels):
-        raise ValueError(f"every level must be an integer, got {levels}")
-    if len(levels) != len(cutoffs):
-        raise ValueError("need one level per mode")
-    for c, n in zip(cutoffs, levels):
-        if not 0 <= n < c:
-            raise ValueError(f"level {n} outside cutoff {c}")
-    d = int(np.prod(cutoffs))
-    rho = np.zeros((d, d), dtype=complex)
-    rho[(np.ravel_multi_index(levels, cutoffs),) * 2] = 1.0
-    return FockState(rho=rho, cutoffs=cutoffs, time=time)
 
 
 def _split(state: FockState, ops: ModeOperators | None = None, modes=()) -> tuple:

@@ -48,7 +48,7 @@ import numpy as np
 from . import _kernels
 from .errors import IntegrationError
 from .params import SystemParams
-from .polariton import PolaritonBasis, moment_occupations, pair_occupations, symplectic_form
+from .polariton import PolaritonBasis, moment_occupations, symplectic_form
 from .schedule import CycleSchedule, Samples, StrokeKind, StrokeSpan, span_fmax, stroke_walk
 
 SYMMETRY_TOL = 1e-12
@@ -81,16 +81,12 @@ class GaussianState:
     def n_modes(self) -> int:
         return self.mean.size // 2
 
-    def validate(self) -> float:
-        """``check_samples`` of this state alone: the smallest eigenvalue of
-        cov + i J / 2 (>= 0 for a physical state), once checked."""
-        return float(check_samples([self.time], self.mean[None], self.cov[None])[1][0])
-
 
 def check_samples(times, means: np.ndarray, covs: np.ndarray):
-    """Bare-mode occupations and the smallest eigenvalue of cov + i J / 2 of
-    stacked samples, once every sample passes the checks of
-    ``GaussianState.validate``.
+    """Bare-mode occupations and the smallest eigenvalue of cov + i J / 2
+    (>= 0 for a physical state) of stacked samples, once every sample has a
+    symmetric covariance, and that eigenvalue and every occupation at least
+    -UNCERTAINTY_TOL.
 
     The first failing sample raises IntegrationError for the first check it
     fails, at its time.  A NaN fails every check (each check passes only on
@@ -146,18 +142,6 @@ def polariton_initial_state(
     s_inv = basis.inverse()
     state.cov[:4, :4] = s_inv @ state.cov[:4, :4] @ s_inv.T
     return state
-
-
-def mode_occupations(state: GaussianState) -> np.ndarray:
-    """Mean occupation per bare mode."""
-    return moment_occupations(state.mean, state.cov)
-
-
-def polariton_occupations(state: GaussianState, basis: PolaritonBasis) -> tuple[float, float]:
-    """(N_A, N_B) computed by rotating the (a, b) marginal into the polariton basis."""
-    if state.n_modes < 2:
-        raise ValueError("state must contain the cavity and mechanical modes")
-    return pair_occupations(state.mean[:4], state.cov[:4, :4], basis)
 
 
 def _stroke_generator(params: SystemParams, span: StrokeSpan):

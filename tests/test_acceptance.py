@@ -12,7 +12,7 @@ import pytest
 
 from omcool import gaussian
 from omcool.config import load_config_file, parse_cycle_config
-from omcool.fock import number_state, propagate_fock
+from omcool.fock import propagate_fock
 from omcool.gaussian import propagate, thermal_state
 from omcool.params import SystemParams
 from omcool.polariton import (
@@ -26,6 +26,8 @@ from omcool.polariton import (
 )
 from omcool.runner import analyze_cycles, run_protocol
 from omcool.schedule import CycleSchedule, Stroke, StrokeKind
+
+from dense_fock import number_state
 
 _CACHE = {}
 _LOG = []

@@ -750,8 +750,9 @@ class TestBundledConfigs:
 
 NO_SCIPY_RUN = """
 import sys
+import numpy as np
 import omcool.cli
-from omcool.fock import propagate_fock, thermal_state
+from omcool.fock import FockState, propagate_fock
 from omcool.params import SystemParams
 from omcool.schedule import CycleSchedule, Stroke
 
@@ -760,7 +761,7 @@ p = SystemParams(omega_b=10.0, g=2.0, kappa=8.0, gamma=0.5, n_a=0.1, n_b=0.2,
                  delta_targets=(10.0,), n_targets=(0.25,))
 sched = CycleSchedule(strokes=(Stroke.exchange(0, 5.0, 0.01),), cycle_count=1,
                       delta_start=-30.0)
-propagate_fock(thermal_state((4, 4, 4), (0.0, 0.0, 0.0)), p, sched, 0.01,
+propagate_fock(FockState(rho=np.eye(64)[0], cutoffs=(4, 4, 4)), p, sched, 0.01,
                samples_per_stroke=2)
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """

@@ -18,16 +18,24 @@ from omcool.fock import (
     FockState,
     ModeOperators,
     mode_occupations,
-    number_state,
     propagate_fock,
     quadrature_moments,
-    thermal_state,
 )
 from omcool.gaussian import _stroke_generator
 from omcool.params import SystemParams
 from omcool.polariton import rabi_populations
 from omcool.runner import FockOptions
 from omcool.schedule import CycleSchedule, Stroke
+
+from dense_fock import (
+    annihilation,
+    hermiticity_error,
+    min_eigenvalue,
+    number,
+    number_state,
+    thermal_state,
+    trace_error,
+)
 
 
 # the largest leakage threshold in (0, 1): no truncation guard on these tiny
@@ -46,11 +54,11 @@ def params(**over):
 class TestOperators:
     def test_qubit_truncated_ladder(self):
         ops = ModeOperators((2,))
-        assert np.array_equal(ops.annihilation(0), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert np.array_equal(annihilation(ops, 0), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_commutator_defect_only_in_top_level(self):
         ops = ModeOperators((7,))
-        a = ops.annihilation(0)
+        a = annihilation(ops, 0)
         comm = a @ a.conj().T - a.conj().T @ a
         expected = np.eye(7)
         expected[-1, -1] = -(7 - 1)
@@ -61,7 +69,7 @@ class TestOperators:
 
     def test_number_diagonal(self):
         ops = ModeOperators((3, 2))
-        n0 = ops.number(0)
+        n0 = number(ops, 0)
         assert np.array_equal(np.diag(n0), [0, 0, 1, 1, 2, 2])
         assert np.array_equal(n0, np.diag(np.diag(n0)))
 
@@ -134,7 +142,7 @@ class TestStates:
 
 def dense_h_off(p, ops, target, amplitude):
     """H_off = g (a + a^dag)(b + b^dag) + amplitude (b^dag c + c^dag b), dense."""
-    a = [ops.annihilation(m) for m in range(len(ops.cutoffs))]
+    a = [annihilation(ops, m) for m in range(len(ops.cutoffs))]
     h = p.g * (a[0] + a[0].T) @ (a[1] + a[1].T)
     if amplitude != 0.0:
         c = a[2 + target]
@@ -144,7 +152,7 @@ def dense_h_off(p, ops, target, amplitude):
 
 def dense_rhs(p, ops, rho, target, amplitude, delta):
     """-i[H, rho] plus the thermal dissipators, from dense ladder matrices."""
-    a = [ops.annihilation(m) for m in range(len(ops.cutoffs))]
+    a = [annihilation(ops, m) for m in range(len(ops.cutoffs))]
     ad = [x.conj().T for x in a]
     h = -delta * ad[0] @ a[0] + p.omega_b * ad[1] @ a[1]
     for k, dk in enumerate(p.delta_targets):
@@ -340,7 +348,7 @@ def test_quadrature_moments_match_dense_operators(cutoffs, modes):
     st = FockState(rho=rho / np.trace(rho).real, cutoffs=cutoffs)
     quads = []
     for m in modes:
-        a = ops.annihilation(m)
+        a = annihilation(ops, m)
         quads += [(a + a.conj().T) / np.sqrt(2.0), -1j * (a - a.conj().T) / np.sqrt(2.0)]
     mean = np.array([np.trace(q @ st.rho).real for q in quads])
     second = np.array([[0.5 * np.trace((qi @ qj + qj @ qi) @ st.rho).real for qj in quads]
@@ -516,8 +524,8 @@ class TestSampleReadout:
         assert np.array_equal(traj.means[-1], mean)
         assert np.array_equal(traj.covs[-1], cov)
         assert len(fock_checks) == traj.times.size
-        assert fock_checks[-1] == (final.trace_error(), final.hermiticity_error(),
-                                   final.min_eigenvalue())
+        assert fock_checks[-1] == (trace_error(final), hermiticity_error(final),
+                                   min_eigenvalue(final))
         dense = np.linalg.eigvalsh(final.rho).min()
         if start == "thermal":  # the two parity blocks' spectra, not the whole matrix's
             assert abs(traj.physicality[-1] - dense) < 1e-15
@@ -892,7 +900,7 @@ class TestTaylorAction:
         gen = _Generator(p, ops, thermal_state((2, 2), (0.0, 0.0)).rho)
         assert len(gen.jumps) == 1 and np.abs(gen.jumps[0][1]).max() == 1.5
         gen.damp_diag, gen.diag_static, gen.na_diag = (np.zeros(ops.dim) for _ in range(3))
-        a = ops.annihilation(0)
+        a = annihilation(ops, 0)
         jump = 3.0 * np.kron(a, a.conj())  # row-major vec(a rho a^dag)
         rho = parity_diagonal((2, 2), random_hermitian(ops.dim, 8))
         want = (jump @ rho.reshape(-1)).reshape(ops.dim, ops.dim)
@@ -1071,12 +1079,12 @@ class TestPositivityCheck:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        assert abs(st.min_eigenvalue() - want) < 1e-14
+        assert abs(min_eigenvalue(st) - want) < 1e-14
         assert shapes == sizes
 
     def test_negative_eigenvalue_in_one_block_fails_validate(self):
         st = _one_block_negative()
-        assert st.min_eigenvalue() < -1e-3
+        assert min_eigenvalue(st) < -1e-3
         with pytest.raises(IntegrationError, match="negative eigenvalue") as err:
             st.validate()
         assert err.value.time == 0.4
@@ -1102,9 +1110,9 @@ class TestPositivityCheck:
             st = thermal_state((3, 2), (0.4, 0.3), leakage_threshold=NO_GUARD)
             if fails:
                 with pytest.raises(np.linalg.LinAlgError, match="stub"):
-                    st.min_eigenvalue()
+                    min_eigenvalue(st)
             else:
-                st.min_eigenvalue()
+                min_eigenvalue(st)
             assert seen == ([1] if fails else [1, 1])
             assert get() == 2
         finally:
@@ -1124,7 +1132,7 @@ class TestPositivityCheck:
         # error keeps the NaN
         st = number_state((2, 2), (0, 0), time=0.7)
         st.rho[entry] = np.nan
-        assert np.isnan(st.hermiticity_error())
+        assert np.isnan(hermiticity_error(st))
         with pytest.raises(IntegrationError, match="hermiticity") as err:
             st.validate()
         assert err.value.time == 0.7
@@ -1159,7 +1167,7 @@ def test_block_checks_bitwise_dense(cutoffs, case):
            "anti-Hermitian cross": (parity_diagonal(cutoffs, herm) + skew
                                     - parity_diagonal(cutoffs, skew))}[case]
     st = FockState(rho=rho / np.trace(rho).real, cutoffs=cutoffs)
-    got = (st.hermiticity_error(), st.min_eigenvalue())
+    got = (hermiticity_error(st), min_eigenvalue(st))
     want = _dense_checks(st)
     assert got[0] > 0
     assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -10,15 +10,14 @@ from omcool.config import load_config_file, parse_cycle_config
 from omcool.errors import IntegrationError, StabilityError
 from omcool.gaussian import (
     GaussianState,
-    mode_occupations,
+    check_samples,
     polariton_initial_state,
-    polariton_occupations,
     propagate,
     thermal_state,
 )
 from omcool.params import SystemParams
-from omcool.polariton import (bogoliubov_basis, moment_occupations, rabi_populations,
-                              symplectic_form)
+from omcool.polariton import (bogoliubov_basis, moment_occupations, pair_occupations,
+                              rabi_populations, symplectic_form)
 from omcool.schedule import (CycleSchedule, Stroke, StrokeKind, build_default_cycle,
                              span_fmax)
 
@@ -39,26 +38,25 @@ def hold_schedule(duration, delta=-2000.0):
 class TestStateBasics:
     def test_vacuum_occupations(self):
         state = thermal_state([0.0, 0.0])
-        assert np.array_equal(mode_occupations(state), [0.0, 0.0])
+        assert np.array_equal(moment_occupations(state.mean, state.cov), [0.0, 0.0])
 
     def test_thermal_occupations(self):
         state = thermal_state([0.7, 3.0])
-        assert mode_occupations(state) == pytest.approx([0.7, 3.0], rel=1e-14)
+        assert moment_occupations(state.mean, state.cov) == pytest.approx([0.7, 3.0], rel=1e-14)
 
     def test_coherent_displacement_counts_as_occupation(self):
         state = GaussianState(mean=np.array([math.sqrt(2.0), 0.0]), cov=0.5 * np.eye(2))
-        assert mode_occupations(state) == pytest.approx([1.0], rel=1e-14)
+        assert moment_occupations(state.mean, state.cov) == pytest.approx([1.0], rel=1e-14)
 
     def test_validate_rejects_unphysical_covariance(self):
-        state = GaussianState(mean=np.zeros(2), cov=0.1 * np.eye(2))
         with pytest.raises(IntegrationError, match="uncertainty"):
-            state.validate()
+            check_samples([0.0], np.zeros((1, 2)), 0.1 * np.eye(2)[None])
 
     def test_validate_rejects_asymmetry(self):
         cov = 0.5 * np.eye(2)
         cov[0, 1] = 1e-6
         with pytest.raises(IntegrationError, match="asymmetry"):
-            GaussianState(mean=np.zeros(2), cov=cov).validate()
+            check_samples([0.0], np.zeros((1, 2)), cov[None])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_occupations_rejected(self, bad):
@@ -78,7 +76,7 @@ class TestStateBasics:
         state = thermal_state([0.1, 0.2], time=0.7)
         state.cov[1, 1] = np.nan
         with pytest.raises(IntegrationError) as err:
-            state.validate()
+            check_samples([state.time], state.mean[None], state.cov[None])
         assert err.value.time == 0.7
 
 
@@ -132,7 +130,7 @@ class TestStackedChecks:
         with pytest.raises(IntegrationError) as stacked:
             gaussian.check_samples(times, means, covs)
         with pytest.raises(IntegrationError) as single:
-            GaussianState(mean=means[11], cov=covs[11], time=float(times[11])).validate()
+            check_samples(times[11:12], means[11:12], covs[11:12])
         assert str(stacked.value) == str(single.value) == expected
         assert stacked.value.time == single.value.time == times[11]
 
@@ -233,7 +231,7 @@ class TestPropagateContract:
         traj = propagate(state, sched, sched.total_duration, tol=1e-7,
                          params=fig1_params)
         for m, c in zip(traj.means, traj.covs):
-            assert GaussianState(mean=m, cov=c).validate() > -1e-9
+            assert check_samples([0.0], m[None], c[None])[1][0] > -1e-9
 
     def test_deterministic(self, fig1_params):
         sched = build_default_cycle(fig1_params, 0.04, 0.008, 0.04, 0.1, targets=[0])
@@ -598,13 +596,13 @@ class TestPolaritonObservables:
     def test_initial_state_round_trip(self):
         basis = bogoliubov_basis(-6000.0, 2000.0, 200.0)
         state = polariton_initial_state(basis, 0.5, 2.0, [12.0])
-        n_a, n_b = polariton_occupations(state, basis)
+        n_a, n_b = pair_occupations(state.mean[:4], state.cov[:4, :4], basis)
         assert n_a == pytest.approx(0.5, abs=1e-10)
         assert n_b == pytest.approx(2.0, abs=1e-10)
-        assert mode_occupations(state)[2] == pytest.approx(12.0, abs=1e-12)
+        assert moment_occupations(state.mean, state.cov)[2] == pytest.approx(12.0, abs=1e-12)
 
     def test_identity_basis_reduces_to_bare_occupations(self):
         basis = bogoliubov_basis(-3000.0, 2000.0, 0.0)
         state = thermal_state([0.7, 1.3])
-        n_a, n_b = polariton_occupations(state, basis)
+        n_a, n_b = pair_occupations(state.mean[:4], state.cov[:4, :4], basis)
         assert (n_a, n_b) == pytest.approx((0.7, 1.3), rel=1e-14)

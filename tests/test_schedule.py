@@ -16,6 +16,8 @@ from omcool.schedule import (
     stroke_walk,
 )
 
+import dense_fock
+
 
 def fig1_like(**over):
     kwargs = dict(omega_b=2000.0, g=200.0, kappa=40.0, gamma=1.0, n_a=0.5, n_b=2.0,
@@ -427,8 +429,8 @@ class TestStrokeWalk:
             monkeypatch.setattr(module, name, no_step)
         sched, p = self.make(), fig1_like()
         g_state = gaussian.thermal_state([0.1, 0.2, 0.25], time=t_start)
-        f_state = fock.thermal_state((4, 4, 4), (0.1, 0.2, 0.25), time=t_start,
-                                     leakage_threshold=0.5)
+        f_state = dense_fock.thermal_state((4, 4, 4), (0.1, 0.2, 0.25), time=t_start,
+                                           leakage_threshold=0.5)
         with pytest.raises(ValueError):
             gaussian.propagate(g_state, sched, 0.1, params=p)
         with pytest.raises(ValueError):
@@ -467,7 +469,7 @@ class TestStrokeWalk:
             gaussian.propagate(gaussian.thermal_state([0.1, 0.2, 0.25]), sched,
                                sched.total_duration, params=p)
         with pytest.raises(error, match=match):
-            fock.propagate_fock(fock.thermal_state((6, 6, 8), (0.1, 0.2, 0.25)), p, sched,
+            fock.propagate_fock(dense_fock.thermal_state((6, 6, 8), (0.1, 0.2, 0.25)), p, sched,
                                 sched.total_duration)
         return steps
 
@@ -498,6 +500,6 @@ class TestStrokeWalk:
             gaussian.propagate(gaussian.thermal_state([0.1, 0.2, 0.25]), sched, 0.1,
                                params=p, samples_per_stroke=True)
         with pytest.raises(ValueError, match="samples_per_stroke must be an integer"):
-            fock.propagate_fock(fock.thermal_state((4, 4, 4), (0.1, 0.2, 0.25),
-                                                   leakage_threshold=0.5),
+            fock.propagate_fock(dense_fock.thermal_state((4, 4, 4), (0.1, 0.2, 0.25),
+                                                         leakage_threshold=0.5),
                                 p, sched, 0.1, samples_per_stroke=2.0)
