@@ -237,8 +237,10 @@ class CycleConfig:
 def parse_cycle_config(cfg: dict, *, for_validate: bool = False) -> CycleConfig:
     """Parse a protocol-run config (used by both ``cycle`` and ``validate``).
 
-    The run is checked (``runner.check_run``) for each engine the command
-    runs, so a config that ``run_protocol`` would refuse fails here.
+    The run is checked (``runner.check_run``) for the engine the command
+    runs, so a config that ``run_protocol`` would refuse fails here.  For
+    ``validate`` that is the Fock engine's check alone: it raises every error
+    the Gaussian engine's raises, in the same order, and adds its own.
     """
     _check_version(cfg)
     # the sections are read below, in turn: the schedule needs the params
@@ -255,11 +257,10 @@ def parse_cycle_config(cfg: dict, *, for_validate: bool = False) -> CycleConfig:
     integrator = _read(cfg.get("integrator", {}), "integrator.", {
         "tol": (_positive, 1e-7), "samples_per_stroke": (_positive, 32, _integer)})
     fock = parse_fock_options(cfg["fock"]) if "fock" in cfg else None
-    for run_engine in ("fock", "gaussian") if for_validate else (engine,):
-        try:
-            check_run(params, schedule, run_engine, initial, fock)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        check_run(params, schedule, "fock" if for_validate else engine, initial, fock)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     # a cycle config has no comparison section, so it reads the default
     comparison = _read(cfg.get("comparison", {}), "comparison.",
                        {"threshold": (_positive, 5e-2)})

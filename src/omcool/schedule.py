@@ -146,8 +146,8 @@ class Stroke:
                 table = adiabatic_ramp_profile(self.delta_start, self.delta_end, *self.pair)
                 object.__setattr__(self, "knots", (np.linspace(0.0, 1.0, table.size), table))
         elif self.kind is StrokeKind.EXCHANGE_PULSE:
-            if self.target is None or self.target < 0:
-                raise ValueError("exchange stroke needs a target-mode index")
+            if not (_is_integer(self.target) and self.target >= 0):
+                raise ValueError(f"exchange stroke needs a target-mode index, got {self.target!r}")
             if self.amplitude < 0:
                 raise ValueError("exchange amplitude must be non-negative")
 

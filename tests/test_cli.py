@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omcool import fock, gaussian
+from omcool import fock, gaussian, runner
 from omcool.cli import main
 from omcool.config import load_config_file, parse_cycle_config, parse_fock_options, parse_params
 from omcool.errors import StabilityError
@@ -706,6 +706,15 @@ class TestValidateCommand:
             check_run(parse_params(raw["params"]), sched, "fock",
                       InitialOccupations(basis="bare", pair=(0.1, 0.2), targets=(0.25,)),
                       parse_fock_options(raw["fock"]))
+
+    def test_config_parse_walks_the_schedule_once(self, monkeypatch):
+        # the Fock engine's check_run raises every error the Gaussian one
+        # raises, so validate's parse runs that check alone
+        walks = []
+        walk = runner.stroke_walk
+        monkeypatch.setattr(runner, "stroke_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
+        parse_cycle_config(load_config_file("smalltest"), for_validate=True)
+        assert len(walks) == 1
 
     def test_engine_key_rejected(self, tmp_path, capsys):
         cfg = small_cycle_config(fock={"cutoffs": [6, 6, 8]})

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from omcool import _fock_engine, fock, gaussian, schedule
-from omcool.config import load_config_file, parse_params
+from omcool.config import load_config_file, parse_cycle_config, parse_params
 from omcool.errors import AdiabaticityWarning, StabilityError, ThermalizationWarning
 from omcool.params import SystemParams
+from omcool.runner import run_protocol
 from omcool.schedule import (
     CycleSchedule,
     Stroke,
@@ -90,6 +91,22 @@ class TestStroke:
     def test_exchange_needs_target(self):
         with pytest.raises(ValueError, match="target"):
             Stroke(StrokeKind.EXCHANGE_PULSE, 0.01)
+
+    @pytest.mark.parametrize("target", [True, 0.5, 1.0])
+    def test_exchange_target_must_be_an_integer(self, target):
+        # a bool or a float is refused, not truncated, as cutoffs and levels are
+        with pytest.raises(ValueError, match="target-mode index"):
+            Stroke.exchange(target, 200.0, 0.008)
+
+    def test_numpy_integer_target_runs_as_its_int(self):
+        cfg = parse_cycle_config(load_config_file("fig2"))
+        strokes = tuple(s if s.target is None else dataclasses.replace(s, target=np.int64(s.target))
+                        for s in cfg.schedule.strokes)
+        assert {type(s.target) for s in strokes} == {type(None), np.int64}
+        trajs = [run_protocol(cfg.params, sched, initial=cfg.initial, tol=cfg.tol,
+                              samples_per_stroke=cfg.samples_per_stroke)
+                 for sched in (cfg.schedule, dataclasses.replace(cfg.schedule, strokes=strokes))]
+        assert trajs[0].occupations.tobytes() == trajs[1].occupations.tobytes()
 
     def test_non_finite_fields_rejected(self):
         nan = float("nan")
