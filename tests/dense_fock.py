@@ -1,9 +1,11 @@
-"""Dense d x d reference states, operators and checks on a truncated Fock space.
+"""Reference states, operators and checks on a truncated Fock space, for the tests.
 
 No run calls these: the runner starts the Fock engine from a thermal
 diagonal, and the engine reads every observable and check off rho's parity
-blocks (``omcool.fock._Blocks``).  The tests use them as reference formulas
-against which that block machinery is checked.
+blocks (``omcool.fock._Blocks``) without a d x d operator.  The states and
+operators here are dense d x d matrices, the reference formulas that block
+machinery is checked against; the checks take one whole state's blocks at
+a time, as ``FockState.validate`` does, but each check alone.
 """
 
 from functools import reduce
